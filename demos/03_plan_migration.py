@@ -28,8 +28,7 @@ print(f"  predicted downtime {config.predicted.downtime_s:.3f} s, "
       f"total {config.predicted.total_s:.3f} s")
 
 print("\nstop-and-copy schedule (the service is frozen throughout):")
-for step in stopcopy_schedule(config, scenario.profile_by_id(
-        scenario.task.ms_profile_id).profile, scenario.model_params):
+for step in stopcopy_schedule(config):
     print(f"  {step.step_id:6s} {step.start_s:6.3f} -> {step.end_s:6.3f} s")
 
 # Same metrics, resource-driven objective.

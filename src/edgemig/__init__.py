@@ -12,7 +12,6 @@ discrete-event simulator (:mod:`edgemig.simnet`), scenario file handling
 from .agents import (
     FlowTable,
     ScheduledStep,
-    predicted_kpis,
     stopcopy_schedule,
     update_flow,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "parse_scenario",
     "plan_from_scenario",
     "precopy_kpis",
-    "predicted_kpis",
     "run_scenario",
     "save_scenario",
     "scenario_to_dict",

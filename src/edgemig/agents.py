@@ -28,6 +28,11 @@ That comes to 7 + 3*I bus messages, a count the trace tests pin down. A
 cold migration follows the same skeleton minus the running-state copies
 (the namespace reply then carries no image), also 7 messages.
 
+The topic builders below and :func:`subscriptions`, the table of roles
+subscribed to each publication, are the protocol's only routing facts.
+Messages stay in process, so headers carry typed objects: the task
+publication hands every agent the frozen :class:`TaskInfo` itself.
+
 State machines are pure: :func:`advance` maps (state, event) to a new
 state plus a list of actions (messages to send, work items to run, timers
 to arm), and the simulator or any other driver executes those actions. An
@@ -44,23 +49,14 @@ from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .bus import BusMessage, MessageKind, topic
-from .errors import DomainError, MissingFlowError
+from .errors import MissingFlowError
 from .model import (
     STEP_CHECKPOINT,
     STEP_FLOW_UPDATE,
     STEP_NAMESPACE,
     STEP_RESTORE,
     STEP_TRANSFER,
-    Kpis,
-    ModelParams,
-    MsProfile,
     StrategyKind,
-    checkpoint_duration,
-    cold_kpis,
-    precopy_kpis,
-    restore_duration,
-    stop_copy_image_bytes,
-    transfer_duration,
 )
 from .orchestrator import MigrationConfig
 
@@ -124,22 +120,6 @@ class WorkSizing(str, Enum):
     DIRTY_PLUS_CONTEXT = "dirty_plus_context"
     GIVEN = "given"
     NONE = "none"
-
-
-# Stop-and-copy pipeline step each work kind realizes (None for the
-# running-state copies, which happen outside the downtime window).
-WORK_STEP: Mapping[WorkKind, Optional[str]] = {
-    WorkKind.PRE_CHECKPOINT: None,
-    WorkKind.ROUND_CHECKPOINT: None,
-    WorkKind.STOP_CHECKPOINT: STEP_CHECKPOINT,
-    WorkKind.TRANSFER_INITIAL: None,
-    WorkKind.TRANSFER_ROUND: None,
-    WorkKind.TRANSFER_STOPCOPY: STEP_TRANSFER,
-    WorkKind.NS_CLEAR: "S2",
-    WorkKind.NS_RECREATE: "S4",
-    WorkKind.FLOW_UPDATE: STEP_FLOW_UPDATE,
-    WorkKind.RESTORE: STEP_RESTORE,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,41 +220,6 @@ class TaskInfo:
     ns_config: str
     connection: tuple
 
-    def to_headers(self) -> dict[str, object]:
-        return {
-            "task_id": self.task_id,
-            "container_id": self.container_id,
-            "source": self.source,
-            "destination": self.destination,
-            "client": self.client,
-            "orchestrator": self.orchestrator,
-            "strategy": self.strategy.value,
-            "iterations": self.iterations,
-            "latency_s": self.latency_s,
-            "flow_update_s": self.flow_update_s,
-            "watchdog_s": self.watchdog_s,
-            "ns_config": self.ns_config,
-            "connection": self.connection,
-        }
-
-    @classmethod
-    def from_headers(cls, headers: Mapping[str, object]) -> "TaskInfo":
-        return cls(
-            task_id=str(headers["task_id"]),
-            container_id=str(headers["container_id"]),
-            source=str(headers["source"]),
-            destination=str(headers["destination"]),
-            client=str(headers["client"]),
-            orchestrator=str(headers["orchestrator"]),
-            strategy=StrategyKind(str(headers["strategy"])),
-            iterations=int(headers["iterations"]),  # type: ignore[arg-type]
-            latency_s=float(headers["latency_s"]),  # type: ignore[arg-type]
-            flow_update_s=float(headers["flow_update_s"]),  # type: ignore[arg-type]
-            watchdog_s=float(headers["watchdog_s"]),  # type: ignore[arg-type]
-            ns_config=str(headers["ns_config"]),
-            connection=tuple(headers["connection"]),  # type: ignore[arg-type]
-        )
-
 
 def task_topic(task_id: str) -> str:
     return topic(task_id, Role.ORCHESTRATOR.value, "task")
@@ -310,6 +255,26 @@ def done_topic(task_id: str) -> str:
 
 def failed_topic(task_id: str, role: Role) -> str:
     return topic(task_id, role.value, "failed")
+
+
+def subscriptions(info: TaskInfo) -> dict[str, tuple[Role, ...]]:
+    """Roles subscribed to each publication of one task, in delivery order.
+
+    Queries go to the topic's owner (:func:`edgemig.bus.topic_role`).
+    """
+    task_id = info.task_id
+    table = {
+        task_topic(task_id): (Role.SOURCE, Role.DESTINATION, Role.CLIENT),
+        started_topic(task_id): (Role.ORCHESTRATOR,),
+        stopcopy_topic(task_id): (Role.DESTINATION,),
+        ns_ready_topic(task_id): (Role.CLIENT,),
+        done_topic(task_id): (Role.ORCHESTRATOR,),
+    }
+    for round_index in range(1, info.iterations + 1):
+        table[round_ready_topic(task_id, round_index)] = (Role.DESTINATION,)
+    for role in Role:
+        table[failed_topic(task_id, role)] = (Role.ORCHESTRATOR,)
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +364,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         msg = event.message
         if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
                 and info is None):
-            new_info = TaskInfo.from_headers(msg.headers)
+            new_info = msg.headers["task"]
             started = Send(BusMessage(
                 kind=MessageKind.PUBLISH,
                 topic=started_topic(new_info.task_id),
@@ -562,12 +527,11 @@ def _advance_destination(state: AgentState, event: Event
         msg = event.message
         if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
                 and info is None):
-            new_info = TaskInfo.from_headers(msg.headers)
+            new_info = msg.headers["task"]
             query = Send(BusMessage(
                 kind=MessageKind.QUERY,
                 topic=nsconfig_topic(new_info.task_id),
-                sender=state.agent_id,
-                headers={"query_id": nsconfig_topic(new_info.task_id)}))
+                sender=state.agent_id))
             if new_info.strategy is StrategyKind.COLD:
                 next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
             else:
@@ -609,9 +573,7 @@ def _advance_destination(state: AgentState, event: Event
             pull = Send(BusMessage(
                 kind=MessageKind.QUERY,
                 topic=round_image_topic(info.task_id, phase.round),
-                sender=state.agent_id,
-                headers={"query_id": round_image_topic(info.task_id,
-                                                       phase.round)}))
+                sender=state.agent_id))
             actions = [pull]
             state = replace(_disarm(state),
                             phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, phase.round))
@@ -694,7 +656,7 @@ def _advance_client(state: AgentState, event: Event
         msg = event.message
         if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
                 and info is None):
-            new_info = TaskInfo.from_headers(msg.headers)
+            new_info = msg.headers["task"]
             table = FlowTable(entries={new_info.connection: new_info.source})
             actions: list[Action] = []
             state = replace(state, info=new_info, flow_table=table)
@@ -740,7 +702,7 @@ def _advance_orchestrator(state: AgentState, event: Event
             kind=MessageKind.PUBLISH,
             topic=task_topic(info.task_id),
             sender=state.agent_id,
-            headers=info.to_headers()))
+            headers={"task": info}))
         actions: list[Action] = [pub]
         state = _arm(state, actions)  # expect the start announcement
         return state, actions
@@ -812,42 +774,24 @@ class ScheduledStep:
         return self.start_s + self.duration_s
 
 
-def stopcopy_schedule(config: MigrationConfig, profile: MsProfile,
-                      params: ModelParams) -> tuple[ScheduledStep, ...]:
+def stopcopy_schedule(config: MigrationConfig) -> tuple[ScheduledStep, ...]:
     """Timed plan of the stop-and-copy pipeline for a configuration.
 
-    Offsets are relative to the service freeze. The namespace clear and
-    recreation share one window (they run on different hosts), the flow
-    update follows the recreation, and the restore starts only after the
-    flow update has settled. The schedule spans exactly the predicted
-    downtime.
+    Durations come from ``config.predicted.step_durations_s``; offsets are
+    relative to the service freeze. The namespace clear (S2) and recreation
+    (S4) share one window (they run on different hosts), the flow update
+    follows, and the restore starts once the flow update has settled. The
+    schedule spans exactly the predicted downtime.
     """
-    if config.strategy.kind is StrategyKind.COLD:
-        image = float(profile.state_size_bytes)
-    else:
-        image = stop_copy_image_bytes(profile)
-    ckpt = checkpoint_duration(params, image)
-    xfer = transfer_duration(params, image, config.bandwidth_bytes_per_s)
+    durations = config.predicted.step_durations_s
     steps = []
     t = 0.0
-    steps.append(ScheduledStep(STEP_CHECKPOINT, t, ckpt))
-    t += ckpt
-    steps.append(ScheduledStep(STEP_TRANSFER, t, xfer))
-    t += xfer
-    steps.append(ScheduledStep("S2", t, params.ns_overhead_s))
-    steps.append(ScheduledStep("S4", t, params.ns_overhead_s))
-    t += params.ns_overhead_s
-    steps.append(ScheduledStep(STEP_FLOW_UPDATE, t, params.flow_update_s))
-    t += params.flow_update_s
-    steps.append(ScheduledStep(STEP_RESTORE, t,
-                               restore_duration(params, image)))
+    for step_ids, key in (((STEP_CHECKPOINT,), STEP_CHECKPOINT),
+                          ((STEP_TRANSFER,), STEP_TRANSFER),
+                          (("S2", "S4"), STEP_NAMESPACE),
+                          ((STEP_FLOW_UPDATE,), STEP_FLOW_UPDATE),
+                          ((STEP_RESTORE,), STEP_RESTORE)):
+        steps.extend(ScheduledStep(step_id, t, durations[key])
+                     for step_id in step_ids)
+        t += durations[key]
     return tuple(steps)
-
-
-def predicted_kpis(config: MigrationConfig, profile: MsProfile,
-                   params: ModelParams) -> Kpis:
-    """Model KPIs for a configuration (convenience for drivers)."""
-    if config.strategy.kind is StrategyKind.COLD:
-        return cold_kpis(profile, params, config.bandwidth_bytes_per_s)
-    return precopy_kpis(profile, params, config.bandwidth_bytes_per_s,
-                        config.strategy.iterations)

@@ -7,10 +7,12 @@ id). Topics follow the scheme ``mig/{task_id}/{role}/{name}``; the role
 segment names the agent that owns or emits on the subtree, which is what
 query routing keys on.
 
-Transports are pluggable behind this module's message type; the package
-ships an in-process deterministic transport inside the simulator. Bulk
-image payloads are carried by size only (the simulator charges transfer
-time explicitly), the header carries the typed fields.
+Which roles receive a publication is written down once, in
+:func:`edgemig.agents.subscriptions`; :func:`topic_role` is the one place
+a topic string is taken apart. Messages never leave the process (the
+simulator delivers them in memory), so headers may carry typed objects,
+such as the task description. Bulk image payloads are carried by size
+only: the simulator charges transfer time explicitly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class BusMessage:
     """One protocol message.
 
     payload_bytes is the bulk size riding along (zero for pure signaling),
-    headers carry the typed metadata (round index, image size, reason).
+    headers carry typed metadata (round index, image size, reason, task).
     Replies always reference exactly one query through correlation_id.
     """
 

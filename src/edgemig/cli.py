@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ScenarioError
-from .model import BYTES_PER_S_PER_MBPS, StrategyKind
+from .model import BYTES_PER_S_PER_MBPS
 from .orchestrator import Objective, strategy_distribution
 from .profiler import calibration_fit, estimate_dirty_rate
 from .scenario import Scenario, SimProfile, load_scenario

@@ -21,7 +21,7 @@ realized dirty rate stays at or below the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -208,18 +208,18 @@ def cold_kpis(profile: MsProfile, params: ModelParams,
 
 
 def _precopy_terms(profile: MsProfile, params: ModelParams,
-                   bandwidth_bytes_per_s: float) -> tuple[float, float, float]:
-    """(initial round, per-iteration round, stop-and-copy downtime)."""
+                   bandwidth_bytes_per_s: float
+                   ) -> tuple[float, float, dict[str, float]]:
+    """(initial round, per-iteration round, stop-and-copy step durations)."""
     state = float(profile.state_size_bytes)
     dirty = worst_case_dirty_bytes(profile)
     round0 = (pre_checkpoint_duration(params, state)
               + transfer_duration(params, state, bandwidth_bytes_per_s))
     per_round = (pre_checkpoint_duration(params, dirty)
                  + transfer_duration(params, dirty, bandwidth_bytes_per_s))
-    image = stop_copy_image_bytes(profile)
-    downtime = sum(_downtime_terms(params, image, bandwidth_bytes_per_s)[k]
-                   for k in STEP_ORDER)
-    return round0, per_round, downtime
+    steps = _downtime_terms(params, stop_copy_image_bytes(profile),
+                            bandwidth_bytes_per_s)
+    return round0, per_round, steps
 
 
 def precopy_kpis(profile: MsProfile, params: ModelParams,
@@ -232,14 +232,13 @@ def precopy_kpis(profile: MsProfile, params: ModelParams,
     """
     if iterations < 0:
         raise DomainError("iterations must be >= 0")
-    round0, per_round, downtime = _precopy_terms(profile, params,
-                                                 bandwidth_bytes_per_s)
-    image = stop_copy_image_bytes(profile)
-    steps = _downtime_terms(params, image, bandwidth_bytes_per_s)
+    round0, per_round, steps = _precopy_terms(profile, params,
+                                              bandwidth_bytes_per_s)
+    downtime = sum(steps[k] for k in STEP_ORDER)
     total = round0 + iterations * per_round + downtime
     transferred = (float(profile.state_size_bytes)
                    + iterations * worst_case_dirty_bytes(profile)
-                   + image)
+                   + stop_copy_image_bytes(profile))
     return Kpis(step_durations_s=steps, downtime_s=downtime, total_s=total,
                 bytes_transferred=transferred)
 
@@ -300,8 +299,9 @@ def max_iterations(profile: MsProfile, params: ModelParams,
         raise DomainError("target_duration_s must be > 0")
     if iteration_cap < 0:
         raise DomainError("iteration_cap must be >= 0")
-    round0, per_round, downtime = _precopy_terms(profile, params,
-                                                 bandwidth_bytes_per_s)
+    round0, per_round, steps = _precopy_terms(profile, params,
+                                              bandwidth_bytes_per_s)
+    downtime = sum(steps[k] for k in STEP_ORDER)
 
     def total(n: int) -> float:
         return round0 + n * per_round + downtime

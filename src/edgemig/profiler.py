@@ -20,9 +20,6 @@ from scipy.optimize import nnls
 from .errors import CalibrationError, DomainError
 from .model import DEFAULT_PAGE_SIZE, ModelParams
 
-# Window length assumed when observations are quoted as plain rates.
-DEFAULT_PROFILING_WINDOW_S = 1.0
-
 
 @dataclass(frozen=True, slots=True)
 class DirtySample:
@@ -225,8 +222,3 @@ def calibration_fit(runs: Iterable[CalibrationRun]) -> CalibrationFit:
     )
     return CalibrationFit(params=params, checkpoint_rms_s=ckpt_rms,
                           restore_rms_s=rest_rms, transfer_rms_s=transfer_rms)
-
-
-def fit_params(runs: Iterable[CalibrationRun]) -> ModelParams:
-    """Convenience wrapper around :func:`calibration_fit`."""
-    return calibration_fit(runs).params

@@ -28,16 +28,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import agents as ag
-from .bus import BusMessage, MessageKind
+from .bus import BusMessage, MessageKind, topic_role
 from .errors import DomainError, ScenarioError
 from .model import (
-    Kpis,
     ModelParams,
     MsProfile,
-    StrategyKind,
     checkpoint_duration,
     pre_checkpoint_duration,
     restore_duration,
+    strategy_kpis,
     transfer_duration,
 )
 from .orchestrator import MetricsView, MigrationConfig, design
@@ -211,9 +210,10 @@ class _Sim:
             raise ScenarioError(
                 "configured bandwidth exceeds the source-destination link")
 
-        predicted: Kpis = ag.predicted_kpis(config, self.profile, self.params)
         if watchdog_s is None:
-            watchdog_s = 10.0 * predicted.total_s + 10.0
+            watchdog_s = 10.0 * strategy_kpis(
+                self.profile, self.params, config.bandwidth_bytes_per_s,
+                config.strategy).total_s + 10.0
         client_link = scenario.link_between(dest, section.client)
         self.info = ag.TaskInfo(
             task_id=section.task.container_id,
@@ -240,6 +240,9 @@ class _Sim:
         }
         self.role_to_agent = {state.role: aid
                               for aid, state in self.agents.items()}
+        self.subscribers = {
+            topic: [self.role_to_agent[role] for role in roles]
+            for topic, roles in ag.subscriptions(self.info).items()}
 
         self.rng = np.random.default_rng(scenario.seed)
         self.faults = _FaultBox(fault_rules)
@@ -279,32 +282,13 @@ class _Sim:
     # -- routing ------------------------------------------------------
 
     def _receivers(self, msg: BusMessage) -> list[str]:
-        if msg.kind is MessageKind.REPLY:
-            querier = self.outstanding_queries.get(msg.correlation_id or "")
-            return [querier] if querier else []
-        parts = msg.topic.split("/")
-        if len(parts) < 4:
-            return []
-        role, rest = parts[2], parts[3:]
+        if msg.kind is MessageKind.PUBLISH:
+            return self.subscribers[msg.topic]
         if msg.kind is MessageKind.QUERY:
-            self.outstanding_queries[str(msg.headers.get("query_id",
-                                                         msg.topic))] = msg.sender
-            target = self.role_to_agent.get(ag.Role(role))
-            return [target] if target else []
-        # PUBLISH fan-out by topic.
-        if rest == ["task"]:
-            return [self.role_to_agent[ag.Role.SOURCE],
-                    self.role_to_agent[ag.Role.DESTINATION],
-                    self.role_to_agent[ag.Role.CLIENT]]
-        if rest == ["started"] or rest == ["done"] or rest == ["failed"]:
-            return [self.role_to_agent[ag.Role.ORCHESTRATOR]]
-        if rest[-1] == "ready" and rest[0] == "round":
-            return [self.role_to_agent[ag.Role.DESTINATION]]
-        if rest == ["stopcopy", "image"]:
-            return [self.role_to_agent[ag.Role.DESTINATION]]
-        if rest == ["ns-ready"]:
-            return [self.role_to_agent[ag.Role.CLIENT]]
-        return []
+            self.outstanding_queries[msg.topic] = msg.sender
+            return [self.role_to_agent[ag.Role(topic_role(msg.topic))]]
+        querier = self.outstanding_queries.get(msg.correlation_id)
+        return [querier] if querier else []
 
     def _latency(self, sender: str, receiver: str) -> float:
         link = self.scenario.link_between(sender, receiver)

@@ -27,7 +27,6 @@ from edgemig.model import (
     precopy_kpis,
     restore_duration,
     strategy_kpis,
-    transfer_duration,
 )
 from edgemig.orchestrator import (
     BandwidthDistribution,

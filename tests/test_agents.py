@@ -8,7 +8,7 @@ behaviour and the functional flow table.
 import pytest
 
 from edgemig import agents as ag
-from edgemig.bus import BusMessage, MessageKind
+from edgemig.bus import BusMessage, MessageKind, topic_role
 from edgemig.errors import MissingFlowError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
@@ -41,13 +41,13 @@ def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
 def task_message(info):
     return ag.MessageEvent(BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.task_topic(info.task_id),
-        sender="orc", headers=info.to_headers()))
+        sender="orc", headers={"task": info}))
 
 
 def ns_query(info):
     return ag.MessageEvent(BusMessage(
         kind=MessageKind.QUERY, topic=ag.nsconfig_topic(info.task_id),
-        sender="dst", headers={"query_id": ag.nsconfig_topic(info.task_id)}))
+        sender="dst"))
 
 
 def sends(actions):
@@ -60,11 +60,6 @@ def works(actions):
 
 def timers(actions):
     return [a for a in actions if isinstance(a, ag.SetTimer)]
-
-
-def test_task_info_headers_round_trip():
-    info = task_info()
-    assert ag.TaskInfo.from_headers(info.to_headers()) == info
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +140,7 @@ def test_source_full_iterative_walk():
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
     pull = ag.MessageEvent(BusMessage(
         kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 1),
-        sender="dst", headers={"query_id": ag.round_image_topic("t1", 1)}))
+        sender="dst"))
     state, actions = ag.advance(state, pull)
     [work] = works(actions)
     assert work.kind is ag.WorkKind.TRANSFER_ROUND and work.bytes == 8192.0
@@ -160,7 +155,7 @@ def test_source_full_iterative_walk():
         state, ag.WorkDone(ag.WorkKind.ROUND_CHECKPOINT, bytes=4096.0, round=2))
     pull2 = ag.MessageEvent(BusMessage(
         kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 2),
-        sender="dst", headers={"query_id": ag.round_image_topic("t1", 2)}))
+        sender="dst"))
     state, _ = ag.advance(state, pull2)
     state, actions = ag.advance(
         state, ag.WorkDone(ag.WorkKind.TRANSFER_ROUND, bytes=4096.0, round=2))
@@ -386,7 +381,7 @@ def test_orchestrator_lifecycle():
     state, actions = ag.advance(state, ag.Kickoff())
     [pub] = sends(actions)
     assert pub.topic == ag.task_topic("t1")
-    assert pub.headers == info.to_headers()
+    assert pub.headers == {"task": info}
 
     started = ag.MessageEvent(BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.started_topic("t1"), sender="src"))
@@ -414,6 +409,33 @@ def test_orchestrator_collects_failures():
 
 
 # ---------------------------------------------------------------------------
+# Routing
+
+
+def test_every_topic_builder_routes_to_its_roles():
+    info = task_info(iterations=2)
+    src, dst, cli, orc = (ag.Role.SOURCE, ag.Role.DESTINATION,
+                          ag.Role.CLIENT, ag.Role.ORCHESTRATOR)
+    publications = {
+        ag.task_topic("t1"): (src, dst, cli),
+        ag.started_topic("t1"): (orc,),
+        ag.round_ready_topic("t1", 1): (dst,),
+        ag.round_ready_topic("t1", 2): (dst,),
+        ag.stopcopy_topic("t1"): (dst,),
+        ag.ns_ready_topic("t1"): (cli,),
+        ag.done_topic("t1"): (orc,),
+    }
+    publications.update({ag.failed_topic("t1", role): (orc,)
+                         for role in ag.Role})
+    assert ag.subscriptions(info) == publications
+    # Queries are not publications; they go to the role owning the topic.
+    for query in (ag.nsconfig_topic("t1"), ag.round_image_topic("t1", 1),
+                  ag.round_image_topic("t1", 2)):
+        assert query not in publications
+        assert topic_role(query) == src.value
+
+
+# ---------------------------------------------------------------------------
 # Stop-and-copy schedule
 
 
@@ -434,7 +456,7 @@ def _config(strategy, iterations=0, bw=GBPS):
 ])
 def test_schedule_spans_exactly_the_predicted_downtime(strategy, iterations):
     config = _config(strategy, iterations)
-    steps = ag.stopcopy_schedule(config, PROFILE, PARAMS)
+    steps = ag.stopcopy_schedule(config)
     start = min(s.start_s for s in steps)
     end = max(s.end_s for s in steps)
     assert start == 0.0
@@ -442,8 +464,7 @@ def test_schedule_spans_exactly_the_predicted_downtime(strategy, iterations):
 
 
 def test_schedule_step_structure():
-    steps = ag.stopcopy_schedule(_config(StrategyKind.ITERATIVE_PRE_COPY, 3),
-                                 PROFILE, PARAMS)
+    steps = ag.stopcopy_schedule(_config(StrategyKind.ITERATIVE_PRE_COPY, 3))
     by_id = {s.step_id: s for s in steps}
     assert set(by_id) == {"S1", "S3", "S2", "S4", "S5", "S6"}
     # Checkpoint before transfer; both namespace operations share a window;

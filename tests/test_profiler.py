@@ -10,7 +10,6 @@ from edgemig.profiler import (
     SyntheticWorkload,
     calibration_fit,
     estimate_dirty_rate,
-    fit_params,
     synthetic_dirty_trace,
 )
 
@@ -182,8 +181,3 @@ def test_fit_needs_two_distinct_sizes():
         calibration_fit(_affine_runs([1_000_000]))
     with pytest.raises(CalibrationError):
         calibration_fit(_affine_runs([1_000_000, 1_000_000]))
-
-
-def test_fit_params_wrapper():
-    assert fit_params(_affine_runs([500_000, 5_000_000])).ckpt_fixed_s == \
-        pytest.approx(0.5, rel=1e-6)

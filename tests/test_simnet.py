@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from edgemig import simnet
+from edgemig.bus import BusMessage, MessageKind
 from edgemig.errors import DomainError, ScenarioError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
@@ -130,6 +132,40 @@ def test_message_count_is_seven_plus_three_per_round(strategy, iters,
     outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
     assert outcome.completed
     assert outcome.message_count == expected
+
+
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    (StrategyKind.ITERATIVE_PRE_COPY, 3),
+])
+def test_every_sent_message_has_a_receiver(monkeypatch, strategy, iters):
+    routed = []
+    receivers = simnet._Sim._receivers
+
+    def spy(self, msg):
+        result = receivers(self, msg)
+        routed.append((msg, result))
+        return result
+
+    monkeypatch.setattr(simnet._Sim, "_receivers", spy)
+    scenario = make_scenario(dirty_rate=2.0)
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
+    assert outcome.completed
+    assert len(routed) == outcome.message_count == 7 + 3 * iters
+    assert all(result for _, result in routed)
+    # Every reply goes back to the destination, the only querier.
+    assert all(result == ["b"] for msg, result in routed
+               if msg.kind is MessageKind.REPLY)
+
+
+def test_publication_without_subscribers_is_not_dropped_silently():
+    scenario = make_scenario()
+    sim = simnet._Sim(scenario, make_config(scenario, StrategyKind.COLD),
+                      (), None, False)
+    with pytest.raises(KeyError):
+        sim._send(BusMessage(kind=MessageKind.PUBLISH,
+                             topic="mig/ms-0/source/unknown", sender="a"))
 
 
 def _message_times(outcome, predicate):
