@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import DomainError
 
 # Bandwidth unit conversion used by the interface layers.
@@ -163,8 +165,14 @@ def restore_duration(params: ModelParams, image_bytes: float) -> float:
 
 def transfer_duration(params: ModelParams, image_bytes: float,
                       bandwidth_bytes_per_s: float) -> float:
-    """Signaling overhead plus serialization delay of one image transfer."""
-    if bandwidth_bytes_per_s <= 0:
+    """Signaling overhead plus serialization delay of one image transfer.
+
+    Also takes an array of bandwidths and then returns one duration each.
+    """
+    lowest = (bandwidth_bytes_per_s.min()
+              if isinstance(bandwidth_bytes_per_s, np.ndarray)
+              else bandwidth_bytes_per_s)
+    if lowest <= 0:
         raise DomainError("bandwidth must be > 0")
     return params.transfer_signaling_s + image_bytes / bandwidth_bytes_per_s
 
@@ -210,7 +218,11 @@ def cold_kpis(profile: MsProfile, params: ModelParams,
 def _precopy_terms(profile: MsProfile, params: ModelParams,
                    bandwidth_bytes_per_s: float
                    ) -> tuple[float, float, dict[str, float]]:
-    """(initial round, per-iteration round, stop-and-copy step durations)."""
+    """(initial round, per-iteration round, stop-and-copy step durations).
+
+    Given an array of bandwidths, every bandwidth-dependent term is an
+    array, element by element the same float operations as the scalar case.
+    """
     state = float(profile.state_size_bytes)
     dirty = worst_case_dirty_bytes(profile)
     round0 = (pre_checkpoint_duration(params, state)
@@ -295,32 +307,65 @@ def max_iterations(profile: MsProfile, params: ModelParams,
     iteration_cap. The returned value is maximal: adding one more iteration
     (below the cap) would overrun the target.
     """
+    counts = iteration_counts(profile, params,
+                              np.array([bandwidth_bytes_per_s], dtype=float),
+                              target_duration_s, iteration_cap)
+    return iteration_choice(int(counts[0]))
+
+
+def iteration_counts(profile: MsProfile, params: ModelParams,
+                     bandwidths_bytes_per_s: np.ndarray,
+                     target_duration_s: float,
+                     iteration_cap: int = DEFAULT_ITERATION_CAP) -> np.ndarray:
+    """:func:`max_iterations` over an array of bandwidths, as counts.
+
+    Each element is the largest iteration count (0 for plain pre-copy)
+    whose predicted total stays within the target, or -1 when even plain
+    pre-copy overruns it; :func:`iteration_choice` turns a count into a
+    strategy. Every element goes through the same float operations, in the
+    same order, as a lone bandwidth would.
+    """
     if target_duration_s <= 0:
         raise DomainError("target_duration_s must be > 0")
     if iteration_cap < 0:
         raise DomainError("iteration_cap must be >= 0")
-    round0, per_round, steps = _precopy_terms(profile, params,
-                                              bandwidth_bytes_per_s)
-    downtime = sum(steps[k] for k in STEP_ORDER)
+    # A starved link (the smallest positive bandwidth) overflows the round
+    # terms to inf and 0 * inf to nan; both fail the <= tests below, so
+    # those elements come out as overruns.
+    with np.errstate(all="ignore"):
+        round0, per_round, steps = _precopy_terms(profile, params,
+                                                  bandwidths_bytes_per_s)
+        downtime = sum(steps[k] for k in STEP_ORDER)
 
-    def total(n: int) -> float:
-        return round0 + n * per_round + downtime
+        def total(n):
+            return round0 + n * per_round + downtime
 
-    if total(0) > target_duration_s:
-        return None
-    if per_round <= 0.0:
-        # Iterations are free; take the cap.
-        count = iteration_cap
-    else:
-        count = int(math.floor((target_duration_s - round0 - downtime)
-                               / per_round))
-        count = max(0, min(count, iteration_cap))
+        fits = total(0) <= target_duration_s
+        # Where iterations are free (per_round == 0) the cap is taken.
+        count = np.full(fits.shape, iteration_cap, dtype=np.int64)
+        solve = fits & (per_round > 0.0)
+        closed = np.floor((target_duration_s - round0 - downtime) / per_round)
+        count[solve] = np.clip(closed[solve], 0, iteration_cap)
         # The closed form and the evaluated totals can disagree by one in
-        # the last float ulp; settle it against the actual predictor.
-        while count > 0 and total(count) > target_duration_s:
-            count -= 1
-        while count < iteration_cap and total(count + 1) <= target_duration_s:
-            count += 1
+        # the last float ulp; settle each element against the predictor.
+        while True:
+            over = solve & (count > 0) & (total(count) > target_duration_s)
+            if not over.any():
+                break
+            count[over] -= 1
+        while True:
+            under = (solve & (count < iteration_cap)
+                     & (total(count + 1) <= target_duration_s))
+            if not under.any():
+                break
+            count[under] += 1
+    return np.where(fits, count, -1)
+
+
+def iteration_choice(count: int) -> Optional[StrategyChoice]:
+    """The strategy one :func:`iteration_counts` element stands for."""
+    if count < 0:
+        return None
     if count >= 1:
         return StrategyChoice(StrategyKind.ITERATIVE_PRE_COPY, count)
     return StrategyChoice(StrategyKind.PRE_COPY)

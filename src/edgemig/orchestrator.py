@@ -23,7 +23,6 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, IncompleteMetricsError
 from .model import (
@@ -34,6 +33,8 @@ from .model import (
     StrategyChoice,
     StrategyKind,
     cold_kpis,
+    iteration_choice,
+    iteration_counts,
     max_iterations,
     min_bandwidth,
     precopy_kpis,
@@ -234,9 +235,13 @@ class BandwidthDistribution:
             return np.full(count, value)
         a = (self.lower_bytes_per_s - self.mean_bytes_per_s) / self.std_bytes_per_s
         b = (self.upper_bytes_per_s - self.mean_bytes_per_s) / self.std_bytes_per_s
-        return stats.truncnorm.rvs(a, b, loc=self.mean_bytes_per_s,
-                                   scale=self.std_bytes_per_s, size=count,
-                                   random_state=rng)
+        # Loaded here, not at module level, so commands that never sample
+        # do not pay for importing scipy.stats.
+        from scipy.stats import truncnorm
+
+        return truncnorm.rvs(a, b, loc=self.mean_bytes_per_s,
+                             scale=self.std_bytes_per_s, size=count,
+                             random_state=rng)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,29 +261,35 @@ def strategy_distribution(task: MigrationTask, profile: MsProfile,
                           ) -> StrategyDistribution:
     """Distribution of designed strategies over sampled bandwidths.
 
-    Each sampled bandwidth is fed to :func:`design` as the available
-    bandwidth; the outcomes are tabulated into strategy frequencies and,
-    for the iterative outcomes, a probability mass function over the
-    iteration count. Deterministic for a given seed.
+    Tabulates what :func:`design` answers when each sampled bandwidth is
+    the available bandwidth: strategy frequencies and, for the iterative
+    outcomes, a probability mass function over the iteration count. The
+    designer runs once over the whole sample rather than once per draw.
+    Deterministic for a given seed.
     """
     if sample_count <= 0:
         raise DomainError("sample_count must be > 0")
-    draws = distribution.sample(sample_count, seed)
     kind_counts: dict[str, int] = {k.value: 0 for k in StrategyKind}
     iter_counts: dict[int, int] = {}
-    for bandwidth in draws:
-        if bandwidth <= 0:
-            # The lower truncation keeps draws nonnegative; an exact zero
-            # would starve the designer, nudge it to the smallest positive.
-            bandwidth = np.nextafter(0.0, 1.0)
-        metrics = MetricsView(profile=profile, params=params,
-                              available_bandwidth_bytes_per_s=float(bandwidth))
-        config = design(task, metrics, iteration_cap)
-        kind_counts[config.strategy.kind.value] += 1
-        if config.strategy.kind is StrategyKind.ITERATIVE_PRE_COPY:
-            n = config.strategy.iterations
-            iter_counts[n] = iter_counts.get(n, 0) + 1
+    if task.objective is Objective.MINIMIZE_RESOURCES:
+        # design() picks cold at every bandwidth under this objective.
+        kind_counts[StrategyKind.COLD.value] = sample_count
+    else:
+        draws = distribution.sample(sample_count, seed)
+        # The lower truncation keeps draws nonnegative; an exact zero
+        # would starve the designer, nudge it to the smallest positive.
+        draws[draws <= 0] = np.nextafter(0.0, 1.0)
+        counts = iteration_counts(profile, params, draws,
+                                  task.target_duration_s, iteration_cap)
+        values, freqs = np.unique(counts, return_counts=True)
+        for n, freq in zip(values.tolist(), freqs.tolist()):
+            # None is design()'s cold fallback.
+            choice = iteration_choice(n)
+            kind = choice.kind if choice else StrategyKind.COLD
+            kind_counts[kind.value] += freq
+            if kind is StrategyKind.ITERATIVE_PRE_COPY:
+                iter_counts[n] = freq
     probs = {k: c / sample_count for k, c in kind_counts.items()}
-    pmf = {n: c / sample_count for n, c in sorted(iter_counts.items())}
+    pmf = {n: c / sample_count for n, c in iter_counts.items()}
     return StrategyDistribution(strategy_probs=probs, iteration_pmf=pmf,
                                 sample_count=sample_count)

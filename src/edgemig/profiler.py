@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import CalibrationError, DomainError
 from .model import DEFAULT_PAGE_SIZE, ModelParams
@@ -172,6 +171,9 @@ def _affine_nnls(sizes: np.ndarray, durations: np.ndarray
     counts (~1e7) against the constant column make the problem so badly
     conditioned that the active-set solver can stop short of the optimum.
     """
+    # Loaded here so that only fitting pays for importing scipy.optimize.
+    from scipy.optimize import nnls
+
     scale = float(sizes.max())
     design = np.column_stack([np.ones_like(sizes), sizes / scale])
     coeffs, _ = nnls(design, durations)

@@ -45,6 +45,8 @@ from .scenario import Scenario, SimProfile
 log = logging.getLogger(__name__)
 
 MAX_EVENTS = 1_000_000
+# Page draws made at once by dirty_set_size (8 MiB of int64).
+DIRTY_DRAW_CHUNK = 1 << 20
 
 
 def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
@@ -68,8 +70,14 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
     # every page has been touched for any practical purpose.
     if writes > 64 * total_pages:
         return total_pages
-    pages = rng.integers(0, total_pages, size=writes)
-    return int(np.unique(pages).size)
+    # Mark the pages hit, drawing the write targets a chunk at a time: the
+    # draws are the same stream as one call for all of them, but memory
+    # stays O(pages + chunk) and nothing is sorted.
+    hit = np.zeros(total_pages, dtype=bool)
+    for start in range(0, writes, DIRTY_DRAW_CHUNK):
+        size = min(DIRTY_DRAW_CHUNK, writes - start)
+        hit[rng.integers(0, total_pages, size=size)] = True
+    return int(np.count_nonzero(hit))
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +284,9 @@ class _Sim:
             raise DomainError("dirty capture before the initial snapshot")
         window = self.now - self.dirty_clock
         self.dirty_clock = self.now
+        if self.profile.total_pages == 0:
+            # An empty state has no pages to dirty.
+            return 0
         return dirty_set_size(self.dirty_rate, window,
                               self.profile.total_pages, self.rng)
 
@@ -287,8 +298,9 @@ class _Sim:
         if msg.kind is MessageKind.QUERY:
             self.outstanding_queries[msg.topic] = msg.sender
             return [self.role_to_agent[ag.Role(topic_role(msg.topic))]]
-        querier = self.outstanding_queries.get(msg.correlation_id)
-        return [querier] if querier else []
+        # A reply to no outstanding query raises KeyError rather than being
+        # counted and delivered to nobody.
+        return [self.outstanding_queries[msg.correlation_id]]
 
     def _latency(self, sender: str, receiver: str) -> float:
         link = self.scenario.link_between(sender, receiver)

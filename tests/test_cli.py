@@ -1,10 +1,14 @@
 """End-to-end command-line checks, run in process via ``main``."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import edgemig
 from edgemig import cli
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "scenario.json")
@@ -124,6 +128,47 @@ def test_fit_recovers_parameters(capsys):
     assert doc["params"]["ckpt_fixed_s"] == pytest.approx(0.5, abs=1e-6)
     assert doc["params"]["ckpt_per_byte_s"] == pytest.approx(1.9e-9, rel=1e-3)
     assert doc["rms"]["transfer_s"] < 1e-9
+
+
+IMPORT_PROBE = """
+import json, sys
+import edgemig, edgemig.cli
+for argv in json.loads(sys.argv[1]):
+    assert edgemig.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
+    # A fresh interpreter, so modules other tests loaded do not count.
+    commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
+                for name in ("plan", "simulate", "sweep", "profile")]
+    src = str(Path(edgemig.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_empty_state_simulates_and_sweeps(tmp_path):
+    doc = json.loads(Path(DEMO).read_text())
+    for profile in doc["ms_profiles"]:
+        profile["state_size_bytes"] = 0
+    scenario = tmp_path / "empty.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run.json"
+    assert run(["simulate", "--scenario", str(scenario),
+                "--out", str(out)]) == 0
+    sim = json.loads(out.read_text())
+    assert sim["simulated"]["completed"] is True
+    assert sim["simulated"]["message_count"] == 7 + 3 * sim["iterations"]
+    assert run(["sweep", "--scenario", str(scenario),
+                "--out", str(tmp_path / "sweep.csv")]) == 0
 
 
 def test_missing_scenario_file_exits_3(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from edgemig.errors import DomainError, IncompleteMetricsError
 from edgemig.model import (
@@ -12,6 +14,8 @@ from edgemig.model import (
     MsProfile,
     StrategyKind,
     cold_kpis,
+    iteration_choice,
+    iteration_counts,
     min_bandwidth,
     precopy_kpis,
 )
@@ -21,6 +25,7 @@ from edgemig.orchestrator import (
     MetricsView,
     MigrationTask,
     Objective,
+    StrategyDistribution,
     aggregate,
     design,
     strategy_distribution,
@@ -234,3 +239,149 @@ def test_strategy_distribution_couples_across_targets():
         p_iter.append(got.strategy_probs["iterative_precopy"])
     assert all(b <= a + 1e-15 for a, b in zip(p_cold, p_cold[1:]))
     assert all(b >= a - 1e-15 for a, b in zip(p_iter, p_iter[1:]))
+
+
+# ---------------------------------------------------------------------------
+# The batched designer against the scalar one
+
+TINY = float(np.nextafter(0.0, 1.0))
+
+profiles_st = st.builds(
+    MsProfile,
+    state_size_bytes=st.one_of(st.just(0), st.integers(1, 8 << 30)),
+    dirty_rate_norm=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    cpu_context_bytes=st.one_of(st.just(0), st.integers(0, 1 << 20)))
+
+params_st = st.builds(
+    ModelParams,
+    ckpt_fixed_s=st.floats(0.0, 2.0),
+    ckpt_per_byte_s=st.floats(0.0, 1e-8),
+    pre_ckpt_fixed_s=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    pre_ckpt_per_byte_s=st.floats(0.0, 1e-8),
+    restore_fixed_s=st.floats(0.0, 2.0),
+    restore_per_byte_s=st.floats(0.0, 1e-8),
+    transfer_signaling_s=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    ns_overhead_s=st.floats(0.0, 0.5),
+    flow_update_s=st.floats(0.0, 0.1))
+
+bandwidth_lists = st.lists(
+    st.one_of(st.just(TINY), st.floats(1e3, 1e11)), min_size=1, max_size=20)
+targets_st = st.floats(1e-3, 120.0)
+caps_st = st.one_of(st.just(0), st.integers(0, 64))
+
+
+def _kind_and_iterations(choice):
+    if choice is None:
+        return StrategyKind.COLD, 0
+    return choice.kind, choice.iterations
+
+
+# Per-byte costs as in demos/scenario.json.
+DEMO_PARAMS = ModelParams(
+    ckpt_fixed_s=0.5, ckpt_per_byte_s=1.9e-9, pre_ckpt_fixed_s=0.5,
+    pre_ckpt_per_byte_s=1.9e-9, restore_fixed_s=0.35,
+    restore_per_byte_s=1.9e-9, transfer_signaling_s=0.003,
+    ns_overhead_s=0.085, flow_update_s=0.004)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles_st, params_st, bandwidth_lists, targets_st, caps_st,
+       st.integers(0, 64), st.sampled_from([None, 0, 1, 2]))
+# Targets where the closed form comes out one below the answer, then one
+# above it, so that both directions of the fix-up are exercised.
+@example(MsProfile(445_644_800, 0.021), DEMO_PARAMS, [29e6], 1.0, 64, 12, 0)
+@example(MsProfile(3_155_165_184, 0.038), DEMO_PARAMS, [9.5e6], 1.0, 64, 14,
+         1)
+def test_iteration_counts_match_scalar_design(profile, params, bws, target,
+                                              cap, k, ulps_below):
+    if ulps_below is not None:
+        # On or just below the total of k iterations at the first bandwidth,
+        # where the closed form is one off and the fix-up must settle it.
+        target = precopy_kpis(profile, params, bws[0], k).total_s
+        for _ in range(ulps_below):
+            target = math.nextafter(target, 0.0)
+        assume(0.0 < target < math.inf)
+    counts = iteration_counts(profile, params, np.array(bws), target, cap)
+    assert counts.shape == (len(bws),)
+    for bw, n in zip(bws, counts.tolist()):
+        config = design(md_task(target), MetricsView(profile, params, bw),
+                        cap)
+        got = _kind_and_iterations(iteration_choice(n))
+        assert got == (config.strategy.kind, config.strategy.iterations)
+        # Independent oracle: the largest count whose predicted total fits.
+        fitting = [k for k in range(cap + 1)
+                   if precopy_kpis(profile, params, bw, k).total_s <= target]
+        assert n == (max(fitting) if fitting else -1)
+
+
+def per_draw_distribution(task, profile, params, distribution, sample_count,
+                          seed, iteration_cap):
+    """The designer called once per draw: what the batch must reproduce."""
+    kind_counts = {k.value: 0 for k in StrategyKind}
+    iter_counts = {}
+    for bandwidth in distribution.sample(sample_count, seed):
+        if bandwidth <= 0:
+            bandwidth = np.nextafter(0.0, 1.0)
+        metrics = MetricsView(profile=profile, params=params,
+                              available_bandwidth_bytes_per_s=float(bandwidth))
+        config = design(task, metrics, iteration_cap)
+        kind_counts[config.strategy.kind.value] += 1
+        if config.strategy.kind is StrategyKind.ITERATIVE_PRE_COPY:
+            n = config.strategy.iterations
+            iter_counts[n] = iter_counts.get(n, 0) + 1
+    return StrategyDistribution(
+        strategy_probs={k: c / sample_count for k, c in kind_counts.items()},
+        iteration_pmf={n: c / sample_count
+                       for n, c in sorted(iter_counts.items())},
+        sample_count=sample_count)
+
+
+class FixedDraws:
+    """A bandwidth distribution whose draws are given, zeros included."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def sample(self, count, seed):
+        return self.draws[:count].copy()
+
+
+def assert_same_distribution(got, expected):
+    assert got == expected
+    # The report is written in dict order, so the order must agree too.
+    assert list(got.strategy_probs.items()) == list(
+        expected.strategy_probs.items())
+    assert list(got.iteration_pmf.items()) == list(
+        expected.iteration_pmf.items())
+
+
+tasks_st = st.one_of(targets_st.map(md_task), targets_st.map(mr_task))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tasks_st, profiles_st, params_st,
+       st.lists(st.one_of(st.just(0.0), st.just(TINY), st.floats(1e3, 1e11)),
+                min_size=1, max_size=60),
+       caps_st)
+def test_strategy_distribution_matches_per_draw_design(task, profile, params,
+                                                       draws, cap):
+    dist = FixedDraws(draws)
+    got = strategy_distribution(task, profile, params, dist, len(draws), 0,
+                                cap)
+    expected = per_draw_distribution(task, profile, params, dist, len(draws),
+                                     0, cap)
+    assert_same_distribution(got, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tasks_st, profiles_st, params_st, st.floats(1e5, 1e10),
+       st.floats(0.0, 1.0), st.integers(1, 400), st.integers(0, 2**32),
+       caps_st)
+def test_truncnorm_strategy_distribution_matches_per_draw_design(
+        task, profile, params, mean, rel_std, samples, seed, cap):
+    dist = BandwidthDistribution.from_mean_std(mean, rel_std * mean)
+    got = strategy_distribution(task, profile, params, dist, samples, seed,
+                                cap)
+    expected = per_draw_distribution(task, profile, params, dist, samples,
+                                     seed, cap)
+    assert_same_distribution(got, expected)

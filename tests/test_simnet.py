@@ -98,6 +98,25 @@ def test_dirty_set_validation():
         dirty_set_size(1.0, 1.0, 0, 0)
 
 
+@pytest.mark.parametrize("chunk", [None, 99_991])
+def test_dirty_set_chunked_draws_match_one_unique_draw(monkeypatch, chunk):
+    # The sampler draws page indices in chunks and marks them; the count
+    # and the generator state afterwards must equal one draw of every write
+    # followed by np.unique. A page count that is not a power of two makes
+    # the bounded integer draw reject some raw values.
+    if chunk is not None:
+        monkeypatch.setattr(simnet, "DIRTY_DRAW_CHUNK", chunk)
+    pages = 250_007
+    rate = 3.5 * simnet.DIRTY_DRAW_CHUNK
+    ref = np.random.default_rng(2026)
+    writes = int(ref.poisson(rate * 1.0))
+    assert writes >= 3 * simnet.DIRTY_DRAW_CHUNK
+    expected = np.unique(ref.integers(0, pages, size=writes)).size
+    rng = np.random.default_rng(2026)
+    assert dirty_set_size(rate, 1.0, pages, rng) == expected
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
 # ---------------------------------------------------------------------------
 # Happy-path runs
 
@@ -166,6 +185,30 @@ def test_publication_without_subscribers_is_not_dropped_silently():
     with pytest.raises(KeyError):
         sim._send(BusMessage(kind=MessageKind.PUBLISH,
                              topic="mig/ms-0/source/unknown", sender="a"))
+
+
+def test_reply_without_outstanding_query_is_not_dropped_silently():
+    scenario = make_scenario()
+    sim = simnet._Sim(scenario, make_config(scenario, StrategyKind.COLD),
+                      (), None, False)
+    with pytest.raises(KeyError):
+        sim._send(BusMessage(kind=MessageKind.REPLY,
+                             topic="mig/ms-0/source/unasked", sender="a",
+                             correlation_id="mig/ms-0/source/unasked"))
+
+
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    (StrategyKind.ITERATIVE_PRE_COPY, 3),
+])
+def test_empty_state_runs_with_no_dirty_pages(strategy, iters):
+    # Zero pages but a nonzero write rate: nothing can be dirtied.
+    scenario = make_scenario(state_bytes=0, dirty_rate=2.0)
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
+    assert outcome.completed
+    assert outcome.dirty_pages_at_stopcopy == 0
+    assert outcome.message_count == 7 + 3 * iters
 
 
 def _message_times(outcome, predicate):
