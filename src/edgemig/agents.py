@@ -44,6 +44,7 @@ failure rather than a hang.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Union
@@ -221,38 +222,52 @@ class TaskInfo:
     connection: tuple
 
 
+# The topic builders are pure and asked for the same few topics on every
+# simulated event, so each keeps its recent answers.
+_memo = functools.lru_cache(maxsize=4096)
+
+
+@_memo
 def task_topic(task_id: str) -> str:
     return topic(task_id, Role.ORCHESTRATOR.value, "task")
 
 
+@_memo
 def started_topic(task_id: str) -> str:
     return topic(task_id, Role.SOURCE.value, "started")
 
 
+@_memo
 def nsconfig_topic(task_id: str) -> str:
     return topic(task_id, Role.SOURCE.value, "nsconfig")
 
 
+@_memo
 def round_ready_topic(task_id: str, round_index: int) -> str:
     return topic(task_id, Role.SOURCE.value, "round", round_index, "ready")
 
 
+@_memo
 def round_image_topic(task_id: str, round_index: int) -> str:
     return topic(task_id, Role.SOURCE.value, "round", round_index, "image")
 
 
+@_memo
 def stopcopy_topic(task_id: str) -> str:
     return topic(task_id, Role.SOURCE.value, "stopcopy", "image")
 
 
+@_memo
 def ns_ready_topic(task_id: str) -> str:
     return topic(task_id, Role.DESTINATION.value, "ns-ready")
 
 
+@_memo
 def done_topic(task_id: str) -> str:
     return topic(task_id, Role.DESTINATION.value, "done")
 
 
+@_memo
 def failed_topic(task_id: str, role: Role) -> str:
     return topic(task_id, role.value, "failed")
 
@@ -327,16 +342,18 @@ def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Actio
     return _fail(state, f"unexpected {what} in phase {state.phase}")
 
 
-def _arm(state: AgentState, actions: list[Action]) -> AgentState:
-    """Arm the watchdog for the phase the agent is now waiting in."""
-    assert state.info is not None
+def _arm(state: AgentState, actions: list[Action], **changes) -> AgentState:
+    """Arm the watchdog for the phase the agent is now waiting in.
+
+    ``changes`` are the transition's other field updates, applied in the
+    same copy; the new guard replaces any armed one.
+    """
+    info = changes.get("info", state.info)
+    assert info is not None
     token = f"{state.agent_id}:guard:{state.guard_seq}"
-    actions.append(SetTimer(delay_s=state.info.watchdog_s, token=token))
-    return replace(state, guard=token, guard_seq=state.guard_seq + 1)
-
-
-def _disarm(state: AgentState) -> AgentState:
-    return replace(state, guard=None) if state.guard else state
+    actions.append(SetTimer(delay_s=info.watchdog_s, token=token))
+    return replace(state, guard=token, guard_seq=state.guard_seq + 1,
+                   **changes)
 
 
 def _watchdog_fired(state: AgentState, event: TimerFired) -> bool:
@@ -347,13 +364,19 @@ def _watchdog_fired(state: AgentState, event: TimerFired) -> bool:
 # Source
 
 
-def _source_stopcopy_actions(state: AgentState) -> tuple[AgentState, list[Action]]:
-    """Freeze the service and start the stop-and-copy checkpoint."""
-    sizing = (WorkSizing.FULL_STATE
-              if state.info.strategy is StrategyKind.COLD
+def _source_stopcopy_actions(state: AgentState, **changes
+                             ) -> tuple[AgentState, list[Action]]:
+    """Freeze the service and start the stop-and-copy checkpoint.
+
+    ``changes`` are the transition's other field updates, as for :func:`_arm`.
+    """
+    info = changes.get("info", state.info)
+    sizing = (WorkSizing.FULL_STATE if info.strategy is StrategyKind.COLD
               else WorkSizing.DIRTY_PLUS_CONTEXT)
     actions: list[Action] = [StartWork(WorkKind.STOP_CHECKPOINT, sizing)]
-    return replace(_disarm(state), phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT)), actions
+    return (replace(state, guard=None,
+                    phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT), **changes),
+            actions)
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -369,12 +392,12 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 kind=MessageKind.PUBLISH,
                 topic=started_topic(new_info.task_id),
                 sender=state.agent_id))
-            state = replace(state, info=new_info)
             if new_info.strategy is StrategyKind.COLD:
-                state, actions = _source_stopcopy_actions(state)
+                state, actions = _source_stopcopy_actions(state, info=new_info)
                 return state, [started] + actions
             work = StartWork(WorkKind.PRE_CHECKPOINT, WorkSizing.FULL_STATE)
-            return (replace(state, phase=Phase(PhaseKind.PRE_COPY_ROUND, 0)),
+            return (replace(state, info=new_info,
+                            phase=Phase(PhaseKind.PRE_COPY_ROUND, 0)),
                     [started, work])
 
         if msg.kind is MessageKind.QUERY and info is not None \
@@ -398,7 +421,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 return _unexpected(state, event)
             if state.preckpt_bytes is not None:
                 # Initial image already checkpointed; ship it.
-                state = _disarm(state)
+                state = replace(state, guard=None)
                 return state, [StartWork(WorkKind.TRANSFER_INITIAL,
                                          WorkSizing.GIVEN,
                                          bytes=state.preckpt_bytes)]
@@ -407,7 +430,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         if msg.kind is MessageKind.QUERY and info is not None \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
                 and msg.topic == round_image_topic(info.task_id, phase.round):
-            state = _disarm(state)
+            state = replace(state, guard=None)
             return state, [StartWork(WorkKind.TRANSFER_ROUND, WorkSizing.GIVEN,
                                      bytes=state.round_bytes,
                                      round=phase.round)]
@@ -416,12 +439,13 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
     if isinstance(event, WorkDone):
         if event.kind is WorkKind.PRE_CHECKPOINT \
                 and phase == Phase(PhaseKind.PRE_COPY_ROUND, 0):
-            state = replace(state, preckpt_bytes=event.bytes)
             if state.ns_query_seen:
-                return state, [StartWork(WorkKind.TRANSFER_INITIAL,
-                                         WorkSizing.GIVEN, bytes=event.bytes)]
+                return (replace(state, preckpt_bytes=event.bytes),
+                        [StartWork(WorkKind.TRANSFER_INITIAL,
+                                   WorkSizing.GIVEN, bytes=event.bytes)])
             actions: list[Action] = []
-            state = _arm(state, actions)  # waiting for the destination query
+            # waiting for the destination query
+            state = _arm(state, actions, preckpt_bytes=event.bytes)
             return state, actions
 
         if event.kind is WorkKind.TRANSFER_INITIAL \
@@ -434,13 +458,13 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 correlation_id=nsconfig_topic(info.task_id),
                 headers={"ns_config": info.ns_config,
                          "image_bytes": event.bytes}))
-            state = replace(state, ns_replied=True)
             if info.iterations >= 1:
                 work = StartWork(WorkKind.ROUND_CHECKPOINT, WorkSizing.DIRTY_SET,
                                  round=1)
-                return (replace(state, phase=Phase(PhaseKind.PRE_COPY_ROUND, 1)),
+                return (replace(state, ns_replied=True,
+                                phase=Phase(PhaseKind.PRE_COPY_ROUND, 1)),
                         [reply, work])
-            state, actions = _source_stopcopy_actions(state)
+            state, actions = _source_stopcopy_actions(state, ns_replied=True)
             return state, [reply] + actions
 
         if event.kind is WorkKind.ROUND_CHECKPOINT \
@@ -451,9 +475,9 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 sender=state.agent_id,
                 headers={"round": event.round, "image_bytes": event.bytes}))
             actions = [ready]
-            state = replace(state, round_bytes=event.bytes,
-                            phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round))
-            state = _arm(state, actions)  # waiting for the pull query
+            state = _arm(state, actions,  # waiting for the pull query
+                         round_bytes=event.bytes,
+                         phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round))
             return state, actions
 
         if event.kind is WorkKind.TRANSFER_ROUND \
@@ -508,13 +532,19 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 # Destination
 
 
-def _dest_maybe_transition(state: AgentState) -> tuple[AgentState, list[Action]]:
-    """Enter the namespace transition once image and config are both here."""
-    if state.sc_bytes is None or state.ns_config is None:
+def _dest_maybe_transition(state: AgentState, **changes
+                           ) -> tuple[AgentState, list[Action]]:
+    """Enter the namespace transition once image and config are both here.
+
+    ``changes`` are the transition's other field updates, as for :func:`_arm`.
+    """
+    if changes.get("sc_bytes", state.sc_bytes) is None \
+            or changes.get("ns_config", state.ns_config) is None:
         actions: list[Action] = []
-        state = _arm(state, actions)
+        state = _arm(state, actions, **changes)
         return state, actions
-    return (replace(_disarm(state), phase=Phase(PhaseKind.NAMESPACE_TRANSITION)),
+    return (replace(state, guard=None,
+                    phase=Phase(PhaseKind.NAMESPACE_TRANSITION), **changes),
             [StartWork(WorkKind.NS_RECREATE, WorkSizing.NONE)])
 
 
@@ -537,8 +567,7 @@ def _advance_destination(state: AgentState, event: Event
             else:
                 next_phase = Phase(PhaseKind.PRE_COPY_ROUND, 0)
             actions: list[Action] = [query]
-            state = replace(state, info=new_info, phase=next_phase)
-            state = _arm(state, actions)
+            state = _arm(state, actions, info=new_info, phase=next_phase)
             return state, actions
 
         if info is None:
@@ -550,21 +579,17 @@ def _advance_destination(state: AgentState, event: Event
                 if phase.kind is not PhaseKind.STOP_COPY_CHECKPOINT \
                         or state.ns_config is not None:
                     return _unexpected(state, event)
-                state = replace(_disarm(state),
-                                ns_config=str(msg.headers["ns_config"]))
-                return _dest_maybe_transition(state)
+                return _dest_maybe_transition(
+                    state, ns_config=str(msg.headers["ns_config"]))
             if phase != Phase(PhaseKind.PRE_COPY_ROUND, 0):
                 return _unexpected(state, event)
-            state = replace(_disarm(state),
-                            ns_config=str(msg.headers["ns_config"]))
             if info.iterations >= 1:
-                actions = []
-                state = replace(state, phase=Phase(PhaseKind.PRE_COPY_ROUND, 1))
-                state = _arm(state, actions)
-                return state, actions
+                next_phase = Phase(PhaseKind.PRE_COPY_ROUND, 1)
+            else:
+                next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
             actions = []
-            state = replace(state, phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT))
-            state = _arm(state, actions)
+            state = _arm(state, actions, phase=next_phase,
+                         ns_config=str(msg.headers["ns_config"]))
             return state, actions
 
         if msg.kind is MessageKind.PUBLISH \
@@ -575,25 +600,19 @@ def _advance_destination(state: AgentState, event: Event
                 topic=round_image_topic(info.task_id, phase.round),
                 sender=state.agent_id))
             actions = [pull]
-            state = replace(_disarm(state),
-                            phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, phase.round))
-            state = _arm(state, actions)
+            state = _arm(state, actions,
+                         phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, phase.round))
             return state, actions
 
         if msg.kind is MessageKind.REPLY \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
                 and msg.topic == round_image_topic(info.task_id, phase.round):
-            state = _disarm(state)
             if phase.round < info.iterations:
-                actions = []
-                state = replace(state,
-                                phase=Phase(PhaseKind.PRE_COPY_ROUND,
-                                            phase.round + 1))
-                state = _arm(state, actions)
-                return state, actions
+                next_phase = Phase(PhaseKind.PRE_COPY_ROUND, phase.round + 1)
+            else:
+                next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
             actions = []
-            state = replace(state, phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT))
-            state = _arm(state, actions)
+            state = _arm(state, actions, phase=next_phase)
             return state, actions
 
         if msg.kind is MessageKind.PUBLISH \
@@ -601,8 +620,7 @@ def _advance_destination(state: AgentState, event: Event
                 and msg.topic == stopcopy_topic(info.task_id):
             if state.sc_bytes is not None:
                 return _fail(state, "duplicate stop-and-copy image")
-            state = replace(_disarm(state), sc_bytes=msg.payload_bytes)
-            return _dest_maybe_transition(state)
+            return _dest_maybe_transition(state, sc_bytes=msg.payload_bytes)
         return _unexpected(state, event)
 
     if isinstance(event, WorkDone):
@@ -659,14 +677,13 @@ def _advance_client(state: AgentState, event: Event
             new_info = msg.headers["task"]
             table = FlowTable(entries={new_info.connection: new_info.source})
             actions: list[Action] = []
-            state = replace(state, info=new_info, flow_table=table)
-            state = _arm(state, actions)
+            state = _arm(state, actions, info=new_info, flow_table=table)
             return state, actions
 
         if info is not None and msg.kind is MessageKind.PUBLISH \
                 and phase.kind is PhaseKind.IDLE \
                 and msg.topic == ns_ready_topic(info.task_id):
-            state = replace(_disarm(state),
+            state = replace(state, guard=None,
                             phase=Phase(PhaseKind.NAMESPACE_TRANSITION))
             return state, [StartWork(WorkKind.FLOW_UPDATE, WorkSizing.NONE)]
         return _unexpected(state, event)
@@ -720,13 +737,13 @@ def _advance_orchestrator(state: AgentState, event: Event
                 and msg.topic == started_topic(info.task_id) \
                 and phase.kind is PhaseKind.IDLE:
             actions = []
-            state = replace(_disarm(state), phase=Phase(PhaseKind.AWAIT_RESTORE))
-            state = _arm(state, actions)  # expect the completion notice
+            # expect the completion notice
+            state = _arm(state, actions, phase=Phase(PhaseKind.AWAIT_RESTORE))
             return state, actions
         if msg.kind is MessageKind.PUBLISH \
                 and msg.topic == done_topic(info.task_id) \
                 and phase.kind is PhaseKind.AWAIT_RESTORE:
-            return replace(_disarm(state), phase=DONE), []
+            return replace(state, guard=None, phase=DONE), []
         return _unexpected(state, event)
 
     if isinstance(event, TimerFired):

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import DomainError, ScenarioError
 from .model import BYTES_PER_S_PER_MBPS
 from .orchestrator import Objective, strategy_distribution
 from .profiler import calibration_fit, estimate_dirty_rate
-from .scenario import Scenario, SimProfile, load_scenario
+from .scenario import Scenario, SimProfile, check_seed, load_scenario
 from .simnet import plan_from_scenario, run_scenario
 
 log = logging.getLogger(__name__)
@@ -58,6 +59,7 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 def _load(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
+        check_seed(args.seed, "--seed")
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
 
@@ -221,8 +223,11 @@ def sweep_rows(scenario: Scenario, parallel: int = 0) -> list[dict]:
             seed = _row_seed(scenario.seed, t_idx, p_idx)
             jobs.append((scenario, sweep.variable, target, profile_id, seed))
     if parallel and parallel > 1 and len(jobs) > 1:
+        # Rows cost milliseconds, so each worker gets them in a few chunks
+        # rather than one round trip per row; map keeps the job order.
+        chunksize = math.ceil(len(jobs) / (4 * parallel))
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+            rows = list(pool.map(_sweep_row, jobs, chunksize=chunksize))
     else:
         rows = [_sweep_row(job) for job in jobs]
 

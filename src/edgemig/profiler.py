@@ -167,17 +167,25 @@ def _affine_nnls(sizes: np.ndarray, durations: np.ndarray
                  ) -> tuple[float, float, float]:
     """Nonnegative least-squares fit of duration = fixed + per_byte * size.
 
-    The size column is rescaled to unit range before solving; raw byte
-    counts (~1e7) against the constant column make the problem so badly
-    conditioned that the active-set solver can stop short of the optimum.
+    Two unknowns have a closed form: the centred least-squares line when
+    both coefficients come out nonnegative, otherwise the better of the two
+    boundary fits (no intercept, or no slope), each clamped at zero. The
+    size column is rescaled to unit range first, so that raw byte counts
+    (~1e7) do not swamp the constant column.
     """
-    # Loaded here so that only fitting pays for importing scipy.optimize.
-    from scipy.optimize import nnls
-
     scale = float(sizes.max())
-    design = np.column_stack([np.ones_like(sizes), sizes / scale])
-    coeffs, _ = nnls(design, durations)
-    fixed, per_byte = float(coeffs[0]), float(coeffs[1]) / scale
+    x = sizes / scale
+    y = durations
+    dx = x - x.mean()
+    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
+    fixed = float(y.mean()) - slope * float(x.mean())
+    if fixed < 0 or slope < 0:
+        candidates = ((0.0, max(0.0, float(x @ y) / float(x @ x))),
+                      (max(0.0, float(y.mean())), 0.0))
+        fixed, slope = min(
+            candidates,
+            key=lambda c: float(np.sum((y - c[0] - c[1] * x) ** 2)))
+    per_byte = slope / scale
     residual = durations - (fixed + per_byte * sizes)
     rms = float(np.sqrt(np.mean(residual ** 2)))
     return fixed, per_byte, rms

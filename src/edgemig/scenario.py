@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -110,6 +111,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ScenarioError(f"unknown sweep variable {self.variable!r}")
+        if not all(map(math.isfinite, (self.from_s, self.to_s, self.step_s))):
+            raise ScenarioError("sweep from_s, to_s and step_s must be finite")
         if self.step_s <= 0:
             raise ScenarioError("sweep step_s must be positive")
         if self.to_s < self.from_s:
@@ -178,6 +181,34 @@ def _check_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
     extra = set(mapping) - set(allowed)
     if extra:
         raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
+
+
+def check_seed(seed: Any, where: str) -> None:
+    """A seed is a whole number >= 0, as numpy's generators require."""
+    whole = (isinstance(seed, int) and not isinstance(seed, bool)) or (
+        isinstance(seed, float) and seed.is_integer())
+    if not whole or seed < 0:
+        raise ScenarioError(f"{where} must be a whole number >= 0, "
+                            f"got {seed!r}")
+
+
+def _check_numbers(node: Any, path: str) -> None:
+    """Reject non-finite floats and bad seeds anywhere in a raw document.
+
+    JSON's ``NaN`` and ``Infinity`` (and overflowing literals such as
+    ``1e400``) would otherwise slip past every ``< 0`` check.
+    """
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ScenarioError(f"{path}: {node!r} is not a finite number")
+    if isinstance(node, Mapping):
+        for key, value in node.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key == "seed":
+                check_seed(value, where)
+            _check_numbers(value, where)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_numbers(value, f"{path}[{i}]")
 
 
 def _parse_host(raw: Mapping[str, Any]) -> Host:
@@ -297,6 +328,7 @@ def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "scenario")
+    _check_numbers(raw, "")
     try:
         hosts = tuple(_parse_host(h)
                       for h in _require(raw, "hosts", "scenario"))

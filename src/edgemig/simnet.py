@@ -261,6 +261,7 @@ class _Sim:
         self.now = 0.0
         self.events: list[ProtocolEvent] = []
         self.outstanding_queries: dict[str, str] = {}
+        self.latencies: dict[tuple[str, str], float] = {}
 
         self.dirty_clock: Optional[float] = None
         self.message_count = 0
@@ -303,8 +304,13 @@ class _Sim:
         return [self.outstanding_queries[msg.correlation_id]]
 
     def _latency(self, sender: str, receiver: str) -> float:
-        link = self.scenario.link_between(sender, receiver)
-        return link.latency_s if link else 0.0
+        """Propagation delay of a delivery, looked up once per pair."""
+        key = (sender, receiver)
+        latency = self.latencies.get(key)
+        if latency is None:
+            link = self.scenario.link_between(sender, receiver)
+            latency = self.latencies[key] = link.latency_s if link else 0.0
+        return latency
 
     def _send(self, msg: BusMessage) -> None:
         self.message_count += 1
@@ -353,7 +359,9 @@ class _Sim:
             return restore_duration(params, nbytes)
         raise DomainError(f"no duration rule for {kind}")
 
-    def _start_work(self, agent_id: str, action: ag.StartWork) -> dict:
+    def _start_work(self, agent_id: str,
+                    action: ag.StartWork) -> tuple[float, float]:
+        """Schedule one work item; returns its bytes and duration."""
         if action.kind is ag.WorkKind.PRE_CHECKPOINT:
             self.dirty_clock = self.now
         if action.kind is ag.WorkKind.STOP_CHECKPOINT:
@@ -366,8 +374,7 @@ class _Sim:
             self.bytes_transferred += nbytes
         done = ag.WorkDone(kind=action.kind, bytes=nbytes, round=action.round)
         self._push(self.now + duration, "work", agent_id, done)
-        return {"work": action.kind.value, "bytes": nbytes,
-                "duration_s": duration}
+        return nbytes, duration
 
     # -- logging ------------------------------------------------------
 
@@ -385,6 +392,8 @@ class _Sim:
     def run(self) -> MigrationOutcome:
         orch = self.role_to_agent[ag.Role.ORCHESTRATOR]
         self._push(0.0, "kickoff", orch, ag.Kickoff())
+        # Without an event log, nothing below formats log material.
+        record = self.record_events
         processed = 0
         while self.heap:
             time_s, _, tag, agent_id, obj = heapq.heappop(self.heap)
@@ -397,7 +406,8 @@ class _Sim:
             else:
                 event = obj
             state = self.agents[agent_id]
-            before = str(state.phase)
+            if record:
+                before = str(state.phase)
             new_state, actions = ag.advance(state, event)
             self.agents[agent_id] = new_state
 
@@ -405,18 +415,24 @@ class _Sim:
             for action in actions:
                 if isinstance(action, ag.Send):
                     self._send(action.message)
-                    action_docs.append({"send": action.message.kind.value,
-                                        "topic": action.message.topic,
-                                        "payload_bytes":
-                                            action.message.payload_bytes})
+                    if record:
+                        action_docs.append(
+                            {"send": action.message.kind.value,
+                             "topic": action.message.topic,
+                             "payload_bytes": action.message.payload_bytes})
                 elif isinstance(action, ag.StartWork):
-                    action_docs.append(self._start_work(agent_id, action))
+                    nbytes, duration = self._start_work(agent_id, action)
+                    if record:
+                        action_docs.append({"work": action.kind.value,
+                                            "bytes": nbytes,
+                                            "duration_s": duration})
                 elif isinstance(action, ag.SetTimer):
                     self._push(self.now + action.delay_s, "timer", agent_id,
                                ag.TimerFired(action.token))
-                    action_docs.append({"timer_s": action.delay_s,
-                                        "token": action.token})
-                else:
+                    if record:
+                        action_docs.append({"timer_s": action.delay_s,
+                                            "token": action.token})
+                elif record:
                     action_docs.append({"diagnostic": action.text})
 
             if (isinstance(event, ag.WorkDone)
@@ -426,8 +442,10 @@ class _Sim:
                 if self.freeze_time is not None:
                     self.downtime_s = self.now - self.freeze_time
 
-            self._log(agent_id, state.role.value, before, str(new_state.phase),
-                      _describe_event(event), tuple(action_docs))
+            if record:
+                self._log(agent_id, state.role.value, before,
+                          str(new_state.phase), _describe_event(event),
+                          tuple(action_docs))
 
         final_phases = {aid: str(st.phase) for aid, st in self.agents.items()}
         diagnostics = {aid: st.diagnostic for aid, st in self.agents.items()

@@ -279,13 +279,16 @@ def test_destination_full_walk_with_restore_timer():
         sender="src", payload_bytes=8192.0,
         correlation_id=ag.round_image_topic("t1", 1),
         headers={"round": 1, "image_bytes": 8192.0}))
-    state, _ = ag.advance(state, image)
+    state, actions = ag.advance(state, image)
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
+    [guard] = timers(actions)
 
     state, actions = ag.advance(state, sc_push(info))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.NS_RECREATE
     assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
+    # The image is here, so the watchdog armed for it no longer fires.
+    assert ag.advance(state, ag.TimerFired(guard.token)) == (state, [])
 
     state, actions = ag.advance(state,
                                 ag.WorkDone(ag.WorkKind.NS_RECREATE))

@@ -140,10 +140,13 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
-    # A fresh interpreter, so modules other tests loaded do not count.
+def scipy_modules_loaded_by(names, tmp_path):
+    """scipy modules in a fresh interpreter after running the commands.
+
+    A fresh interpreter, so modules other tests loaded do not count.
+    """
     commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
-                for name in ("plan", "simulate", "sweep", "profile")]
+                for name in names]
     src = str(Path(edgemig.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -152,7 +155,16 @@ def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
+    assert scipy_modules_loaded_by(
+        ("plan", "simulate", "sweep", "profile"), tmp_path) == []
+
+
+def test_fit_never_loads_scipy(tmp_path):
+    assert scipy_modules_loaded_by(("fit",), tmp_path) == []
 
 
 def test_empty_state_simulates_and_sweeps(tmp_path):
@@ -194,3 +206,22 @@ def test_usage_error_raises_system_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def test_negative_seed_option_is_a_usage_error(capsys):
+    assert run(["simulate", "--scenario", DEMO, "--seed", "-1"]) == 2
+    assert "--seed must be a whole number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("links", "latency_s"),
+                                          ("ms_profiles",
+                                           "dirty_rate_pages_per_s")])
+def test_nan_in_scenario_is_a_usage_error(tmp_path, capsys, section, key):
+    doc = json.loads(Path(DEMO).read_text())
+    for item in doc[section]:
+        item[key] = float("nan")
+    scenario = tmp_path / "nan.json"
+    scenario.write_text(json.dumps(doc))
+    assert run(["simulate", "--scenario", str(scenario)]) == 2
+    assert f"{section}[0].{key}: nan is not a finite number" \
+        in capsys.readouterr().err

@@ -6,11 +6,14 @@ seeded output replaces the golden file in the same change and says why in
 CHANGES.md; any other difference is a regression.
 """
 
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
-from edgemig import cli
+from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
+from edgemig.simnet import DelayRule, DropRule
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = str(ROOT / "demos" / "scenario.json")
@@ -34,5 +37,35 @@ def test_cli_output_matches_golden(name, tmp_path):
         argv += [option, str(tmp_path / golden)]
     assert cli.main(argv) == 0
     for golden in outputs.values():
+        produced = (tmp_path / golden).read_bytes()
+        assert produced == (GOLDEN / golden).read_bytes(), golden
+
+
+# Faulted runs of the demo plan: {case: fault rules}. Each pins the
+# outcome (every field but the events) and the event log.
+FAULT_CASES = {
+    "drop_round2_image": (DropRule("round/2/image"),),
+    "drop_stopcopy": (DropRule("stopcopy"),),
+    "delay_round1_ready": (DelayRule("round/1/ready", 5.0),),
+}
+
+
+def faulted_run(name: str, directory: Path) -> tuple[str, str]:
+    """Run one faulted case, writing its two files into ``directory``."""
+    scenario = load_scenario(DEMO)
+    events = directory / f"fault_{name}_events.jsonl"
+    outcome = run_scenario(scenario, plan_from_scenario(scenario),
+                           fault_rules=FAULT_CASES[name], event_log_path=events)
+    doc = {f.name: getattr(outcome, f.name)
+           for f in dataclasses.fields(outcome) if f.name != "events"}
+    outcome_file = directory / f"fault_{name}.json"
+    outcome_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
+    return outcome_file.name, events.name
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_CASES))
+def test_faulted_run_matches_golden(name, tmp_path):
+    for golden in faulted_run(name, tmp_path):
         produced = (tmp_path / golden).read_bytes()
         assert produced == (GOLDEN / golden).read_bytes(), golden

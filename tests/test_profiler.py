@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from edgemig.errors import CalibrationError, DomainError
 from edgemig.profiler import (
     CalibrationRun,
     DirtySample,
     SyntheticWorkload,
+    _affine_nnls,
     calibration_fit,
     estimate_dirty_rate,
     synthetic_dirty_trace,
@@ -181,3 +184,58 @@ def test_fit_needs_two_distinct_sizes():
         calibration_fit(_affine_runs([1_000_000]))
     with pytest.raises(CalibrationError):
         calibration_fit(_affine_runs([1_000_000, 1_000_000]))
+
+
+def _check_affine_nnls(sizes, durations):
+    """The closed-form fit is the NNLS optimum and agrees with scipy's."""
+    from scipy.optimize import nnls
+
+    fixed, per_byte, rms = _affine_nnls(sizes, durations)
+    scale = sizes.max()
+    design = np.column_stack([np.ones_like(sizes), sizes / scale])
+    coeffs = np.array([fixed, per_byte * scale])
+    # KKT: nonnegative coefficients, a gradient that is nonnegative, and
+    # zero wherever the coefficient is positive.
+    gradient = design.T @ (design @ coeffs - durations)
+    tol = 1e-9 * len(durations) * (1.0 + durations.max())
+    assert (coeffs >= 0).all()
+    assert (gradient >= -tol).all()
+    assert (np.abs(gradient[coeffs > 0]) <= tol).all()
+    expected, _ = nnls(design, durations)
+    np.testing.assert_allclose(coeffs, expected, rtol=1e-9, atol=1e-12)
+    expected_rms = np.sqrt(np.mean((design @ expected - durations) ** 2))
+    np.testing.assert_allclose(rms, expected_rms, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes, durations, negative", [
+    # Steep rise from mid-range sizes: the unconstrained intercept is < 0.
+    ([4e6, 6e6, 8e6], [0.0, 1.0, 2.0], "intercept"),
+    # Durations shrink with size, including a zero-size image: slope < 0.
+    ([0.0, 5e6, 1e7], [1.0, 0.8, 0.7], "slope"),
+    # A zero-size image on an exact affine line: nothing to clamp.
+    ([0.0, 1e6, 3e6], [0.5, 0.502, 0.506], None),
+])
+def test_affine_fit_clamps_like_scipy(sizes, durations, negative):
+    sizes, durations = np.array(sizes), np.array(durations)
+    slope, intercept = np.polyfit(sizes, durations, 1)
+    assert (intercept < 0, slope < 0) == (negative == "intercept",
+                                          negative == "slope")
+    _check_affine_nnls(sizes, durations)
+
+
+fit_points = st.integers(2, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 1 << 27), min_size=n, max_size=n),
+    st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_points, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example(([1 << 26, 1 << 27], [0.0, 0.0]), -1.0, 2.0)   # intercept < 0
+@example(([0, 1 << 26, 1 << 27], [0.0, 0.0, 0.0]), 1.0, -0.5)  # slope < 0
+def test_affine_fit_matches_scipy_nnls(points, intercept, slope):
+    raw_sizes, noise = points
+    sizes = np.array(raw_sizes, dtype=float)
+    assume(sizes.max() > 0 and np.ptp(sizes) >= 1e-3 * sizes.max())
+    x = sizes / sizes.max()
+    durations = np.abs(intercept + slope * x + np.array(noise))
+    _check_affine_nnls(sizes, durations)

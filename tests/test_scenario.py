@@ -2,12 +2,14 @@
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from edgemig.errors import ScenarioError
 from edgemig.scenario import (
+    SweepSpec,
     dumps_scenario,
     load_scenario,
     parse_scenario,
@@ -119,3 +121,56 @@ def test_optional_sections_may_be_absent(raw):
     scenario = parse_scenario(minimal)
     assert scenario.task is None and scenario.sweep is None
     assert scenario_to_dict(scenario) == minimal
+
+
+def _key_path(path):
+    return path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                             for k in path[1:])
+
+
+@pytest.mark.parametrize("path, value", [
+    (("sweep", "step_s"), float("nan")),
+    (("links", 0, "latency_s"), float("nan")),
+    (("ms_profiles", 0, "dirty_rate_pages_per_s"), float("nan")),
+    (("links", 1, "bandwidth_mbps"), float("inf")),
+    (("model_params", "ckpt_fixed_s"), -float("inf")),
+    (("calibration_runs", 2, "image_bytes"), float("inf")),
+])
+def test_non_finite_number_rejected_with_its_key_path(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ScenarioError, match=f"^{re.escape(_key_path(path))}: "
+                                            ".* is not a finite number"):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_json_literal_rejected_on_load(tmp_path, literal):
+    text = DEMO.read_text()
+    assert '"step_s": 0.5' in text
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace('"step_s": 0.5', f'"step_s": {literal}'))
+    with pytest.raises(ScenarioError, match=r"sweep\.step_s"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), True, "7", None])
+def test_bad_seed_rejected(raw, seed):
+    raw["seed"] = seed
+    with pytest.raises(ScenarioError, match="seed must be a whole number"):
+        parse_scenario(raw)
+
+
+def test_whole_float_seed_accepted(raw):
+    raw["seed"] = 3.0
+    assert parse_scenario(raw).seed == 3
+
+
+@pytest.mark.parametrize("field", ["from_s", "to_s", "step_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sweep_spec_rejects_non_finite_bounds(field, value):
+    bounds = {"from_s": 1.0, "to_s": 2.0, "step_s": 0.5, field: value}
+    with pytest.raises(ScenarioError, match="finite"):
+        SweepSpec(variable="target_duration_s", profiles=("p",), **bounds)

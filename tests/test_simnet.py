@@ -4,6 +4,7 @@ The scenario builder below constructs a four-host topology in memory so
 each test can tweak rates, sizes, and strategies without JSON fixtures.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -331,6 +332,25 @@ def test_different_seeds_differ():
         config = make_config(scenario, StrategyKind.ITERATIVE_PRE_COPY, 6)
         results.add(run_scenario(scenario, config).bytes_transferred)
     assert len(results) > 1
+
+
+@pytest.mark.parametrize("strategy,iters,faults", [
+    (StrategyKind.COLD, 0, ()),
+    (StrategyKind.PRE_COPY, 0, ()),
+    (StrategyKind.ITERATIVE_PRE_COPY, 1, ()),
+    (StrategyKind.ITERATIVE_PRE_COPY, 3, ()),
+    (StrategyKind.ITERATIVE_PRE_COPY, 3, (DropRule("round/2/image"),)),
+])
+def test_record_events_only_controls_the_log(strategy, iters, faults):
+    scenario = make_scenario(dirty_rate=200.0, latency_s=0.002)
+    config = make_config(scenario, strategy, iters)
+    logged = run_scenario(scenario, config, fault_rules=faults,
+                          watchdog_s=5.0, record_events=True)
+    quiet = run_scenario(scenario, config, fault_rules=faults,
+                         watchdog_s=5.0, record_events=False)
+    assert logged.events and quiet.events == ()
+    assert quiet == dataclasses.replace(logged, events=())
+    assert logged.completed is not bool(faults)
 
 
 # ---------------------------------------------------------------------------
