@@ -3,12 +3,18 @@
 import copy
 import json
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemig.errors import ScenarioError
+from edgemig.model import BYTES_PER_S_PER_MBPS, DEFAULT_PAGE_SIZE, ModelParams
+from edgemig.orchestrator import BandwidthDistribution
 from edgemig.scenario import (
+    HOST_ROLES,
     SweepSpec,
     dumps_scenario,
     load_scenario,
@@ -174,3 +180,137 @@ def test_sweep_spec_rejects_non_finite_bounds(field, value):
     bounds = {"from_s": 1.0, "to_s": 2.0, "step_s": 0.5, field: value}
     with pytest.raises(ScenarioError, match="finite"):
         SweepSpec(variable="target_duration_s", profiles=("p",), **bounds)
+
+
+# ---------------------------------------------------------------------------
+# Codec: documents in saved form round-trip byte for byte
+
+M = BYTES_PER_S_PER_MBPS
+_names = st.text(min_size=1, max_size=6)
+_pos = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False,
+                 allow_infinity=False, exclude_min=True)
+_nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                    allow_infinity=False)
+_whole = st.integers(min_value=0, max_value=2**40)
+
+
+def _mbps(draw):
+    # Saving writes bytes/s / M, so a saved Mbps value is such a quotient.
+    return draw(st.floats(min_value=1.0, max_value=1e12)) / M
+
+
+def _items(draw, make):
+    return [make() for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def saved_documents(draw):
+    hosts = draw(st.lists(_names, min_size=2, max_size=3, unique=True))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(hosts, 2))),
+                          min_size=1, max_size=3, unique=True))
+    profiles = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+    doc = {
+        "seed": draw(_whole),
+        "hosts": [{"id": h, "role": draw(st.sampled_from(HOST_ROLES))}
+                  for h in hosts],
+        "links": [{"from": a, "to": b, "bandwidth_mbps": draw(_pos),
+                   "latency_s": draw(_nonneg)}
+                  for a, b in (p[::draw(st.sampled_from((1, -1)))]
+                               for p in pairs)],
+        "ms_profiles": [{"id": p, "state_size_bytes": draw(_whole),
+                         "page_size_bytes": draw(st.integers(1, 2**16)),
+                         "dirty_rate_norm": draw(st.floats(0.0, 1.0)),
+                         "cpu_context_bytes": draw(_whole),
+                         "dirty_rate_pages_per_s": draw(_nonneg)}
+                        for p in profiles],
+        "model_params": {name: draw(_nonneg)
+                         for name in ModelParams.__dataclass_fields__},
+    }
+    if draw(st.booleans()):
+        objective = draw(st.sampled_from(["minimize_resources",
+                                          "minimize_downtime"]))
+        task = {"container_id": draw(_names), "objective": objective}
+        for key, needed in (("target_downtime_s", "minimize_resources"),
+                            ("target_duration_s", "minimize_downtime")):
+            if objective == needed or draw(st.booleans()):
+                task[key] = draw(_pos)
+        source, destination = hosts[:2]
+        task.update({"ms_profile": draw(st.sampled_from(profiles)),
+                     "source": source, "destination": destination,
+                     "client": draw(st.sampled_from(hosts)),
+                     "orchestrator": draw(st.sampled_from(hosts))})
+        doc["task"] = task
+    if draw(st.booleans()):
+        from_s, to_s = sorted((draw(_nonneg), draw(_nonneg)))
+        doc["sweep"] = {
+            "variable": draw(st.sampled_from(["target_duration_s",
+                                              "target_downtime_s"])),
+            "from_s": from_s, "to_s": to_s, "step_s": draw(_pos),
+            "profiles": _items(draw, lambda: draw(st.sampled_from(profiles)))}
+    if draw(st.booleans()):
+        lower, upper = sorted({_mbps(draw), _mbps(draw)} | {0.0})[-2:]
+        doc["bandwidth_distribution"] = {
+            "mean_mbps": _mbps(draw), "std_mbps": _mbps(draw),
+            "lower_mbps": lower, "upper_mbps": upper}
+    if draw(st.booleans()):
+        doc["dirty_samples"] = _items(draw, lambda: {
+            "window_s": draw(_pos), "pages_modified": draw(_whole)})
+    if draw(st.booleans()):
+        doc["calibration_runs"] = _items(draw, lambda: {
+            "image_bytes": draw(_nonneg), "checkpoint_s": draw(_nonneg),
+            "restore_s": draw(_nonneg), "transfer_s": draw(_nonneg),
+            "bandwidth_mbps": _mbps(draw)})
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(saved_documents())
+def test_saved_form_round_trips_byte_for_byte(doc):
+    assert dumps_scenario(parse_scenario(doc)) \
+        == json.dumps(doc, indent=2) + "\n"
+
+
+def _distribution_doc(raw, **bounds):
+    raw["bandwidth_distribution"] = {"mean_mbps": 1000.3, "std_mbps": 99.7,
+                                     **bounds}
+    return raw
+
+
+def test_distribution_without_bounds_uses_from_mean_std(raw):
+    scenario = parse_scenario(_distribution_doc(raw))
+    assert scenario.bandwidth_distribution \
+        == BandwidthDistribution.from_mean_std(1000.3 * M, 99.7 * M)
+    saved = scenario_to_dict(scenario)["bandwidth_distribution"]
+    assert list(saved) == ["mean_mbps", "std_mbps", "lower_mbps",
+                           "upper_mbps"]
+    assert saved["lower_mbps"] == 0.0
+
+
+def test_distribution_with_only_a_lower_bound_defaults_upper_in_mbps(raw):
+    scenario = parse_scenario(_distribution_doc(raw, lower_mbps=10.0))
+    dist = scenario.bandwidth_distribution
+    assert dist.lower_bytes_per_s == 10.0 * M
+    assert dist.upper_bytes_per_s == (1000.3 + 5.0 * 99.7) * M
+    saved = scenario_to_dict(scenario)["bandwidth_distribution"]
+    assert list(saved) == ["mean_mbps", "std_mbps", "lower_mbps",
+                           "upper_mbps"]
+    assert saved["lower_mbps"] == 10.0
+
+
+def test_document_without_defaulted_keys_saves_to_a_fixed_point(raw):
+    for link in raw["links"]:
+        del link["latency_s"]
+    for profile in raw["ms_profiles"]:
+        for key in ("page_size_bytes", "cpu_context_bytes",
+                    "dirty_rate_pages_per_s"):
+            del profile[key]
+    raw["model_params"] = {}
+    text = dumps_scenario(parse_scenario(raw))
+    saved = json.loads(text)
+    assert saved["links"][0]["latency_s"] == 0.0
+    assert saved["ms_profiles"][0]["page_size_bytes"] == DEFAULT_PAGE_SIZE
+    assert saved["ms_profiles"][0]["cpu_context_bytes"] == 0
+    assert saved["ms_profiles"][0]["dirty_rate_pages_per_s"] == 0.0
+    assert saved["model_params"] == dict.fromkeys(
+        ModelParams.__dataclass_fields__, 0.0)
+    assert dumps_scenario(parse_scenario(saved)) == text
