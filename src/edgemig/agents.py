@@ -29,7 +29,8 @@ cold migration follows the same skeleton minus the running-state copies
 (the namespace reply then carries no image), also 7 messages.
 
 The topic builders below and :func:`subscriptions`, the table of roles
-subscribed to each publication, are the protocol's only routing facts.
+receiving each publication and query, are the protocol's only routing
+facts.
 Messages stay in process, so headers carry typed objects: the task
 publication hands every agent the frozen :class:`TaskInfo` itself.
 
@@ -273,20 +274,23 @@ def failed_topic(task_id: str, role: Role) -> str:
 
 
 def subscriptions(info: TaskInfo) -> dict[str, tuple[Role, ...]]:
-    """Roles subscribed to each publication of one task, in delivery order.
+    """Roles receiving each publication and query of one task.
 
-    Queries go to the topic's owner (:func:`edgemig.bus.topic_role`).
+    A publication goes to every listed role, in delivery order; a query
+    goes to its one listed role, the topic's owner.
     """
     task_id = info.task_id
     table = {
         task_topic(task_id): (Role.SOURCE, Role.DESTINATION, Role.CLIENT),
         started_topic(task_id): (Role.ORCHESTRATOR,),
+        nsconfig_topic(task_id): (Role.SOURCE,),
         stopcopy_topic(task_id): (Role.DESTINATION,),
         ns_ready_topic(task_id): (Role.CLIENT,),
         done_topic(task_id): (Role.ORCHESTRATOR,),
     }
     for round_index in range(1, info.iterations + 1):
         table[round_ready_topic(task_id, round_index)] = (Role.DESTINATION,)
+        table[round_image_topic(task_id, round_index)] = (Role.SOURCE,)
     for role in Role:
         table[failed_topic(task_id, role)] = (Role.ORCHESTRATOR,)
     return table

@@ -4,15 +4,14 @@ The protocol runs over a topic-based bus with three message kinds:
 publications (fan out to subscribers), queries (routed to the agent that
 owns the topic), and replies (routed back to the querier via a correlation
 id). Topics follow the scheme ``mig/{task_id}/{role}/{name}``; the role
-segment names the agent that owns or emits on the subtree, which is what
-query routing keys on.
+segment names the agent that owns or emits on the subtree.
 
-Which roles receive a publication is written down once, in
-:func:`edgemig.agents.subscriptions`; :func:`topic_role` is the one place
-a topic string is taken apart. Messages never leave the process (the
-simulator delivers them in memory), so headers may carry typed objects,
-such as the task description. Bulk image payloads are carried by size
-only: the simulator charges transfer time explicitly.
+Which roles receive a publication or a query is written down once, in
+:func:`edgemig.agents.subscriptions`; no topic string is taken apart.
+Messages never leave the process (the simulator delivers them in memory),
+so headers may carry typed objects, such as the task description. Bulk
+image payloads are carried by size only: the simulator charges transfer
+time explicitly.
 """
 
 from __future__ import annotations
@@ -64,11 +63,3 @@ def topic(task_id: str, role: str, *name: object) -> str:
     parts = [TOPIC_PREFIX, task_id, role]
     parts.extend(str(p) for p in name)
     return "/".join(parts)
-
-
-def topic_role(topic_str: str) -> str:
-    """Role segment of a topic; queries are routed to the agent playing it."""
-    parts = topic_str.split("/")
-    if len(parts) < 4 or parts[0] != TOPIC_PREFIX:
-        raise DomainError(f"not a protocol topic: {topic_str!r}")
-    return parts[2]

@@ -1,10 +1,10 @@
 """Scenario files: one JSON document describing hosts, links, workloads.
 
 A scenario is the single input format shared by the command-line tools and
-the simulator. Parsing is strict — unknown keys and malformed sections
-raise :class:`~edgemig.errors.ScenarioError` — and serialization restores
-the exact structure that was parsed, so load/save round-trips are
-lossless.
+the simulator. Parsing is strict — unknown keys, missing keys and values
+of the wrong kind raise :class:`~edgemig.errors.ScenarioError` naming the
+key path. Saving writes every key, defaulted ones included, so a document
+already in saved form round-trips byte for byte.
 
 Top-level sections::
 
@@ -33,8 +33,10 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ScenarioError
 from .model import BYTES_PER_S_PER_MBPS, DEFAULT_PAGE_SIZE, ModelParams, MsProfile
@@ -167,20 +169,27 @@ class Scenario:
 
 
 # --------------------------------------------------------------------------
-# Parsing
+# Codec: one field table per section drives both parsing and saving
+
+_REQUIRED = object()
 
 
-def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing key {key!r}")
-    return mapping[key]
+class _Field(NamedTuple):
+    """One JSON key of a section and the attribute it fills.
 
+    ``kind`` is ``str``, ``float``, ``int`` (a whole number >= 0),
+    ``tuple`` (a list of strings) or an Enum class. ``default`` is the
+    attribute value for an absent key; a callable one is given the raw
+    section. ``attr`` is the path saving reads, dotted for a nested
+    object; it defaults to ``key``. ``scale`` turns the JSON unit into the
+    attribute's (Mbps into bytes/s).
+    """
 
-def _check_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
-                where: str) -> None:
-    extra = set(mapping) - set(allowed)
-    if extra:
-        raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
+    key: str
+    kind: Any
+    default: Any = _REQUIRED
+    attr: str = ""
+    scale: Optional[float] = None
 
 
 def check_seed(seed: Any, where: str) -> None:
@@ -192,166 +201,162 @@ def check_seed(seed: Any, where: str) -> None:
                             f"got {seed!r}")
 
 
-def _check_numbers(node: Any, path: str) -> None:
-    """Reject non-finite floats and bad seeds anywhere in a raw document.
-
-    JSON's ``NaN`` and ``Infinity`` (and overflowing literals such as
-    ``1e400``) would otherwise slip past every ``< 0`` check.
-    """
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ScenarioError(f"{path}: {node!r} is not a finite number")
-    if isinstance(node, Mapping):
-        for key, value in node.items():
-            where = f"{path}.{key}" if path else str(key)
-            if key == "seed":
-                check_seed(value, where)
-            _check_numbers(value, where)
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _check_numbers(value, f"{path}[{i}]")
-
-
-def _parse_host(raw: Mapping[str, Any]) -> Host:
-    _check_keys(raw, ("id", "role"), "hosts[]")
-    return Host(id=str(_require(raw, "id", "hosts[]")),
-                role=str(_require(raw, "role", "hosts[]")))
-
-
-def _parse_link(raw: Mapping[str, Any]) -> Link:
-    _check_keys(raw, ("from", "to", "bandwidth_mbps", "latency_s"), "links[]")
-    return Link(from_host=str(_require(raw, "from", "links[]")),
-                to_host=str(_require(raw, "to", "links[]")),
-                bandwidth_mbps=float(_require(raw, "bandwidth_mbps", "links[]")),
-                latency_s=float(raw.get("latency_s", 0.0)))
+def _convert(value: Any, kind: Any, where: str) -> Any:
+    """Type-check one JSON value against its field's kind and convert it."""
+    if kind is int:
+        check_seed(value, where)
+        return int(value)
+    if kind is float:
+        what = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is tuple:
+        what = "a list of strings"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif kind is str:
+        what, ok = "a string", isinstance(value, str)
+    else:
+        what = f"one of {[m.value for m in kind]}"
+        ok = isinstance(value, str) and value in {m.value for m in kind}
+    if not ok:
+        raise ScenarioError(f"{where}: expected {what}, got {value!r}")
+    # JSON's NaN and Infinity (and overflowing literals such as 1e400)
+    # would otherwise slip past every ``< 0`` check.
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"{where}: {value!r} is not a finite number")
+    return kind(value)
 
 
-def _parse_sim_profile(raw: Mapping[str, Any]) -> SimProfile:
-    _check_keys(raw, ("id", "state_size_bytes", "page_size_bytes",
-                      "dirty_rate_norm", "cpu_context_bytes",
-                      "dirty_rate_pages_per_s"), "ms_profiles[]")
-    profile = MsProfile(
-        state_size_bytes=int(_require(raw, "state_size_bytes", "ms_profiles[]")),
-        dirty_rate_norm=float(_require(raw, "dirty_rate_norm", "ms_profiles[]")),
-        page_size_bytes=int(raw.get("page_size_bytes", DEFAULT_PAGE_SIZE)),
-        cpu_context_bytes=int(raw.get("cpu_context_bytes", 0)))
-    return SimProfile(id=str(_require(raw, "id", "ms_profiles[]")),
-                      profile=profile,
-                      dirty_rate_pages_per_s=float(
-                          raw.get("dirty_rate_pages_per_s", 0.0)))
+def _check_object(raw: Any, keys: Sequence[str], required: Sequence[str],
+                  where: str) -> None:
+    if not isinstance(raw, Mapping):
+        raise ScenarioError(f"{where}: expected an object, got {raw!r}")
+    extra = set(raw) - set(keys)
+    if extra:
+        raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
+    for key in required:
+        if key not in raw:
+            raise ScenarioError(f"{where}: missing key {key!r}")
 
 
-_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
+def _decode(raw: Any, build: Callable[..., Any], fields: Sequence[_Field],
+            where: str, many: bool = False) -> Any:
+    """Build one section object, or with ``many`` a tuple from a list."""
+    if many:
+        if not isinstance(raw, list):
+            raise ScenarioError(f"{where}: expected a list, got {raw!r}")
+        return tuple(_decode(item, build, fields, f"{where}[{i}]")
+                     for i, item in enumerate(raw))
+    _check_object(raw, [f.key for f in fields],
+                  [f.key for f in fields if f.default is _REQUIRED], where)
+    out: dict[str, Any] = {}
+    for f in fields:
+        if f.key not in raw:
+            value = f.default(raw) if callable(f.default) else f.default
+        else:
+            value = _convert(raw[f.key], f.kind, f"{where}.{f.key}")
+            if f.scale:
+                value *= f.scale
+        head, _, name = (f.attr or f.key).rpartition(".")
+        (out.setdefault(head, {}) if head else out)[name] = value
+    return build(**out)
 
 
-def _parse_params(raw: Mapping[str, Any]) -> ModelParams:
-    _check_keys(raw, _PARAM_FIELDS, "model_params")
-    return ModelParams(**{k: float(v) for k, v in raw.items()})
+def _encode(obj: Any, fields: Sequence[_Field]) -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for f in fields:
+        value = attrgetter(f.attr or f.key)(obj)
+        if value is None:
+            continue
+        if f.scale:
+            value /= f.scale
+        elif f.kind is tuple:
+            value = list(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        out[f.key] = value
+    return out
 
 
-def _parse_task(raw: Mapping[str, Any]) -> TaskSection:
-    _check_keys(raw, ("container_id", "objective", "target_downtime_s",
-                      "target_duration_s", "ms_profile", "source",
-                      "destination", "client", "orchestrator"), "task")
-    objective = Objective(str(_require(raw, "objective", "task")))
-    task = MigrationTask(
-        container_id=str(_require(raw, "container_id", "task")),
-        source_agent=str(_require(raw, "source", "task")),
-        destination_agent=str(_require(raw, "destination", "task")),
-        objective=objective,
-        target_downtime_s=(float(raw["target_downtime_s"])
-                           if "target_downtime_s" in raw else None),
-        target_duration_s=(float(raw["target_duration_s"])
-                           if "target_duration_s" in raw else None))
-    return TaskSection(task=task,
-                       client=str(_require(raw, "client", "task")),
-                       orchestrator=str(_require(raw, "orchestrator", "task")),
-                       ms_profile_id=str(_require(raw, "ms_profile", "task")))
+def _sim_profile(profile: dict[str, Any], **fields: Any) -> SimProfile:
+    return SimProfile(profile=MsProfile(**profile), **fields)
 
 
-def _parse_sweep(raw: Mapping[str, Any]) -> SweepSpec:
-    _check_keys(raw, ("variable", "from_s", "to_s", "step_s", "profiles"),
-                "sweep")
-    return SweepSpec(variable=str(_require(raw, "variable", "sweep")),
-                     from_s=float(_require(raw, "from_s", "sweep")),
-                     to_s=float(_require(raw, "to_s", "sweep")),
-                     step_s=float(_require(raw, "step_s", "sweep")),
-                     profiles=tuple(str(p) for p in
-                                    _require(raw, "profiles", "sweep")))
+def _task_section(task: dict[str, Any], **fields: Any) -> TaskSection:
+    return TaskSection(task=MigrationTask(**task), **fields)
 
 
-def _parse_distribution(raw: Mapping[str, Any]) -> BandwidthDistribution:
-    _check_keys(raw, ("mean_mbps", "std_mbps", "lower_mbps", "upper_mbps"),
-                "bandwidth_distribution")
-    mean = float(_require(raw, "mean_mbps", "bandwidth_distribution"))
-    std = float(_require(raw, "std_mbps", "bandwidth_distribution"))
-    if "lower_mbps" in raw or "upper_mbps" in raw:
-        lower = float(raw.get("lower_mbps", 0.0))
-        upper = float(raw.get("upper_mbps", mean + 5.0 * std))
-        return BandwidthDistribution(
-            mean_bytes_per_s=mean * BYTES_PER_S_PER_MBPS,
-            std_bytes_per_s=std * BYTES_PER_S_PER_MBPS,
-            lower_bytes_per_s=lower * BYTES_PER_S_PER_MBPS,
-            upper_bytes_per_s=upper * BYTES_PER_S_PER_MBPS)
-    return BandwidthDistribution.from_mean_std(
-        mean * BYTES_PER_S_PER_MBPS, std * BYTES_PER_S_PER_MBPS)
+def _default_upper_bytes_per_s(raw: Mapping[str, Any]) -> Optional[float]:
+    """With only a lower bound, mean + 5 std in Mbps; with none, unset."""
+    if "lower_mbps" not in raw:
+        return None
+    return (raw["mean_mbps"] + 5.0 * raw["std_mbps"]) * BYTES_PER_S_PER_MBPS
 
 
-def _parse_dirty_sample(raw: Mapping[str, Any]) -> DirtySample:
-    _check_keys(raw, ("window_s", "pages_modified"), "dirty_samples[]")
-    return DirtySample(window_s=float(_require(raw, "window_s",
-                                                "dirty_samples[]")),
-                       pages_modified=int(_require(raw, "pages_modified",
-                                                   "dirty_samples[]")))
+def _distribution(upper_bytes_per_s: Optional[float],
+                  **fields: float) -> BandwidthDistribution:
+    if upper_bytes_per_s is None:
+        return BandwidthDistribution.from_mean_std(
+            fields["mean_bytes_per_s"], fields["std_bytes_per_s"])
+    return BandwidthDistribution(upper_bytes_per_s=upper_bytes_per_s, **fields)
 
 
-def _parse_calibration_run(raw: Mapping[str, Any]) -> CalibrationRun:
-    _check_keys(raw, ("image_bytes", "checkpoint_s", "restore_s",
-                      "transfer_s", "bandwidth_mbps"), "calibration_runs[]")
-    return CalibrationRun(
-        image_bytes=float(_require(raw, "image_bytes", "calibration_runs[]")),
-        checkpoint_s=float(_require(raw, "checkpoint_s",
-                                    "calibration_runs[]")),
-        restore_s=float(_require(raw, "restore_s", "calibration_runs[]")),
-        transfer_s=float(_require(raw, "transfer_s", "calibration_runs[]")),
-        bandwidth_bytes_per_s=float(_require(raw, "bandwidth_mbps",
-                                             "calibration_runs[]"))
-        * BYTES_PER_S_PER_MBPS)
-
-
-_TOP_KEYS = ("seed", "hosts", "links", "ms_profiles", "model_params", "task",
-             "sweep", "bandwidth_distribution", "dirty_samples",
-             "calibration_runs")
+_MBPS = BYTES_PER_S_PER_MBPS
+# key, builder, fields, required, is a list; in saving order.
+_SECTIONS = (
+    ("hosts", Host, (_Field("id", str), _Field("role", str)), True, True),
+    ("links", Link, (
+        _Field("from", str, attr="from_host"),
+        _Field("to", str, attr="to_host"), _Field("bandwidth_mbps", float),
+        _Field("latency_s", float, 0.0)), True, True),
+    ("ms_profiles", _sim_profile, (
+        _Field("id", str),
+        _Field("state_size_bytes", int, attr="profile.state_size_bytes"),
+        _Field("page_size_bytes", int, DEFAULT_PAGE_SIZE,
+               "profile.page_size_bytes"),
+        _Field("dirty_rate_norm", float, attr="profile.dirty_rate_norm"),
+        _Field("cpu_context_bytes", int, 0, "profile.cpu_context_bytes"),
+        _Field("dirty_rate_pages_per_s", float, 0.0)), True, True),
+    ("model_params", ModelParams, tuple(
+        _Field(f.name, float, 0.0) for f in dataclasses.fields(ModelParams)),
+     True, False),
+    ("task", _task_section, (
+        _Field("container_id", str, attr="task.container_id"),
+        _Field("objective", Objective, attr="task.objective"),
+        _Field("target_downtime_s", float, None, "task.target_downtime_s"),
+        _Field("target_duration_s", float, None, "task.target_duration_s"),
+        _Field("ms_profile", str, attr="ms_profile_id"),
+        _Field("source", str, attr="task.source_agent"),
+        _Field("destination", str, attr="task.destination_agent"),
+        _Field("client", str), _Field("orchestrator", str)), False, False),
+    ("sweep", SweepSpec, (
+        _Field("variable", str), _Field("from_s", float),
+        _Field("to_s", float), _Field("step_s", float),
+        _Field("profiles", tuple)), False, False),
+    ("bandwidth_distribution", _distribution, (
+        _Field("mean_mbps", float, attr="mean_bytes_per_s", scale=_MBPS),
+        _Field("std_mbps", float, attr="std_bytes_per_s", scale=_MBPS),
+        _Field("lower_mbps", float, 0.0, "lower_bytes_per_s", _MBPS),
+        _Field("upper_mbps", float, _default_upper_bytes_per_s,
+               "upper_bytes_per_s", _MBPS)), False, False),
+    ("dirty_samples", DirtySample, (
+        _Field("window_s", float), _Field("pages_modified", int)),
+     False, True),
+    ("calibration_runs", CalibrationRun, (
+        _Field("image_bytes", float), _Field("checkpoint_s", float),
+        _Field("restore_s", float), _Field("transfer_s", float),
+        _Field("bandwidth_mbps", float, attr="bandwidth_bytes_per_s",
+               scale=_MBPS)), False, True),
+)
 
 
 def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build a scenario from a parsed JSON document (strict)."""
-    if not isinstance(raw, Mapping):
-        raise ScenarioError("scenario document must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "scenario")
-    _check_numbers(raw, "")
+    _check_object(raw, ("seed", *(s[0] for s in _SECTIONS)),
+                  ("seed", *(s[0] for s in _SECTIONS if s[3])), "scenario")
     try:
-        hosts = tuple(_parse_host(h)
-                      for h in _require(raw, "hosts", "scenario"))
-        links = tuple(_parse_link(ln)
-                      for ln in _require(raw, "links", "scenario"))
-        profiles = tuple(_parse_sim_profile(p)
-                         for p in _require(raw, "ms_profiles", "scenario"))
-        scenario = Scenario(
-            seed=int(_require(raw, "seed", "scenario")),
-            hosts=hosts,
-            links=links,
-            ms_profiles=profiles,
-            model_params=_parse_params(
-                _require(raw, "model_params", "scenario")),
-            task=_parse_task(raw["task"]) if "task" in raw else None,
-            sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
-            bandwidth_distribution=(
-                _parse_distribution(raw["bandwidth_distribution"])
-                if "bandwidth_distribution" in raw else None),
-            dirty_samples=tuple(_parse_dirty_sample(s)
-                                for s in raw.get("dirty_samples", ())),
-            calibration_runs=tuple(_parse_calibration_run(r)
-                                   for r in raw.get("calibration_runs", ())))
+        scenario = Scenario(seed=_convert(raw["seed"], int, "seed"), **{
+            key: _decode(raw[key], build, fields, key, many)
+            for key, build, fields, _, many in _SECTIONS if key in raw})
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -360,14 +365,32 @@ def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     return scenario
 
 
+def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    """Saved form: every key of every section present, in table order."""
+    doc: dict[str, Any] = {"seed": scenario.seed}
+    for key, _, fields, required, many in _SECTIONS:
+        value = getattr(scenario, key)
+        if many and (value or required):
+            doc[key] = [_encode(item, fields) for item in value]
+        elif not many and value is not None:
+            doc[key] = _encode(value, fields)
+    return doc
+
+
 def _validate_references(scenario: Scenario) -> None:
     host_ids = {h.id for h in scenario.hosts}
     if len(host_ids) != len(scenario.hosts):
         raise ScenarioError("duplicate host ids")
+    pairs: set[frozenset[str]] = set()
     for link in scenario.links:
         for end in (link.from_host, link.to_host):
             if end not in host_ids:
                 raise ScenarioError(f"link references unknown host {end!r}")
+        pair = frozenset((link.from_host, link.to_host))
+        if pair in pairs:
+            raise ScenarioError(f"two links between {link.from_host!r} and "
+                                f"{link.to_host!r}")
+        pairs.add(pair)
     profile_ids = [p.id for p in scenario.ms_profiles]
     if len(set(profile_ids)) != len(profile_ids):
         raise ScenarioError("duplicate ms profile ids")
@@ -391,72 +414,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     return parse_scenario(raw)
-
-
-# --------------------------------------------------------------------------
-# Serialization (inverse of parsing, including key order)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    doc: dict[str, Any] = {"seed": scenario.seed}
-    doc["hosts"] = [{"id": h.id, "role": h.role} for h in scenario.hosts]
-    doc["links"] = [{"from": ln.from_host, "to": ln.to_host,
-                     "bandwidth_mbps": ln.bandwidth_mbps,
-                     "latency_s": ln.latency_s} for ln in scenario.links]
-    doc["ms_profiles"] = [
-        {"id": p.id,
-         "state_size_bytes": p.profile.state_size_bytes,
-         "page_size_bytes": p.profile.page_size_bytes,
-         "dirty_rate_norm": p.profile.dirty_rate_norm,
-         "cpu_context_bytes": p.profile.cpu_context_bytes,
-         "dirty_rate_pages_per_s": p.dirty_rate_pages_per_s}
-        for p in scenario.ms_profiles]
-    doc["model_params"] = {name: getattr(scenario.model_params, name)
-                           for name in _PARAM_FIELDS}
-    if scenario.task is not None:
-        task = scenario.task.task
-        task_doc: dict[str, Any] = {
-            "container_id": task.container_id,
-            "objective": task.objective.value,
-        }
-        if task.target_downtime_s is not None:
-            task_doc["target_downtime_s"] = task.target_downtime_s
-        if task.target_duration_s is not None:
-            task_doc["target_duration_s"] = task.target_duration_s
-        task_doc.update({
-            "ms_profile": scenario.task.ms_profile_id,
-            "source": task.source_agent,
-            "destination": task.destination_agent,
-            "client": scenario.task.client,
-            "orchestrator": scenario.task.orchestrator,
-        })
-        doc["task"] = task_doc
-    if scenario.sweep is not None:
-        doc["sweep"] = {"variable": scenario.sweep.variable,
-                        "from_s": scenario.sweep.from_s,
-                        "to_s": scenario.sweep.to_s,
-                        "step_s": scenario.sweep.step_s,
-                        "profiles": list(scenario.sweep.profiles)}
-    if scenario.bandwidth_distribution is not None:
-        dist = scenario.bandwidth_distribution
-        doc["bandwidth_distribution"] = {
-            "mean_mbps": dist.mean_bytes_per_s / BYTES_PER_S_PER_MBPS,
-            "std_mbps": dist.std_bytes_per_s / BYTES_PER_S_PER_MBPS,
-            "lower_mbps": dist.lower_bytes_per_s / BYTES_PER_S_PER_MBPS,
-            "upper_mbps": dist.upper_bytes_per_s / BYTES_PER_S_PER_MBPS}
-    if scenario.dirty_samples:
-        doc["dirty_samples"] = [{"window_s": s.window_s,
-                                 "pages_modified": s.pages_modified}
-                                for s in scenario.dirty_samples]
-    if scenario.calibration_runs:
-        doc["calibration_runs"] = [
-            {"image_bytes": r.image_bytes,
-             "checkpoint_s": r.checkpoint_s,
-             "restore_s": r.restore_s,
-             "transfer_s": r.transfer_s,
-             "bandwidth_mbps": r.bandwidth_bytes_per_s / BYTES_PER_S_PER_MBPS}
-            for r in scenario.calibration_runs]
-    return doc
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:

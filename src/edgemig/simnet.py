@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import agents as ag
-from .bus import BusMessage, MessageKind, topic_role
+from .bus import BusMessage, MessageKind
 from .errors import DomainError, ScenarioError
 from .model import (
     ModelParams,
@@ -294,14 +294,13 @@ class _Sim:
     # -- routing ------------------------------------------------------
 
     def _receivers(self, msg: BusMessage) -> list[str]:
-        if msg.kind is MessageKind.PUBLISH:
-            return self.subscribers[msg.topic]
+        if msg.kind is MessageKind.REPLY:
+            # A reply to no outstanding query raises KeyError rather than
+            # being counted and delivered to nobody.
+            return [self.outstanding_queries[msg.correlation_id]]
         if msg.kind is MessageKind.QUERY:
             self.outstanding_queries[msg.topic] = msg.sender
-            return [self.role_to_agent[ag.Role(topic_role(msg.topic))]]
-        # A reply to no outstanding query raises KeyError rather than being
-        # counted and delivered to nobody.
-        return [self.outstanding_queries[msg.correlation_id]]
+        return self.subscribers[msg.topic]
 
     def _latency(self, sender: str, receiver: str) -> float:
         """Propagation delay of a delivery, looked up once per pair."""

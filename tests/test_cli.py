@@ -225,3 +225,14 @@ def test_nan_in_scenario_is_a_usage_error(tmp_path, capsys, section, key):
     assert run(["simulate", "--scenario", str(scenario)]) == 2
     assert f"{section}[0].{key}: nan is not a finite number" \
         in capsys.readouterr().err
+
+
+def test_number_written_as_a_string_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(Path(DEMO).read_text())
+    for link in doc["links"]:
+        link["latency_s"] = "NaN"
+    scenario = tmp_path / "nan.json"
+    scenario.write_text(json.dumps(doc))
+    assert run(["simulate", "--scenario", str(scenario)]) == 2
+    assert "links[0].latency_s: expected a number, got 'NaN'" \
+        in capsys.readouterr().err

@@ -314,3 +314,68 @@ def test_document_without_defaulted_keys_saves_to_a_fixed_point(raw):
     assert saved["model_params"] == dict.fromkeys(
         ModelParams.__dataclass_fields__, 0.0)
     assert dumps_scenario(parse_scenario(saved)) == text
+
+
+# ---------------------------------------------------------------------------
+# Every field is checked against its kind
+
+
+def _set_everywhere(raw, section, key, value):
+    items = raw[section] if isinstance(raw[section], list) else [raw[section]]
+    for item in items:
+        item[key] = value
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("links", "latency_s", "NaN", "links[0].latency_s: expected a number"),
+    ("ms_profiles", "state_size_bytes", 10485760.7,
+     "ms_profiles[0].state_size_bytes must be a whole number"),
+    ("ms_profiles", "page_size_bytes", True,
+     "ms_profiles[0].page_size_bytes must be a whole number"),
+    ("hosts", "id", 7, "hosts[0].id: expected a string"),
+    ("sweep", "profiles", "stream-analytics",
+     "sweep.profiles: expected a list of strings"),
+    ("task", "objective", "fastest", "task.objective: expected one of"),
+    ("task", "target_duration_s", None,
+     "task.target_duration_s: expected a number"),
+    ("model_params", "ckpt_fixed_s", "0.5",
+     "model_params.ckpt_fixed_s: expected a number"),
+])
+def test_field_of_the_wrong_kind_rejected_with_its_key_path(
+        raw, section, key, value, message):
+    _set_everywhere(raw, section, key, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}"):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("hosts", "edge-a", "hosts: expected a list"),
+    ("hosts", [{"id": "a", "role": "source"}, {"role": "client"}],
+     "hosts[1]: missing key 'id'"),
+    ("links", {"from": "edge-a"}, "links: expected a list"),
+    ("dirty_samples", [{"window_s": 1.0}, "x"],
+     "dirty_samples[0]: missing key 'pages_modified'"),
+    ("calibration_runs", [7], "calibration_runs[0]: expected an object"),
+    ("task", [], "task: expected an object"),
+])
+def test_section_of_the_wrong_shape_rejected_with_its_key_path(
+        raw, section, value, message):
+    raw[section] = value
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}"):
+        parse_scenario(raw)
+
+
+def test_whole_valued_floats_accepted_as_whole_numbers(raw):
+    raw["ms_profiles"][0]["state_size_bytes"] = 10485760.0
+    raw["dirty_samples"][0]["pages_modified"] = 3.0
+    scenario = parse_scenario(raw)
+    assert scenario.ms_profiles[0].profile.state_size_bytes == 10485760
+    assert isinstance(scenario.dirty_samples[0].pages_modified, int)
+
+
+def test_second_link_between_the_same_hosts_rejected(raw):
+    raw["links"].append({"from": "edge-b", "to": "edge-a",
+                         "bandwidth_mbps": 10.0, "latency_s": 0.5})
+    with pytest.raises(ScenarioError,
+                       match="two links between 'edge-b' and 'edge-a'"):
+        parse_scenario(raw)
