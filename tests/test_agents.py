@@ -204,20 +204,52 @@ def test_source_unexpected_event_fails_with_diagnostic():
     assert any(isinstance(a, ag.Diagnostic) for a in actions)
 
 
-def test_source_watchdog_and_stale_timers():
-    info = task_info()
+def _armed_source(info):
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
-    state, actions = ag.advance(
+    # The checkpoint ends before the destination's query: a passive wait.
+    return ag.advance(
         state, ag.WorkDone(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
+
+
+def _armed_destination(info):
+    return ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+                      task_message(info))
+
+
+def _armed_client(info):
+    return ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
+                      task_message(info))
+
+
+def _armed_orchestrator(info):
+    state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
+    return ag.advance(state, ag.Kickoff())
+
+
+ARM_WATCHDOG = {
+    ag.Role.SOURCE: _armed_source,
+    ag.Role.DESTINATION: _armed_destination,
+    ag.Role.CLIENT: _armed_client,
+    ag.Role.ORCHESTRATOR: _armed_orchestrator,
+}
+
+
+@pytest.mark.parametrize("role", list(ag.Role), ids=lambda r: r.value)
+def test_watchdog_and_stale_timers(role):
+    info = task_info()
+    state, actions = ARM_WATCHDOG[role](info)
     [timer] = timers(actions)
-    # A stale token is ignored outright.
-    state2, actions2 = ag.advance(state, ag.TimerFired("src:guard:notarmed"))
-    assert state2 == state and actions2 == []
+    # A token that is not armed is ignored outright.
+    stale, stale_actions = ag.advance(
+        state, ag.TimerFired(f"{state.agent_id}:guard:notarmed"))
+    assert stale == state and stale_actions == []
     # The armed token diagnoses the stall.
-    state3, _ = ag.advance(state, ag.TimerFired(timer.token))
-    assert state3.phase.kind is ag.PhaseKind.FAILED
-    assert "timed out" in state3.diagnostic
+    failed, failed_actions = ag.advance(state, ag.TimerFired(timer.token))
+    assert failed.phase.kind is ag.PhaseKind.FAILED
+    assert "timed out" in failed.diagnostic
+    assert [m.topic for m in sends(failed_actions)] == [
+        ag.failed_topic("t1", role)]
 
 
 def test_terminal_phases_absorb_everything():
