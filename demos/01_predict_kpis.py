@@ -38,5 +38,5 @@ for iterations in (0, 2, 5, 10):
           f"{kpis.bytes_transferred / 1e6:6.2f} MB")
 
 # A 30 fps video consumer sees the downtime as dropped frames.
-print(f"\nframes lost at 30 fps: cold {frame_loss(cold.downtime_s, 30)}, "
-      f"pre-copy {frame_loss(precopy_kpis(profile, params, bandwidth).downtime_s, 30)}")
+print(f"\nframes lost at 30 fps: cold {frame_loss(30, cold.downtime_s)}, "
+      f"pre-copy {frame_loss(30, precopy_kpis(profile, params, bandwidth).downtime_s)}")

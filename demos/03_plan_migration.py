@@ -1,4 +1,4 @@
-"""Configure a migration from aggregated agent metrics.
+"""Configure a migration from the scenario's metrics.
 
 Shows the two objectives side by side: minimizing downtime under a
 duration budget picks an iteration count; minimizing resources under a

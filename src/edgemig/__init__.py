@@ -18,7 +18,6 @@ from .agents import (
 from .errors import (
     CalibrationError,
     DomainError,
-    IncompleteMetricsError,
     MissingFlowError,
     ScenarioError,
 )
@@ -39,14 +38,12 @@ from .model import (
     strategy_kpis,
 )
 from .orchestrator import (
-    AgentReport,
     BandwidthDistribution,
     MetricsView,
     MigrationConfig,
     MigrationTask,
     Objective,
     StrategyDistribution,
-    aggregate,
     design,
     strategy_distribution,
 )
@@ -80,7 +77,6 @@ from .simnet import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentReport",
     "BandwidthDistribution",
     "BYTES_PER_S_PER_MBPS",
     "CalibrationError",
@@ -94,7 +90,6 @@ __all__ = [
     "DomainError",
     "DropRule",
     "FlowTable",
-    "IncompleteMetricsError",
     "Kpis",
     "MetricsView",
     "MigrationConfig",
@@ -112,7 +107,6 @@ __all__ = [
     "StrategyKind",
     "SweepSpec",
     "SyntheticWorkload",
-    "aggregate",
     "calibration_fit",
     "cold_kpis",
     "design",

@@ -40,7 +40,10 @@ to arm), and the simulator or any other driver executes those actions. An
 event that is not legal in the current phase moves the agent to Failed and
 emits a diagnostic; nothing is dropped silently. Agents arm a watchdog
 whenever they wait on a peer, so a lost message turns into a diagnosed
-failure rather than a hang.
+failure rather than a hang. Timers are handled in :func:`advance` for all
+four roles: the armed watchdog fails the agent, the destination's restore
+timer goes on to its role function, and any other token (a watchdog since
+disarmed or replaced) is ignored.
 """
 
 from __future__ import annotations
@@ -311,7 +314,6 @@ class AgentState:
     guard_seq: int = 0
     # Source side.
     ns_query_seen: bool = False
-    ns_replied: bool = False
     preckpt_bytes: Optional[float] = None
     round_bytes: float = 0.0
     # Destination side.
@@ -327,14 +329,18 @@ def idle_agent(role: Role, agent_id: str) -> AgentState:
     return AgentState(role=role, agent_id=agent_id)
 
 
+def _send(state: AgentState, kind: MessageKind, topic: str,
+          payload_bytes: float = 0.0, **headers) -> Send:
+    return Send(BusMessage(kind=kind, topic=topic, sender=state.agent_id,
+                           payload_bytes=payload_bytes, headers=headers))
+
+
 def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
     actions: list[Action] = [Diagnostic(reason)]
     if state.info is not None:
-        actions.append(Send(BusMessage(
-            kind=MessageKind.PUBLISH,
-            topic=failed_topic(state.info.task_id, state.role),
-            sender=state.agent_id,
-            headers={"reason": reason})))
+        actions.append(_send(state, MessageKind.PUBLISH,
+                             failed_topic(state.info.task_id, state.role),
+                             reason=reason))
     return replace(state, phase=FAILED, diagnostic=reason), actions
 
 
@@ -346,8 +352,9 @@ def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Actio
     return _fail(state, f"unexpected {what} in phase {state.phase}")
 
 
-def _arm(state: AgentState, actions: list[Action], **changes) -> AgentState:
-    """Arm the watchdog for the phase the agent is now waiting in.
+def _arm(state: AgentState, *sent: Action, **changes
+         ) -> tuple[AgentState, list[Action]]:
+    """Emit ``sent``, then arm the watchdog for the phase now waited in.
 
     ``changes`` are the transition's other field updates, applied in the
     same copy; the new guard replaces any armed one.
@@ -355,32 +362,39 @@ def _arm(state: AgentState, actions: list[Action], **changes) -> AgentState:
     info = changes.get("info", state.info)
     assert info is not None
     token = f"{state.agent_id}:guard:{state.guard_seq}"
-    actions.append(SetTimer(delay_s=info.watchdog_s, token=token))
-    return replace(state, guard=token, guard_seq=state.guard_seq + 1,
-                   **changes)
-
-
-def _watchdog_fired(state: AgentState, event: TimerFired) -> bool:
-    return state.guard is not None and event.token == state.guard
+    return (replace(state, guard=token, guard_seq=state.guard_seq + 1,
+                    **changes),
+            [*sent, SetTimer(delay_s=info.watchdog_s, token=token)])
 
 
 # --------------------------------------------------------------------------
 # Source
 
 
-def _source_stopcopy_actions(state: AgentState, **changes
-                             ) -> tuple[AgentState, list[Action]]:
-    """Freeze the service and start the stop-and-copy checkpoint.
+def _source_stop_copy(state: AgentState, *sent: Action, **changes
+                      ) -> tuple[AgentState, list[Action]]:
+    """Emit ``sent``, then freeze the service for the stop-and-copy checkpoint.
 
     ``changes`` are the transition's other field updates, as for :func:`_arm`.
     """
     info = changes.get("info", state.info)
     sizing = (WorkSizing.FULL_STATE if info.strategy is StrategyKind.COLD
               else WorkSizing.DIRTY_PLUS_CONTEXT)
-    actions: list[Action] = [StartWork(WorkKind.STOP_CHECKPOINT, sizing)]
     return (replace(state, guard=None,
                     phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT), **changes),
-            actions)
+            [*sent, StartWork(WorkKind.STOP_CHECKPOINT, sizing)])
+
+
+def _source_image_sent(state: AgentState, reply: Send, done_round: int
+                       ) -> tuple[AgentState, list[Action]]:
+    """Pre-copy round ``done_round`` is shipped (0: the initial image):
+    checkpoint the next round, or stop and copy after the last."""
+    if done_round >= state.info.iterations:
+        return _source_stop_copy(state, reply)
+    next_round = done_round + 1
+    return (replace(state, phase=Phase(PhaseKind.PRE_COPY_ROUND, next_round)),
+            [reply, StartWork(WorkKind.ROUND_CHECKPOINT, WorkSizing.DIRTY_SET,
+                              round=next_round)])
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -392,13 +406,10 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
                 and info is None):
             new_info = msg.headers["task"]
-            started = Send(BusMessage(
-                kind=MessageKind.PUBLISH,
-                topic=started_topic(new_info.task_id),
-                sender=state.agent_id))
+            started = _send(state, MessageKind.PUBLISH,
+                            started_topic(new_info.task_id))
             if new_info.strategy is StrategyKind.COLD:
-                state, actions = _source_stopcopy_actions(state, info=new_info)
-                return state, [started] + actions
+                return _source_stop_copy(state, started, info=new_info)
             work = StartWork(WorkKind.PRE_CHECKPOINT, WorkSizing.FULL_STATE)
             return (replace(state, info=new_info,
                             phase=Phase(PhaseKind.PRE_COPY_ROUND, 0)),
@@ -413,13 +424,8 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 # Nothing rides along; answer straight away.
                 if phase.kind in (PhaseKind.STOP_COPY_CHECKPOINT,
                                   PhaseKind.NAMESPACE_TRANSITION):
-                    reply = Send(BusMessage(
-                        kind=MessageKind.REPLY,
-                        topic=msg.topic,
-                        sender=state.agent_id,
-                        correlation_id=msg.topic,
-                        headers={"ns_config": info.ns_config}))
-                    return replace(state, ns_replied=True), [reply]
+                    return state, [_send(state, MessageKind.REPLY, msg.topic,
+                                         ns_config=info.ns_config)]
                 return _unexpected(state, event)
             if phase != Phase(PhaseKind.PRE_COPY_ROUND, 0):
                 return _unexpected(state, event)
@@ -447,61 +453,32 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 return (replace(state, preckpt_bytes=event.bytes),
                         [StartWork(WorkKind.TRANSFER_INITIAL,
                                    WorkSizing.GIVEN, bytes=event.bytes)])
-            actions: list[Action] = []
             # waiting for the destination query
-            state = _arm(state, actions, preckpt_bytes=event.bytes)
-            return state, actions
+            return _arm(state, preckpt_bytes=event.bytes)
 
         if event.kind is WorkKind.TRANSFER_INITIAL \
                 and phase == Phase(PhaseKind.PRE_COPY_ROUND, 0):
-            reply = Send(BusMessage(
-                kind=MessageKind.REPLY,
-                topic=nsconfig_topic(info.task_id),
-                sender=state.agent_id,
-                payload_bytes=event.bytes,
-                correlation_id=nsconfig_topic(info.task_id),
-                headers={"ns_config": info.ns_config,
-                         "image_bytes": event.bytes}))
-            if info.iterations >= 1:
-                work = StartWork(WorkKind.ROUND_CHECKPOINT, WorkSizing.DIRTY_SET,
-                                 round=1)
-                return (replace(state, ns_replied=True,
-                                phase=Phase(PhaseKind.PRE_COPY_ROUND, 1)),
-                        [reply, work])
-            state, actions = _source_stopcopy_actions(state, ns_replied=True)
-            return state, [reply] + actions
+            reply = _send(state, MessageKind.REPLY, nsconfig_topic(info.task_id),
+                          event.bytes, ns_config=info.ns_config,
+                          image_bytes=event.bytes)
+            return _source_image_sent(state, reply, 0)
 
         if event.kind is WorkKind.ROUND_CHECKPOINT \
                 and phase == Phase(PhaseKind.PRE_COPY_ROUND, event.round):
-            ready = Send(BusMessage(
-                kind=MessageKind.PUBLISH,
-                topic=round_ready_topic(info.task_id, event.round),
-                sender=state.agent_id,
-                headers={"round": event.round, "image_bytes": event.bytes}))
-            actions = [ready]
-            state = _arm(state, actions,  # waiting for the pull query
-                         round_bytes=event.bytes,
-                         phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round))
-            return state, actions
+            ready = _send(state, MessageKind.PUBLISH,
+                          round_ready_topic(info.task_id, event.round),
+                          round=event.round, image_bytes=event.bytes)
+            return _arm(state, ready,  # waiting for the pull query
+                        round_bytes=event.bytes,
+                        phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round))
 
         if event.kind is WorkKind.TRANSFER_ROUND \
                 and phase == Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round):
-            reply = Send(BusMessage(
-                kind=MessageKind.REPLY,
-                topic=round_image_topic(info.task_id, event.round),
-                sender=state.agent_id,
-                payload_bytes=event.bytes,
-                correlation_id=round_image_topic(info.task_id, event.round),
-                headers={"round": event.round, "image_bytes": event.bytes}))
-            if event.round < info.iterations:
-                next_round = event.round + 1
-                work = StartWork(WorkKind.ROUND_CHECKPOINT, WorkSizing.DIRTY_SET,
-                                 round=next_round)
-                return (replace(state,
-                                phase=Phase(PhaseKind.PRE_COPY_ROUND, next_round)),
-                        [reply, work])
-            state, actions = _source_stopcopy_actions(state)
-            return state, [reply] + actions
+            reply = _send(state, MessageKind.REPLY,
+                          round_image_topic(info.task_id, event.round),
+                          event.bytes, round=event.round,
+                          image_bytes=event.bytes)
+            return _source_image_sent(state, reply, event.round)
 
         if event.kind is WorkKind.STOP_CHECKPOINT \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT:
@@ -510,12 +487,8 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 
         if event.kind is WorkKind.TRANSFER_STOPCOPY \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT:
-            push = Send(BusMessage(
-                kind=MessageKind.PUBLISH,
-                topic=stopcopy_topic(info.task_id),
-                sender=state.agent_id,
-                payload_bytes=event.bytes,
-                headers={"image_bytes": event.bytes}))
+            push = _send(state, MessageKind.PUBLISH, stopcopy_topic(info.task_id),
+                         event.bytes, image_bytes=event.bytes)
             work = StartWork(WorkKind.NS_CLEAR, WorkSizing.NONE)
             return (replace(state, phase=Phase(PhaseKind.NAMESPACE_TRANSITION)),
                     [push, work])
@@ -523,12 +496,6 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         if event.kind is WorkKind.NS_CLEAR \
                 and phase.kind is PhaseKind.NAMESPACE_TRANSITION:
             return replace(state, phase=DONE), []
-        return _unexpected(state, event)
-
-    if isinstance(event, TimerFired):
-        if _watchdog_fired(state, event):
-            return _fail(state, f"timed out waiting in phase {phase}")
-        return state, []
     return _unexpected(state, event)
 
 
@@ -544,12 +511,22 @@ def _dest_maybe_transition(state: AgentState, **changes
     """
     if changes.get("sc_bytes", state.sc_bytes) is None \
             or changes.get("ns_config", state.ns_config) is None:
-        actions: list[Action] = []
-        state = _arm(state, actions, **changes)
-        return state, actions
+        return _arm(state, **changes)
     return (replace(state, guard=None,
                     phase=Phase(PhaseKind.NAMESPACE_TRANSITION), **changes),
             [StartWork(WorkKind.NS_RECREATE, WorkSizing.NONE)])
+
+
+def _dest_image_received(state: AgentState, done_round: int, **changes
+                         ) -> tuple[AgentState, list[Action]]:
+    """Pre-copy round ``done_round`` is here (0: the initial image): wait
+    for the next round's announcement, or the stop-and-copy image after the
+    last. ``changes`` are as for :func:`_arm`."""
+    if done_round < state.info.iterations:
+        next_phase = Phase(PhaseKind.PRE_COPY_ROUND, done_round + 1)
+    else:
+        next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
+    return _arm(state, phase=next_phase, **changes)
 
 
 def _advance_destination(state: AgentState, event: Event
@@ -562,17 +539,13 @@ def _advance_destination(state: AgentState, event: Event
         if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
                 and info is None):
             new_info = msg.headers["task"]
-            query = Send(BusMessage(
-                kind=MessageKind.QUERY,
-                topic=nsconfig_topic(new_info.task_id),
-                sender=state.agent_id))
+            query = _send(state, MessageKind.QUERY,
+                          nsconfig_topic(new_info.task_id))
             if new_info.strategy is StrategyKind.COLD:
                 next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
             else:
                 next_phase = Phase(PhaseKind.PRE_COPY_ROUND, 0)
-            actions: list[Action] = [query]
-            state = _arm(state, actions, info=new_info, phase=next_phase)
-            return state, actions
+            return _arm(state, query, info=new_info, phase=next_phase)
 
         if info is None:
             return _unexpected(state, event)
@@ -587,37 +560,21 @@ def _advance_destination(state: AgentState, event: Event
                     state, ns_config=str(msg.headers["ns_config"]))
             if phase != Phase(PhaseKind.PRE_COPY_ROUND, 0):
                 return _unexpected(state, event)
-            if info.iterations >= 1:
-                next_phase = Phase(PhaseKind.PRE_COPY_ROUND, 1)
-            else:
-                next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
-            actions = []
-            state = _arm(state, actions, phase=next_phase,
-                         ns_config=str(msg.headers["ns_config"]))
-            return state, actions
+            return _dest_image_received(
+                state, 0, ns_config=str(msg.headers["ns_config"]))
 
         if msg.kind is MessageKind.PUBLISH \
                 and phase.kind is PhaseKind.PRE_COPY_ROUND and phase.round >= 1 \
                 and msg.topic == round_ready_topic(info.task_id, phase.round):
-            pull = Send(BusMessage(
-                kind=MessageKind.QUERY,
-                topic=round_image_topic(info.task_id, phase.round),
-                sender=state.agent_id))
-            actions = [pull]
-            state = _arm(state, actions,
-                         phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, phase.round))
-            return state, actions
+            pull = _send(state, MessageKind.QUERY,
+                         round_image_topic(info.task_id, phase.round))
+            return _arm(state, pull,
+                        phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, phase.round))
 
         if msg.kind is MessageKind.REPLY \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
                 and msg.topic == round_image_topic(info.task_id, phase.round):
-            if phase.round < info.iterations:
-                next_phase = Phase(PhaseKind.PRE_COPY_ROUND, phase.round + 1)
-            else:
-                next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
-            actions = []
-            state = _arm(state, actions, phase=next_phase)
-            return state, actions
+            return _dest_image_received(state, phase.round)
 
         if msg.kind is MessageKind.PUBLISH \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT \
@@ -630,10 +587,8 @@ def _advance_destination(state: AgentState, event: Event
     if isinstance(event, WorkDone):
         if event.kind is WorkKind.NS_RECREATE \
                 and phase.kind is PhaseKind.NAMESPACE_TRANSITION:
-            ready = Send(BusMessage(
-                kind=MessageKind.PUBLISH,
-                topic=ns_ready_topic(info.task_id),
-                sender=state.agent_id))
+            ready = _send(state, MessageKind.PUBLISH,
+                          ns_ready_topic(info.task_id))
             # The flow update happens client-side; it is complete one
             # propagation delay plus the update cost after this
             # publication, which is when the restore may begin.
@@ -646,22 +601,16 @@ def _advance_destination(state: AgentState, event: Event
 
         if event.kind is WorkKind.RESTORE \
                 and phase.kind is PhaseKind.AWAIT_RESTORE:
-            done = Send(BusMessage(
-                kind=MessageKind.PUBLISH,
-                topic=done_topic(info.task_id),
-                sender=state.agent_id))
+            done = _send(state, MessageKind.PUBLISH, done_topic(info.task_id))
             return replace(state, phase=DONE), [done]
         return _unexpected(state, event)
 
     if isinstance(event, TimerFired):
-        if state.restore_token is not None and event.token == state.restore_token \
-                and phase.kind is PhaseKind.AWAIT_RESTORE:
-            return (replace(state, restore_token=None),
-                    [StartWork(WorkKind.RESTORE, WorkSizing.GIVEN,
-                               bytes=state.sc_bytes)])
-        if _watchdog_fired(state, event):
-            return _fail(state, f"timed out waiting in phase {phase}")
-        return state, []
+        # advance() passes on only the restore token, which is armed on
+        # entering AWAIT_RESTORE and cleared here.
+        return (replace(state, restore_token=None),
+                [StartWork(WorkKind.RESTORE, WorkSizing.GIVEN,
+                           bytes=state.sc_bytes)])
     return _unexpected(state, event)
 
 
@@ -680,9 +629,7 @@ def _advance_client(state: AgentState, event: Event
                 and info is None):
             new_info = msg.headers["task"]
             table = FlowTable(entries={new_info.connection: new_info.source})
-            actions: list[Action] = []
-            state = _arm(state, actions, info=new_info, flow_table=table)
-            return state, actions
+            return _arm(state, info=new_info, flow_table=table)
 
         if info is not None and msg.kind is MessageKind.PUBLISH \
                 and phase.kind is PhaseKind.IDLE \
@@ -690,7 +637,6 @@ def _advance_client(state: AgentState, event: Event
             state = replace(state, guard=None,
                             phase=Phase(PhaseKind.NAMESPACE_TRANSITION))
             return state, [StartWork(WorkKind.FLOW_UPDATE, WorkSizing.NONE)]
-        return _unexpected(state, event)
 
     if isinstance(event, WorkDone):
         if event.kind is WorkKind.FLOW_UPDATE \
@@ -698,12 +644,6 @@ def _advance_client(state: AgentState, event: Event
             table = update_flow(state.flow_table, info.connection,
                                 info.destination)
             return replace(state, flow_table=table, phase=DONE), []
-        return _unexpected(state, event)
-
-    if isinstance(event, TimerFired):
-        if _watchdog_fired(state, event):
-            return _fail(state, f"timed out waiting in phase {phase}")
-        return state, []
     return _unexpected(state, event)
 
 
@@ -719,19 +659,12 @@ def _advance_orchestrator(state: AgentState, event: Event
     if isinstance(event, Kickoff):
         if phase.kind is not PhaseKind.IDLE or info is None:
             return _unexpected(state, event)
-        pub = Send(BusMessage(
-            kind=MessageKind.PUBLISH,
-            topic=task_topic(info.task_id),
-            sender=state.agent_id,
-            headers={"task": info}))
-        actions: list[Action] = [pub]
-        state = _arm(state, actions)  # expect the start announcement
-        return state, actions
+        pub = _send(state, MessageKind.PUBLISH, task_topic(info.task_id),
+                    task=info)
+        return _arm(state, pub)  # expect the start announcement
 
-    if isinstance(event, MessageEvent):
+    if isinstance(event, MessageEvent) and info is not None:
         msg = event.message
-        if info is None:
-            return _unexpected(state, event)
         if msg.topic.endswith("/failed") and msg.kind is MessageKind.PUBLISH:
             reason = str(msg.headers.get("reason", "agent failure"))
             return (replace(state, phase=FAILED,
@@ -740,20 +673,12 @@ def _advance_orchestrator(state: AgentState, event: Event
         if msg.kind is MessageKind.PUBLISH \
                 and msg.topic == started_topic(info.task_id) \
                 and phase.kind is PhaseKind.IDLE:
-            actions = []
             # expect the completion notice
-            state = _arm(state, actions, phase=Phase(PhaseKind.AWAIT_RESTORE))
-            return state, actions
+            return _arm(state, phase=Phase(PhaseKind.AWAIT_RESTORE))
         if msg.kind is MessageKind.PUBLISH \
                 and msg.topic == done_topic(info.task_id) \
                 and phase.kind is PhaseKind.AWAIT_RESTORE:
             return replace(state, guard=None, phase=DONE), []
-        return _unexpected(state, event)
-
-    if isinstance(event, TimerFired):
-        if _watchdog_fired(state, event):
-            return _fail(state, f"timed out waiting in phase {phase}")
-        return state, []
     return _unexpected(state, event)
 
 
@@ -772,11 +697,19 @@ _ROLE_DISPATCH = {
 def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     """One transition of an agent's state machine.
 
-    Terminal phases absorb every event. Any event that the current phase
-    has no transition for fails the agent with a diagnostic.
+    Terminal phases absorb every event. Watchdogs are handled here for
+    every role: the armed guard fails the agent, the destination's restore
+    timer goes on to its role, and any other token is ignored. Any other
+    event that the current phase has no transition for fails the agent
+    with a diagnostic.
     """
     if state.phase.kind in TERMINAL_PHASES:
         return state, []
+    if isinstance(event, TimerFired):
+        if event.token == state.guard:
+            return _fail(state, f"timed out waiting in phase {state.phase}")
+        if event.token != state.restore_token:
+            return state, []
     return _ROLE_DISPATCH[state.role](state, event)
 
 

@@ -2,9 +2,10 @@
 
 The protocol runs over a topic-based bus with three message kinds:
 publications (fan out to subscribers), queries (routed to the agent that
-owns the topic), and replies (routed back to the querier via a correlation
-id). Topics follow the scheme ``mig/{task_id}/{role}/{name}``; the role
-segment names the agent that owns or emits on the subtree.
+owns the topic), and replies (routed back to the querier of their topic,
+since a reply travels on the topic of the query it answers). Topics follow
+the scheme ``mig/{task_id}/{role}/{name}``; the role segment names the
+agent that owns or emits on the subtree.
 
 Which roles receive a publication or a query is written down once, in
 :func:`edgemig.agents.subscriptions`; no topic string is taken apart.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import DomainError
 
@@ -37,14 +38,13 @@ class BusMessage:
 
     payload_bytes is the bulk size riding along (zero for pure signaling),
     headers carry typed metadata (round index, image size, reason, task).
-    Replies always reference exactly one query through correlation_id.
+    A reply carries the topic of the one query it answers.
     """
 
     kind: MessageKind
     topic: str
     sender: str
     payload_bytes: float = 0.0
-    correlation_id: Optional[str] = None
     headers: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -52,10 +52,6 @@ class BusMessage:
             raise DomainError("topic must be non-empty")
         if self.payload_bytes < 0:
             raise DomainError("payload_bytes must be >= 0")
-        if self.kind is MessageKind.REPLY and not self.correlation_id:
-            raise DomainError("a reply must carry a correlation id")
-        if self.kind is not MessageKind.REPLY and self.correlation_id:
-            raise DomainError("only replies carry correlation ids")
 
 
 def topic(task_id: str, role: str, *name: object) -> str:

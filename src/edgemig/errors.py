@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An input is outside the domain a function is defined on."""
 
 
-class IncompleteMetricsError(DomainError):
-    """Aggregation cannot produce a metrics view (missing reports)."""
-
-
 class CalibrationError(DomainError):
     """A parameter fit is under-determined or otherwise impossible."""
 

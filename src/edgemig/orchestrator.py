@@ -1,8 +1,8 @@
-"""Migration configuration design and metrics aggregation.
+"""Migration configuration design.
 
-The designer turns a migration task plus an aggregated metrics view into a
-concrete configuration (strategy, iteration count, bandwidth allocation)
-according to the declared objective:
+The designer turns a migration task plus a metrics view into a concrete
+configuration (strategy, iteration count, bandwidth allocation) according
+to the declared objective:
 
 * minimize resources: pick the cold strategy and allocate the least
   bandwidth that still meets the downtime target;
@@ -18,13 +18,13 @@ minimize-downtime it is a cold migration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, IncompleteMetricsError
+from .errors import DomainError
 from .model import (
     DEFAULT_ITERATION_CAP,
     Kpis,
@@ -39,9 +39,6 @@ from .model import (
     min_bandwidth,
     precopy_kpis,
 )
-
-DEFAULT_STALENESS_HORIZON_S = 60.0
-
 
 class Objective(str, Enum):
     MINIMIZE_RESOURCES = "minimize_resources"
@@ -76,72 +73,15 @@ class MigrationTask:
 
 @dataclass(frozen=True, slots=True)
 class MetricsView:
-    """Aggregated inputs the designer works from."""
+    """Inputs the designer works from."""
 
     profile: MsProfile
     params: ModelParams
     available_bandwidth_bytes_per_s: float
-    stale: bool = False
 
     def __post_init__(self) -> None:
         if self.available_bandwidth_bytes_per_s <= 0:
             raise DomainError("available bandwidth must be > 0")
-
-
-@dataclass(frozen=True, slots=True)
-class AgentReport:
-    """Periodic state report published by one agent."""
-
-    agent_id: str
-    timestamp_s: float
-    profile: Optional[MsProfile] = None
-    params: Optional[ModelParams] = None
-    # Most recent bandwidth estimate towards each peer, bytes per second.
-    bandwidth_to: Mapping[str, float] = field(default_factory=dict)
-
-
-def aggregate(reports: Sequence[AgentReport], task: MigrationTask,
-              now_s: Optional[float] = None,
-              staleness_horizon_s: float = DEFAULT_STALENESS_HORIZON_S
-              ) -> MetricsView:
-    """Reduce agent reports to the designer's metrics view.
-
-    Recency wins: the newest source report supplies the profile, the newest
-    destination report supplies the fitted parameters (calibrated for that
-    restore side), and the newest source report carrying an estimate
-    towards the destination supplies the bandwidth. Contributing reports
-    older than the staleness horizon mark the view stale but are still
-    used. Raises IncompleteMetricsError when either side has not reported
-    the needed piece.
-    """
-
-    def newest(agent_id: str, have) -> Optional[AgentReport]:
-        candidates = [r for r in reports if r.agent_id == agent_id and have(r)]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda r: r.timestamp_s)
-
-    src_report = newest(task.source_agent, lambda r: r.profile is not None)
-    dst_report = newest(task.destination_agent, lambda r: r.params is not None)
-    bw_report = newest(task.source_agent,
-                       lambda r: task.destination_agent in r.bandwidth_to)
-    missing = [name for name, rep in (("source profile", src_report),
-                                      ("destination params", dst_report),
-                                      ("bandwidth estimate", bw_report))
-               if rep is None]
-    if missing:
-        raise IncompleteMetricsError(
-            "cannot aggregate metrics, missing: " + ", ".join(missing))
-    used = (src_report, dst_report, bw_report)
-    if now_s is None:
-        now_s = max(r.timestamp_s for r in used)
-    stale = any(now_s - r.timestamp_s > staleness_horizon_s for r in used)
-    return MetricsView(
-        profile=src_report.profile,
-        params=dst_report.params,
-        available_bandwidth_bytes_per_s=bw_report.bandwidth_to[
-            task.destination_agent],
-        stale=stale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,32 +103,27 @@ def design(task: MigrationTask, metrics: MetricsView,
     """Produce a migration configuration for a task. Pure function."""
     profile, params = metrics.profile, metrics.params
     available = metrics.available_bandwidth_bytes_per_s
-    if task.objective is Objective.MINIMIZE_RESOURCES:
-        needed = min_bandwidth(profile, params, task.target_downtime_s,
-                               available)
-        if needed is None:
-            return MigrationConfig(
-                strategy=StrategyChoice(StrategyKind.COLD),
-                bandwidth_bytes_per_s=available,
-                predicted=cold_kpis(profile, params, available),
-                target_met=False)
-        # A zero requirement only happens for an empty state; any allocation
-        # works then, so keep the full link.
-        bandwidth = needed if needed > 0 else available
+
+    def cold(bandwidth: float, target_met: bool) -> MigrationConfig:
         return MigrationConfig(
             strategy=StrategyChoice(StrategyKind.COLD),
             bandwidth_bytes_per_s=bandwidth,
             predicted=cold_kpis(profile, params, bandwidth),
-            target_met=True)
+            target_met=target_met)
+
+    if task.objective is Objective.MINIMIZE_RESOURCES:
+        needed = min_bandwidth(profile, params, task.target_downtime_s,
+                               available)
+        if needed is None:
+            return cold(available, False)
+        # A zero requirement only happens for an empty state; any allocation
+        # works then, so keep the full link.
+        return cold(needed if needed > 0 else available, True)
 
     choice = max_iterations(profile, params, available,
                             task.target_duration_s, iteration_cap)
     if choice is None:
-        return MigrationConfig(
-            strategy=StrategyChoice(StrategyKind.COLD),
-            bandwidth_bytes_per_s=available,
-            predicted=cold_kpis(profile, params, available),
-            target_met=False)
+        return cold(available, False)
     return MigrationConfig(
         strategy=choice,
         bandwidth_bytes_per_s=available,

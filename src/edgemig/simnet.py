@@ -297,7 +297,7 @@ class _Sim:
         if msg.kind is MessageKind.REPLY:
             # A reply to no outstanding query raises KeyError rather than
             # being counted and delivered to nobody.
-            return [self.outstanding_queries[msg.correlation_id]]
+            return [self.outstanding_queries[msg.topic]]
         if msg.kind is MessageKind.QUERY:
             self.outstanding_queries[msg.topic] = msg.sender
         return self.subscribers[msg.topic]

@@ -147,7 +147,7 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.WorkDone(ag.WorkKind.TRANSFER_ROUND, bytes=8192.0, round=1))
     [reply] = sends(actions)
-    assert reply.correlation_id == ag.round_image_topic("t1", 1)
+    assert reply.topic == ag.round_image_topic("t1", 1)
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 2)
 
     # Round 2 ends the pre-copy: next comes the stop-and-copy checkpoint.
@@ -270,7 +270,6 @@ def ns_reply(info, payload=0.0):
     return ag.MessageEvent(BusMessage(
         kind=MessageKind.REPLY, topic=ag.nsconfig_topic(info.task_id),
         sender="src", payload_bytes=payload,
-        correlation_id=ag.nsconfig_topic(info.task_id),
         headers={"ns_config": "netns:t1", "image_bytes": payload}))
 
 
@@ -309,7 +308,6 @@ def test_destination_full_walk_with_restore_timer():
     image = ag.MessageEvent(BusMessage(
         kind=MessageKind.REPLY, topic=ag.round_image_topic("t1", 1),
         sender="src", payload_bytes=8192.0,
-        correlation_id=ag.round_image_topic("t1", 1),
         headers={"round": 1, "image_bytes": 8192.0}))
     state, actions = ag.advance(state, image)
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT

@@ -1,4 +1,4 @@
-"""Tests for metrics aggregation, design, and the strategy distribution."""
+"""Tests for design and the strategy distribution."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edgemig.errors import DomainError, IncompleteMetricsError
+from edgemig.errors import DomainError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
     ModelParams,
@@ -20,13 +20,11 @@ from edgemig.model import (
     precopy_kpis,
 )
 from edgemig.orchestrator import (
-    AgentReport,
     BandwidthDistribution,
     MetricsView,
     MigrationTask,
     Objective,
     StrategyDistribution,
-    aggregate,
     design,
     strategy_distribution,
 )
@@ -77,46 +75,6 @@ def test_task_requires_matching_target():
                       destination_agent="a",
                       objective=Objective.MINIMIZE_RESOURCES,
                       target_downtime_s=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-
-
-def test_aggregate_takes_newest_pieces():
-    stale_profile = MsProfile(state_size_bytes=1, dirty_rate_norm=0.5)
-    reports = [
-        AgentReport("a", 10.0, profile=stale_profile,
-                    bandwidth_to={"b": 1.0}),
-        AgentReport("a", 20.0, profile=PROFILE, bandwidth_to={"b": GBPS}),
-        AgentReport("b", 15.0, params=PARAMS),
-        AgentReport("c", 99.0, params=ModelParams()),  # bystander
-    ]
-    got = aggregate(reports, md_task())
-    assert got.profile == PROFILE
-    assert got.params == PARAMS
-    assert got.available_bandwidth_bytes_per_s == GBPS
-    assert not got.stale  # now defaults to the newest used timestamp
-
-
-def test_aggregate_reports_missing_pieces():
-    reports = [AgentReport("a", 1.0, profile=PROFILE)]
-    with pytest.raises(IncompleteMetricsError) as err:
-        aggregate(reports, md_task())
-    text = str(err.value)
-    assert "destination params" in text and "bandwidth estimate" in text
-
-
-def test_aggregate_marks_stale_views():
-    reports = [
-        AgentReport("a", 0.0, profile=PROFILE, bandwidth_to={"b": GBPS}),
-        AgentReport("b", 200.0, params=PARAMS),
-    ]
-    got = aggregate(reports, md_task(), now_s=200.0, staleness_horizon_s=60.0)
-    assert got.stale
-    fresh = aggregate(reports, md_task(), now_s=200.0,
-                      staleness_horizon_s=500.0)
-    assert not fresh.stale
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ def test_reply_without_outstanding_query_is_not_dropped_silently():
                       (), None, False)
     with pytest.raises(KeyError):
         sim._send(BusMessage(kind=MessageKind.REPLY,
-                             topic="mig/ms-0/source/unasked", sender="a",
-                             correlation_id="mig/ms-0/source/unasked"))
+                             topic="mig/ms-0/source/unasked", sender="a"))
 
 
 @pytest.mark.parametrize("strategy,iters", [
