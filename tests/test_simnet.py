@@ -274,6 +274,43 @@ def test_bytes_accounting_matches_event_log():
     assert outcome.bytes_transferred >= scenario.ms_profiles[0].profile.state_size_bytes
 
 
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    (StrategyKind.ITERATIVE_PRE_COPY, 3),
+])
+def test_work_bytes_follow_their_kind(strategy, iters):
+    # Work items name only their kind; the simulator sizes each one.
+    scenario = make_scenario(dirty_rate=200.0, seed=5)
+    [sim_profile] = scenario.ms_profiles
+    profile = dataclasses.replace(sim_profile.profile, cpu_context_bytes=1500)
+    scenario = dataclasses.replace(scenario, ms_profiles=(
+        dataclasses.replace(sim_profile, profile=profile),))
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
+    assert outcome.completed
+
+    sized: dict[str, list[float]] = {}
+    for ev in outcome.events:
+        for act in ev.actions:
+            if "work" in act:
+                sized.setdefault(act["work"], []).append(act["bytes"])
+    state = profile.state_size_bytes
+    if strategy is StrategyKind.COLD:
+        image = state
+        assert "pre_checkpoint" not in sized
+    else:
+        assert outcome.dirty_pages_at_stopcopy > 0
+        image = (outcome.dirty_pages_at_stopcopy * profile.page_size_bytes
+                 + profile.cpu_context_bytes)
+        assert sized["pre_checkpoint"] == [state]
+        assert sized["transfer_initial"] == sized["pre_checkpoint"]
+    assert sized["stop_checkpoint"] == [image]
+    assert sized["transfer_stopcopy"] == sized["stop_checkpoint"]
+    assert len(sized.get("round_checkpoint", [])) == iters
+    assert sized.get("transfer_round") == sized.get("round_checkpoint")
+    assert sized["restore"] == [image]
+
+
 def test_dirty_runs_stay_within_worst_case_bounds():
     # The profiled (declared) rate dominates the actual write rate, so the
     # analytic prediction is a sound upper bound on 20 resampled runs.
