@@ -58,7 +58,7 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 
 def _load(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         check_seed(args.seed, "--seed")
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
@@ -312,14 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", required=True,
                        help="path to the scenario JSON file")
         p.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the scenario seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed")
 
     p = sub.add_parser("profile", help="estimate the dirty-page rate")
     common(p)

@@ -282,11 +282,8 @@ def min_bandwidth(profile: MsProfile, params: ModelParams,
     if available_bandwidth_bytes_per_s <= 0:
         raise DomainError("available bandwidth must be > 0")
     state = float(profile.state_size_bytes)
-    floor_s = (checkpoint_duration(params, state)
-               + params.ns_overhead_s
-               + params.transfer_signaling_s
-               + params.flow_update_s
-               + restore_duration(params, state))
+    # Cold downtime at infinite bandwidth, where state / inf is 0.0.
+    floor_s = sum(_downtime_terms(params, state, math.inf).values())
     if target_downtime_s <= floor_s:
         return None
     needed = state / (target_downtime_s - floor_s)
