@@ -9,16 +9,10 @@ discrete-event simulator (:mod:`edgemig.simnet`), scenario file handling
 (:mod:`edgemig.cli`).
 """
 
-from .agents import (
-    FlowTable,
-    ScheduledStep,
-    stopcopy_schedule,
-    update_flow,
-)
+from .agents import ScheduledStep, stopcopy_schedule
 from .errors import (
     CalibrationError,
     DomainError,
-    MissingFlowError,
     ScenarioError,
 )
 from .model import (
@@ -89,13 +83,11 @@ __all__ = [
     "DirtySample",
     "DomainError",
     "DropRule",
-    "FlowTable",
     "Kpis",
     "MetricsView",
     "MigrationConfig",
     "MigrationOutcome",
     "MigrationTask",
-    "MissingFlowError",
     "ModelParams",
     "MsProfile",
     "Objective",
@@ -126,5 +118,4 @@ __all__ = [
     "strategy_distribution",
     "strategy_kpis",
     "synthetic_dirty_trace",
-    "update_flow",
 ]

@@ -34,27 +34,29 @@ facts.
 Messages stay in process, so headers carry typed objects: the task
 publication hands every agent the frozen :class:`TaskInfo` itself.
 
-State machines are pure: :func:`advance` maps (state, event) to a new
-state plus a list of actions (messages to send, work items to run, timers
-to arm), and the simulator or any other driver executes those actions. An
-event that is not legal in the current phase moves the agent to Failed and
-emits a diagnostic; nothing is dropped silently. Agents arm a watchdog
-whenever they wait on a peer, so a lost message turns into a diagnosed
-failure rather than a hang. Timers are handled in :func:`advance` for all
-four roles: the armed watchdog fails the agent, the destination's restore
-timer goes on to its role function, and any other token (a watchdog since
-disarmed or replaced) is ignored.
+State machines are pure: :func:`advance` maps (state, event) to a new state
+plus a list of actions (messages to send, work items to run, timers to
+arm), and the simulator or any other driver executes those actions. A work
+item names only its kind (plus its round, and for a transfer or the restore
+the bytes of the image it moves, as the checkpoint reported them): the
+simulator sizes every checkpoint and prices every item. An agent takes its
+task only from the task publication. An event that is not legal in the
+current phase moves the agent to Failed and emits a diagnostic; nothing is
+dropped silently. Agents arm a watchdog whenever they wait on a peer, so a
+lost message turns into a diagnosed failure rather than a hang. Timers are
+handled in :func:`advance` for all four roles: the armed watchdog fails the
+agent, the destination's restore timer goes on to its role function, and
+any other token (a watchdog since disarmed or replaced) is ignored.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .bus import BusMessage, MessageKind, topic
-from .errors import MissingFlowError
 from .model import (
     STEP_CHECKPOINT,
     STEP_FLOW_UPDATE,
@@ -117,16 +119,6 @@ class WorkKind(str, Enum):
     RESTORE = "restore"
 
 
-class WorkSizing(str, Enum):
-    """How the executor determines the byte count of a work item."""
-
-    FULL_STATE = "full_state"
-    DIRTY_SET = "dirty_set"
-    DIRTY_PLUS_CONTEXT = "dirty_plus_context"
-    GIVEN = "given"
-    NONE = "none"
-
-
 @dataclass(frozen=True, slots=True)
 class Send:
     message: BusMessage
@@ -135,7 +127,6 @@ class Send:
 @dataclass(frozen=True, slots=True)
 class StartWork:
     kind: WorkKind
-    sizing: WorkSizing
     bytes: float = 0.0
     round: int = 0
 
@@ -180,30 +171,6 @@ Event = Union[MessageEvent, WorkDone, TimerFired, Kickoff]
 
 
 # --------------------------------------------------------------------------
-# Flow table
-
-
-@dataclass(frozen=True, slots=True)
-class FlowTable:
-    """Connection 5-tuple to egress endpoint map, updated functionally."""
-
-    entries: Mapping[tuple, str] = field(default_factory=dict)
-
-
-def update_flow(table: FlowTable, connection: tuple, egress: str) -> FlowTable:
-    """Return a table with one connection redirected.
-
-    The input table is untouched, so a reader holding it never observes a
-    half-applied update. Unknown connections are a caller bug.
-    """
-    if connection not in table.entries:
-        raise MissingFlowError(f"unknown connection {connection!r}")
-    entries = dict(table.entries)
-    entries[connection] = egress
-    return FlowTable(entries=entries)
-
-
-# --------------------------------------------------------------------------
 # Task wiring shared by every agent
 
 
@@ -212,7 +179,6 @@ class TaskInfo:
     """Everything an agent learns from the task publication."""
 
     task_id: str
-    container_id: str
     source: str
     destination: str
     client: str
@@ -223,7 +189,6 @@ class TaskInfo:
     flow_update_s: float
     watchdog_s: float
     ns_config: str
-    connection: tuple
 
 
 # The topic builders are pure and asked for the same few topics on every
@@ -320,8 +285,8 @@ class AgentState:
     ns_config: Optional[str] = None
     sc_bytes: Optional[float] = None
     restore_token: Optional[str] = None
-    # Client side.
-    flow_table: FlowTable = field(default_factory=FlowTable)
+    # Client side: the host the service flow leaves through.
+    egress: Optional[str] = None
     diagnostic: Optional[str] = None
 
 
@@ -377,12 +342,9 @@ def _source_stop_copy(state: AgentState, *sent: Action, **changes
 
     ``changes`` are the transition's other field updates, as for :func:`_arm`.
     """
-    info = changes.get("info", state.info)
-    sizing = (WorkSizing.FULL_STATE if info.strategy is StrategyKind.COLD
-              else WorkSizing.DIRTY_PLUS_CONTEXT)
     return (replace(state, guard=None,
                     phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT), **changes),
-            [*sent, StartWork(WorkKind.STOP_CHECKPOINT, sizing)])
+            [*sent, StartWork(WorkKind.STOP_CHECKPOINT)])
 
 
 def _source_image_sent(state: AgentState, reply: Send, done_round: int
@@ -393,8 +355,16 @@ def _source_image_sent(state: AgentState, reply: Send, done_round: int
         return _source_stop_copy(state, reply)
     next_round = done_round + 1
     return (replace(state, phase=Phase(PhaseKind.PRE_COPY_ROUND, next_round)),
-            [reply, StartWork(WorkKind.ROUND_CHECKPOINT, WorkSizing.DIRTY_SET,
-                              round=next_round)])
+            [reply, StartWork(WorkKind.ROUND_CHECKPOINT, round=next_round)])
+
+
+def _source_start(state: AgentState, info: TaskInfo
+                  ) -> tuple[AgentState, list[Action]]:
+    started = _send(state, MessageKind.PUBLISH, started_topic(info.task_id))
+    if info.strategy is StrategyKind.COLD:
+        return _source_stop_copy(state, started, info=info)
+    return (replace(state, info=info, phase=Phase(PhaseKind.PRE_COPY_ROUND, 0)),
+            [started, StartWork(WorkKind.PRE_CHECKPOINT)])
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -403,19 +373,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 
     if isinstance(event, MessageEvent):
         msg = event.message
-        if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
-                and info is None):
-            new_info = msg.headers["task"]
-            started = _send(state, MessageKind.PUBLISH,
-                            started_topic(new_info.task_id))
-            if new_info.strategy is StrategyKind.COLD:
-                return _source_stop_copy(state, started, info=new_info)
-            work = StartWork(WorkKind.PRE_CHECKPOINT, WorkSizing.FULL_STATE)
-            return (replace(state, info=new_info,
-                            phase=Phase(PhaseKind.PRE_COPY_ROUND, 0)),
-                    [started, work])
-
-        if msg.kind is MessageKind.QUERY and info is not None \
+        if msg.kind is MessageKind.QUERY \
                 and msg.topic == nsconfig_topic(info.task_id):
             if state.ns_query_seen:
                 return _fail(state, "duplicate namespace-configuration query")
@@ -433,15 +391,14 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 # Initial image already checkpointed; ship it.
                 state = replace(state, guard=None)
                 return state, [StartWork(WorkKind.TRANSFER_INITIAL,
-                                         WorkSizing.GIVEN,
                                          bytes=state.preckpt_bytes)]
             return state, []
 
-        if msg.kind is MessageKind.QUERY and info is not None \
+        if msg.kind is MessageKind.QUERY \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
                 and msg.topic == round_image_topic(info.task_id, phase.round):
             state = replace(state, guard=None)
-            return state, [StartWork(WorkKind.TRANSFER_ROUND, WorkSizing.GIVEN,
+            return state, [StartWork(WorkKind.TRANSFER_ROUND,
                                      bytes=state.round_bytes,
                                      round=phase.round)]
         return _unexpected(state, event)
@@ -452,7 +409,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             if state.ns_query_seen:
                 return (replace(state, preckpt_bytes=event.bytes),
                         [StartWork(WorkKind.TRANSFER_INITIAL,
-                                   WorkSizing.GIVEN, bytes=event.bytes)])
+                                   bytes=event.bytes)])
             # waiting for the destination query
             return _arm(state, preckpt_bytes=event.bytes)
 
@@ -482,16 +439,15 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 
         if event.kind is WorkKind.STOP_CHECKPOINT \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT:
-            return state, [StartWork(WorkKind.TRANSFER_STOPCOPY, WorkSizing.GIVEN,
+            return state, [StartWork(WorkKind.TRANSFER_STOPCOPY,
                                      bytes=event.bytes)]
 
         if event.kind is WorkKind.TRANSFER_STOPCOPY \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT:
             push = _send(state, MessageKind.PUBLISH, stopcopy_topic(info.task_id),
                          event.bytes, image_bytes=event.bytes)
-            work = StartWork(WorkKind.NS_CLEAR, WorkSizing.NONE)
             return (replace(state, phase=Phase(PhaseKind.NAMESPACE_TRANSITION)),
-                    [push, work])
+                    [push, StartWork(WorkKind.NS_CLEAR)])
 
         if event.kind is WorkKind.NS_CLEAR \
                 and phase.kind is PhaseKind.NAMESPACE_TRANSITION:
@@ -514,7 +470,7 @@ def _dest_maybe_transition(state: AgentState, **changes
         return _arm(state, **changes)
     return (replace(state, guard=None,
                     phase=Phase(PhaseKind.NAMESPACE_TRANSITION), **changes),
-            [StartWork(WorkKind.NS_RECREATE, WorkSizing.NONE)])
+            [StartWork(WorkKind.NS_RECREATE)])
 
 
 def _dest_image_received(state: AgentState, done_round: int, **changes
@@ -529,6 +485,15 @@ def _dest_image_received(state: AgentState, done_round: int, **changes
     return _arm(state, phase=next_phase, **changes)
 
 
+def _dest_start(state: AgentState, info: TaskInfo
+                ) -> tuple[AgentState, list[Action]]:
+    query = _send(state, MessageKind.QUERY, nsconfig_topic(info.task_id))
+    next_phase = (Phase(PhaseKind.STOP_COPY_CHECKPOINT)
+                  if info.strategy is StrategyKind.COLD
+                  else Phase(PhaseKind.PRE_COPY_ROUND, 0))
+    return _arm(state, query, info=info, phase=next_phase)
+
+
 def _advance_destination(state: AgentState, event: Event
                          ) -> tuple[AgentState, list[Action]]:
     info = state.info
@@ -536,20 +501,6 @@ def _advance_destination(state: AgentState, event: Event
 
     if isinstance(event, MessageEvent):
         msg = event.message
-        if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
-                and info is None):
-            new_info = msg.headers["task"]
-            query = _send(state, MessageKind.QUERY,
-                          nsconfig_topic(new_info.task_id))
-            if new_info.strategy is StrategyKind.COLD:
-                next_phase = Phase(PhaseKind.STOP_COPY_CHECKPOINT)
-            else:
-                next_phase = Phase(PhaseKind.PRE_COPY_ROUND, 0)
-            return _arm(state, query, info=new_info, phase=next_phase)
-
-        if info is None:
-            return _unexpected(state, event)
-
         if msg.kind is MessageKind.REPLY \
                 and msg.topic == nsconfig_topic(info.task_id):
             if info.strategy is StrategyKind.COLD:
@@ -609,8 +560,7 @@ def _advance_destination(state: AgentState, event: Event
         # advance() passes on only the restore token, which is armed on
         # entering AWAIT_RESTORE and cleared here.
         return (replace(state, restore_token=None),
-                [StartWork(WorkKind.RESTORE, WorkSizing.GIVEN,
-                           bytes=state.sc_bytes)])
+                [StartWork(WorkKind.RESTORE, bytes=state.sc_bytes)])
     return _unexpected(state, event)
 
 
@@ -618,32 +568,26 @@ def _advance_destination(state: AgentState, event: Event
 # Client
 
 
+def _client_start(state: AgentState, info: TaskInfo
+                  ) -> tuple[AgentState, list[Action]]:
+    return _arm(state, info=info, egress=info.source)
+
+
 def _advance_client(state: AgentState, event: Event
                     ) -> tuple[AgentState, list[Action]]:
-    info = state.info
     phase = state.phase
-
     if isinstance(event, MessageEvent):
         msg = event.message
-        if (msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE
-                and info is None):
-            new_info = msg.headers["task"]
-            table = FlowTable(entries={new_info.connection: new_info.source})
-            return _arm(state, info=new_info, flow_table=table)
-
-        if info is not None and msg.kind is MessageKind.PUBLISH \
-                and phase.kind is PhaseKind.IDLE \
-                and msg.topic == ns_ready_topic(info.task_id):
+        if msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE \
+                and msg.topic == ns_ready_topic(state.info.task_id):
             state = replace(state, guard=None,
                             phase=Phase(PhaseKind.NAMESPACE_TRANSITION))
-            return state, [StartWork(WorkKind.FLOW_UPDATE, WorkSizing.NONE)]
+            return state, [StartWork(WorkKind.FLOW_UPDATE)]
 
     if isinstance(event, WorkDone):
         if event.kind is WorkKind.FLOW_UPDATE \
                 and phase.kind is PhaseKind.NAMESPACE_TRANSITION:
-            table = update_flow(state.flow_table, info.connection,
-                                info.destination)
-            return replace(state, flow_table=table, phase=DONE), []
+            return replace(state, egress=state.info.destination, phase=DONE), []
     return _unexpected(state, event)
 
 
@@ -692,16 +636,36 @@ _ROLE_DISPATCH = {
     Role.CLIENT: _advance_client,
     Role.ORCHESTRATOR: _advance_orchestrator,
 }
+# First transitions; the orchestrator is built holding its task.
+_ROLE_START = {
+    Role.SOURCE: _source_start,
+    Role.DESTINATION: _dest_start,
+    Role.CLIENT: _client_start,
+}
+
+
+def _take_task(state: AgentState, event: Event
+               ) -> tuple[AgentState, list[Action]]:
+    """An agent without a task accepts only the publication of one."""
+    task = None
+    if isinstance(event, MessageEvent) \
+            and event.message.kind is MessageKind.PUBLISH:
+        task = event.message.headers.get("task")
+    if not isinstance(task, TaskInfo) \
+            or event.message.topic != task_topic(task.task_id):
+        return _unexpected(state, event)
+    return _ROLE_START[state.role](state, task)
 
 
 def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     """One transition of an agent's state machine.
 
-    Terminal phases absorb every event. Watchdogs are handled here for
-    every role: the armed guard fails the agent, the destination's restore
-    timer goes on to its role, and any other token is ignored. Any other
-    event that the current phase has no transition for fails the agent
-    with a diagnostic.
+    Terminal phases absorb every event. An agent without a task takes
+    only the publication of one. Watchdogs are handled here for every
+    role: the armed guard fails the agent, the destination's restore timer
+    goes on to its role, and any other token is ignored. Any other event
+    that the current phase has no transition for fails the agent with a
+    diagnostic.
     """
     if state.phase.kind in TERMINAL_PHASES:
         return state, []
@@ -710,6 +674,8 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
             return _fail(state, f"timed out waiting in phase {state.phase}")
         if event.token != state.restore_token:
             return state, []
+    if state.info is None and state.role is not Role.ORCHESTRATOR:
+        return _take_task(state, event)
     return _ROLE_DISPATCH[state.role](state, event)
 
 

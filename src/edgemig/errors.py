@@ -9,9 +9,5 @@ class CalibrationError(DomainError):
     """A parameter fit is under-determined or otherwise impossible."""
 
 
-class MissingFlowError(DomainError):
-    """A flow-table operation referenced an unknown connection."""
-
-
 class ScenarioError(DomainError):
     """A scenario document is malformed or inconsistent."""

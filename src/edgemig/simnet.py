@@ -33,6 +33,7 @@ from .errors import DomainError, ScenarioError
 from .model import (
     ModelParams,
     MsProfile,
+    StrategyKind,
     checkpoint_duration,
     pre_checkpoint_duration,
     restore_duration,
@@ -47,6 +48,10 @@ log = logging.getLogger(__name__)
 MAX_EVENTS = 1_000_000
 # Page draws made at once by dirty_set_size (8 MiB of int64).
 DIRTY_DRAW_CHUNK = 1 << 20
+# Work that moves an image over the source-destination link.
+_TRANSFERS = frozenset({ag.WorkKind.TRANSFER_INITIAL,
+                        ag.WorkKind.TRANSFER_ROUND,
+                        ag.WorkKind.TRANSFER_STOPCOPY})
 
 
 def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
@@ -225,7 +230,6 @@ class _Sim:
         client_link = scenario.link_between(dest, section.client)
         self.info = ag.TaskInfo(
             task_id=section.task.container_id,
-            container_id=section.task.container_id,
             source=source,
             destination=dest,
             client=section.client,
@@ -235,8 +239,7 @@ class _Sim:
             latency_s=client_link.latency_s if client_link else 0.0,
             flow_update_s=self.params.flow_update_s,
             watchdog_s=watchdog_s,
-            ns_config=f"netns:{section.task.container_id}",
-            connection=("tcp", section.client, 40001, source, 5201))
+            ns_config=f"netns:{section.task.container_id}")
 
         self.agents: dict[str, ag.AgentState] = {
             source: ag.idle_agent(ag.Role.SOURCE, source),
@@ -325,53 +328,43 @@ class _Sim:
 
     # -- work execution -----------------------------------------------
 
-    def _work_bytes(self, action: ag.StartWork) -> float:
-        sizing = action.sizing
-        if sizing is ag.WorkSizing.FULL_STATE:
-            return float(self.profile.state_size_bytes)
-        if sizing is ag.WorkSizing.GIVEN:
-            return action.bytes
-        if sizing is ag.WorkSizing.NONE:
-            return 0.0
-        pages = self._capture_dirty()
-        if sizing is ag.WorkSizing.DIRTY_PLUS_CONTEXT:
-            self.dirty_pages_at_stopcopy = pages
-            return (pages * self.profile.page_size_bytes
-                    + self.profile.cpu_context_bytes)
-        return float(pages * self.profile.page_size_bytes)
-
-    def _work_duration(self, kind: ag.WorkKind, nbytes: float) -> float:
-        params = self.params
-        if kind in (ag.WorkKind.PRE_CHECKPOINT, ag.WorkKind.ROUND_CHECKPOINT):
-            return pre_checkpoint_duration(params, nbytes)
-        if kind is ag.WorkKind.STOP_CHECKPOINT:
-            return checkpoint_duration(params, nbytes)
-        if kind in (ag.WorkKind.TRANSFER_INITIAL, ag.WorkKind.TRANSFER_ROUND,
-                    ag.WorkKind.TRANSFER_STOPCOPY):
-            return transfer_duration(params, nbytes,
-                                     self.config.bandwidth_bytes_per_s)
-        if kind in (ag.WorkKind.NS_CLEAR, ag.WorkKind.NS_RECREATE):
-            return params.ns_overhead_s
-        if kind is ag.WorkKind.FLOW_UPDATE:
-            return params.flow_update_s
-        if kind is ag.WorkKind.RESTORE:
-            return restore_duration(params, nbytes)
-        raise DomainError(f"no duration rule for {kind}")
-
     def _start_work(self, agent_id: str,
                     action: ag.StartWork) -> tuple[float, float]:
-        """Schedule one work item; returns its bytes and duration."""
-        if action.kind is ag.WorkKind.PRE_CHECKPOINT:
-            self.dirty_clock = self.now
-        if action.kind is ag.WorkKind.STOP_CHECKPOINT:
-            self.freeze_time = self.now
-        nbytes = self._work_bytes(action)
-        duration = self._work_duration(action.kind, nbytes)
-        if action.kind in (ag.WorkKind.TRANSFER_INITIAL,
-                           ag.WorkKind.TRANSFER_ROUND,
-                           ag.WorkKind.TRANSFER_STOPCOPY):
+        """Size, price and schedule one work item; returns its bytes and
+        duration. The one place that knows what each kind moves and costs."""
+        kind = action.kind
+        params = self.params
+        profile = self.profile
+        if kind in _TRANSFERS:
+            nbytes = action.bytes
+            duration = transfer_duration(params, nbytes,
+                                         self.config.bandwidth_bytes_per_s)
             self.bytes_transferred += nbytes
-        done = ag.WorkDone(kind=action.kind, bytes=nbytes, round=action.round)
+        elif kind is ag.WorkKind.ROUND_CHECKPOINT:
+            nbytes = float(self._capture_dirty() * profile.page_size_bytes)
+            duration = pre_checkpoint_duration(params, nbytes)
+        elif kind is ag.WorkKind.PRE_CHECKPOINT:
+            self.dirty_clock = self.now
+            nbytes = float(profile.state_size_bytes)
+            duration = pre_checkpoint_duration(params, nbytes)
+        elif kind is ag.WorkKind.STOP_CHECKPOINT:
+            self.freeze_time = self.now
+            if self.info.strategy is StrategyKind.COLD:
+                nbytes = float(profile.state_size_bytes)
+            else:
+                # Left an int: the event log prints it without a ".0".
+                pages = self.dirty_pages_at_stopcopy = self._capture_dirty()
+                nbytes = (pages * profile.page_size_bytes
+                          + profile.cpu_context_bytes)
+            duration = checkpoint_duration(params, nbytes)
+        elif kind is ag.WorkKind.RESTORE:
+            nbytes = action.bytes
+            duration = restore_duration(params, nbytes)
+        elif kind is ag.WorkKind.FLOW_UPDATE:
+            nbytes, duration = 0.0, params.flow_update_s
+        else:  # NS_CLEAR, NS_RECREATE
+            nbytes, duration = 0.0, params.ns_overhead_s
+        done = ag.WorkDone(kind=kind, bytes=nbytes, round=action.round)
         self._push(self.now + duration, "work", agent_id, done)
         return nbytes, duration
 

@@ -2,14 +2,13 @@
 
 These drive :func:`edgemig.agents.advance` directly, event by event, with
 no simulator in the loop, checking phases, emitted actions, failure
-behaviour and the functional flow table.
+behaviour and the client's egress.
 """
 
 import pytest
 
 from edgemig import agents as ag
 from edgemig.bus import BusMessage, MessageKind
-from edgemig.errors import MissingFlowError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
     ModelParams,
@@ -31,11 +30,10 @@ PARAMS = ModelParams(
 
 def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
     return ag.TaskInfo(
-        task_id="t1", container_id="t1", source="src", destination="dst",
+        task_id="t1", source="src", destination="dst",
         client="cli", orchestrator="orc", strategy=strategy,
         iterations=iterations, latency_s=0.0, flow_update_s=0.004,
-        watchdog_s=30.0, ns_config="netns:t1",
-        connection=("tcp", "cli", 40001, "src", 5201))
+        watchdog_s=30.0, ns_config="netns:t1")
 
 
 def task_message(info):
@@ -75,7 +73,6 @@ def test_source_task_receipt_announces_and_checkpoints():
     assert started.topic == ag.started_topic("t1")
     [work] = works(actions)
     assert work.kind is ag.WorkKind.PRE_CHECKPOINT
-    assert work.sizing is ag.WorkSizing.FULL_STATE
 
 
 def test_source_cold_goes_straight_to_stop_copy():
@@ -85,7 +82,6 @@ def test_source_cold_goes_straight_to_stop_copy():
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     [work] = works(actions)
     assert work.kind is ag.WorkKind.STOP_CHECKPOINT
-    assert work.sizing is ag.WorkSizing.FULL_STATE
 
 
 def test_source_initial_image_waits_for_query_and_checkpoint():
@@ -130,7 +126,6 @@ def test_source_full_iterative_walk():
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 1)
     [work] = works(actions)
     assert work.kind is ag.WorkKind.ROUND_CHECKPOINT
-    assert work.sizing is ag.WorkSizing.DIRTY_SET
 
     # Round 1: checkpoint done -> ready published, wait for the pull.
     state, actions = ag.advance(
@@ -162,7 +157,6 @@ def test_source_full_iterative_walk():
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     [work] = works(actions)
     assert work.kind is ag.WorkKind.STOP_CHECKPOINT
-    assert work.sizing is ag.WorkSizing.DIRTY_PLUS_CONTEXT
 
     # Stop-and-copy: checkpoint, transfer, push, namespace clear, done.
     state, actions = ag.advance(
@@ -250,6 +244,22 @@ def test_watchdog_and_stale_timers(role):
     assert "timed out" in failed.diagnostic
     assert [m.topic for m in sends(failed_actions)] == [
         ag.failed_topic("t1", role)]
+
+
+@pytest.mark.parametrize("role", [ag.Role.SOURCE, ag.Role.DESTINATION,
+                                  ag.Role.CLIENT], ids=lambda r: r.value)
+@pytest.mark.parametrize("topic,headers", [
+    (ag.ns_ready_topic("t1"), {}),
+    (ag.task_topic("t1"), {}),
+    (ag.ns_ready_topic("t1"), {"task": task_info()}),
+], ids=["other-topic", "no-task", "task-off-its-topic"])
+def test_idle_agent_takes_only_its_task_publication(role, topic, headers):
+    stray = ag.MessageEvent(BusMessage(kind=MessageKind.PUBLISH, topic=topic,
+                                       sender="dst", headers=headers))
+    state, actions = ag.advance(ag.idle_agent(role, "agent"), stray)
+    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic == f"unexpected publish on {topic} in phase idle"
+    assert sends(actions) == []  # no task, so no one to report to
 
 
 def test_terminal_phases_absorb_everything():
@@ -380,7 +390,7 @@ def test_client_updates_flow_and_publishes_nothing():
     state, actions = ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
                                 task_message(info))
     assert sends(actions) == []
-    assert state.flow_table.entries[info.connection] == "src"
+    assert state.egress == "src"
     ns_ready = ag.MessageEvent(BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.ns_ready_topic("t1"), sender="dst"))
     state, actions = ag.advance(state, ns_ready)
@@ -391,17 +401,8 @@ def test_client_updates_flow_and_publishes_nothing():
     # Transparency: the client's only externally visible action is the
     # redirected flow entry -- not a single bus message along the way.
     assert sends(actions) == []
-    assert state.flow_table.entries[info.connection] == "dst"
+    assert state.egress == "dst"
     assert state.phase.kind is ag.PhaseKind.DONE
-
-
-def test_flow_table_is_functional():
-    table = ag.FlowTable(entries={("tcp", "c", 1, "a", 2): "a"})
-    updated = ag.update_flow(table, ("tcp", "c", 1, "a", 2), "b")
-    assert updated.entries[("tcp", "c", 1, "a", 2)] == "b"
-    assert table.entries[("tcp", "c", 1, "a", 2)] == "a"  # original intact
-    with pytest.raises(MissingFlowError):
-        ag.update_flow(table, ("udp", "x", 9, "y", 9), "b")
 
 
 # ---------------------------------------------------------------------------

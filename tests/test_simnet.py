@@ -6,6 +6,7 @@ each test can tweak rates, sizes, and strategies without JSON fixtures.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +23,23 @@ from edgemig.model import (
     strategy_kpis,
 )
 from edgemig.orchestrator import MigrationConfig, MigrationTask, Objective
-from edgemig.scenario import Host, Link, Scenario, SimProfile, TaskSection
+from edgemig.scenario import (
+    Host,
+    Link,
+    Scenario,
+    SimProfile,
+    TaskSection,
+    load_scenario,
+)
 from edgemig.simnet import (
     DelayRule,
     DropRule,
     dirty_set_size,
+    plan_from_scenario,
     run_scenario,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenario.json"
 
 GBPS = 1000.0 * BYTES_PER_S_PER_MBPS
 
@@ -425,6 +436,17 @@ def test_delay_beyond_watchdog_fails_cleanly():
         watchdog_s=3.0)
     assert not outcome.completed
     assert any("timed out" in d for d in outcome.diagnostics.values())
+
+
+def test_task_arriving_after_ns_ready_fails_the_client_cleanly():
+    # The client hears the destination's ns-ready before its delayed task.
+    scenario = load_scenario(DEMO)
+    outcome = run_scenario(
+        scenario, plan_from_scenario(scenario),
+        fault_rules=(DelayRule("/task", 100.0, receiver="cam-client"),))
+    assert not outcome.completed
+    assert "unexpected publish" in outcome.diagnostics["cam-client"]
+    assert "in phase idle" in outcome.diagnostics["cam-client"]
 
 
 def test_config_bandwidth_must_fit_the_link():
