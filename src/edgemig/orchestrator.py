@@ -18,6 +18,7 @@ minimize-downtime it is a cold migration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -131,9 +132,60 @@ def design(task: MigrationTask, metrics: MetricsView,
         target_met=True)
 
 
+def _standard_truncnorm(a: float, b: float, count: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """``count`` standard normal draws conditioned on [a, b], a <= b.
+
+    Accept-reject in vectorized batches with the proposal of Robert (1995)
+    that accepts most often for the interval; each accepts about half its
+    draws or more, so the loop cannot spin. An interval below 0 is
+    mirrored onto the right tail first.
+    """
+    sign = 1.0
+    if b < 0:
+        a, b, sign = -b, -a, -1.0
+    z0 = max(a, 0.0)  # the point of [a, b] closest to 0
+    gap = 2.0 / (z0 + math.hypot(z0, 2.0))  # alpha* - z0, without overflow
+    alpha = z0 + gap
+    if a <= 0 and b - a >= math.sqrt(2 * math.pi):
+        def accepted(n: int) -> np.ndarray:
+            z = rng.standard_normal(n)
+            return z[(a <= z) & (z <= b)]
+    elif a <= 0 or b - a < math.exp(gap * gap / 2) / alpha:
+        # Robert's bound: narrower than this, the uniform beats the
+        # exponential (and, holding 0, the normal) on acceptance.
+        def accepted(n: int) -> np.ndarray:
+            z = rng.uniform(a, b, n)
+            return z[rng.random(n) <= np.exp((z0 - z) * (z0 + z) / 2)]
+    else:
+        def accepted(n: int) -> np.ndarray:
+            z = a + rng.standard_exponential(n) / alpha
+            return z[(z <= b)
+                     & (rng.random(n) <= np.exp(-(z - alpha) ** 2 / 2))]
+    out = np.empty(count)
+    filled = 0
+    while filled < count:
+        z = accepted(2 * (count - filled) + 16)[:count - filled]
+        out[filled:filled + z.size] = z
+        filled += z.size
+    return sign * out
+
+
 @dataclass(frozen=True, slots=True)
 class BandwidthDistribution:
-    """Truncated normal model of the bandwidth available at design time."""
+    """Truncated normal model of the bandwidth available at design time.
+
+    :meth:`sample` draws with numpy alone, by accept-reject on the
+    standardized interval [a, b] after C. P. Robert, "Simulation of
+    truncated normal variables", Statistics and Computing 5 (1995),
+    in one of three regimes:
+
+    * a wide interval holding 0: normal draws, rejecting those outside;
+    * a narrow interval: uniform draws on [a, b], accepted with
+      probability exp((z0**2 - z**2) / 2), z0 the point closest to 0;
+    * a one-sided tail: a translated exponential of rate
+      alpha* = (a + sqrt(a**2 + 4)) / 2 (mirrored for b < 0).
+    """
 
     mean_bytes_per_s: float
     std_bytes_per_s: float
@@ -141,12 +193,12 @@ class BandwidthDistribution:
     upper_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.mean_bytes_per_s <= 0:
-            raise DomainError("mean bandwidth must be > 0")
-        if self.std_bytes_per_s < 0:
-            raise DomainError("std must be >= 0")
-        if self.lower_bytes_per_s < 0:
-            raise DomainError("lower truncation must be >= 0")
+        if not 0 < self.mean_bytes_per_s < math.inf:
+            raise DomainError("mean bandwidth must be finite and > 0")
+        if not 0 <= self.std_bytes_per_s < math.inf:
+            raise DomainError("std must be finite and >= 0")
+        if not 0 <= self.lower_bytes_per_s < math.inf:
+            raise DomainError("lower truncation must be finite and >= 0")
         if not self.lower_bytes_per_s < self.upper_bytes_per_s:
             raise DomainError("truncation interval must have positive width")
 
@@ -163,20 +215,16 @@ class BandwidthDistribution:
         """Draw bandwidth values, deterministic for a given seed."""
         if count <= 0:
             raise DomainError("sample count must be > 0")
-        rng = np.random.default_rng(seed)
-        if self.std_bytes_per_s == 0.0:
-            value = min(max(self.mean_bytes_per_s, self.lower_bytes_per_s),
-                        self.upper_bytes_per_s)
-            return np.full(count, value)
-        a = (self.lower_bytes_per_s - self.mean_bytes_per_s) / self.std_bytes_per_s
-        b = (self.upper_bytes_per_s - self.mean_bytes_per_s) / self.std_bytes_per_s
-        # Loaded here, not at module level, so commands that never sample
-        # do not pay for importing scipy.stats.
-        from scipy.stats import truncnorm
-
-        return truncnorm.rvs(a, b, loc=self.mean_bytes_per_s,
-                             scale=self.std_bytes_per_s, size=count,
-                             random_state=rng)
+        mean, std = self.mean_bytes_per_s, self.std_bytes_per_s
+        lower, upper = self.lower_bytes_per_s, self.upper_bytes_per_s
+        a = (lower - mean) / std if std else math.inf
+        b = (upper - mean) / std if std else -math.inf
+        if a == math.inf or b == -math.inf:
+            # No spread, or an interval too many stds away for a float:
+            # all the mass sits at the point of the interval nearest the mean.
+            return np.full(count, min(max(mean, lower), upper))
+        z = _standard_truncnorm(a, b, count, np.random.default_rng(seed))
+        return np.clip(mean + std * z, lower, upper)
 
 
 @dataclass(frozen=True, slots=True)

@@ -140,13 +140,14 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def scipy_modules_loaded_by(names, tmp_path):
-    """scipy modules in a fresh interpreter after running the commands.
+def test_no_command_loads_scipy(tmp_path):
+    """scipy is only a test oracle: no subcommand imports any of it.
 
     A fresh interpreter, so modules other tests loaded do not count.
     """
     commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
-                for name in names]
+                for name in ("plan", "simulate", "sweep", "profile", "fit",
+                             "dist")]
     src = str(Path(edgemig.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -155,16 +156,7 @@ def scipy_modules_loaded_by(names, tmp_path):
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
-    assert scipy_modules_loaded_by(
-        ("plan", "simulate", "sweep", "profile"), tmp_path) == []
-
-
-def test_fit_never_loads_scipy(tmp_path):
-    assert scipy_modules_loaded_by(("fit",), tmp_path) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_empty_state_simulates_and_sweeps(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for design and the strategy distribution."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -157,6 +159,104 @@ def test_distribution_validation():
     dist = BandwidthDistribution.from_mean_std(GBPS, 1.0)
     with pytest.raises(DomainError):
         dist.sample(0, seed=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            BandwidthDistribution(bad, 1.0, 0.0, GBPS)
+        with pytest.raises(DomainError):
+            BandwidthDistribution(GBPS, bad, 0.0, GBPS)
+        with pytest.raises(DomainError):
+            BandwidthDistribution(GBPS, 1.0, bad, math.inf)
+    with pytest.raises(DomainError):
+        BandwidthDistribution(GBPS, 1.0, 0.0, math.nan)
+
+
+# Standardized intervals [a, b], one per regime of the sampler and side.
+INTERVALS = {
+    "central": (-2.375, 2.5),
+    "short-holding-0": (-0.5, 1.9),
+    "short-right-tail": (3.0, 3.3),
+    "right-tail": (8.0, 30.0),
+    "left-tail": (-30.0, -8.0),
+    "narrow-right": (1.0, 1.01),
+    "narrow-left": (-3.0, -2.99),
+    "near-point": (0.5, 0.5 + 1e-7),
+    "half-unbounded": (2.0, math.inf),
+    "half-unbounded-holding-0": (-1.0, math.inf),
+}
+STD = GBPS / 40  # keeps mean + a * std >= 0 down to a = -40
+
+
+def standardized(a, b):
+    return BandwidthDistribution(GBPS, STD, GBPS + a * STD, GBPS + b * STD)
+
+
+@contextlib.contextmanager
+def finishes_within(seconds):
+    """Fail, rather than hang, if a proposal stops accepting draws."""
+    def spun(signum, frame):
+        raise TimeoutError(f"sampling took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, spun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mean, expected", [(1.0, 1e9), (3e9, 2e9)])
+def test_distribution_out_of_float_reach_is_a_point_mass(mean, expected):
+    """An interval ~1e309 stds away standardizes to +-inf: no draw, no crash."""
+    dist = BandwidthDistribution(mean, 1e-300, 1e9, 2e9)
+    with finishes_within(2.0):
+        draws = dist.sample(5, seed=1)
+    assert np.array_equal(draws, np.full(5, expected))
+
+
+@pytest.mark.parametrize("a, b", INTERVALS.values(), ids=INTERVALS.keys())
+def test_distribution_matches_scipy_truncnorm(a, b):
+    from scipy import stats
+
+    dist = standardized(a, b)
+    with finishes_within(2.0):
+        draws = dist.sample(20_000, seed=2026)
+    lo = (dist.lower_bytes_per_s - GBPS) / STD
+    hi = (dist.upper_bytes_per_s - GBPS) / STD
+    oracle = stats.truncnorm(lo, hi, loc=GBPS, scale=STD)
+    assert stats.kstest(draws, oracle.cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("a, b", [(8.0, 30.0), (-30.0, -8.0), (38.0, 39.0),
+                                  (1e3, math.inf), (37.0, 37.0 + 1e-9),
+                                  (-1e-9, 1e-9)])
+def test_distribution_far_tails_and_slivers_finish_quickly(a, b):
+    dist = standardized(a, b)
+    with finishes_within(2.0):  # 10^5 draws take milliseconds
+        draws = dist.sample(100_000, seed=3)
+    assert draws.min() >= dist.lower_bytes_per_s
+    assert draws.max() <= dist.upper_bytes_per_s
+
+
+magnitudes = st.floats(0.0, 1e15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 1e15), magnitudes, magnitudes,
+       st.floats(1e-300, 1e15), st.integers(1, 500),
+       st.integers(0, 2**32))
+@example(1.0, 1e-300, 1e9, 1e9, 5, 1)
+def test_distribution_draws_lie_in_bounds(mean, std, lower, width, count,
+                                          seed):
+    upper = lower + width
+    assume(lower < upper)
+    dist = BandwidthDistribution(mean, std, lower, upper)
+    with finishes_within(2.0):
+        draws = dist.sample(count, seed)
+    assert draws.shape == (count,)
+    assert np.all(np.isfinite(draws))
+    assert np.all((lower <= draws) & (draws <= upper))
+    assert draws.tobytes() == dist.sample(count, seed).tobytes()
 
 
 # ---------------------------------------------------------------------------
