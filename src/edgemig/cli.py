@@ -294,6 +294,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     _emit_json({
         "samples": dist.sample_count,
         "strategy_probs": dict(sorted(dist.strategy_probs.items())),
+        "strategy_stderr": dict(sorted(dist.strategy_stderr.items())),
         "iteration_pmf": {str(i): p
                           for i, p in sorted(dist.iteration_pmf.items())},
     }, args.out)

@@ -235,6 +235,12 @@ class StrategyDistribution:
     iteration_pmf: Mapping[int, float]
     sample_count: int
 
+    @property
+    def strategy_stderr(self) -> dict[str, float]:
+        """Monte Carlo standard error sqrt(p (1 - p) / N) of each probability."""
+        return {k: math.sqrt(p * (1.0 - p) / self.sample_count)
+                for k, p in self.strategy_probs.items()}
+
 
 def strategy_distribution(task: MigrationTask, profile: MsProfile,
                           params: ModelParams,

@@ -113,6 +113,7 @@ def test_dist_probabilities(tmp_path):
     pmf_mass = sum(doc["iteration_pmf"].values())
     assert pmf_mass == pytest.approx(
         doc["strategy_probs"].get("iterative_precopy", 0.0), abs=1e-12)
+    assert doc["strategy_stderr"].keys() == doc["strategy_probs"].keys()
 
 
 def test_profile_estimates_dirty_rate(capsys):

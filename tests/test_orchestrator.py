@@ -285,6 +285,15 @@ def test_strategy_distribution_probabilities_are_consistent():
     assert got.sample_count == 4000
 
 
+def test_strategy_distribution_reports_sampling_error():
+    dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 5)
+    got = strategy_distribution(md_task(1.55), PROFILE, PARAMS, dist,
+                                sample_count=4000, seed=11)
+    assert 0.0 < got.strategy_probs["cold"] < 1.0
+    assert got.strategy_stderr == {
+        k: math.sqrt(p * (1 - p) / 4000) for k, p in got.strategy_probs.items()}
+
+
 def test_strategy_distribution_couples_across_targets():
     """Same seed per target point: cold probability cannot rise with slack."""
     dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 5)
