@@ -141,14 +141,13 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
-    """scipy is only a test oracle: no subcommand imports any of it.
+def scipy_modules_loaded_by(names, tmp_path):
+    """The scipy modules a fresh interpreter holds after running `names`.
 
     A fresh interpreter, so modules other tests loaded do not count.
     """
     commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
-                for name in ("plan", "simulate", "sweep", "profile", "fit",
-                             "dist")]
+                for name in names]
     src = str(Path(edgemig.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -157,7 +156,21 @@ def test_no_command_loads_scipy(tmp_path):
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
+    assert scipy_modules_loaded_by(
+        ("plan", "simulate", "sweep", "profile"), tmp_path) == []
+
+
+def test_fit_never_loads_scipy(tmp_path):
+    assert scipy_modules_loaded_by(("fit",), tmp_path) == []
+
+
+def test_dist_never_loads_scipy(tmp_path):
+    """scipy is only a test oracle: the sampler draws with numpy alone."""
+    assert scipy_modules_loaded_by(("dist",), tmp_path) == []
 
 
 def test_empty_state_simulates_and_sweeps(tmp_path):
