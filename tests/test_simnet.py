@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemig import simnet
 from edgemig.bus import BusMessage, MessageKind
@@ -340,6 +342,74 @@ def test_latency_delays_but_does_not_break_protocol():
     outcome = run_scenario(scenario, config)
     assert outcome.completed
     assert outcome.total_s > config.predicted.total_s  # latency adds up
+
+
+def _work_starts(outcome, agent, work):
+    return [(ev.time_s, act["duration_s"]) for ev in outcome.events
+            if ev.agent == agent for act in ev.actions
+            if act.get("work") == work]
+
+
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.ITERATIVE_PRE_COPY, 2),
+])
+def test_restore_starts_when_the_flow_update_ends(strategy, iters):
+    # With link latency, the flow update starts one propagation delay after
+    # ns-ready, and the restore (S6) must wait until it has settled (S5).
+    scenario = make_scenario(dirty_rate=1.0, latency_s=0.002)
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
+    assert outcome.completed
+    [(flow_start, flow_s)] = _work_starts(outcome, "c", "flow_update")
+    [(restore_start, _)] = _work_starts(outcome, "b", "restore")
+    assert restore_start == flow_start + flow_s
+
+
+@pytest.mark.xfail(strict=True, reason="the loop runs until the heap is empty")
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    (StrategyKind.ITERATIVE_PRE_COPY, 3),
+])
+def test_run_stops_once_every_agent_is_terminal(strategy, iters):
+    scenario = make_scenario(dirty_rate=2.0, latency_s=0.002)
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
+    assert outcome.completed
+    assert [ev for ev in outcome.events
+            if ev.phase_before in ("done", "failed")] == []
+
+
+# Topic fragments a fault rule can match: every publication and query of a
+# run with up to four pre-copy rounds.
+FAULT_TOPICS = ("/task", "started", "nsconfig", "round/1/ready",
+                "round/1/image", "round/2/ready", "round/4/image",
+                "stopcopy", "ns-ready", "/done", "failed")
+fault_rules = st.lists(st.one_of(
+    st.builds(DropRule, st.sampled_from(FAULT_TOPICS), st.integers(1, 2),
+              st.sampled_from([None, "a", "b", "c", "o"])),
+    st.builds(DelayRule, st.sampled_from(FAULT_TOPICS),
+              st.floats(0.0, 10.0), st.integers(1, 2),
+              st.sampled_from([None, "a", "b", "c", "o"]))), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([0.0, 0.001, 0.02]),
+       st.booleans(), fault_rules)
+def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
+                                                 rules):
+    if iters:
+        strategy = StrategyKind.ITERATIVE_PRE_COPY
+    else:
+        strategy = StrategyKind.PRE_COPY if pre_copy else StrategyKind.COLD
+    scenario = make_scenario(dirty_rate=50.0, latency_s=latency_s)
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters),
+                           fault_rules=rules, watchdog_s=5.0)
+    if outcome.completed:
+        assert set(outcome.final_phases.values()) == {"done"}
+        assert outcome.downtime_s <= outcome.total_s
+    else:
+        assert outcome.diagnostics
+    assert outcome.end_time_s == outcome.events[-1].time_s
 
 
 def test_event_log_written_as_json_lines(tmp_path):
