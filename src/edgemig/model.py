@@ -45,9 +45,6 @@ STEP_TRANSFER = "S3"
 STEP_FLOW_UPDATE = "S5"
 STEP_RESTORE = "S6"
 
-STEP_ORDER = (STEP_CHECKPOINT, STEP_NAMESPACE, STEP_TRANSFER,
-              STEP_FLOW_UPDATE, STEP_RESTORE)
-
 
 class StrategyKind(str, Enum):
     COLD = "cold"
@@ -209,7 +206,7 @@ def cold_kpis(profile: MsProfile, params: ModelParams,
     """
     steps = _downtime_terms(params, float(profile.state_size_bytes),
                             bandwidth_bytes_per_s)
-    downtime = sum(steps[k] for k in STEP_ORDER)
+    downtime = sum(steps.values())
     return Kpis(step_durations_s=steps, downtime_s=downtime,
                 total_s=downtime,
                 bytes_transferred=float(profile.state_size_bytes))
@@ -246,7 +243,7 @@ def precopy_kpis(profile: MsProfile, params: ModelParams,
         raise DomainError("iterations must be >= 0")
     round0, per_round, steps = _precopy_terms(profile, params,
                                               bandwidth_bytes_per_s)
-    downtime = sum(steps[k] for k in STEP_ORDER)
+    downtime = sum(steps.values())
     total = round0 + iterations * per_round + downtime
     transferred = (float(profile.state_size_bytes)
                    + iterations * worst_case_dirty_bytes(profile)
@@ -332,7 +329,7 @@ def iteration_counts(profile: MsProfile, params: ModelParams,
     with np.errstate(all="ignore"):
         round0, per_round, steps = _precopy_terms(profile, params,
                                                   bandwidths_bytes_per_s)
-        downtime = sum(steps[k] for k in STEP_ORDER)
+        downtime = sum(steps.values())
 
         def total(n):
             return round0 + n * per_round + downtime
