@@ -66,15 +66,18 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
         raise DomainError("rate and window must be >= 0")
     if total_pages <= 0:
         raise DomainError("total_pages must be positive")
+    expected_writes = rate_pages_per_s * window_s
+    # Beyond ~64 writes per page the miss probability is below 1e-27;
+    # every page has been touched for any practical purpose. Testing the
+    # expectation, before the draw, also keeps a huge rate away from
+    # rng.poisson, which rejects means above ~1e19.
+    if expected_writes > 64 * total_pages:
+        return total_pages
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    writes = int(rng.poisson(rate_pages_per_s * window_s))
+    writes = int(rng.poisson(expected_writes))
     if writes <= 0:
         return 0
-    # Beyond ~64 writes per page the miss probability is below 1e-27;
-    # every page has been touched for any practical purpose.
-    if writes > 64 * total_pages:
-        return total_pages
     # Mark the pages hit, drawing the write targets a chunk at a time: the
     # draws are the same stream as one call for all of them, but memory
     # stays O(pages + chunk) and nothing is sorted.

@@ -189,6 +189,18 @@ def test_empty_state_simulates_and_sweeps(tmp_path):
                 "--out", str(tmp_path / "sweep.csv")]) == 0
 
 
+def test_huge_dirty_rate_simulates(tmp_path):
+    doc = json.loads(Path(DEMO).read_text())
+    for profile in doc["ms_profiles"]:
+        profile["dirty_rate_pages_per_s"] = 1e30
+    scenario = tmp_path / "hot.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run.json"
+    assert run(["simulate", "--scenario", str(scenario),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["simulated"]["completed"] is True
+
+
 def test_missing_scenario_file_exits_3(capsys):
     assert run(["plan", "--scenario", "/nonexistent.json"]) == 3
     assert capsys.readouterr().err

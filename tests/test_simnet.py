@@ -101,6 +101,8 @@ def test_dirty_set_mean_matches_saturating_expectation():
 def test_dirty_set_saturates_under_heavy_writing():
     # Expected writes >> 64 * pages short-circuits to full saturation.
     assert dirty_set_size(1e9, 10.0, 128, 3) == 128
+    # A mean past what rng.poisson accepts saturates too.
+    assert dirty_set_size(1e30, 1.0, 128, 0) == 128
 
 
 def test_dirty_set_validation():
