@@ -37,7 +37,6 @@ from .model import (
     checkpoint_duration,
     pre_checkpoint_duration,
     restore_duration,
-    strategy_kpis,
     transfer_duration,
 )
 from .orchestrator import MetricsView, MigrationConfig, design
@@ -219,6 +218,10 @@ class _Sim:
 
         source = section.task.source_agent
         dest = section.task.destination_agent
+        agent_ids = (source, dest, section.client, section.orchestrator)
+        if len(set(agent_ids)) < len(agent_ids):
+            raise ScenarioError("task source, destination, client and "
+                                f"orchestrator must differ, got {agent_ids}")
         link = scenario.link_between(source, dest)
         if link is None:
             raise ScenarioError(f"no link between {source!r} and {dest!r}")
@@ -227,9 +230,7 @@ class _Sim:
                 "configured bandwidth exceeds the source-destination link")
 
         if watchdog_s is None:
-            watchdog_s = 10.0 * strategy_kpis(
-                self.profile, self.params, config.bandwidth_bytes_per_s,
-                config.strategy).total_s + 10.0
+            watchdog_s = 10.0 * config.predicted.total_s + 10.0
         client_link = scenario.link_between(dest, section.client)
         self.info = ag.TaskInfo(
             task_id=section.task.container_id,

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import edgemig
-from edgemig import cli
+from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
+from edgemig.errors import ScenarioError
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "scenario.json")
 
@@ -199,6 +200,26 @@ def test_huge_dirty_rate_simulates(tmp_path):
     assert run(["simulate", "--scenario", str(scenario),
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["simulated"]["completed"] is True
+
+
+@pytest.mark.parametrize("role,same_as", [("client", "source"),
+                                           ("orchestrator", "destination"),
+                                           ("orchestrator", "client")])
+def test_task_agents_must_be_distinct(tmp_path, capsys, role, same_as):
+    doc = json.loads(Path(DEMO).read_text())
+    doc["task"][role] = doc["task"][same_as]
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(doc))
+    scenario = load_scenario(path)
+    agents = tuple(doc["task"][key] for key in
+                   ("source", "destination", "client", "orchestrator"))
+    message = ("task source, destination, client and orchestrator must "
+               f"differ, got {agents}")
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(scenario, plan_from_scenario(scenario))
+    assert str(exc.value) == message
+    assert run(["simulate", "--scenario", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exits_3(capsys):
