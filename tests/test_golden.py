@@ -3,7 +3,9 @@
 Each command runs in process through ``cli.main`` and its output must equal
 the file under ``tests/golden/`` byte for byte. A deliberate change of
 seeded output replaces the golden file in the same change and says why in
-CHANGES.md; any other difference is a regression.
+CHANGES.md; any other difference is a regression. Running this file,
+``PYTHONPATH=src python tests/test_golden.py``, rewrites every golden file
+from the current code.
 """
 
 import dataclasses
@@ -29,14 +31,20 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path):
+def cli_run(name: str, directory: Path) -> list[str]:
+    """Run one CLI case, writing its output files into ``directory``."""
     args, outputs = CASES[name]
     argv = args + ["--scenario", DEMO]
     for option, golden in outputs.items():
-        argv += [option, str(tmp_path / golden)]
-    assert cli.main(argv) == 0
-    for golden in outputs.values():
+        argv += [option, str(directory / golden)]
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"{name} failed")
+    return list(outputs.values())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    for golden in cli_run(name, tmp_path):
         produced = (tmp_path / golden).read_bytes()
         assert produced == (GOLDEN / golden).read_bytes(), golden
 
@@ -69,3 +77,10 @@ def test_faulted_run_matches_golden(name, tmp_path):
     for golden in faulted_run(name, tmp_path):
         produced = (tmp_path / golden).read_bytes()
         assert produced == (GOLDEN / golden).read_bytes(), golden
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        cli_run(case, GOLDEN)
+    for case in FAULT_CASES:
+        faulted_run(case, GOLDEN)
