@@ -21,8 +21,8 @@ The happy path, for an iterative pre-copy migration with I rounds:
 6. the destination recreates the network namespace (the source clears its
    own in parallel) and publishes that it is ready, which triggers the
    client's flow update;
-7. the destination restores once the flow update has settled and publishes
-   the completion notice.
+7. the destination waits for the flow update to settle, restores and
+   publishes the completion notice.
 
 That comes to 7 + 3*I bus messages, a count the trace tests pin down. A
 cold migration follows the same skeleton minus the running-state copies
@@ -35,18 +35,20 @@ Messages stay in process, so headers carry typed objects: the task
 publication hands every agent the frozen :class:`TaskInfo` itself.
 
 State machines are pure: :func:`advance` maps (state, event) to a new state
-plus a list of actions (messages to send, work items to run, timers to
-arm), and the simulator or any other driver executes those actions. A work
-item names only its kind (plus its round, and for a transfer or the restore
-the bytes of the image it moves, as the checkpoint reported them): the
-simulator sizes every checkpoint and prices every item. An agent takes its
-task only from the task publication. An event that is not legal in the
-current phase moves the agent to Failed and emits a diagnostic; nothing is
-dropped silently. Agents arm a watchdog whenever they wait on a peer, so a
-lost message turns into a diagnosed failure rather than a hang. Timers are
-handled in :func:`advance` for all four roles: the armed watchdog fails the
-agent, the destination's restore timer goes on to its role function, and
-any other token (a watchdog since disarmed or replaced) is ignored.
+plus a list of actions (messages to send, work items to run, watchdogs to
+arm), and the simulator or any other driver executes those actions. A
+:class:`BusMessage` is both: an agent emits it as an action and receives it
+as an event. A work item names only its kind (plus its round, and for a
+transfer or the restore the bytes of the image it moves, as the checkpoint
+reported them): the simulator sizes every checkpoint and prices every
+item, including the destination's wait for the client's flow update. An
+agent takes its task only from the task publication. An event that is not
+legal in the current phase moves the agent to Failed and emits a
+diagnostic; nothing is dropped silently. Agents arm a watchdog whenever
+they wait on a peer, so a lost message turns into a diagnosed failure
+rather than a hang. Watchdogs are the only timers, and :func:`advance`
+handles them for all four roles: the armed one fails the agent, and any
+other token (a watchdog since disarmed or replaced) is ignored.
 """
 
 from __future__ import annotations
@@ -116,12 +118,9 @@ class WorkKind(str, Enum):
     NS_CLEAR = "ns_clear"
     NS_RECREATE = "ns_recreate"
     FLOW_UPDATE = "flow_update"
+    # The destination's wait, after ns-ready, for the client's flow update.
+    FLOW_SETTLE = "flow_settle"
     RESTORE = "restore"
-
-
-@dataclass(frozen=True, slots=True)
-class Send:
-    message: BusMessage
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,12 +141,7 @@ class Diagnostic:
     text: str
 
 
-Action = Union[Send, StartWork, SetTimer, Diagnostic]
-
-
-@dataclass(frozen=True, slots=True)
-class MessageEvent:
-    message: BusMessage
+Action = Union[BusMessage, StartWork, SetTimer, Diagnostic]
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +161,7 @@ class Kickoff:
     """Hands the orchestrator agent its cue to publish the task."""
 
 
-Event = Union[MessageEvent, WorkDone, TimerFired, Kickoff]
+Event = Union[BusMessage, WorkDone, TimerFired, Kickoff]
 
 
 # --------------------------------------------------------------------------
@@ -185,8 +179,6 @@ class TaskInfo:
     orchestrator: str
     strategy: StrategyKind
     iterations: int
-    latency_s: float
-    flow_update_s: float
     watchdog_s: float
     ns_config: str
 
@@ -284,7 +276,6 @@ class AgentState:
     # Destination side.
     ns_config: Optional[str] = None
     sc_bytes: Optional[float] = None
-    restore_token: Optional[str] = None
     # Client side: the host the service flow leaves through.
     egress: Optional[str] = None
     diagnostic: Optional[str] = None
@@ -295,9 +286,9 @@ def idle_agent(role: Role, agent_id: str) -> AgentState:
 
 
 def _send(state: AgentState, kind: MessageKind, topic: str,
-          payload_bytes: float = 0.0, **headers) -> Send:
-    return Send(BusMessage(kind=kind, topic=topic, sender=state.agent_id,
-                           payload_bytes=payload_bytes, headers=headers))
+          payload_bytes: float = 0.0, **headers) -> BusMessage:
+    return BusMessage(kind=kind, topic=topic, sender=state.agent_id,
+                      payload_bytes=payload_bytes, headers=headers)
 
 
 def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
@@ -310,8 +301,8 @@ def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
 
 
 def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
-    if isinstance(event, MessageEvent):
-        what = f"{event.message.kind.value} on {event.message.topic}"
+    if isinstance(event, BusMessage):
+        what = f"{event.kind.value} on {event.topic}"
     else:
         what = type(event).__name__
     return _fail(state, f"unexpected {what} in phase {state.phase}")
@@ -347,7 +338,7 @@ def _source_stop_copy(state: AgentState, *sent: Action, **changes
             [*sent, StartWork(WorkKind.STOP_CHECKPOINT)])
 
 
-def _source_image_sent(state: AgentState, reply: Send, done_round: int
+def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
                        ) -> tuple[AgentState, list[Action]]:
     """Pre-copy round ``done_round`` is shipped (0: the initial image):
     checkpoint the next round, or stop and copy after the last."""
@@ -371,10 +362,9 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
     info = state.info
     phase = state.phase
 
-    if isinstance(event, MessageEvent):
-        msg = event.message
-        if msg.kind is MessageKind.QUERY \
-                and msg.topic == nsconfig_topic(info.task_id):
+    if isinstance(event, BusMessage):
+        if event.kind is MessageKind.QUERY \
+                and event.topic == nsconfig_topic(info.task_id):
             if state.ns_query_seen:
                 return _fail(state, "duplicate namespace-configuration query")
             state = replace(state, ns_query_seen=True)
@@ -382,7 +372,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 # Nothing rides along; answer straight away.
                 if phase.kind in (PhaseKind.STOP_COPY_CHECKPOINT,
                                   PhaseKind.NAMESPACE_TRANSITION):
-                    return state, [_send(state, MessageKind.REPLY, msg.topic,
+                    return state, [_send(state, MessageKind.REPLY, event.topic,
                                          ns_config=info.ns_config)]
                 return _unexpected(state, event)
             if phase != Phase(PhaseKind.PRE_COPY_ROUND, 0):
@@ -394,9 +384,9 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                                          bytes=state.preckpt_bytes)]
             return state, []
 
-        if msg.kind is MessageKind.QUERY \
+        if event.kind is MessageKind.QUERY \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
-                and msg.topic == round_image_topic(info.task_id, phase.round):
+                and event.topic == round_image_topic(info.task_id, phase.round):
             state = replace(state, guard=None)
             return state, [StartWork(WorkKind.TRANSFER_ROUND,
                                      bytes=state.round_bytes,
@@ -499,40 +489,39 @@ def _advance_destination(state: AgentState, event: Event
     info = state.info
     phase = state.phase
 
-    if isinstance(event, MessageEvent):
-        msg = event.message
-        if msg.kind is MessageKind.REPLY \
-                and msg.topic == nsconfig_topic(info.task_id):
+    if isinstance(event, BusMessage):
+        if event.kind is MessageKind.REPLY \
+                and event.topic == nsconfig_topic(info.task_id):
             if info.strategy is StrategyKind.COLD:
                 if phase.kind is not PhaseKind.STOP_COPY_CHECKPOINT \
                         or state.ns_config is not None:
                     return _unexpected(state, event)
                 return _dest_maybe_transition(
-                    state, ns_config=str(msg.headers["ns_config"]))
+                    state, ns_config=str(event.headers["ns_config"]))
             if phase != Phase(PhaseKind.PRE_COPY_ROUND, 0):
                 return _unexpected(state, event)
             return _dest_image_received(
-                state, 0, ns_config=str(msg.headers["ns_config"]))
+                state, 0, ns_config=str(event.headers["ns_config"]))
 
-        if msg.kind is MessageKind.PUBLISH \
+        if event.kind is MessageKind.PUBLISH \
                 and phase.kind is PhaseKind.PRE_COPY_ROUND and phase.round >= 1 \
-                and msg.topic == round_ready_topic(info.task_id, phase.round):
+                and event.topic == round_ready_topic(info.task_id, phase.round):
             pull = _send(state, MessageKind.QUERY,
                          round_image_topic(info.task_id, phase.round))
             return _arm(state, pull,
                         phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, phase.round))
 
-        if msg.kind is MessageKind.REPLY \
+        if event.kind is MessageKind.REPLY \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
-                and msg.topic == round_image_topic(info.task_id, phase.round):
+                and event.topic == round_image_topic(info.task_id, phase.round):
             return _dest_image_received(state, phase.round)
 
-        if msg.kind is MessageKind.PUBLISH \
+        if event.kind is MessageKind.PUBLISH \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT \
-                and msg.topic == stopcopy_topic(info.task_id):
+                and event.topic == stopcopy_topic(info.task_id):
             if state.sc_bytes is not None:
                 return _fail(state, "duplicate stop-and-copy image")
-            return _dest_maybe_transition(state, sc_bytes=msg.payload_bytes)
+            return _dest_maybe_transition(state, sc_bytes=event.payload_bytes)
         return _unexpected(state, event)
 
     if isinstance(event, WorkDone):
@@ -540,27 +529,17 @@ def _advance_destination(state: AgentState, event: Event
                 and phase.kind is PhaseKind.NAMESPACE_TRANSITION:
             ready = _send(state, MessageKind.PUBLISH,
                           ns_ready_topic(info.task_id))
-            # The flow update happens client-side; it is complete one
-            # propagation delay plus the update cost after this
-            # publication, which is when the restore may begin.
-            token = f"{state.agent_id}:restore"
-            timer = SetTimer(delay_s=info.latency_s + info.flow_update_s,
-                             token=token)
-            return (replace(state, phase=Phase(PhaseKind.AWAIT_RESTORE),
-                            restore_token=token),
-                    [ready, timer])
+            return (replace(state, phase=Phase(PhaseKind.AWAIT_RESTORE)),
+                    [ready, StartWork(WorkKind.FLOW_SETTLE)])
+
+        if event.kind is WorkKind.FLOW_SETTLE \
+                and phase.kind is PhaseKind.AWAIT_RESTORE:
+            return state, [StartWork(WorkKind.RESTORE, bytes=state.sc_bytes)]
 
         if event.kind is WorkKind.RESTORE \
                 and phase.kind is PhaseKind.AWAIT_RESTORE:
             done = _send(state, MessageKind.PUBLISH, done_topic(info.task_id))
             return replace(state, phase=DONE), [done]
-        return _unexpected(state, event)
-
-    if isinstance(event, TimerFired):
-        # advance() passes on only the restore token, which is armed on
-        # entering AWAIT_RESTORE and cleared here.
-        return (replace(state, restore_token=None),
-                [StartWork(WorkKind.RESTORE, bytes=state.sc_bytes)])
     return _unexpected(state, event)
 
 
@@ -576,10 +555,9 @@ def _client_start(state: AgentState, info: TaskInfo
 def _advance_client(state: AgentState, event: Event
                     ) -> tuple[AgentState, list[Action]]:
     phase = state.phase
-    if isinstance(event, MessageEvent):
-        msg = event.message
-        if msg.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE \
-                and msg.topic == ns_ready_topic(state.info.task_id):
+    if isinstance(event, BusMessage):
+        if event.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE \
+                and event.topic == ns_ready_topic(state.info.task_id):
             state = replace(state, guard=None,
                             phase=Phase(PhaseKind.NAMESPACE_TRANSITION))
             return state, [StartWork(WorkKind.FLOW_UPDATE)]
@@ -607,20 +585,19 @@ def _advance_orchestrator(state: AgentState, event: Event
                     task=info)
         return _arm(state, pub)  # expect the start announcement
 
-    if isinstance(event, MessageEvent) and info is not None:
-        msg = event.message
-        if msg.topic.endswith("/failed") and msg.kind is MessageKind.PUBLISH:
-            reason = str(msg.headers.get("reason", "agent failure"))
+    if isinstance(event, BusMessage) and info is not None:
+        if event.topic.endswith("/failed") and event.kind is MessageKind.PUBLISH:
+            reason = str(event.headers.get("reason", "agent failure"))
             return (replace(state, phase=FAILED,
-                            diagnostic=f"{msg.sender}: {reason}"),
-                    [Diagnostic(f"failure reported by {msg.sender}: {reason}")])
-        if msg.kind is MessageKind.PUBLISH \
-                and msg.topic == started_topic(info.task_id) \
+                            diagnostic=f"{event.sender}: {reason}"),
+                    [Diagnostic(f"failure reported by {event.sender}: {reason}")])
+        if event.kind is MessageKind.PUBLISH \
+                and event.topic == started_topic(info.task_id) \
                 and phase.kind is PhaseKind.IDLE:
             # expect the completion notice
             return _arm(state, phase=Phase(PhaseKind.AWAIT_RESTORE))
-        if msg.kind is MessageKind.PUBLISH \
-                and msg.topic == done_topic(info.task_id) \
+        if event.kind is MessageKind.PUBLISH \
+                and event.topic == done_topic(info.task_id) \
                 and phase.kind is PhaseKind.AWAIT_RESTORE:
             return replace(state, guard=None, phase=DONE), []
     return _unexpected(state, event)
@@ -648,11 +625,10 @@ def _take_task(state: AgentState, event: Event
                ) -> tuple[AgentState, list[Action]]:
     """An agent without a task accepts only the publication of one."""
     task = None
-    if isinstance(event, MessageEvent) \
-            and event.message.kind is MessageKind.PUBLISH:
-        task = event.message.headers.get("task")
+    if isinstance(event, BusMessage) and event.kind is MessageKind.PUBLISH:
+        task = event.headers.get("task")
     if not isinstance(task, TaskInfo) \
-            or event.message.topic != task_topic(task.task_id):
+            or event.topic != task_topic(task.task_id):
         return _unexpected(state, event)
     return _ROLE_START[state.role](state, task)
 
@@ -661,19 +637,17 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     """One transition of an agent's state machine.
 
     Terminal phases absorb every event. An agent without a task takes
-    only the publication of one. Watchdogs are handled here for every
-    role: the armed guard fails the agent, the destination's restore timer
-    goes on to its role, and any other token is ignored. Any other event
-    that the current phase has no transition for fails the agent with a
-    diagnostic.
+    only the publication of one. Watchdogs, the only timers, are handled
+    here for every role: the armed guard fails the agent and any other
+    token is ignored. Any other event that the current phase has no
+    transition for fails the agent with a diagnostic.
     """
     if state.phase.kind in TERMINAL_PHASES:
         return state, []
     if isinstance(event, TimerFired):
         if event.token == state.guard:
             return _fail(state, f"timed out waiting in phase {state.phase}")
-        if event.token != state.restore_token:
-            return state, []
+        return state, []
     if state.info is None and state.role is not Role.ORCHESTRATOR:
         return _take_task(state, event)
     return _ROLE_DISPATCH[state.role](state, event)

@@ -10,6 +10,11 @@ The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
 are accounted exactly once.
 
+The simulator keeps all the time: it prices every work item (the
+destination's wait for the client's flow update too) and fires the agents'
+watchdogs. A run stops once every agent is done or failed, so a run's
+``end_time_s`` is the time of the last event an agent acted on.
+
 Fault injection is off by default. Drop and delay rules match deliveries
 by topic substring and occurrence index; a dropped delivery is logged and
 the waiting agent's watchdog later turns the loss into a diagnosed
@@ -66,10 +71,9 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
     if total_pages <= 0:
         raise DomainError("total_pages must be positive")
     expected_writes = rate_pages_per_s * window_s
-    # Beyond ~64 writes per page the miss probability is below 1e-27;
-    # every page has been touched for any practical purpose. Testing the
-    # expectation, before the draw, also keeps a huge rate away from
-    # rng.poisson, which rejects means above ~1e19.
+    # Beyond ~64 writes per page the miss probability is below 1e-27, so
+    # every page is dirty; testing the mean before the draw also keeps a
+    # huge rate away from rng.poisson, which rejects means above ~1e19.
     if expected_writes > 64 * total_pages:
         return total_pages
     if isinstance(rng, (int, np.integer)):
@@ -166,10 +170,10 @@ class ProtocolEvent:
 
 
 def _describe_event(event: ag.Event) -> dict:
-    if isinstance(event, ag.MessageEvent):
-        msg = event.message
-        return {"type": "message", "kind": msg.kind.value, "topic": msg.topic,
-                "sender": msg.sender, "payload_bytes": msg.payload_bytes}
+    if isinstance(event, BusMessage):
+        return {"type": "message", "kind": event.kind.value,
+                "topic": event.topic, "sender": event.sender,
+                "payload_bytes": event.payload_bytes}
     if isinstance(event, ag.WorkDone):
         return {"type": "work_done", "work": event.kind.value,
                 "bytes": event.bytes, "round": event.round}
@@ -231,7 +235,6 @@ class _Sim:
 
         if watchdog_s is None:
             watchdog_s = 10.0 * config.predicted.total_s + 10.0
-        client_link = scenario.link_between(dest, section.client)
         self.info = ag.TaskInfo(
             task_id=section.task.container_id,
             source=source,
@@ -240,8 +243,6 @@ class _Sim:
             orchestrator=section.orchestrator,
             strategy=config.strategy.kind,
             iterations=config.strategy.iterations,
-            latency_s=client_link.latency_s if client_link else 0.0,
-            flow_update_s=self.params.flow_update_s,
             watchdog_s=watchdog_s,
             ns_config=f"netns:{section.task.container_id}")
 
@@ -280,8 +281,8 @@ class _Sim:
 
     # -- scheduling ---------------------------------------------------
 
-    def _push(self, time_s: float, tag: str, agent_id: str, obj) -> None:
-        heapq.heappush(self.heap, (time_s, self.seq, tag, agent_id, obj))
+    def _push(self, time_s: float, agent_id: str, event: ag.Event) -> None:
+        heapq.heappush(self.heap, (time_s, self.seq, agent_id, event))
         self.seq += 1
 
     # -- dirty process ------------------------------------------------
@@ -328,7 +329,7 @@ class _Sim:
                            "receiver": receiver})
                 continue
             delay = self._latency(msg.sender, receiver) + extra
-            self._push(self.now + delay, "deliver", receiver, msg)
+            self._push(self.now + delay, receiver, msg)
 
     # -- work execution -----------------------------------------------
 
@@ -366,10 +367,14 @@ class _Sim:
             duration = restore_duration(params, nbytes)
         elif kind is ag.WorkKind.FLOW_UPDATE:
             nbytes, duration = 0.0, params.flow_update_s
+        elif kind is ag.WorkKind.FLOW_SETTLE:
+            nbytes = 0.0
+            duration = (self._latency(agent_id, self.info.client)
+                        + params.flow_update_s)
         else:  # NS_CLEAR, NS_RECREATE
             nbytes, duration = 0.0, params.ns_overhead_s
         done = ag.WorkDone(kind=kind, bytes=nbytes, round=action.round)
-        self._push(self.now + duration, "work", agent_id, done)
+        self._push(self.now + duration, agent_id, done)
         return nbytes, duration
 
     # -- logging ------------------------------------------------------
@@ -386,36 +391,34 @@ class _Sim:
     # -- main loop ----------------------------------------------------
 
     def run(self) -> MigrationOutcome:
-        orch = self.role_to_agent[ag.Role.ORCHESTRATOR]
-        self._push(0.0, "kickoff", orch, ag.Kickoff())
+        self._push(0.0, self.info.orchestrator, ag.Kickoff())
         # Without an event log, nothing below formats log material.
         record = self.record_events
         processed = 0
-        while self.heap:
-            time_s, _, tag, agent_id, obj = heapq.heappop(self.heap)
+        live = len(self.agents)  # agents neither done nor failed
+        while self.heap and live:
+            time_s, _, agent_id, event = heapq.heappop(self.heap)
             self.now = time_s
             processed += 1
             if processed > MAX_EVENTS:
                 raise DomainError("event budget exceeded; simulation diverged")
-            if tag == "deliver":
-                event: ag.Event = ag.MessageEvent(obj)
-            else:
-                event = obj
             state = self.agents[agent_id]
             if record:
                 before = str(state.phase)
             new_state, actions = ag.advance(state, event)
             self.agents[agent_id] = new_state
+            if new_state.phase.kind in ag.TERMINAL_PHASES \
+                    and state.phase.kind not in ag.TERMINAL_PHASES:
+                live -= 1
 
             action_docs: list[dict] = []
             for action in actions:
-                if isinstance(action, ag.Send):
-                    self._send(action.message)
+                if isinstance(action, BusMessage):
+                    self._send(action)
                     if record:
                         action_docs.append(
-                            {"send": action.message.kind.value,
-                             "topic": action.message.topic,
-                             "payload_bytes": action.message.payload_bytes})
+                            {"send": action.kind.value, "topic": action.topic,
+                             "payload_bytes": action.payload_bytes})
                 elif isinstance(action, ag.StartWork):
                     nbytes, duration = self._start_work(agent_id, action)
                     if record:
@@ -423,7 +426,7 @@ class _Sim:
                                             "bytes": nbytes,
                                             "duration_s": duration})
                 elif isinstance(action, ag.SetTimer):
-                    self._push(self.now + action.delay_s, "timer", agent_id,
+                    self._push(self.now + action.delay_s, agent_id,
                                ag.TimerFired(action.token))
                     if record:
                         action_docs.append({"timer_s": action.delay_s,

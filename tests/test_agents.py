@@ -32,24 +32,23 @@ def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
     return ag.TaskInfo(
         task_id="t1", source="src", destination="dst",
         client="cli", orchestrator="orc", strategy=strategy,
-        iterations=iterations, latency_s=0.0, flow_update_s=0.004,
-        watchdog_s=30.0, ns_config="netns:t1")
+        iterations=iterations, watchdog_s=30.0, ns_config="netns:t1")
 
 
 def task_message(info):
-    return ag.MessageEvent(BusMessage(
+    return BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.task_topic(info.task_id),
-        sender="orc", headers={"task": info}))
+        sender="orc", headers={"task": info})
 
 
 def ns_query(info):
-    return ag.MessageEvent(BusMessage(
+    return BusMessage(
         kind=MessageKind.QUERY, topic=ag.nsconfig_topic(info.task_id),
-        sender="dst"))
+        sender="dst")
 
 
 def sends(actions):
-    return [a.message for a in actions if isinstance(a, ag.Send)]
+    return [a for a in actions if isinstance(a, BusMessage)]
 
 
 def works(actions):
@@ -133,9 +132,9 @@ def test_source_full_iterative_walk():
     [ready] = sends(actions)
     assert ready.topic == ag.round_ready_topic("t1", 1)
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
-    pull = ag.MessageEvent(BusMessage(
+    pull = BusMessage(
         kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 1),
-        sender="dst"))
+        sender="dst")
     state, actions = ag.advance(state, pull)
     [work] = works(actions)
     assert work.kind is ag.WorkKind.TRANSFER_ROUND and work.bytes == 8192.0
@@ -148,9 +147,9 @@ def test_source_full_iterative_walk():
     # Round 2 ends the pre-copy: next comes the stop-and-copy checkpoint.
     state, _ = ag.advance(
         state, ag.WorkDone(ag.WorkKind.ROUND_CHECKPOINT, bytes=4096.0, round=2))
-    pull2 = ag.MessageEvent(BusMessage(
+    pull2 = BusMessage(
         kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 2),
-        sender="dst"))
+        sender="dst")
     state, _ = ag.advance(state, pull2)
     state, actions = ag.advance(
         state, ag.WorkDone(ag.WorkKind.TRANSFER_ROUND, bytes=4096.0, round=2))
@@ -254,8 +253,8 @@ def test_watchdog_and_stale_timers(role):
     (ag.ns_ready_topic("t1"), {"task": task_info()}),
 ], ids=["other-topic", "no-task", "task-off-its-topic"])
 def test_idle_agent_takes_only_its_task_publication(role, topic, headers):
-    stray = ag.MessageEvent(BusMessage(kind=MessageKind.PUBLISH, topic=topic,
-                                       sender="dst", headers=headers))
+    stray = BusMessage(kind=MessageKind.PUBLISH, topic=topic,
+                       sender="dst", headers=headers)
     state, actions = ag.advance(ag.idle_agent(role, "agent"), stray)
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic == f"unexpected publish on {topic} in phase idle"
@@ -277,17 +276,17 @@ def test_terminal_phases_absorb_everything():
 
 
 def ns_reply(info, payload=0.0):
-    return ag.MessageEvent(BusMessage(
+    return BusMessage(
         kind=MessageKind.REPLY, topic=ag.nsconfig_topic(info.task_id),
         sender="src", payload_bytes=payload,
-        headers={"ns_config": "netns:t1", "image_bytes": payload}))
+        headers={"ns_config": "netns:t1", "image_bytes": payload})
 
 
 def sc_push(info, payload=20480.0):
-    return ag.MessageEvent(BusMessage(
+    return BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.stopcopy_topic(info.task_id),
         sender="src", payload_bytes=payload,
-        headers={"image_bytes": payload}))
+        headers={"image_bytes": payload})
 
 
 def test_destination_queries_namespace_config_on_task():
@@ -301,24 +300,24 @@ def test_destination_queries_namespace_config_on_task():
     assert timers(actions)
 
 
-def test_destination_full_walk_with_restore_timer():
+def test_destination_full_walk_with_flow_settle():
     info = task_info(iterations=1)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
     state, _ = ag.advance(state, ns_reply(info, payload=float(M)))
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 1)
-    ready = ag.MessageEvent(BusMessage(
+    ready = BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.round_ready_topic("t1", 1),
-        sender="src", headers={"round": 1, "image_bytes": 8192.0}))
+        sender="src", headers={"round": 1, "image_bytes": 8192.0})
     state, actions = ag.advance(state, ready)
     [pull] = sends(actions)
     assert pull.kind is MessageKind.QUERY
     assert pull.topic == ag.round_image_topic("t1", 1)
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
-    image = ag.MessageEvent(BusMessage(
+    image = BusMessage(
         kind=MessageKind.REPLY, topic=ag.round_image_topic("t1", 1),
         sender="src", payload_bytes=8192.0,
-        headers={"round": 1, "image_bytes": 8192.0}))
+        headers={"round": 1, "image_bytes": 8192.0})
     state, actions = ag.advance(state, image)
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     [guard] = timers(actions)
@@ -334,13 +333,13 @@ def test_destination_full_walk_with_restore_timer():
                                 ag.WorkDone(ag.WorkKind.NS_RECREATE))
     [msg] = sends(actions)
     assert msg.topic == ag.ns_ready_topic("t1")
-    [timer] = timers(actions)
-    # Restore waits for the flow update to settle: one propagation delay
-    # plus the update cost.
-    assert timer.delay_s == pytest.approx(info.latency_s + info.flow_update_s)
+    # Restore waits for the flow update to settle, a work item like any
+    # other; no timer is armed for it.
+    [work] = works(actions)
+    assert work.kind is ag.WorkKind.FLOW_SETTLE and timers(actions) == []
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
-    state, actions = ag.advance(state, ag.TimerFired(timer.token))
+    state, actions = ag.advance(state, ag.WorkDone(ag.WorkKind.FLOW_SETTLE))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.RESTORE and work.bytes == 20480.0
     state, actions = ag.advance(
@@ -391,8 +390,8 @@ def test_client_updates_flow_and_publishes_nothing():
                                 task_message(info))
     assert sends(actions) == []
     assert state.egress == "src"
-    ns_ready = ag.MessageEvent(BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.ns_ready_topic("t1"), sender="dst"))
+    ns_ready = BusMessage(
+        kind=MessageKind.PUBLISH, topic=ag.ns_ready_topic("t1"), sender="dst")
     state, actions = ag.advance(state, ns_ready)
     assert sends(actions) == []
     [work] = works(actions)
@@ -417,13 +416,13 @@ def test_orchestrator_lifecycle():
     assert pub.topic == ag.task_topic("t1")
     assert pub.headers == {"task": info}
 
-    started = ag.MessageEvent(BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.started_topic("t1"), sender="src"))
+    started = BusMessage(
+        kind=MessageKind.PUBLISH, topic=ag.started_topic("t1"), sender="src")
     state, _ = ag.advance(state, started)
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
-    done = ag.MessageEvent(BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.done_topic("t1"), sender="dst"))
+    done = BusMessage(
+        kind=MessageKind.PUBLISH, topic=ag.done_topic("t1"), sender="dst")
     state, actions = ag.advance(state, done)
     assert state.phase.kind is ag.PhaseKind.DONE
     assert actions == []
@@ -433,9 +432,9 @@ def test_orchestrator_collects_failures():
     info = task_info()
     state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
     state, _ = ag.advance(state, ag.Kickoff())
-    failure = ag.MessageEvent(BusMessage(
+    failure = BusMessage(
         kind=MessageKind.PUBLISH, topic=ag.failed_topic("t1", ag.Role.CLIENT),
-        sender="cli", headers={"reason": "timed out waiting in phase idle"}))
+        sender="cli", headers={"reason": "timed out waiting in phase idle"})
     state, actions = ag.advance(state, failure)
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert "cli" in state.diagnostic

@@ -367,7 +367,6 @@ def test_restore_starts_when_the_flow_update_ends(strategy, iters):
     assert restore_start == flow_start + flow_s
 
 
-@pytest.mark.xfail(strict=True, reason="the loop runs until the heap is empty")
 @pytest.mark.parametrize("strategy,iters", [
     (StrategyKind.COLD, 0),
     (StrategyKind.PRE_COPY, 0),
