@@ -447,8 +447,11 @@ class _Sim:
                           tuple(action_docs))
 
         final_phases = {aid: str(st.phase) for aid, st in self.agents.items()}
-        diagnostics = {aid: st.diagnostic for aid, st in self.agents.items()
-                       if st.diagnostic}
+        # An agent still live here has no event left that could move it.
+        diagnostics = {
+            aid: st.diagnostic or f"stalled in phase {st.phase}"
+            for aid, st in self.agents.items()
+            if st.diagnostic or st.phase.kind not in ag.TERMINAL_PHASES}
         completed = all(st.phase.kind is ag.PhaseKind.DONE
                         for st in self.agents.values())
         return MigrationOutcome(

@@ -520,6 +520,18 @@ def test_task_arriving_after_ns_ready_fails_the_client_cleanly():
     assert "in phase idle" in outcome.diagnostics["cam-client"]
 
 
+def test_agent_left_with_nothing_pending_is_diagnosed():
+    # The client hears neither the task nor ns-ready, so no watchdog of its
+    # own guards it, yet the others finish.
+    scenario = make_scenario()
+    outcome = run_scenario(scenario, make_config(scenario, StrategyKind.COLD),
+                           fault_rules=(DropRule("/task", receiver="c"),
+                                        DropRule("ns-ready")))
+    assert not outcome.completed
+    assert outcome.diagnostics == {"c": "stalled in phase idle"}
+    assert set(outcome.final_phases.values()) == {"done", "idle"}
+
+
 def test_config_bandwidth_must_fit_the_link():
     scenario = make_scenario(bandwidth_mbps=100.0)
     config = make_config(scenario, StrategyKind.COLD, bandwidth=GBPS)
