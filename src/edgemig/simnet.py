@@ -254,10 +254,9 @@ class _Sim:
                 role=ag.Role.ORCHESTRATOR, agent_id=section.orchestrator,
                 info=self.info),
         }
-        self.role_to_agent = {state.role: aid
-                              for aid, state in self.agents.items()}
+        role_to_agent = {state.role: aid for aid, state in self.agents.items()}
         self.subscribers = {
-            topic: [self.role_to_agent[role] for role in roles]
+            topic: [role_to_agent[role] for role in roles]
             for topic, roles in ag.subscriptions(self.info).items()}
 
         self.rng = np.random.default_rng(scenario.seed)
