@@ -1,7 +1,8 @@
 """Pinned output bytes of the CLI on the demo scenario.
 
 Each command runs in process through ``cli.main`` and its output must equal
-the file under ``tests/golden/`` byte for byte. A deliberate change of
+the file under ``tests/golden/`` byte for byte; so must a longer sweep
+built in code, whose rows reach dozens of pre-copy rounds. A deliberate change of
 seeded output replaces the golden file in the same change and says why in
 CHANGES.md; any other difference is a regression. Running this file,
 ``PYTHONPATH=src python tests/test_golden.py``, rewrites every golden file
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
+from edgemig.cli import emit_report, sweep_rows
 from edgemig.simnet import DelayRule, DropRule
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,8 +81,27 @@ def test_faulted_run_matches_golden(name, tmp_path):
         assert produced == (GOLDEN / golden).read_bytes(), golden
 
 
+def long_sweep(directory: Path) -> str:
+    """The demo sweep stretched to ``target_duration_s`` 1-20 s, step 0.5,
+    whose upper rows take iterative pre-copy to dozens of rounds."""
+    scenario = load_scenario(DEMO)
+    scenario = dataclasses.replace(
+        scenario, sweep=dataclasses.replace(scenario.sweep, to_s=20.0))
+    assert scenario.sweep.variable == "target_duration_s"
+    assert scenario.sweep.step_s == 0.5
+    out = directory / "sweep_long.csv"
+    out.write_text(emit_report(sweep_rows(scenario)), encoding="utf-8")
+    return out.name
+
+
+def test_long_sweep_matches_golden(tmp_path):
+    golden = long_sweep(tmp_path)
+    assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 if __name__ == "__main__":
     for case in CASES:
         cli_run(case, GOLDEN)
     for case in FAULT_CASES:
         faulted_run(case, GOLDEN)
+    long_sweep(GOLDEN)
