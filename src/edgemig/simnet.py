@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -95,6 +96,15 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
 # Fault injection
 
 
+def _check_rule(rule) -> None:
+    """Reject a rule that could never fire or would run the clock backwards."""
+    n, delay = rule.occurrence, getattr(rule, "delay_s", 0.0)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"occurrence must be a whole number >= 1, got {n!r}")
+    if not (math.isfinite(delay) and delay >= 0):
+        raise DomainError(f"delay_s must be finite and >= 0, got {delay!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class DropRule:
     """Drop the Nth delivery whose topic contains the given fragment."""
@@ -102,6 +112,7 @@ class DropRule:
     topic_contains: str
     occurrence: int = 1
     receiver: Optional[str] = None
+    __post_init__ = _check_rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +123,7 @@ class DelayRule:
     delay_s: float
     occurrence: int = 1
     receiver: Optional[str] = None
+    __post_init__ = _check_rule
 
 
 FaultRule = Union[DropRule, DelayRule]
@@ -124,12 +136,10 @@ class _FaultBox:
 
     def apply(self, msg: BusMessage, receiver: str) -> tuple[bool, float]:
         """Returns (dropped, extra_delay_s) for one delivery attempt."""
-        dropped = False
-        delay = 0.0
+        dropped, delay = False, 0.0
         for i, rule in enumerate(self._rules):
-            if rule.topic_contains not in msg.topic:
-                continue
-            if rule.receiver is not None and rule.receiver != receiver:
+            if rule.topic_contains not in msg.topic \
+                    or rule.receiver not in (None, receiver):
                 continue
             self._hits[i] += 1
             if self._hits[i] != rule.occurrence:
@@ -157,16 +167,8 @@ class ProtocolEvent:
     actions: tuple[dict, ...] = ()
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "seq": self.seq,
-            "time_s": self.time_s,
-            "agent": self.agent,
-            "role": self.role,
-            "phase_before": self.phase_before,
-            "phase_after": self.phase_after,
-            "event": self.event,
-            "actions": list(self.actions),
-        })
+        # The slots are the fields in order; json writes a tuple as a list.
+        return json.dumps({name: getattr(self, name) for name in self.__slots__})
 
 
 def _describe_event(event: ag.Event) -> dict:
@@ -260,7 +262,7 @@ class _Sim:
             for topic, roles in ag.subscriptions(self.info).items()}
 
         self.rng = np.random.default_rng(scenario.seed)
-        self.faults = _FaultBox(fault_rules)
+        self.faults = _FaultBox(fault_rules) if fault_rules else None
         self.record_events = record_events
 
         self.heap: list[tuple] = []
@@ -276,7 +278,6 @@ class _Sim:
         self.dirty_pages_at_stopcopy = 0
         self.freeze_time: Optional[float] = None
         self.restore_end: Optional[float] = None
-        self.downtime_s: Optional[float] = None
 
     # -- scheduling ---------------------------------------------------
 
@@ -321,7 +322,8 @@ class _Sim:
     def _send(self, msg: BusMessage) -> None:
         self.message_count += 1
         for receiver in self._receivers(msg):
-            dropped, extra = self.faults.apply(msg, receiver)
+            dropped, extra = (self.faults.apply(msg, receiver) if self.faults
+                              else (False, 0.0))
             if dropped:
                 self._log("bus", "bus", "-", "-",
                           {"type": "drop", "topic": msg.topic,
@@ -402,8 +404,6 @@ class _Sim:
             if processed > MAX_EVENTS:
                 raise DomainError("event budget exceeded; simulation diverged")
             state = self.agents[agent_id]
-            if record:
-                before = str(state.phase)
             new_state, actions = ag.advance(state, event)
             self.agents[agent_id] = new_state
             if new_state.phase.kind in ag.TERMINAL_PHASES \
@@ -437,11 +437,9 @@ class _Sim:
                     and event.kind is ag.WorkKind.RESTORE
                     and new_state.phase.kind is ag.PhaseKind.DONE):
                 self.restore_end = self.now
-                if self.freeze_time is not None:
-                    self.downtime_s = self.now - self.freeze_time
 
             if record:
-                self._log(agent_id, state.role.value, before,
+                self._log(agent_id, state.role.value, str(state.phase),
                           str(new_state.phase), _describe_event(event),
                           tuple(action_docs))
 
@@ -453,9 +451,10 @@ class _Sim:
             if st.diagnostic or st.phase.kind not in ag.TERMINAL_PHASES}
         completed = all(st.phase.kind is ag.PhaseKind.DONE
                         for st in self.agents.values())
+        downtime = self.restore_end - self.freeze_time if completed else None
         return MigrationOutcome(
             completed=completed,
-            downtime_s=self.downtime_s if completed else None,
+            downtime_s=downtime,
             total_s=self.restore_end if completed else None,
             bytes_transferred=self.bytes_transferred,
             dirty_pages_at_stopcopy=self.dirty_pages_at_stopcopy,

@@ -5,7 +5,11 @@ no simulator in the loop, checking phases, emitted actions, failure
 behaviour and the client's egress.
 """
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgemig import agents as ag
 from edgemig.bus import BusMessage, MessageKind
@@ -464,6 +468,79 @@ def test_every_topic_builder_routes_to_its_roles():
     }
     routes.update({ag.failed_topic("t1", role): (orc,) for role in ag.Role})
     assert ag.subscriptions(info) == routes
+
+
+# ---------------------------------------------------------------------------
+# Purity
+
+
+def _noise(info):
+    """Events a protocol step may not be waiting for: every topic of the
+    task in every message kind, every work kind and round, a stale
+    watchdog and a second kickoff."""
+    msgs = [BusMessage(kind=kind, topic=topic, sender="x")
+            for topic in ag.subscriptions(info) for kind in MessageKind]
+    done = [ag.WorkDone(kind, 4096.0, round_index) for kind in ag.WorkKind
+            for round_index in range(info.iterations + 1)]
+    return msgs + done + [ag.TimerFired("src:guard:0"), ag.Kickoff()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(StrategyKind)), st.integers(0, 3), st.data())
+def test_transitions_never_change_their_input(strategy, iterations, data):
+    # Walk all four agents through one task. Each step delivers, in any
+    # order, an event the agents' own actions produced; now and then a
+    # watchdog instead, or a noise event to any agent. (Fired as often as
+    # messages, watchdogs and noise would fail nearly every walk early.)
+    info = task_info(strategy, iterations)
+    states = {aid: ag.idle_agent(role, aid) for aid, role in (
+        ("src", ag.Role.SOURCE), ("dst", ag.Role.DESTINATION),
+        ("cli", ag.Role.CLIENT))}
+    states["orc"] = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc",
+                                  info=info)
+    by_role = {state.role: aid for aid, state in states.items()}
+    routes = ag.subscriptions(info)
+    asked = {}  # query topic -> the agent that asked
+    noise = _noise(info)
+    pending, timers = [("orc", ag.Kickoff())], []
+    for _ in range(data.draw(st.integers(1, 80))):
+        roll = data.draw(st.integers(0, 29))
+        if roll == 0 or not (pending or timers):
+            agent_id = data.draw(st.sampled_from(sorted(states)))
+            event = data.draw(st.sampled_from(noise))
+        else:
+            queue = timers if timers and (roll == 1 or not pending) \
+                else pending
+            agent_id, event = queue.pop(
+                data.draw(st.integers(0, len(queue) - 1)))
+        state = states[agent_id]
+        state_copy, event_copy = copy.deepcopy((state, event))
+        new_state, actions = ag.advance(state, event)
+        assert state == state_copy
+        assert event == event_copy
+        with pytest.raises(AttributeError):
+            new_state.phase = ag.DONE
+        with pytest.raises(AttributeError):
+            new_state.phase.round = 1
+        with pytest.raises(ValueError):
+            new_state._replace(no_such_field=1)
+        states[agent_id] = new_state
+        for action in actions:
+            if isinstance(action, BusMessage):
+                if action.kind is MessageKind.REPLY:
+                    receivers = [asked[action.topic]] if action.topic in asked \
+                        else []
+                else:
+                    if action.kind is MessageKind.QUERY:
+                        asked[action.topic] = agent_id
+                    receivers = [by_role[role]
+                                 for role in routes.get(action.topic, ())]
+                pending += [(receiver, action) for receiver in receivers]
+            elif isinstance(action, ag.StartWork):
+                pending.append((agent_id, ag.WorkDone(
+                    action.kind, action.bytes or 4096.0, action.round)))
+            elif isinstance(action, ag.SetTimer):
+                timers.append((agent_id, ag.TimerFired(action.token)))
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,26 @@ def test_agent_left_with_nothing_pending_is_diagnosed():
     assert set(outcome.final_phases.values()) == {"done", "idle"}
 
 
+@pytest.mark.parametrize("build,field", [
+    # Crashed deep inside dirty_set_size on the demo.
+    (lambda: DelayRule("/round/1/ready", -5.0), "delay_s"),
+    # Completed with event times running backwards.
+    (lambda: DelayRule("/round/1/ready", -0.001), "delay_s"),
+    # Crashed inside numpy's Poisson draw.
+    (lambda: DelayRule("/round/1/ready", float("nan")), "delay_s"),
+    (lambda: DelayRule("/round/1/ready", float("inf")), "delay_s"),
+    # Never fired: no delivery is the zeroth.
+    (lambda: DropRule("/round/1/ready", occurrence=0), "occurrence"),
+    (lambda: DelayRule("/round/1/ready", 1.0, occurrence=-1), "occurrence"),
+    (lambda: DropRule("/round/1/ready", occurrence=1.5), "occurrence"),
+    (lambda: DropRule("/round/1/ready", occurrence=True), "occurrence"),
+], ids=["delay-5", "delay-0.001", "delay-nan", "delay-inf", "occurrence-0",
+        "occurrence-negative", "occurrence-fractional", "occurrence-bool"])
+def test_bad_fault_rules_are_rejected_where_built(build, field):
+    with pytest.raises(DomainError, match=field):
+        build()
+
+
 def test_config_bandwidth_must_fit_the_link():
     scenario = make_scenario(bandwidth_mbps=100.0)
     config = make_config(scenario, StrategyKind.COLD, bandwidth=GBPS)
