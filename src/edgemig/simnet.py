@@ -96,7 +96,7 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
 # Fault injection
 
 
-def _check_rule(rule) -> None:
+def _check_rule(rule: FaultRule) -> None:
     """Reject a rule that could never fire or would run the clock backwards."""
     n, delay = rule.occurrence, getattr(rule, "delay_s", 0.0)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -168,7 +168,7 @@ class ProtocolEvent:
 
     def to_json_line(self) -> str:
         # The slots are the fields in order; json writes a tuple as a list.
-        return json.dumps({name: getattr(self, name) for name in self.__slots__})
+        return json.dumps({f: getattr(self, f) for f in self.__slots__})
 
 
 def _describe_event(event: ag.Event) -> dict:

@@ -528,8 +528,8 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
         for action in actions:
             if isinstance(action, BusMessage):
                 if action.kind is MessageKind.REPLY:
-                    receivers = [asked[action.topic]] if action.topic in asked \
-                        else []
+                    receivers = [asked[action.topic]] \
+                        if action.topic in asked else []
                 else:
                     if action.kind is MessageKind.QUERY:
                         asked[action.topic] = agent_id

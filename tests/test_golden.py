@@ -2,11 +2,11 @@
 
 Each command runs in process through ``cli.main`` and its output must equal
 the file under ``tests/golden/`` byte for byte; so must a longer sweep
-built in code, whose rows reach dozens of pre-copy rounds. A deliberate change of
-seeded output replaces the golden file in the same change and says why in
-CHANGES.md; any other difference is a regression. Running this file,
-``PYTHONPATH=src python tests/test_golden.py``, rewrites every golden file
-from the current code.
+built in code, whose rows reach dozens of pre-copy rounds. A deliberate
+change of seeded output replaces the golden file in the same change and
+says why in CHANGES.md; any other difference is a regression. Running
+this file, ``PYTHONPATH=src python tests/test_golden.py``, rewrites every
+golden file from the current code.
 """
 
 import dataclasses
