@@ -6,10 +6,12 @@ built in code, whose rows reach dozens of pre-copy rounds. A deliberate
 change of seeded output replaces the golden file in the same change and
 says why in CHANGES.md; any other difference is a regression. Running
 this file, ``PYTHONPATH=src python tests/test_golden.py``, rewrites every
-golden file from the current code.
+golden file from the current code and prints each file's old and new
+sha256, the record a deliberate rewrite cites.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -99,9 +101,18 @@ def test_long_sweep_matches_golden(tmp_path):
     assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def digests() -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(GOLDEN.iterdir())}
+
+
 if __name__ == "__main__":
+    old = digests()
     for case in CASES:
         cli_run(case, GOLDEN)
     for case in FAULT_CASES:
         faulted_run(case, GOLDEN)
     long_sweep(GOLDEN)
+    for name, new in digests().items():
+        print(f"{name}: unchanged {new}" if old.get(name) == new
+              else f"{name}: {old.get(name)} → {new}")
