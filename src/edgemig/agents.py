@@ -46,11 +46,12 @@ reported them): the simulator sizes every checkpoint and prices every
 item, including the destination's wait for the client's flow update. An
 agent takes its task only from the task publication. An event that is not
 legal in the current phase moves the agent to Failed and emits a
-diagnostic; nothing is dropped silently. Agents arm a watchdog whenever
-they wait on a peer, so a lost message turns into a diagnosed failure
-rather than a hang. Watchdogs are the only timers, and :func:`advance`
-handles them for all four roles: the armed one fails the agent, and any
-other token (a watchdog since disarmed or replaced) is ignored.
+diagnostic; nothing is dropped silently. Watchdogs are the only timers,
+and the driver keeps them: a :class:`SetTimer` guards the wait on a peer
+that its transition entered, until the agent's next transition. If that
+wait outlasts the driver's watchdog period, the driver delivers a
+:class:`TimerFired`, which fails any live agent, so a lost message turns
+into a diagnosed failure rather than a hang.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ class StartWork:
 
 @dataclass(frozen=True, slots=True)
 class SetTimer:
-    delay_s: float
-    token: str
+    """Guards the wait the emitting transition entered (module docstring)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +143,7 @@ class Diagnostic:
 
 
 Action = Union[BusMessage, StartWork, SetTimer, Diagnostic]
+_SET_TIMER = SetTimer()
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +155,7 @@ class WorkDone:
 
 @dataclass(frozen=True, slots=True)
 class TimerFired:
-    token: str
+    """The agent's guarded wait outlasted the watchdog period."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +181,6 @@ class TaskInfo:
     orchestrator: str
     strategy: StrategyKind
     iterations: int
-    watchdog_s: float
     ns_config: str
 
 
@@ -266,9 +266,6 @@ class AgentState(NamedTuple):
     agent_id: str
     phase: Phase = IDLE
     info: Optional[TaskInfo] = None
-    # Watchdog bookkeeping: only the most recently armed token is live.
-    guard: Optional[str] = None
-    guard_seq: int = 0
     # Source side.
     ns_query_seen: bool = False
     preckpt_bytes: Optional[float] = None
@@ -310,16 +307,9 @@ def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Actio
 
 def _arm(state: AgentState, *sent: Action, **changes
          ) -> tuple[AgentState, list[Action]]:
-    """Emit ``sent``, then arm the watchdog for the phase now waited in.
-
-    ``changes`` are the transition's other field updates, applied in the
-    same copy; the new guard replaces any armed one.
-    """
-    watchdog_s = changes.get("info", state.info).watchdog_s
-    token = f"{state.agent_id}:guard:{state.guard_seq}"
-    return (state._replace(guard=token, guard_seq=state.guard_seq + 1,
-                           **changes),
-            [*sent, SetTimer(delay_s=watchdog_s, token=token)])
+    """Emit ``sent``, then guard the phase now waited in. ``changes`` are
+    the transition's other field updates, applied in the same copy."""
+    return state._replace(**changes), [*sent, _SET_TIMER]
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +322,7 @@ def _source_stop_copy(state: AgentState, *sent: Action, **changes
 
     ``changes`` are the transition's other field updates, as for :func:`_arm`.
     """
-    return (state._replace(guard=None,
-                           phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT),
+    return (state._replace(phase=Phase(PhaseKind.STOP_COPY_CHECKPOINT),
                            **changes),
             [*sent, StartWork(WorkKind.STOP_CHECKPOINT)])
 
@@ -379,7 +368,6 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 return _unexpected(state, event)
             if state.preckpt_bytes is not None:
                 # Initial image already checkpointed; ship it.
-                state = state._replace(guard=None)
                 return state, [StartWork(WorkKind.TRANSFER_INITIAL,
                                          bytes=state.preckpt_bytes)]
             return state, []
@@ -387,7 +375,6 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         if event.kind is MessageKind.QUERY \
                 and phase.kind is PhaseKind.AWAIT_IMAGE_PULL \
                 and event.topic == round_image_topic(info.task_id, phase.round):
-            state = state._replace(guard=None)
             return state, [StartWork(WorkKind.TRANSFER_ROUND,
                                      bytes=state.round_bytes,
                                      round=phase.round)]
@@ -458,8 +445,7 @@ def _dest_maybe_transition(state: AgentState, **changes
     if changes.get("sc_bytes", state.sc_bytes) is None \
             or changes.get("ns_config", state.ns_config) is None:
         return _arm(state, **changes)
-    return (state._replace(guard=None,
-                           phase=Phase(PhaseKind.NAMESPACE_TRANSITION),
+    return (state._replace(phase=Phase(PhaseKind.NAMESPACE_TRANSITION),
                            **changes),
             [StartWork(WorkKind.NS_RECREATE)])
 
@@ -559,8 +545,7 @@ def _advance_client(state: AgentState, event: Event
     if isinstance(event, BusMessage):
         if event.kind is MessageKind.PUBLISH and phase.kind is PhaseKind.IDLE \
                 and event.topic == ns_ready_topic(state.info.task_id):
-            state = state._replace(
-                guard=None, phase=Phase(PhaseKind.NAMESPACE_TRANSITION))
+            state = state._replace(phase=Phase(PhaseKind.NAMESPACE_TRANSITION))
             return state, [StartWork(WorkKind.FLOW_UPDATE)]
 
     if isinstance(event, WorkDone):
@@ -600,7 +585,7 @@ def _advance_orchestrator(state: AgentState, event: Event
         if event.kind is MessageKind.PUBLISH \
                 and event.topic == done_topic(info.task_id) \
                 and phase.kind is PhaseKind.AWAIT_RESTORE:
-            return state._replace(guard=None, phase=DONE), []
+            return state._replace(phase=DONE), []
     return _unexpected(state, event)
 
 
@@ -637,18 +622,15 @@ def _take_task(state: AgentState, event: Event
 def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     """One transition of an agent's state machine.
 
-    Terminal phases absorb every event. An agent without a task takes
-    only the publication of one. Watchdogs, the only timers, are handled
-    here for every role: the armed guard fails the agent and any other
-    token is ignored. Any other event that the current phase has no
-    transition for fails the agent with a diagnostic.
+    Terminal phases absorb every event; in any other phase a fired
+    watchdog fails the agent, whatever its role. An agent without a task
+    takes only the publication of one. Any other event that the current
+    phase has no transition for fails the agent with a diagnostic.
     """
     if state.phase.kind in TERMINAL_PHASES:
         return state, []
     if isinstance(event, TimerFired):
-        if event.token == state.guard:
-            return _fail(state, f"timed out waiting in phase {state.phase}")
-        return state, []
+        return _fail(state, f"timed out waiting in phase {state.phase}")
     if state.info is None and state.role is not Role.ORCHESTRATOR:
         return _take_task(state, event)
     return _ROLE_DISPATCH[state.role](state, event)

@@ -11,9 +11,10 @@ size — image payloads ride on work items (the transfer costs), so bytes
 are accounted exactly once.
 
 The simulator keeps all the time: it prices every work item (the
-destination's wait for the client's flow update too) and fires the agents'
-watchdogs. A run stops once every agent is done or failed, so a run's
-``end_time_s`` is the time of the last event an agent acted on.
+destination's wait for the client's flow update too) and holds one
+watchdog deadline per agent, ``watchdog_s`` after its ``SetTimer`` and
+cleared by its next event. A run stops once every agent is done or
+failed, so ``end_time_s`` is the time of the last event an agent acted on.
 
 Fault injection is off by default. Drop and delay rules match deliveries
 by topic substring and occurrence index; a dropped delivery is logged and
@@ -96,13 +97,22 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
 # Fault injection
 
 
+def _check_seconds(name: str, value: object, allow_zero: bool) -> None:
+    """Reject a time span that is not a finite number > 0 (or 0 if allowed)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value >= 0
+                    and (value > 0 or allow_zero)):
+        raise DomainError(f"{name} must be a finite number "
+                          f"{'>=' if allow_zero else '>'} 0, got {value!r}")
+
+
 def _check_rule(rule: FaultRule) -> None:
     """Reject a rule that could never fire or would run the clock backwards."""
-    n, delay = rule.occurrence, getattr(rule, "delay_s", 0.0)
+    n = rule.occurrence
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"occurrence must be a whole number >= 1, got {n!r}")
-    if not (math.isfinite(delay) and delay >= 0):
-        raise DomainError(f"delay_s must be finite and >= 0, got {delay!r}")
+    if isinstance(rule, DelayRule):
+        _check_seconds("delay_s", rule.delay_s, allow_zero=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +190,7 @@ def _describe_event(event: ag.Event) -> dict:
         return {"type": "work_done", "work": event.kind.value,
                 "bytes": event.bytes, "round": event.round}
     if isinstance(event, ag.TimerFired):
-        return {"type": "timer", "token": event.token}
+        return {"type": "timer"}
     return {"type": "kickoff"}
 
 
@@ -235,8 +245,9 @@ class _Sim:
             raise ScenarioError(
                 "configured bandwidth exceeds the source-destination link")
 
-        if watchdog_s is None:
-            watchdog_s = 10.0 * config.predicted.total_s + 10.0
+        self.watchdog_s = (10.0 * config.predicted.total_s + 10.0
+                           if watchdog_s is None else watchdog_s)
+        _check_seconds("watchdog_s", self.watchdog_s, allow_zero=False)
         self.info = ag.TaskInfo(
             task_id=section.task.container_id,
             source=source,
@@ -245,7 +256,6 @@ class _Sim:
             orchestrator=section.orchestrator,
             strategy=config.strategy.kind,
             iterations=config.strategy.iterations,
-            watchdog_s=watchdog_s,
             ns_config=f"netns:{section.task.container_id}")
 
         self.agents: dict[str, ag.AgentState] = {
@@ -395,10 +405,17 @@ class _Sim:
         self._push(0.0, self.info.orchestrator, ag.Kickoff())
         # Without an event log, nothing below formats log material.
         record = self.record_events
+        # agent id -> its watchdog as a heap entry. All share one delay, so
+        # the first is the earliest; entries compare on unique (time, seq).
+        heap, deadlines = self.heap, {}
         processed = 0
         live = len(self.agents)  # agents neither done nor failed
-        while self.heap and live:
-            time_s, _, agent_id, event = heapq.heappop(self.heap)
+        while live and (heap or deadlines):
+            entry = next(iter(deadlines.values()), None)
+            if entry is None or heap and heap[0] < entry:
+                entry = heapq.heappop(heap)
+            time_s, _, agent_id, event = entry
+            deadlines.pop(agent_id, None)  # any event ends a guarded wait
             self.now = time_s
             processed += 1
             if processed > MAX_EVENTS:
@@ -425,11 +442,11 @@ class _Sim:
                                             "bytes": nbytes,
                                             "duration_s": duration})
                 elif isinstance(action, ag.SetTimer):
-                    self._push(self.now + action.delay_s, agent_id,
-                               ag.TimerFired(action.token))
+                    deadlines[agent_id] = (self.now + self.watchdog_s,
+                                           self.seq, agent_id, ag.TimerFired())
+                    self.seq += 1
                     if record:
-                        action_docs.append({"timer_s": action.delay_s,
-                                            "token": action.token})
+                        action_docs.append({"timer_s": self.watchdog_s})
                 elif record:
                     action_docs.append({"diagnostic": action.text})
 

@@ -36,7 +36,7 @@ def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
     return ag.TaskInfo(
         task_id="t1", source="src", destination="dst",
         client="cli", orchestrator="orc", strategy=strategy,
-        iterations=iterations, watchdog_s=30.0, ns_config="netns:t1")
+        iterations=iterations, ns_config="netns:t1")
 
 
 def task_message(info):
@@ -236,17 +236,16 @@ ARM_WATCHDOG = {
 def test_watchdog_and_stale_timers(role):
     info = task_info()
     state, actions = ARM_WATCHDOG[role](info)
-    [timer] = timers(actions)
-    # A token that is not armed is ignored outright.
-    stale, stale_actions = ag.advance(
-        state, ag.TimerFired(f"{state.agent_id}:guard:notarmed"))
-    assert stale == state and stale_actions == []
-    # The armed token diagnoses the stall.
-    failed, failed_actions = ag.advance(state, ag.TimerFired(timer.token))
+    assert timers(actions) == [ag.SetTimer()]
+    # The fired watchdog diagnoses the stall.
+    failed, failed_actions = ag.advance(state, ag.TimerFired())
     assert failed.phase.kind is ag.PhaseKind.FAILED
     assert "timed out" in failed.diagnostic
     assert [m.topic for m in sends(failed_actions)] == [
         ag.failed_topic("t1", role)]
+    # Once the agent is failed, a late watchdog changes nothing. (Which
+    # timers are stale is the driver's business: see the simulator tests.)
+    assert ag.advance(failed, ag.TimerFired()) == (failed, [])
 
 
 @pytest.mark.parametrize("role", [ag.Role.SOURCE, ag.Role.DESTINATION,
@@ -324,14 +323,15 @@ def test_destination_full_walk_with_flow_settle():
         headers={"round": 1, "image_bytes": 8192.0})
     state, actions = ag.advance(state, image)
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    [guard] = timers(actions)
+    assert timers(actions)
 
     state, actions = ag.advance(state, sc_push(info))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.NS_RECREATE
     assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
-    # The image is here, so the watchdog armed for it no longer fires.
-    assert ag.advance(state, ag.TimerFired(guard.token)) == (state, [])
+    # The image is here and the namespace work is the agent's own: the
+    # transition leaves it unguarded.
+    assert timers(actions) == []
 
     state, actions = ag.advance(state,
                                 ag.WorkDone(ag.WorkKind.NS_RECREATE))
@@ -476,13 +476,13 @@ def test_every_topic_builder_routes_to_its_roles():
 
 def _noise(info):
     """Events a protocol step may not be waiting for: every topic of the
-    task in every message kind, every work kind and round, a stale
-    watchdog and a second kickoff."""
+    task in every message kind, every work kind and round, a watchdog and
+    a second kickoff."""
     msgs = [BusMessage(kind=kind, topic=topic, sender="x")
             for topic in ag.subscriptions(info) for kind in MessageKind]
     done = [ag.WorkDone(kind, 4096.0, round_index) for kind in ag.WorkKind
             for round_index in range(info.iterations + 1)]
-    return msgs + done + [ag.TimerFired("src:guard:0"), ag.Kickoff()]
+    return msgs + done + [ag.TimerFired(), ag.Kickoff()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,6 +492,8 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
     # order, an event the agents' own actions produced; now and then a
     # watchdog instead, or a noise event to any agent. (Fired as often as
     # messages, watchdogs and noise would fail nearly every walk early.)
+    # As in the simulator, any event delivered to an agent drops its
+    # pending watchdog, and only the agent's next SetTimer sets another.
     info = task_info(strategy, iterations)
     states = {aid: ag.idle_agent(role, aid) for aid, role in (
         ("src", ag.Role.SOURCE), ("dst", ag.Role.DESTINATION),
@@ -502,17 +504,19 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
     routes = ag.subscriptions(info)
     asked = {}  # query topic -> the agent that asked
     noise = _noise(info)
-    pending, timers = [("orc", ag.Kickoff())], []
+    pending, timers = [("orc", ag.Kickoff())], set()
     for _ in range(data.draw(st.integers(1, 80))):
         roll = data.draw(st.integers(0, 29))
         if roll == 0 or not (pending or timers):
             agent_id = data.draw(st.sampled_from(sorted(states)))
             event = data.draw(st.sampled_from(noise))
+        elif timers and (roll == 1 or not pending):
+            agent_id = data.draw(st.sampled_from(sorted(timers)))
+            event = ag.TimerFired()
         else:
-            queue = timers if timers and (roll == 1 or not pending) \
-                else pending
-            agent_id, event = queue.pop(
-                data.draw(st.integers(0, len(queue) - 1)))
+            agent_id, event = pending.pop(
+                data.draw(st.integers(0, len(pending) - 1)))
+        timers.discard(agent_id)
         state = states[agent_id]
         state_copy, event_copy = copy.deepcopy((state, event))
         new_state, actions = ag.advance(state, event)
@@ -540,7 +544,7 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
                 pending.append((agent_id, ag.WorkDone(
                     action.kind, action.bytes or 4096.0, action.round)))
             elif isinstance(action, ag.SetTimer):
-                timers.append((agent_id, ag.TimerFired(action.token)))
+                timers.add(agent_id)
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,16 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
     else:
         assert outcome.diagnostics
     assert outcome.end_time_s == outcome.events[-1].time_s
+    # No finished wait ever fires: a watchdog fails its agent, exactly one
+    # period after the agent's previous transition, which armed it.
+    last = {}
+    for ev in outcome.events:
+        if ev.event["type"] == "timer":
+            assert ev.phase_after == "failed" != ev.phase_before
+            armed = last[ev.agent]
+            assert {"timer_s": 5.0} in armed.actions
+            assert ev.time_s == armed.time_s + 5.0
+        last[ev.agent] = ev
 
 
 def test_event_log_written_as_json_lines(tmp_path):
@@ -540,16 +550,38 @@ def test_agent_left_with_nothing_pending_is_diagnosed():
     # Crashed inside numpy's Poisson draw.
     (lambda: DelayRule("/round/1/ready", float("nan")), "delay_s"),
     (lambda: DelayRule("/round/1/ready", float("inf")), "delay_s"),
+    # Accepted as a delay of one second.
+    (lambda: DelayRule("/round/1/ready", True), "delay_s"),
+    # Raised a bare TypeError from math.isfinite.
+    (lambda: DelayRule("/round/1/ready", "5"), "delay_s"),
+    (lambda: DelayRule("/round/1/ready", None), "delay_s"),
     # Never fired: no delivery is the zeroth.
     (lambda: DropRule("/round/1/ready", occurrence=0), "occurrence"),
     (lambda: DelayRule("/round/1/ready", 1.0, occurrence=-1), "occurrence"),
     (lambda: DropRule("/round/1/ready", occurrence=1.5), "occurrence"),
     (lambda: DropRule("/round/1/ready", occurrence=True), "occurrence"),
-], ids=["delay-5", "delay-0.001", "delay-nan", "delay-inf", "occurrence-0",
-        "occurrence-negative", "occurrence-fractional", "occurrence-bool"])
+], ids=["delay-5", "delay-0.001", "delay-nan", "delay-inf", "delay-bool",
+        "delay-str", "delay-none", "occurrence-0", "occurrence-negative",
+        "occurrence-fractional", "occurrence-bool"])
 def test_bad_fault_rules_are_rejected_where_built(build, field):
     with pytest.raises(DomainError, match=field):
         build()
+
+
+@pytest.mark.parametrize("watchdog_s", [
+    -1.0,           # ran the clock backwards in the event log
+    0.0,            # timed out each guarded wait the moment it began
+    float("nan"),   # returned end_time_s NaN
+    float("inf"),   # would fire at time infinity
+    True,           # ran as a one-second watchdog
+    "5",            # raised a bare TypeError inside the event loop
+], ids=["negative", "zero", "nan", "inf", "bool", "str"])
+def test_bad_watchdog_is_rejected(watchdog_s):
+    scenario = make_scenario()
+    config = make_config(scenario, StrategyKind.PRE_COPY)
+    with pytest.raises(DomainError, match="watchdog_s"):
+        run_scenario(scenario, config, fault_rules=(DropRule("stopcopy"),),
+                     watchdog_s=watchdog_s)
 
 
 def test_config_bandwidth_must_fit_the_link():
