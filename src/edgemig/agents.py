@@ -134,7 +134,7 @@ class StartWork:
 
 @dataclass(frozen=True, slots=True)
 class SetTimer:
-    """Guards the wait the emitting transition entered (module docstring)."""
+    """Guard the wait this transition entered, until the agent's next one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +155,7 @@ class WorkDone:
 
 @dataclass(frozen=True, slots=True)
 class TimerFired:
-    """The agent's guarded wait outlasted the watchdog period."""
+    """The agent's guarded wait outlasted the driver's watchdog period."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -323,7 +323,7 @@ def test_destination_full_walk_with_flow_settle():
         headers={"round": 1, "image_bytes": 8192.0})
     state, actions = ag.advance(state, image)
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    assert timers(actions)
+    assert timers(actions) == [ag.SetTimer()]
 
     state, actions = ag.advance(state, sc_push(info))
     [work] = works(actions)
