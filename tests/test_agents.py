@@ -504,19 +504,19 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
     routes = ag.subscriptions(info)
     asked = {}  # query topic -> the agent that asked
     noise = _noise(info)
-    pending, timers = [("orc", ag.Kickoff())], set()
+    pending, guarded = [("orc", ag.Kickoff())], set()
     for _ in range(data.draw(st.integers(1, 80))):
         roll = data.draw(st.integers(0, 29))
-        if roll == 0 or not (pending or timers):
+        if roll == 0 or not (pending or guarded):
             agent_id = data.draw(st.sampled_from(sorted(states)))
             event = data.draw(st.sampled_from(noise))
-        elif timers and (roll == 1 or not pending):
-            agent_id = data.draw(st.sampled_from(sorted(timers)))
+        elif guarded and (roll == 1 or not pending):
+            agent_id = data.draw(st.sampled_from(sorted(guarded)))
             event = ag.TimerFired()
         else:
             agent_id, event = pending.pop(
                 data.draw(st.integers(0, len(pending) - 1)))
-        timers.discard(agent_id)
+        guarded.discard(agent_id)
         state = states[agent_id]
         state_copy, event_copy = copy.deepcopy((state, event))
         new_state, actions = ag.advance(state, event)
@@ -544,7 +544,7 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
                 pending.append((agent_id, ag.WorkDone(
                     action.kind, action.bytes or 4096.0, action.round)))
             elif isinstance(action, ag.SetTimer):
-                timers.add(agent_id)
+                guarded.add(agent_id)
 
 
 # ---------------------------------------------------------------------------
