@@ -90,8 +90,10 @@ class SimProfile:
     def __post_init__(self) -> None:
         if not self.id:
             raise ScenarioError("ms profile id must be non-empty")
-        if self.dirty_rate_pages_per_s < 0:
-            raise ScenarioError("dirty_rate_pages_per_s must be >= 0")
+        rate = self.dirty_rate_pages_per_s
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ScenarioError(f"dirty_rate_pages_per_s must be a finite "
+                                f"number >= 0, got {rate!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,6 +6,13 @@ cost model, and drives a synthetic page-dirtying process for the running
 service. Everything is replayable: one master seed fixes the dirty-page
 draws, and event ordering is a total order on (time, insertion sequence).
 
+The dirtying process is a Poisson stream of writes at the profile's rate,
+each to a uniformly random page. Split by page, that stream gives every
+one of the P pages an independent Poisson count, so the pages dirtied in
+a window of W seconds at rate r number exactly
+Binomial(P, 1 - exp(-r * W / P)); ``dirty_set_size`` draws that count
+once per window, never the writes themselves.
+
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
 are accounted exactly once.
@@ -52,58 +59,49 @@ from .scenario import Scenario, SimProfile
 log = logging.getLogger(__name__)
 
 MAX_EVENTS = 1_000_000
-# Page draws made at once by dirty_set_size (8 MiB of int64).
-DIRTY_DRAW_CHUNK = 1 << 20
 # Work that moves an image over the source-destination link.
 _TRANSFERS = frozenset({ag.WorkKind.TRANSFER_INITIAL,
                         ag.WorkKind.TRANSFER_ROUND,
                         ag.WorkKind.TRANSFER_STOPCOPY})
 
 
-def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
-                   rng: Union[int, np.random.Generator]) -> int:
-    """Distinct pages dirtied in a window by a memoryless write process.
-
-    Writes arrive at ``rate_pages_per_s`` and each hits a uniformly random
-    page, so the distinct count saturates at ``total_pages``; its
-    expectation is ``P * (1 - exp(-rate * window / P))``.
-    """
-    if rate_pages_per_s < 0 or window_s < 0:
-        raise DomainError("rate and window must be >= 0")
-    if total_pages <= 0:
-        raise DomainError("total_pages must be positive")
-    expected_writes = rate_pages_per_s * window_s
-    # Beyond ~64 writes per page the miss probability is below 1e-27, so
-    # every page is dirty; testing the mean before the draw also keeps a
-    # huge rate away from rng.poisson, which rejects means above ~1e19.
-    if expected_writes > 64 * total_pages:
-        return total_pages
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    writes = int(rng.poisson(expected_writes))
-    if writes <= 0:
-        return 0
-    # Mark the pages hit, drawing the write targets a chunk at a time: the
-    # draws are the same stream as one call for all of them, but memory
-    # stays O(pages + chunk) and nothing is sorted.
-    hit = np.zeros(total_pages, dtype=bool)
-    for start in range(0, writes, DIRTY_DRAW_CHUNK):
-        size = min(DIRTY_DRAW_CHUNK, writes - start)
-        hit[rng.integers(0, total_pages, size=size)] = True
-    return int(np.count_nonzero(hit))
-
-
-# --------------------------------------------------------------------------
-# Fault injection
-
-
 def _check_seconds(name: str, value: object, allow_zero: bool) -> None:
-    """Reject a time span that is not a finite number > 0 (or 0 if allowed)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+    """Reject a span or rate not finite and > 0 (or >= 0 if allowed)."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer, np.floating)) \
             or not (math.isfinite(value) and value >= 0
                     and (value > 0 or allow_zero)):
         raise DomainError(f"{name} must be a finite number "
                           f"{'>=' if allow_zero else '>'} 0, got {value!r}")
+
+
+def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
+                   rng: Union[int, np.random.Generator]) -> int:
+    """Distinct pages dirtied in a window by a memoryless write process.
+
+    Writes arrive as a Poisson stream of mean ``rate * window`` and each hits
+    a uniformly random page. Splitting that stream by page (Kingman, *Poisson
+    Processes*, 1993, §2.2) gives each page an independent Poisson count of
+    mean ``rate * window / P``, so the distinct count is exactly
+    ``Binomial(P, 1 - exp(-rate * window / P))``: one draw, whatever the
+    number of writes. Its mean ``P * (1 - exp(-rate * window / P))``
+    saturates at ``P``.
+    """
+    _check_seconds("rate_pages_per_s", rate_pages_per_s, allow_zero=True)
+    _check_seconds("window_s", window_s, allow_zero=True)
+    if isinstance(total_pages, bool) \
+            or not isinstance(total_pages, (int, np.integer)) \
+            or total_pages < 1:
+        raise DomainError(f"total_pages must be a whole number >= 1, "
+                          f"got {total_pages!r}")
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    p_dirty = -math.expm1(-rate_pages_per_s * window_s / total_pages)
+    return int(rng.binomial(total_pages, p_dirty))
+
+
+# --------------------------------------------------------------------------
+# Fault injection
 
 
 def _check_rule(rule: FaultRule) -> None:

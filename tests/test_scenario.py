@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemig.errors import ScenarioError
-from edgemig.model import BYTES_PER_S_PER_MBPS, DEFAULT_PAGE_SIZE, ModelParams
+from edgemig.model import (
+    BYTES_PER_S_PER_MBPS,
+    DEFAULT_PAGE_SIZE,
+    ModelParams,
+    MsProfile,
+)
 from edgemig.orchestrator import BandwidthDistribution
 from edgemig.scenario import (
     HOST_ROLES,
+    SimProfile,
     SweepSpec,
     dumps_scenario,
     load_scenario,
@@ -180,6 +186,13 @@ def test_sweep_spec_rejects_non_finite_bounds(field, value):
     bounds = {"from_s": 1.0, "to_s": 2.0, "step_s": 0.5, field: value}
     with pytest.raises(ScenarioError, match="finite"):
         SweepSpec(variable="target_duration_s", profiles=("p",), **bounds)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+def test_sim_profile_rejects_bad_rate_built_in_code(rate):
+    profile = MsProfile(state_size_bytes=4096, dirty_rate_norm=0.1)
+    with pytest.raises(ScenarioError, match="dirty_rate_pages_per_s"):
+        SimProfile("x", profile, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -99,38 +99,74 @@ def test_dirty_set_mean_matches_saturating_expectation():
 
 
 def test_dirty_set_saturates_under_heavy_writing():
-    # Expected writes >> 64 * pages short-circuits to full saturation.
+    # Past ~37 expected writes per page, 1 - exp(-writes / pages) rounds
+    # to 1.0, so the binomial draw returns every page.
     assert dirty_set_size(1e9, 10.0, 128, 3) == 128
-    # A mean past what rng.poisson accepts saturates too.
+    # So does a mean far beyond what rng.poisson would accept.
     assert dirty_set_size(1e30, 1.0, 128, 0) == 128
 
 
 def test_dirty_set_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="rate_pages_per_s"):
         dirty_set_size(-1.0, 1.0, 10, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="window_s"):
         dirty_set_size(1.0, -1.0, 10, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="total_pages"):
         dirty_set_size(1.0, 1.0, 0, 0)
 
 
-@pytest.mark.parametrize("chunk", [None, 99_991])
-def test_dirty_set_chunked_draws_match_one_unique_draw(monkeypatch, chunk):
-    # The sampler draws page indices in chunks and marks them; the count
-    # and the generator state afterwards must equal one draw of every write
-    # followed by np.unique. A page count that is not a power of two makes
-    # the bounded integer draw reject some raw values.
-    if chunk is not None:
-        monkeypatch.setattr(simnet, "DIRTY_DRAW_CHUNK", chunk)
-    pages = 250_007
-    rate = 3.5 * simnet.DIRTY_DRAW_CHUNK
-    ref = np.random.default_rng(2026)
-    writes = int(ref.poisson(rate * 1.0))
-    assert writes >= 3 * simnet.DIRTY_DRAW_CHUNK
-    expected = np.unique(ref.integers(0, pages, size=writes)).size
+@pytest.mark.parametrize("rate, window, pages, name", [
+    (math.nan, 1.0, 10, "rate_pages_per_s"),
+    (1.0, math.nan, 10, "window_s"),
+    (math.inf, 0.0, 10, "rate_pages_per_s"),
+    (1.0, math.inf, 10, "window_s"),
+    (True, 1.0, 10, "rate_pages_per_s"),
+    (1.0, 1.0, 10.5, "total_pages"),
+    (1.0, 1.0, True, "total_pages"),
+])
+def test_dirty_set_rejects_non_finite_or_fractional_input(rate, window,
+                                                          pages, name):
+    # A binomial draw would truncate a fractional or boolean page count,
+    # and numpy's own message for a NaN mean names no argument.
+    with pytest.raises(DomainError, match=name):
+        dirty_set_size(rate, window, pages, 0)
+
+
+def _write_level_dirty_set(rate, window, pages, rng):
+    """The dirtying process drawn write by write: the sampler's oracle."""
+    writes = rng.poisson(rate * window)
+    return np.unique(rng.integers(0, pages, size=writes)).size
+
+
+@pytest.mark.parametrize("rate, pages", [
+    (13.0, 256),      # ~5% of the pages dirty
+    (177.0, 256),     # about half
+    (1000.0, 1000),   # ~63%, a page count that is not a power of two
+    (1200.0, 256),    # near saturation
+])
+def test_dirty_set_law_matches_the_write_level_process(rate, pages):
+    # Poisson splitting makes the distinct count Binomial(P, p) with
+    # p = 1 - exp(-rate * window / P). The write-level process and the
+    # sampler must both show its mean and variance.
+    window, n = 1.0, 20_000
+    p = -math.expm1(-rate * window / pages)
+    mean, var = pages * p, pages * p * (1.0 - p)
+    # Standard errors of a sample mean and variance of n binomial draws,
+    # the latter from the binomial's fourth central moment.
+    mu4 = pages * p * (1 - p) * (1 + 3 * (pages - 2) * p * (1 - p))
+    se_mean = math.sqrt(var / n)
+    se_var = math.sqrt((mu4 - var ** 2 * (n - 3) / (n - 1)) / n)
     rng = np.random.default_rng(2026)
-    assert dirty_set_size(rate, 1.0, pages, rng) == expected
-    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+    oracle = np.array([_write_level_dirty_set(rate, window, pages, rng)
+                       for _ in range(n)])
+    sampled = np.array([dirty_set_size(rate, window, pages, rng)
+                        for _ in range(n)])
+    for draws in (oracle, sampled):
+        assert abs(draws.mean() - mean) < 4 * se_mean
+        assert abs(draws.var(ddof=1) - var) < 4 * se_var
+    assert abs(oracle.mean() - sampled.mean()) < 4 * math.sqrt(2) * se_mean
+    assert abs(oracle.var(ddof=1) - sampled.var(ddof=1)) \
+        < 4 * math.sqrt(2) * se_var
 
 
 # ---------------------------------------------------------------------------
