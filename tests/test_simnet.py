@@ -87,6 +87,8 @@ def make_config(scenario, strategy, iterations=0, bandwidth=GBPS):
 def test_dirty_set_size_zero_rate_or_window():
     assert dirty_set_size(0.0, 5.0, 1000, 1) == 0
     assert dirty_set_size(8.0, 0.0, 1000, 1) == 0
+    # numpy scalars are numbers like any other.
+    assert dirty_set_size(np.int64(0), np.float32(5.0), np.int64(1000), 1) == 0
 
 
 def test_dirty_set_mean_matches_saturating_expectation():
