@@ -90,10 +90,8 @@ class SimProfile:
     def __post_init__(self) -> None:
         if not self.id:
             raise ScenarioError("ms profile id must be non-empty")
-        rate = self.dirty_rate_pages_per_s
-        if not (math.isfinite(rate) and rate >= 0):
-            raise ScenarioError(f"dirty_rate_pages_per_s must be a finite "
-                                f"number >= 0, got {rate!r}")
+        if not 0 <= self.dirty_rate_pages_per_s < math.inf:
+            raise ScenarioError("dirty_rate_pages_per_s must be finite and >= 0")
 
 
 @dataclass(frozen=True, slots=True)
