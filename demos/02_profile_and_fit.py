@@ -7,13 +7,14 @@ transfer / restore runs for the parameter fit.
 
 from pathlib import Path
 
+import numpy as np
+
 from edgemig import (
     DirtySample,
-    SyntheticWorkload,
     calibration_fit,
+    dirty_set_size,
     estimate_dirty_rate,
     load_scenario,
-    synthetic_dirty_trace,
 )
 
 scenario = load_scenario(Path(__file__).parent / "scenario.json")
@@ -26,20 +27,16 @@ print(f"  worst window  {estimate.rate_pages_per_s:.1f} pages/s "
       f"(mean {estimate.mean_rate_pages_per_s:.1f})")
 print(f"  normalized    {estimate.normalized:.5f} of the state per round")
 
-# The estimator also digests synthetic write traces: generate page-level
-# events, bucket them into one-second windows, estimate again.
-workload = SyntheticWorkload(state_size_bytes=profile.state_size_bytes,
-                             target_dirty_rate_pages_per_s=12.0,
-                             duration_s=8.0, seed=7)
-trace = synthetic_dirty_trace(workload)
-windows: dict[int, set[int]] = {}
-for time_s, page in trace:
-    windows.setdefault(int(time_s), set()).add(page)
-samples = [DirtySample(window_s=1.0, pages_modified=len(pages))
-           for _, pages in sorted(windows.items())]
+# The estimator also digests simulated windows: draw the distinct pages a
+# 12 pages/s service dirties in each of eight one-second windows, with the
+# simulator's own dirty-page model, and estimate again.
+rng = np.random.default_rng(7)
+samples = [DirtySample(window_s=1.0, pages_modified=dirty_set_size(
+               12.0, 1.0, profile.total_pages, rng)) for _ in range(8)]
 again = estimate_dirty_rate(samples, profile.state_size_bytes)
-print(f"  synthetic 12 pages/s workload estimated at "
-      f"{again.rate_pages_per_s:.1f} pages/s over {len(samples)} windows")
+print(f"  simulated 12 pages/s service estimated at "
+      f"{again.rate_pages_per_s:.1f} pages/s, the worst of {len(samples)} "
+      f"windows")
 
 fit = calibration_fit(scenario.calibration_runs)
 p = fit.params

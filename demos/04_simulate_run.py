@@ -29,8 +29,7 @@ for event in messages[-5:]:
           f"{event.phase_after})")
 
 # Now break it: the stop-and-copy image never reaches the destination.
-broken = run_scenario(scenario, config,
-                      fault_rules=(DropRule("stopcopy"),), watchdog_s=8.0)
+broken = run_scenario(scenario, config, fault_rules=(DropRule("stopcopy"),))
 print(f"\nwith the image dropped: completed={broken.completed}")
 for agent, text in sorted(broken.diagnostics.items()):
     print(f"  {agent}: {text}")

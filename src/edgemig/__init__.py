@@ -46,10 +46,8 @@ from .profiler import (
     CalibrationRun,
     DirtyRateEstimate,
     DirtySample,
-    SyntheticWorkload,
     calibration_fit,
     estimate_dirty_rate,
-    synthetic_dirty_trace,
 )
 from .scenario import (
     Scenario,
@@ -98,7 +96,6 @@ __all__ = [
     "StrategyDistribution",
     "StrategyKind",
     "SweepSpec",
-    "SyntheticWorkload",
     "calibration_fit",
     "cold_kpis",
     "design",
@@ -117,5 +114,4 @@ __all__ = [
     "stopcopy_schedule",
     "strategy_distribution",
     "strategy_kpis",
-    "synthetic_dirty_trace",
 ]

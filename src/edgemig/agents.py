@@ -31,7 +31,8 @@ cold migration follows the same skeleton minus the running-state copies
 The topic builders below and :func:`subscriptions`, the table of roles
 receiving each publication and query, are the protocol's only routing
 facts. Messages stay in process, so headers carry typed objects: the task
-publication hands every agent the frozen :class:`TaskInfo` itself.
+publication hands every agent the frozen :class:`TaskInfo` itself. Image
+sizes ride on ``payload_bytes``; no header repeats them.
 
 State machines are pure: :func:`advance` maps (state, event) to a new state
 plus a list of actions (messages to send, work items to run, watchdogs to
@@ -273,8 +274,6 @@ class AgentState(NamedTuple):
     # Destination side.
     ns_config: Optional[str] = None
     sc_bytes: Optional[float] = None
-    # Client side: the host the service flow leaves through.
-    egress: Optional[str] = None
     diagnostic: Optional[str] = None
 
 
@@ -393,15 +392,13 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         if event.kind is WorkKind.TRANSFER_INITIAL \
                 and phase == Phase(PhaseKind.PRE_COPY_ROUND, 0):
             reply = _send(state, MessageKind.REPLY, nsconfig_topic(info.task_id),
-                          event.bytes, ns_config=info.ns_config,
-                          image_bytes=event.bytes)
+                          event.bytes, ns_config=info.ns_config)
             return _source_image_sent(state, reply, 0)
 
         if event.kind is WorkKind.ROUND_CHECKPOINT \
                 and phase == Phase(PhaseKind.PRE_COPY_ROUND, event.round):
             ready = _send(state, MessageKind.PUBLISH,
-                          round_ready_topic(info.task_id, event.round),
-                          round=event.round, image_bytes=event.bytes)
+                          round_ready_topic(info.task_id, event.round))
             return _arm(state, ready,  # waiting for the pull query
                         round_bytes=event.bytes,
                         phase=Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round))
@@ -410,8 +407,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 and phase == Phase(PhaseKind.AWAIT_IMAGE_PULL, event.round):
             reply = _send(state, MessageKind.REPLY,
                           round_image_topic(info.task_id, event.round),
-                          event.bytes, round=event.round,
-                          image_bytes=event.bytes)
+                          event.bytes)
             return _source_image_sent(state, reply, event.round)
 
         if event.kind is WorkKind.STOP_CHECKPOINT \
@@ -422,7 +418,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
         if event.kind is WorkKind.TRANSFER_STOPCOPY \
                 and phase.kind is PhaseKind.STOP_COPY_CHECKPOINT:
             push = _send(state, MessageKind.PUBLISH, stopcopy_topic(info.task_id),
-                         event.bytes, image_bytes=event.bytes)
+                         event.bytes)
             return (state._replace(phase=Phase(PhaseKind.NAMESPACE_TRANSITION)),
                     [push, StartWork(WorkKind.NS_CLEAR)])
 
@@ -536,7 +532,7 @@ def _advance_destination(state: AgentState, event: Event
 
 def _client_start(state: AgentState, info: TaskInfo
                   ) -> tuple[AgentState, list[Action]]:
-    return _arm(state, info=info, egress=info.source)
+    return _arm(state, info=info)
 
 
 def _advance_client(state: AgentState, event: Event
@@ -551,7 +547,7 @@ def _advance_client(state: AgentState, event: Event
     if isinstance(event, WorkDone):
         if event.kind is WorkKind.FLOW_UPDATE \
                 and phase.kind is PhaseKind.NAMESPACE_TRANSITION:
-            return state._replace(egress=state.info.destination, phase=DONE), []
+            return state._replace(phase=DONE), []
     return _unexpected(state, event)
 
 

@@ -37,7 +37,7 @@ class BusMessage:
     """One protocol message.
 
     payload_bytes is the bulk size riding along (zero for pure signaling),
-    headers carry typed metadata (round index, image size, reason, task).
+    headers carry typed metadata (namespace configuration, reason, task).
     A reply carries the topic of the one query it answers.
     """
 

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -222,11 +223,13 @@ def sweep_rows(scenario: Scenario, parallel: int = 0) -> list[dict]:
         for p_idx, profile_id in enumerate(sweep.profiles):
             seed = _row_seed(scenario.seed, t_idx, p_idx)
             jobs.append((scenario, sweep.variable, target, profile_id, seed))
-    if parallel and parallel > 1 and len(jobs) > 1:
+    # One worker per CPU at most: a fork start launches them all at once.
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # Rows cost milliseconds, so each worker gets them in a few chunks
         # rather than one round trip per row; map keeps the job order.
-        chunksize = math.ceil(len(jobs) / (4 * parallel))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        chunksize = math.ceil(len(jobs) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs, chunksize=chunksize))
     else:
         rows = [_sweep_row(job) for job in jobs]
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="plan+simulate across a target grid")
     common(p)
     p.add_argument("--parallel", type=int, default=0,
-                   help="worker processes for the sweep (default: serial)")
+                   help="sweep workers, one per CPU at most (default: serial)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("dist", help="strategy distribution under uncertainty")

@@ -290,27 +290,25 @@ def min_bandwidth(profile: MsProfile, params: ModelParams,
 
 
 def max_iterations(profile: MsProfile, params: ModelParams,
-                   bandwidth_bytes_per_s: float, target_duration_s: float,
-                   iteration_cap: int = DEFAULT_ITERATION_CAP
+                   bandwidth_bytes_per_s: float, target_duration_s: float
                    ) -> Optional[StrategyChoice]:
     """Largest iteration count whose predicted total stays within a target.
 
     Returns an ITERATIVE_PRE_COPY choice when at least one iteration fits,
     a PRE_COPY choice when only the iteration-free variant fits, and None
     when even that overruns the target. The count is clamped to
-    iteration_cap. The returned value is maximal: adding one more iteration
-    (below the cap) would overrun the target.
+    DEFAULT_ITERATION_CAP. The returned value is maximal: adding one more
+    iteration (below the cap) would overrun the target.
     """
     counts = iteration_counts(profile, params,
                               np.array([bandwidth_bytes_per_s], dtype=float),
-                              target_duration_s, iteration_cap)
+                              target_duration_s)
     return iteration_choice(int(counts[0]))
 
 
 def iteration_counts(profile: MsProfile, params: ModelParams,
                      bandwidths_bytes_per_s: np.ndarray,
-                     target_duration_s: float,
-                     iteration_cap: int = DEFAULT_ITERATION_CAP) -> np.ndarray:
+                     target_duration_s: float) -> np.ndarray:
     """:func:`max_iterations` over an array of bandwidths, as counts.
 
     Each element is the largest iteration count (0 for plain pre-copy)
@@ -321,8 +319,6 @@ def iteration_counts(profile: MsProfile, params: ModelParams,
     """
     if target_duration_s <= 0:
         raise DomainError("target_duration_s must be > 0")
-    if iteration_cap < 0:
-        raise DomainError("iteration_cap must be >= 0")
     # A starved link (the smallest positive bandwidth) overflows the round
     # terms to inf and 0 * inf to nan; both fail the <= tests below, so
     # those elements come out as overruns.
@@ -336,10 +332,10 @@ def iteration_counts(profile: MsProfile, params: ModelParams,
 
         fits = total(0) <= target_duration_s
         # Where iterations are free (per_round == 0) the cap is taken.
-        count = np.full(fits.shape, iteration_cap, dtype=np.int64)
+        count = np.full(fits.shape, DEFAULT_ITERATION_CAP, dtype=np.int64)
         solve = fits & (per_round > 0.0)
         closed = np.floor((target_duration_s - round0 - downtime) / per_round)
-        count[solve] = np.clip(closed[solve], 0, iteration_cap)
+        count[solve] = np.clip(closed[solve], 0, DEFAULT_ITERATION_CAP)
         # The closed form and the evaluated totals can disagree by one in
         # the last float ulp; settle each element against the predictor.
         while True:
@@ -348,7 +344,7 @@ def iteration_counts(profile: MsProfile, params: ModelParams,
                 break
             count[over] -= 1
         while True:
-            under = (solve & (count < iteration_cap)
+            under = (solve & (count < DEFAULT_ITERATION_CAP)
                      & (total(count + 1) <= target_duration_s))
             if not under.any():
                 break

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (
-    DEFAULT_ITERATION_CAP,
     Kpis,
     ModelParams,
     MsProfile,
@@ -99,8 +98,7 @@ class MigrationConfig:
             raise DomainError("configured bandwidth must be > 0")
 
 
-def design(task: MigrationTask, metrics: MetricsView,
-           iteration_cap: int = DEFAULT_ITERATION_CAP) -> MigrationConfig:
+def design(task: MigrationTask, metrics: MetricsView) -> MigrationConfig:
     """Produce a migration configuration for a task. Pure function."""
     profile, params = metrics.profile, metrics.params
     available = metrics.available_bandwidth_bytes_per_s
@@ -122,7 +120,7 @@ def design(task: MigrationTask, metrics: MetricsView,
         return cold(needed if needed > 0 else available, True)
 
     choice = max_iterations(profile, params, available,
-                            task.target_duration_s, iteration_cap)
+                            task.target_duration_s)
     if choice is None:
         return cold(available, False)
     return MigrationConfig(
@@ -245,8 +243,7 @@ class StrategyDistribution:
 def strategy_distribution(task: MigrationTask, profile: MsProfile,
                           params: ModelParams,
                           distribution: BandwidthDistribution,
-                          sample_count: int, seed: int,
-                          iteration_cap: int = DEFAULT_ITERATION_CAP
+                          sample_count: int, seed: int
                           ) -> StrategyDistribution:
     """Distribution of designed strategies over sampled bandwidths.
 
@@ -269,7 +266,7 @@ def strategy_distribution(task: MigrationTask, profile: MsProfile,
         # would starve the designer, nudge it to the smallest positive.
         draws[draws <= 0] = np.nextafter(0.0, 1.0)
         counts = iteration_counts(profile, params, draws,
-                                  task.target_duration_s, iteration_cap)
+                                  task.target_duration_s)
         values, freqs = np.unique(counts, return_counts=True)
         for n, freq in zip(values.tolist(), freqs.tolist()):
             # None is design()'s cold fallback.

@@ -3,9 +3,8 @@
 Two concerns live here: estimating how fast a running service dirties its
 memory (and normalizing that against the fastest possible rewrite rate),
 and fitting the affine phase costs of :class:`edgemig.model.ModelParams`
-from timed calibration runs. A small synthetic workload generator produces
-page-dirtying traces at a controlled rate for exercising the estimator and
-the simulator.
+from timed calibration runs. The simulator's model of page dirtying is
+:func:`edgemig.simnet.dirty_set_size`; nothing here generates writes.
 """
 
 from __future__ import annotations
@@ -87,51 +86,6 @@ def estimate_dirty_rate(samples: Sequence[DirtySample],
     mean = float(np.mean([s.rate_pages_per_s for s in samples]))
     return DirtyRateEstimate(rate_pages_per_s=rate, normalized=normalized,
                              mean_rate_pages_per_s=mean, window_s=window)
-
-
-@dataclass(frozen=True, slots=True)
-class SyntheticWorkload:
-    """Configuration of the controllable page-dirtying generator."""
-
-    state_size_bytes: int
-    target_dirty_rate_pages_per_s: float
-    duration_s: float
-    seed: int
-    page_size_bytes: int = DEFAULT_PAGE_SIZE
-
-    def __post_init__(self) -> None:
-        if self.state_size_bytes <= 0:
-            raise DomainError("state_size_bytes must be > 0")
-        if self.target_dirty_rate_pages_per_s <= 0:
-            raise DomainError("target rate must be > 0")
-        if self.duration_s <= 0:
-            raise DomainError("duration_s must be > 0")
-        if self.page_size_bytes <= 0:
-            raise DomainError("page_size_bytes must be > 0")
-
-    @property
-    def total_pages(self) -> int:
-        return math.ceil(self.state_size_bytes / self.page_size_bytes)
-
-
-def synthetic_dirty_trace(config: SyntheticWorkload
-                          ) -> list[tuple[float, int]]:
-    """Generate a (time_s, page_index) trace at a controlled rate.
-
-    Arrival times sit on a 1/rate grid with uniform jitter inside each
-    slot, so the realized event count tracks rate * duration to within one
-    event while inter-arrival times still vary. Page targets are uniform
-    over the state's pages. Deterministic for a given seed.
-    """
-    rng = np.random.default_rng(config.seed)
-    rate = config.target_dirty_rate_pages_per_s
-    slots = int(math.ceil(rate * config.duration_s))
-    jitter = rng.random(slots)
-    times = (np.arange(slots) + jitter) / rate
-    keep = times <= config.duration_s
-    times = np.sort(times[keep])
-    pages = rng.integers(0, config.total_pages, size=times.size)
-    return list(zip(times.tolist(), pages.tolist()))
 
 
 @dataclass(frozen=True, slots=True)

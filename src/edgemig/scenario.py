@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -148,12 +149,6 @@ class Scenario:
     dirty_samples: tuple[DirtySample, ...] = ()
     calibration_runs: tuple[CalibrationRun, ...] = ()
 
-    def host(self, host_id: str) -> Host:
-        for h in self.hosts:
-            if h.id == host_id:
-                return h
-        raise ScenarioError(f"unknown host {host_id!r}")
-
     def link_between(self, a: str, b: str) -> Optional[Link]:
         """Undirected link lookup; None when the pair is not connected."""
         for link in self.links:
@@ -205,8 +200,8 @@ def _convert(value: Any, kind: Any, where: str) -> Any:
     """Type-check one JSON value against its field's kind and convert it."""
     if kind is int:
         check_seed(value, where)
-        return int(value)
-    if kind is float:
+        what, ok = "a whole number", True
+    elif kind is float:
         what = "a number"
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     elif kind is tuple:
@@ -219,10 +214,12 @@ def _convert(value: Any, kind: Any, where: str) -> Any:
         ok = isinstance(value, str) and value in {m.value for m in kind}
     if not ok:
         raise ScenarioError(f"{where}: expected {what}, got {value!r}")
-    # JSON's NaN and Infinity (and overflowing literals such as 1e400)
-    # would otherwise slip past every ``< 0`` check.
-    if kind is float and not math.isfinite(value):
-        raise ScenarioError(f"{where}: {value!r} is not a finite number")
+    # JSON's NaN and Infinity (and overflowing literals such as 1e400) would
+    # slip past every ``< 0`` check; 10**400 would crash float() later.
+    if kind in (int, float) and not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{where}: {value!r} is not a finite number"
+                            if isinstance(value, float) else
+                            f"{where}: whole number too large for a float")
     return kind(value)
 
 

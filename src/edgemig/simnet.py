@@ -19,9 +19,10 @@ are accounted exactly once.
 
 The simulator keeps all the time: it prices every work item (the
 destination's wait for the client's flow update too) and holds one
-watchdog deadline per agent, ``watchdog_s`` after its ``SetTimer`` and
-cleared by its next event. A run stops once every agent is done or
-failed, so ``end_time_s`` is the time of the last event an agent acted on.
+watchdog deadline per agent, ten times the predicted total plus ten
+seconds after its ``SetTimer``, cleared by its next event. A run stops
+once every agent is done or failed, so ``end_time_s`` is the time of the
+last event an agent acted on.
 
 Fault injection is off by default. Drop and delay rules match deliveries
 by topic substring and occurrence index; a dropped delivery is logged and
@@ -65,14 +66,13 @@ _TRANSFERS = frozenset({ag.WorkKind.TRANSFER_INITIAL,
                         ag.WorkKind.TRANSFER_STOPCOPY})
 
 
-def _check_seconds(name: str, value: object, allow_zero: bool) -> None:
-    """Reject a span or rate not finite and > 0 (or >= 0 if allowed)."""
+def _check_seconds(name: str, value: object) -> None:
+    """Reject a span or rate that is not a finite number >= 0."""
     if isinstance(value, bool) \
             or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not (math.isfinite(value) and value >= 0
-                    and (value > 0 or allow_zero)):
-        raise DomainError(f"{name} must be a finite number "
-                          f"{'>=' if allow_zero else '>'} 0, got {value!r}")
+            or not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be a finite number >= 0, "
+                          f"got {value!r}")
 
 
 def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
@@ -87,8 +87,8 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
     number of writes. Its mean ``P * (1 - exp(-rate * window / P))``
     saturates at ``P``.
     """
-    _check_seconds("rate_pages_per_s", rate_pages_per_s, allow_zero=True)
-    _check_seconds("window_s", window_s, allow_zero=True)
+    _check_seconds("rate_pages_per_s", rate_pages_per_s)
+    _check_seconds("window_s", window_s)
     if isinstance(total_pages, bool) \
             or not isinstance(total_pages, (int, np.integer)) \
             or total_pages < 1:
@@ -110,7 +110,7 @@ def _check_rule(rule: FaultRule) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"occurrence must be a whole number >= 1, got {n!r}")
     if isinstance(rule, DelayRule):
-        _check_seconds("delay_s", rule.delay_s, allow_zero=True)
+        _check_seconds("delay_s", rule.delay_s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,8 +218,7 @@ class MigrationOutcome:
 
 class _Sim:
     def __init__(self, scenario: Scenario, config: MigrationConfig,
-                 fault_rules: Sequence[FaultRule], watchdog_s: Optional[float],
-                 record_events: bool):
+                 fault_rules: Sequence[FaultRule], record_events: bool):
         if scenario.task is None:
             raise ScenarioError("scenario has no task section")
         section = scenario.task
@@ -243,9 +242,11 @@ class _Sim:
             raise ScenarioError(
                 "configured bandwidth exceeds the source-destination link")
 
-        self.watchdog_s = (10.0 * config.predicted.total_s + 10.0
-                           if watchdog_s is None else watchdog_s)
-        _check_seconds("watchdog_s", self.watchdog_s, allow_zero=False)
+        # The only watchdog period, derived from the plan (run_scenario).
+        self.watchdog_s = 10.0 * config.predicted.total_s + 10.0
+        if not math.isfinite(self.watchdog_s):
+            raise DomainError(f"predicted total_s {config.predicted.total_s!r}"
+                              " is too large for a finite watchdog period")
         self.info = ag.TaskInfo(
             task_id=section.task.container_id,
             source=source,
@@ -482,15 +483,14 @@ class _Sim:
 
 def run_scenario(scenario: Scenario, config: MigrationConfig, *,
                  fault_rules: Sequence[FaultRule] = (),
-                 watchdog_s: Optional[float] = None,
                  event_log_path: Union[str, Path, None] = None,
                  record_events: bool = True) -> MigrationOutcome:
     """Simulate one migration run under the given configuration.
 
-    ``watchdog_s`` defaults to ten times the predicted migration duration
-    plus ten seconds, generous enough never to fire on a healthy run.
+    Every watchdog waits ten times the predicted migration duration plus
+    ten seconds, generous enough never to fire on a healthy run.
     """
-    sim = _Sim(scenario, config, fault_rules, watchdog_s,
+    sim = _Sim(scenario, config, fault_rules,
                record_events or event_log_path is not None)
     outcome = sim.run()
     if not outcome.completed:

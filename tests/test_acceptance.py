@@ -383,7 +383,7 @@ def test_criterion_08_protocol_traces_are_ordered_and_fail_closed():
         scenario = _scenario(profile, params, seed=100 + idx, dirty_rate=2.0)
         config = _config(scenario, StrategyKind.ITERATIVE_PRE_COPY, 2, GBPS)
         outcome = run_scenario(scenario, config, fault_rules=rules,
-                               watchdog_s=5.0, record_events=False)
+                               record_events=False)
         faulty_ok &= (not outcome.completed and bool(outcome.diagnostics)
                       and "failed" in outcome.final_phases.values())
 

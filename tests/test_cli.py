@@ -13,6 +13,7 @@ from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
 from edgemig.errors import ScenarioError
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "scenario.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(args):
@@ -89,6 +90,44 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run(["sweep", "--scenario", DEMO, "--out", str(parallel),
                 "--parallel", "4"]) == 0
     assert serial.read_text() == parallel.read_text()
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("parallel, cpus, workers", [
+    (100_000, 2, 2),   # asked a fork start for 100,000 processes
+    (100_000, None, None),  # cpu_count unknown: one CPU, serial
+    (3, 8, 3),
+    (2, 2, 2),
+    (2, 1, None),
+    (1, 8, None),
+])
+def test_sweep_workers_bounded_by_cpus(tmp_path, monkeypatch, parallel, cpus,
+                                       workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    InlinePool.sizes.clear()
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--scenario", DEMO, "--out", str(out),
+                "--parallel", str(parallel)]) == 0
+    assert InlinePool.sizes == ([] if workers is None else [workers])
+    assert out.read_text() == (GOLDEN / "sweep.csv").read_text()
 
 
 def test_seed_override_changes_sim_but_not_predictions(tmp_path):
@@ -263,6 +302,24 @@ def test_nan_in_scenario_is_a_usage_error(tmp_path, capsys, section, key):
     scenario.write_text(json.dumps(doc))
     assert run(["simulate", "--scenario", str(scenario)]) == 2
     assert f"{section}[0].{key}: nan is not a finite number" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, index, key", [
+    ("plan", "ms_profiles", 0, "state_size_bytes"),
+    ("simulate", "ms_profiles", 0, "cpu_context_bytes"),
+    ("dist", "ms_profiles", 0, "state_size_bytes"),
+    ("profile", "dirty_samples", 0, "pages_modified"),
+    ("sweep", "ms_profiles", 1, "state_size_bytes"),
+])
+def test_whole_number_beyond_float_range_is_a_usage_error(
+        tmp_path, capsys, command, section, index, key):
+    doc = json.loads(Path(DEMO).read_text())
+    doc[section][index][key] = 10 ** 400
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    assert run([command, "--scenario", str(scenario)]) == 2
+    assert f"{section}[{index}].{key}: whole number too large for a float" \
         in capsys.readouterr().err
 
 

