@@ -111,11 +111,9 @@ class InlinePool:
 
 
 @pytest.mark.parametrize("parallel, cpus, workers", [
-    (100_000, 2, 2),   # asked a fork start for 100,000 processes
-    (100_000, None, None),  # cpu_count unknown: one CPU, serial
+    (100_000, 2, 2),
+    (100_000, None, None),  # cpu_count unknown: taken as one CPU, serial
     (3, 8, 3),
-    (2, 2, 2),
-    (2, 1, None),
     (1, 8, None),
 ])
 def test_sweep_workers_bounded_by_cpus(tmp_path, monkeypatch, parallel, cpus,

@@ -166,7 +166,7 @@ def test_non_finite_number_rejected_with_its_key_path(raw, path, value):
     ("seed",),
 ], ids=lambda path: ".".join(map(str, path)))
 def test_whole_number_beyond_float_range_rejected(raw, path):
-    # Each crashed a command with a bare OverflowError from float().
+    # Rejected on load, before any float() of it can raise OverflowError.
     node = raw
     for key in path[:-1]:
         node = node[key]

@@ -551,7 +551,8 @@ def test_dropped_task_announcement_fails_cleanly():
 def test_delay_beyond_watchdog_fails_cleanly():
     scenario = make_scenario()
     config = make_config(scenario, StrategyKind.PRE_COPY)
-    # The derived watchdog period is 10 * predicted total + 10, ~30 s here.
+    # Far beyond the derived watchdog period, 10 * predicted total + 10 s
+    # (about 25 s here).
     outcome = run_scenario(
         scenario, config,
         fault_rules=(DelayRule("nsconfig", delay_s=1000.0),))
@@ -609,8 +610,7 @@ def test_bad_fault_rules_are_rejected_where_built(build, field):
 
 
 def test_overflowing_predicted_total_is_rejected():
-    # model_params.ckpt_fixed_s = 1e308 once made this error name a
-    # watchdog_s option that no command can set.
+    # 10 * 1e308 overflows: the error names the predicted total, the cause.
     scenario = make_scenario(params=ModelParams(ckpt_fixed_s=1e308))
     config = make_config(scenario, StrategyKind.PRE_COPY)
     with pytest.raises(DomainError, match=r"predicted total_s 1e\+308"):
