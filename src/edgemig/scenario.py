@@ -33,7 +33,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -148,6 +148,10 @@ class Scenario:
     bandwidth_distribution: Optional[BandwidthDistribution] = None
     dirty_samples: tuple[DirtySample, ...] = ()
     calibration_runs: tuple[CalibrationRun, ...] = ()
+    # Each Mbps value as read, by key path, so that saving writes back the
+    # digits read while they still scale to the value held.
+    mbps_as_read: Mapping[str, float] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
         """Undirected link lookup; None when the pair is not connected."""
@@ -236,13 +240,14 @@ def _check_object(raw: Any, keys: Sequence[str], required: Sequence[str],
 
 
 def _decode(raw: Any, build: Callable[..., Any], fields: Sequence[_Field],
-            where: str, many: bool = False) -> Any:
-    """Build one section object, or with ``many`` a tuple from a list."""
+            where: str, many: bool, as_read: dict[str, float]) -> Any:
+    """Build one section object, or with ``many`` a tuple from a list;
+    note each scaled value as read in ``as_read``."""
     if many:
         if not isinstance(raw, list):
             raise ScenarioError(f"{where}: expected a list, got {raw!r}")
-        return tuple(_decode(item, build, fields, f"{where}[{i}]")
-                     for i, item in enumerate(raw))
+        return tuple(_decode(item, build, fields, f"{where}[{i}]", False,
+                             as_read) for i, item in enumerate(raw))
     _check_object(raw, [f.key for f in fields],
                   [f.key for f in fields if f.default is _REQUIRED], where)
     out: dict[str, Any] = {}
@@ -252,20 +257,24 @@ def _decode(raw: Any, build: Callable[..., Any], fields: Sequence[_Field],
         else:
             value = _convert(raw[f.key], f.kind, f"{where}.{f.key}")
             if f.scale:
+                as_read[f"{where}.{f.key}"] = value
                 value *= f.scale
         head, _, name = (f.attr or f.key).rpartition(".")
         (out.setdefault(head, {}) if head else out)[name] = value
     return build(**out)
 
 
-def _encode(obj: Any, fields: Sequence[_Field]) -> dict[str, Any]:
+def _encode(obj: Any, fields: Sequence[_Field], where: str,
+            as_read: Mapping[str, float]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for f in fields:
         value = attrgetter(f.attr or f.key)(obj)
         if value is None:
             continue
         if f.scale:
-            value /= f.scale
+            read = as_read.get(f"{where}.{f.key}")
+            value = (read if read is not None and read * f.scale == value
+                     else value / f.scale)
         elif f.kind is tuple:
             value = list(value)
         elif isinstance(value, Enum):
@@ -350,10 +359,12 @@ def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build a scenario from a parsed JSON document (strict)."""
     _check_object(raw, ("seed", *(s[0] for s in _SECTIONS)),
                   ("seed", *(s[0] for s in _SECTIONS if s[3])), "scenario")
+    as_read: dict[str, float] = {}
     try:
         scenario = Scenario(seed=_convert(raw["seed"], int, "seed"), **{
-            key: _decode(raw[key], build, fields, key, many)
-            for key, build, fields, _, many in _SECTIONS if key in raw})
+            key: _decode(raw[key], build, fields, key, many, as_read)
+            for key, build, fields, _, many in _SECTIONS if key in raw},
+            mbps_as_read=as_read)
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -365,12 +376,14 @@ def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Saved form: every key of every section present, in table order."""
     doc: dict[str, Any] = {"seed": scenario.seed}
+    as_read = scenario.mbps_as_read
     for key, _, fields, required, many in _SECTIONS:
         value = getattr(scenario, key)
         if many and (value or required):
-            doc[key] = [_encode(item, fields) for item in value]
+            doc[key] = [_encode(item, fields, f"{key}[{i}]", as_read)
+                        for i, item in enumerate(value)]
         elif not many and value is not None:
-            doc[key] = _encode(value, fields)
+            doc[key] = _encode(value, fields, key, as_read)
     return doc
 
 

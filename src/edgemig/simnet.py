@@ -15,7 +15,8 @@ once per window, never the writes themselves.
 
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
-are accounted exactly once.
+are accounted exactly once. Its routing table is built once per task and
+shared, read-only, by every run of an equal task (a sweep's rows).
 
 The simulator keeps all the time: it prices every work item (the
 destination's wait for the client's flow update too) and holds one
@@ -32,13 +33,15 @@ failure, so a faulted run terminates instead of hanging.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from . import agents as ag
 from .bus import BusMessage, MessageKind
 from .errors import DomainError, ScenarioError
 from .model import (
+    BYTES_PER_S_PER_MBPS,
     ModelParams,
     MsProfile,
     StrategyKind,
@@ -60,10 +64,17 @@ from .scenario import Scenario, SimProfile
 log = logging.getLogger(__name__)
 
 MAX_EVENTS = 1_000_000
+# Hot-path names, bound once at import (see the agents docstring).
+_W = ag.WorkKind
 # Work that moves an image over the source-destination link.
-_TRANSFERS = frozenset({ag.WorkKind.TRANSFER_INITIAL,
-                        ag.WorkKind.TRANSFER_ROUND,
-                        ag.WorkKind.TRANSFER_STOPCOPY})
+_TRANSFERS = frozenset({_W.TRANSFER_INITIAL, _W.TRANSFER_ROUND,
+                        _W.TRANSFER_STOPCOPY})
+_PRE_CHECKPOINT, _ROUND_CHECKPOINT, _STOP_CHECKPOINT = (
+    _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT, _W.STOP_CHECKPOINT)
+_FLOW_UPDATE, _FLOW_SETTLE, _RESTORE = (
+    _W.FLOW_UPDATE, _W.FLOW_SETTLE, _W.RESTORE)
+_QUERY, _REPLY, _DONE = MessageKind.QUERY, MessageKind.REPLY, ag.PhaseKind.DONE
+_TIMER_FIRED = ag.TimerFired()
 
 
 def _check_seconds(name: str, value: object) -> None:
@@ -160,6 +171,24 @@ class _FaultBox:
 
 
 # --------------------------------------------------------------------------
+# Routing
+
+
+@functools.lru_cache(maxsize=256)
+def _routes(info: ag.TaskInfo) -> Mapping[str, tuple[str, ...]]:
+    """Agent ids receiving each publication and query of a task, in
+    delivery order: :func:`agents.subscriptions` with each role resolved.
+    Every run of an equal task shares this one read-only table."""
+    agent_of = {ag.Role.SOURCE: info.source,
+                ag.Role.DESTINATION: info.destination,
+                ag.Role.CLIENT: info.client,
+                ag.Role.ORCHESTRATOR: info.orchestrator}
+    return MappingProxyType({
+        topic: tuple(agent_of[role] for role in roles)
+        for topic, roles in ag.subscriptions(info).items()})
+
+
+# --------------------------------------------------------------------------
 # Event log
 
 
@@ -222,7 +251,6 @@ class _Sim:
         if scenario.task is None:
             raise ScenarioError("scenario has no task section")
         section = scenario.task
-        self.scenario = scenario
         self.config = config
         self.params: ModelParams = scenario.model_params
         sim_profile: SimProfile = scenario.profile_by_id(section.ms_profile_id)
@@ -265,10 +293,15 @@ class _Sim:
                 role=ag.Role.ORCHESTRATOR, agent_id=section.orchestrator,
                 info=self.info),
         }
-        role_to_agent = {state.role: aid for aid, state in self.agents.items()}
-        self.subscribers = {
-            topic: [role_to_agent[role] for role in roles]
-            for topic, roles in ag.subscriptions(self.info).items()}
+        self.subscribers = _routes(self.info)
+
+        def latency(sender: str, receiver: str) -> float:
+            link = scenario.link_between(sender, receiver)
+            return link.latency_s if link else 0.0
+        # Propagation delay of a delivery: each sender's row, resolved once.
+        self.latency = {sender: {receiver: latency(sender, receiver)
+                                 for receiver in self.agents}
+                        for sender in self.agents}
 
         self.rng = np.random.default_rng(scenario.seed)
         self.faults = _FaultBox(fault_rules) if fault_rules else None
@@ -279,7 +312,6 @@ class _Sim:
         self.now = 0.0
         self.events: list[ProtocolEvent] = []
         self.outstanding_queries: dict[str, str] = {}
-        self.latencies: dict[tuple[str, str], float] = {}
 
         self.dirty_clock: Optional[float] = None
         self.message_count = 0
@@ -310,26 +342,18 @@ class _Sim:
 
     # -- routing ------------------------------------------------------
 
-    def _receivers(self, msg: BusMessage) -> list[str]:
-        if msg.kind is MessageKind.REPLY:
+    def _receivers(self, msg: BusMessage) -> Sequence[str]:
+        if msg.kind is _REPLY:
             # A reply to no outstanding query raises KeyError rather than
             # being counted and delivered to nobody.
             return [self.outstanding_queries[msg.topic]]
-        if msg.kind is MessageKind.QUERY:
+        if msg.kind is _QUERY:
             self.outstanding_queries[msg.topic] = msg.sender
         return self.subscribers[msg.topic]
 
-    def _latency(self, sender: str, receiver: str) -> float:
-        """Propagation delay of a delivery, looked up once per pair."""
-        key = (sender, receiver)
-        latency = self.latencies.get(key)
-        if latency is None:
-            link = self.scenario.link_between(sender, receiver)
-            latency = self.latencies[key] = link.latency_s if link else 0.0
-        return latency
-
     def _send(self, msg: BusMessage) -> None:
         self.message_count += 1
+        latency = self.latency[msg.sender]
         for receiver in self._receivers(msg):
             dropped, extra = (self.faults.apply(msg, receiver) if self.faults
                               else (False, 0.0))
@@ -338,8 +362,7 @@ class _Sim:
                           {"type": "drop", "topic": msg.topic,
                            "receiver": receiver})
                 continue
-            delay = self._latency(msg.sender, receiver) + extra
-            self._push(self.now + delay, receiver, msg)
+            self._push(self.now + (latency[receiver] + extra), receiver, msg)
 
     # -- work execution -----------------------------------------------
 
@@ -355,14 +378,14 @@ class _Sim:
             duration = transfer_duration(params, nbytes,
                                          self.config.bandwidth_bytes_per_s)
             self.bytes_transferred += nbytes
-        elif kind is ag.WorkKind.ROUND_CHECKPOINT:
+        elif kind is _ROUND_CHECKPOINT:
             nbytes = float(self._capture_dirty() * profile.page_size_bytes)
             duration = pre_checkpoint_duration(params, nbytes)
-        elif kind is ag.WorkKind.PRE_CHECKPOINT:
+        elif kind is _PRE_CHECKPOINT:
             self.dirty_clock = self.now
             nbytes = float(profile.state_size_bytes)
             duration = pre_checkpoint_duration(params, nbytes)
-        elif kind is ag.WorkKind.STOP_CHECKPOINT:
+        elif kind is _STOP_CHECKPOINT:
             self.freeze_time = self.now
             if self.info.strategy is StrategyKind.COLD:
                 nbytes = float(profile.state_size_bytes)
@@ -372,19 +395,19 @@ class _Sim:
                 nbytes = (pages * profile.page_size_bytes
                           + profile.cpu_context_bytes)
             duration = checkpoint_duration(params, nbytes)
-        elif kind is ag.WorkKind.RESTORE:
+        elif kind is _RESTORE:
             nbytes = action.bytes
             duration = restore_duration(params, nbytes)
-        elif kind is ag.WorkKind.FLOW_UPDATE:
+        elif kind is _FLOW_UPDATE:
             nbytes, duration = 0.0, params.flow_update_s
-        elif kind is ag.WorkKind.FLOW_SETTLE:
+        elif kind is _FLOW_SETTLE:
             nbytes = 0.0
-            duration = (self._latency(agent_id, self.info.client)
+            duration = (self.latency[agent_id][self.info.client]
                         + params.flow_update_s)
         else:  # NS_CLEAR, NS_RECREATE
             nbytes, duration = 0.0, params.ns_overhead_s
-        done = ag.WorkDone(kind=kind, bytes=nbytes, round=action.round)
-        self._push(self.now + duration, agent_id, done)
+        self._push(self.now + duration, agent_id,
+                   ag.WorkDone(kind, nbytes, action.round))
         return nbytes, duration
 
     # -- logging ------------------------------------------------------
@@ -402,8 +425,11 @@ class _Sim:
 
     def run(self) -> MigrationOutcome:
         self._push(0.0, self.info.orchestrator, ag.Kickoff())
-        # Without an event log, nothing below formats log material.
+        # Without an event log, nothing below formats log material; below
+        # DEBUG, no phase change is logged.
         record = self.record_events
+        debug = log.isEnabledFor(logging.DEBUG)
+        terminal = ag.TERMINAL_PHASES
         # agent id -> its watchdog as a heap entry. All share one delay, so
         # the first is the earliest; entries compare on unique (time, seq).
         heap, deadlines = self.heap, {}
@@ -422,36 +448,39 @@ class _Sim:
             state = self.agents[agent_id]
             new_state, actions = ag.advance(state, event)
             self.agents[agent_id] = new_state
-            if new_state.phase.kind in ag.TERMINAL_PHASES \
-                    and state.phase.kind not in ag.TERMINAL_PHASES:
+            if new_state.phase.kind in terminal \
+                    and state.phase.kind not in terminal:
                 live -= 1
+            if debug and new_state.phase != state.phase:
+                log.debug("%s at %.9g s: %s -> %s", agent_id, time_s,
+                          state.phase, new_state.phase)
 
             action_docs: list[dict] = []
             for action in actions:
-                if isinstance(action, BusMessage):
+                kind = type(action)
+                if kind is BusMessage:
                     self._send(action)
                     if record:
                         action_docs.append(
                             {"send": action.kind.value, "topic": action.topic,
                              "payload_bytes": action.payload_bytes})
-                elif isinstance(action, ag.StartWork):
+                elif kind is ag.StartWork:
                     nbytes, duration = self._start_work(agent_id, action)
                     if record:
                         action_docs.append({"work": action.kind.value,
                                             "bytes": nbytes,
                                             "duration_s": duration})
-                elif isinstance(action, ag.SetTimer):
+                elif kind is ag.SetTimer:
                     deadlines[agent_id] = (self.now + self.watchdog_s,
-                                           self.seq, agent_id, ag.TimerFired())
+                                           self.seq, agent_id, _TIMER_FIRED)
                     self.seq += 1
                     if record:
                         action_docs.append({"timer_s": self.watchdog_s})
                 elif record:
                     action_docs.append({"diagnostic": action.text})
 
-            if (isinstance(event, ag.WorkDone)
-                    and event.kind is ag.WorkKind.RESTORE
-                    and new_state.phase.kind is ag.PhaseKind.DONE):
+            if (type(event) is ag.WorkDone and event.kind is _RESTORE
+                    and new_state.phase.kind is _DONE):
                 self.restore_end = self.now
 
             if record:
@@ -465,7 +494,7 @@ class _Sim:
             aid: st.diagnostic or f"stalled in phase {st.phase}"
             for aid, st in self.agents.items()
             if st.diagnostic or st.phase.kind not in ag.TERMINAL_PHASES}
-        completed = all(st.phase.kind is ag.PhaseKind.DONE
+        completed = all(st.phase.kind is _DONE
                         for st in self.agents.values())
         downtime = self.restore_end - self.freeze_time if completed else None
         return MigrationOutcome(
@@ -515,4 +544,12 @@ def plan_from_scenario(scenario: Scenario) -> MigrationConfig:
         profile=scenario.profile_by_id(section.ms_profile_id).profile,
         params=scenario.model_params,
         available_bandwidth_bytes_per_s=link.bandwidth_bytes_per_s)
-    return design(section.task, metrics)
+    config = design(section.task, metrics)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("design: %s, %d iterations at %.6g Mbps; predicted "
+                  "downtime %.6g s, total %.6g s; target met: %s",
+                  config.strategy.kind.value, config.strategy.iterations,
+                  config.bandwidth_bytes_per_s / BYTES_PER_S_PER_MBPS,
+                  config.predicted.downtime_s, config.predicted.total_s,
+                  config.target_met)
+    return config

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via ``main``."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -209,6 +210,46 @@ def test_fit_never_loads_scipy(tmp_path):
 def test_dist_never_loads_scipy(tmp_path):
     """scipy is only a test oracle: the sampler draws with numpy alone."""
     assert scipy_modules_loaded_by(("dist",), tmp_path) == []
+
+
+def test_verbose_simulate_logs_the_design_and_each_phase_change(tmp_path):
+    src = str(Path(edgemig.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgemig.cli", "-v", "simulate", "--scenario",
+         DEMO, "--out", str(tmp_path / "run.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    events = [json.loads(line) for line in
+              (GOLDEN / "simulate_events.jsonl").read_text().splitlines()]
+    changes = [f"DEBUG edgemig.simnet: {ev['agent']} at {ev['time_s']:.9g} s:"
+               f" {ev['phase_before']} -> {ev['phase_after']}"
+               for ev in events if ev["phase_before"] != ev["phase_after"]]
+    assert [line for line in lines if " -> " in line] == changes
+    plan = json.loads((GOLDEN / "plan.json").read_text())
+    assert [line for line in lines if " -> " not in line] == [
+        f"DEBUG edgemig.simnet: design: {plan['strategy']}, "
+        f"{plan['iterations']} iterations at {plan['bandwidth_mbps']:.6g} "
+        f"Mbps; predicted downtime {plan['predicted']['downtime_s']:.6g} s, "
+        f"total {plan['predicted']['total_s']:.6g} s; target met: True"]
+
+
+def test_sweep_without_verbose_formats_no_log_line(tmp_path, monkeypatch):
+    assert not logging.getLogger("edgemig").isEnabledFor(logging.DEBUG)
+    formatted = []
+    make_record = logging.Logger.makeRecord
+
+    def record(self, *args, **kwargs):
+        formatted.append(args)
+        return make_record(self, *args, **kwargs)
+
+    monkeypatch.setattr(logging.Logger, "makeRecord", record)
+    assert run(["sweep", "--scenario", DEMO,
+                "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert formatted == []
 
 
 def test_empty_state_simulates_and_sweeps(tmp_path):

@@ -1,13 +1,14 @@
 """Scenario schema round-trips and strict validation."""
 
 import copy
+import dataclasses
 import json
 import re
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgemig.errors import ScenarioError
@@ -299,6 +300,41 @@ def saved_documents(draw):
 def test_saved_form_round_trips_byte_for_byte(doc):
     assert dumps_scenario(parse_scenario(doc)) \
         == json.dumps(doc, indent=2) + "\n"
+
+
+def test_mbps_value_saves_as_read(raw):
+    raw["bandwidth_distribution"]["std_mbps"] = 34.278927656647284
+    scenario = parse_scenario(raw)
+    text = dumps_scenario(scenario)
+    assert '"std_mbps": 34.278927656647284,' in text
+    assert dumps_scenario(parse_scenario(json.loads(text))) == text
+    # A value set after loading saves from the bytes/s held.
+    dist = BandwidthDistribution.from_mean_std(100.0 * M, 34.0 * M)
+    changed = dataclasses.replace(scenario, bandwidth_distribution=dist)
+    assert scenario_to_dict(changed)["bandwidth_distribution"] == {
+        "mean_mbps": 100.0, "std_mbps": 34.0, "lower_mbps": 0.0,
+        "upper_mbps": 270.0}
+
+
+_mbps_values = st.floats(min_value=1e-9, max_value=1e12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean=_mbps_values, std=st.floats(0.0, 1e12),
+       lower=st.floats(0.0, 1e12), upper=_mbps_values,
+       bandwidth=_mbps_values)
+def test_every_mbps_field_saves_as_read(mean, std, lower, upper, bandwidth):
+    assume(lower * M < upper * M)
+    raw = json.loads(DEMO.read_text())
+    dist = {"mean_mbps": mean, "std_mbps": std, "lower_mbps": lower,
+            "upper_mbps": upper}
+    raw["bandwidth_distribution"] = dist
+    raw["calibration_runs"][-1]["bandwidth_mbps"] = bandwidth
+    text = dumps_scenario(parse_scenario(raw))
+    saved = json.loads(text)
+    assert saved["bandwidth_distribution"] == dist
+    assert saved["calibration_runs"][-1]["bandwidth_mbps"] == bandwidth
+    assert dumps_scenario(parse_scenario(saved)) == text
 
 
 def _distribution_doc(raw, **bounds):

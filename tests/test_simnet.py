@@ -210,6 +210,81 @@ def test_message_count_is_seven_plus_three_per_round(strategy, iters,
 @pytest.mark.parametrize("strategy,iters", [
     (StrategyKind.COLD, 0),
     (StrategyKind.PRE_COPY, 0),
+    *((StrategyKind.ITERATIVE_PRE_COPY, i) for i in range(1, 9)),
+])
+def test_event_count_is_seventeen_cold_else_nineteen_plus_five_per_round(
+        monkeypatch, strategy, iters):
+    # Every event of a clean run goes through one agents.advance call.
+    calls = []
+    advance = simnet.ag.advance
+
+    def spy(state, event):
+        calls.append(event)
+        return advance(state, event)
+
+    monkeypatch.setattr(simnet.ag, "advance", spy)
+    scenario = make_scenario(dirty_rate=2.0)
+    outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
+    assert outcome.completed
+    expected = 17 if strategy is StrategyKind.COLD else 19 + 5 * iters
+    assert len(calls) == len(outcome.events) == expected
+
+
+def _renamed(scenario, names):
+    """``scenario`` with every host id mapped through ``names``."""
+    section = scenario.task
+    task = dataclasses.replace(
+        section.task, source_agent=names[section.task.source_agent],
+        destination_agent=names[section.task.destination_agent])
+    return dataclasses.replace(
+        scenario,
+        hosts=tuple(dataclasses.replace(h, id=names[h.id])
+                    for h in scenario.hosts),
+        links=tuple(dataclasses.replace(link, from_host=names[link.from_host],
+                                        to_host=names[link.to_host])
+                    for link in scenario.links),
+        task=dataclasses.replace(section, task=task,
+                                 client=names[section.client],
+                                 orchestrator=names[section.orchestrator]))
+
+
+def test_routing_table_is_shared_read_only_and_bounded():
+    base = make_scenario(dirty_rate=2.0, latency_s=0.002)
+    moved = _renamed(base, {"a": "x", "b": "y", "c": "z", "o": "w"})
+    runs = [(base, 3), (base, 1), (moved, 3), (base, 3), (moved, 2),
+            (moved, 3)]
+
+    def run(scenario, iters):
+        return run_scenario(scenario, make_config(
+            scenario, StrategyKind.ITERATIVE_PRE_COPY, iters))
+
+    fresh = []
+    for scenario, iters in runs:
+        simnet._routes.cache_clear()
+        fresh.append(run(scenario, iters))
+    # Back to back, later runs reuse the tables of earlier ones.
+    simnet._routes.cache_clear()
+    for (scenario, iters), alone in zip(runs, fresh):
+        outcome = run(scenario, iters)
+        assert outcome.completed
+        assert outcome.message_count == 7 + 3 * iters
+        assert outcome == alone
+    assert {ev.agent for ev in outcome.events} == {"x", "y", "z", "w"}
+    assert simnet._routes.cache_info().hits == 2
+
+    routes = simnet._Sim(base, make_config(base, StrategyKind.PRE_COPY),
+                         (), False).subscribers
+    with pytest.raises(TypeError):
+        routes[next(iter(routes))] = ("a",)
+    assert all(type(ids) is tuple for ids in routes.values())
+    info = simnet._routes.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 1024
+    assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
     (StrategyKind.ITERATIVE_PRE_COPY, 3),
 ])
 def test_every_sent_message_has_a_receiver(monkeypatch, strategy, iters):
