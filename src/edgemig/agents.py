@@ -39,11 +39,12 @@ plus a list of actions (messages to send, work items to run, watchdogs to
 arm), and the simulator or any other driver executes those actions. States
 and phases are immutable ``NamedTuple`` classes, copied with ``_replace``. A
 :class:`BusMessage` is both: an agent emits it as an action and receives it
-as an event. A work item names only its kind (plus its round, and for a
-transfer or the restore the bytes of the image it moves, as the checkpoint
-reported them): the simulator sizes every checkpoint and prices every
-item, including the destination's wait for the client's flow update. An
-agent takes its task only from the task publication. An event that is not
+as an event. So is a :class:`Work` item, which comes back sized when the
+work ends. It names only its kind (plus its round, and for a transfer or
+the restore the bytes of the image it moves, as the checkpoint reported
+them): the simulator sizes every checkpoint and prices every item,
+including the destination's wait for the client's flow update. An agent
+takes its task only from the task publication. An event that is not
 legal in the current phase moves the agent to Failed and emits a
 diagnostic; nothing is dropped silently. Watchdogs are the only timers,
 and the driver keeps them: a :class:`SetTimer` guards the wait on a peer
@@ -155,7 +156,10 @@ class WorkKind(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class StartWork:
+class Work:
+    """A timed work item: an agent emits it to start the work, and the
+    driver delivers it back, sized, when the work ends."""
+
     kind: WorkKind
     bytes: float = 0.0
     round: int = 0
@@ -171,15 +175,8 @@ class Diagnostic:
     text: str
 
 
-Action = Union[BusMessage, StartWork, SetTimer, Diagnostic]
+Action = Union[BusMessage, Work, SetTimer, Diagnostic]
 _SET_TIMER = SetTimer()
-
-
-@dataclass(frozen=True, slots=True)
-class WorkDone:
-    kind: WorkKind
-    bytes: float = 0.0
-    round: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +189,7 @@ class Kickoff:
     """Hands the orchestrator agent its cue to publish the task."""
 
 
-Event = Union[BusMessage, WorkDone, TimerFired, Kickoff]
+Event = Union[BusMessage, Work, TimerFired, Kickoff]
 
 
 # --------------------------------------------------------------------------
@@ -326,6 +323,8 @@ def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
 def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     if isinstance(event, BusMessage):
         what = f"{event.kind.value} on {event.topic}"
+    elif isinstance(event, Work):
+        what = f"end of {event.kind.value}"
     else:
         what = type(event).__name__
     return _fail(state, f"unexpected {what} in phase {state.phase}")
@@ -349,7 +348,7 @@ def _source_stop_copy(state: AgentState, *sent: Action, **changes
     ``changes`` are the transition's other field updates, as for :func:`_arm`.
     """
     return (state._replace(phase=_STOP_COPY_PHASE, **changes),
-            [*sent, StartWork(_STOP_CHECKPOINT)])
+            [*sent, Work(_STOP_CHECKPOINT)])
 
 
 def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
@@ -360,7 +359,7 @@ def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
         return _source_stop_copy(state, reply)
     next_round = done_round + 1
     return (state._replace(phase=Phase(_PRE_COPY_ROUND, next_round)),
-            [reply, StartWork(_ROUND_CHECKPOINT, 0.0, next_round)])
+            [reply, Work(_ROUND_CHECKPOINT, 0.0, next_round)])
 
 
 def _source_start(state: AgentState, info: TaskInfo
@@ -369,7 +368,7 @@ def _source_start(state: AgentState, info: TaskInfo
     if info.strategy is _COLD:
         return _source_stop_copy(state, started, info=info)
     return (state._replace(info=info, phase=_ROUND_ZERO),
-            [started, StartWork(_PRE_CHECKPOINT)])
+            [started, Work(_PRE_CHECKPOINT)])
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -391,22 +390,21 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
                 return _unexpected(state, event)
             if state.preckpt_bytes is not None:
                 # Initial image already checkpointed; ship it.
-                return state, [StartWork(_TRANSFER_INITIAL,
-                                         state.preckpt_bytes)]
+                return state, [Work(_TRANSFER_INITIAL, state.preckpt_bytes)]
             return state, []
 
         if event.kind is _QUERY and phase.kind is _AWAIT_IMAGE_PULL \
                 and event.topic == round_image_topic(info.task_id, phase.round):
-            return state, [StartWork(_TRANSFER_ROUND, state.round_bytes,
-                                     phase.round)]
+            return state, [Work(_TRANSFER_ROUND, state.round_bytes,
+                                phase.round)]
         return _unexpected(state, event)
 
-    if type(event) is WorkDone:
+    if type(event) is Work:
         kind = event.kind
         if kind is _PRE_CHECKPOINT and phase == _ROUND_ZERO:
             if state.ns_query_seen:
                 return (state._replace(preckpt_bytes=event.bytes),
-                        [StartWork(_TRANSFER_INITIAL, event.bytes)])
+                        [Work(_TRANSFER_INITIAL, event.bytes)])
             # waiting for the destination query
             return _arm(state, preckpt_bytes=event.bytes)
 
@@ -431,13 +429,13 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             return _source_image_sent(state, reply, event.round)
 
         if kind is _STOP_CHECKPOINT and phase.kind is _STOP_COPY:
-            return state, [StartWork(_TRANSFER_STOPCOPY, event.bytes)]
+            return state, [Work(_TRANSFER_STOPCOPY, event.bytes)]
 
         if kind is _TRANSFER_STOPCOPY and phase.kind is _STOP_COPY:
             push = _send(state, _PUBLISH, stopcopy_topic(info.task_id),
                          event.bytes)
             return (state._replace(phase=_NS_TRANSITION_PHASE),
-                    [push, StartWork(_NS_CLEAR)])
+                    [push, Work(_NS_CLEAR)])
 
         if kind is _NS_CLEAR and phase.kind is _NS_TRANSITION:
             return state._replace(phase=DONE), []
@@ -458,7 +456,7 @@ def _dest_maybe_transition(state: AgentState, **changes
             or changes.get("ns_config", state.ns_config) is None:
         return _arm(state, **changes)
     return (state._replace(phase=_NS_TRANSITION_PHASE, **changes),
-            [StartWork(_NS_RECREATE)])
+            [Work(_NS_RECREATE)])
 
 
 def _dest_image_received(state: AgentState, done_round: int, **changes
@@ -518,15 +516,15 @@ def _advance_destination(state: AgentState, event: Event
             return _dest_maybe_transition(state, sc_bytes=event.payload_bytes)
         return _unexpected(state, event)
 
-    if type(event) is WorkDone:
+    if type(event) is Work:
         kind = event.kind
         if kind is _NS_RECREATE and phase.kind is _NS_TRANSITION:
             ready = _send(state, _PUBLISH, ns_ready_topic(info.task_id))
             return (state._replace(phase=_AWAIT_RESTORE_PHASE),
-                    [ready, StartWork(_FLOW_SETTLE)])
+                    [ready, Work(_FLOW_SETTLE)])
 
         if kind is _FLOW_SETTLE and phase.kind is _AWAIT_RESTORE:
-            return state, [StartWork(_RESTORE, state.sc_bytes)]
+            return state, [Work(_RESTORE, state.sc_bytes)]
 
         if kind is _RESTORE and phase.kind is _AWAIT_RESTORE:
             done = _send(state, _PUBLISH, done_topic(info.task_id))
@@ -550,9 +548,9 @@ def _advance_client(state: AgentState, event: Event
         if event.kind is _PUBLISH and phase.kind is _IDLE_KIND \
                 and event.topic == ns_ready_topic(state.info.task_id):
             state = state._replace(phase=_NS_TRANSITION_PHASE)
-            return state, [StartWork(_FLOW_UPDATE)]
+            return state, [Work(_FLOW_UPDATE)]
 
-    if type(event) is WorkDone:
+    if type(event) is Work:
         if event.kind is _FLOW_UPDATE and phase.kind is _NS_TRANSITION:
             return state._replace(phase=DONE), []
     return _unexpected(state, event)

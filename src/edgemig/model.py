@@ -300,56 +300,44 @@ def max_iterations(profile: MsProfile, params: ModelParams,
     DEFAULT_ITERATION_CAP. The returned value is maximal: adding one more
     iteration (below the cap) would overrun the target.
     """
-    counts = iteration_counts(profile, params,
-                              np.array([bandwidth_bytes_per_s], dtype=float),
-                              target_duration_s)
-    return iteration_choice(int(counts[0]))
+    return iteration_choice(int(iteration_counts(
+        profile, params, bandwidth_bytes_per_s, target_duration_s)))
 
 
 def iteration_counts(profile: MsProfile, params: ModelParams,
-                     bandwidths_bytes_per_s: np.ndarray,
-                     target_duration_s: float) -> np.ndarray:
-    """:func:`max_iterations` over an array of bandwidths, as counts.
+                     bandwidth_bytes_per_s: float | np.ndarray,
+                     target_duration_s: float) -> np.integer | np.ndarray:
+    """:func:`max_iterations` as a count, for one bandwidth or an array.
 
-    Each element is the largest iteration count (0 for plain pre-copy)
+    The count is the largest number of iterations (0 for plain pre-copy)
     whose predicted total stays within the target, or -1 when even plain
     pre-copy overruns it; :func:`iteration_choice` turns a count into a
-    strategy. Every element goes through the same float operations, in the
-    same order, as a lone bandwidth would.
+    strategy. An array of bandwidths gives an array of counts.
+
+    The count is found by searching the predictor itself: the predicted
+    total never decreases as iterations are added, and every probe is
+    :func:`precopy_kpis`'s own sum in its own order, so the two agree to
+    the last bit.
     """
     if target_duration_s <= 0:
         raise DomainError("target_duration_s must be > 0")
     # A starved link (the smallest positive bandwidth) overflows the round
-    # terms to inf and 0 * inf to nan; both fail the <= tests below, so
-    # those elements come out as overruns.
+    # terms to inf and 0 * inf to nan; both fail the <= test below, so
+    # such a bandwidth comes out as an overrun.
     with np.errstate(all="ignore"):
         round0, per_round, steps = _precopy_terms(profile, params,
-                                                  bandwidths_bytes_per_s)
+                                                  bandwidth_bytes_per_s)
         downtime = sum(steps.values())
-
-        def total(n):
-            return round0 + n * per_round + downtime
-
-        fits = total(0) <= target_duration_s
-        # Where iterations are free (per_round == 0) the cap is taken.
-        count = np.full(fits.shape, DEFAULT_ITERATION_CAP, dtype=np.int64)
-        solve = fits & (per_round > 0.0)
-        closed = np.floor((target_duration_s - round0 - downtime) / per_round)
-        count[solve] = np.clip(closed[solve], 0, DEFAULT_ITERATION_CAP)
-        # The closed form and the evaluated totals can disagree by one in
-        # the last float ulp; settle each element against the predictor.
-        while True:
-            over = solve & (count > 0) & (total(count) > target_duration_s)
-            if not over.any():
-                break
-            count[over] -= 1
-        while True:
-            under = (solve & (count < DEFAULT_ITERATION_CAP)
-                     & (total(count + 1) <= target_duration_s))
-            if not under.any():
-                break
-            count[under] += 1
-    return np.where(fits, count, -1)
+        # Binary search up from -1: steps of 64, 32, ..., 1 can reach 126,
+        # past the cap, and a probe that fits is kept, since the total
+        # never decreases with the count.
+        count = -1
+        step = 1 << ((DEFAULT_ITERATION_CAP + 1).bit_length() - 1)
+        while step:
+            total = round0 + (count + step) * per_round + downtime
+            count = count + step * (total <= target_duration_s)
+            step //= 2
+    return np.minimum(count, DEFAULT_ITERATION_CAP)
 
 
 def iteration_choice(count: int) -> Optional[StrategyChoice]:

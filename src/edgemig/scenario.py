@@ -46,6 +46,8 @@ from .profiler import CalibrationRun, DirtySample
 
 HOST_ROLES = ("source", "destination", "client", "orchestrator")
 SWEEP_VARIABLES = ("target_duration_s", "target_downtime_s")
+# Largest grid a sweep enumerates; one row is planned and simulated each.
+MAX_SWEEP_TARGETS = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +122,11 @@ class SweepSpec:
             raise ScenarioError("sweep step_s must be positive")
         if self.to_s < self.from_s:
             raise ScenarioError("sweep to_s must be >= from_s")
+        # Overflow to inf counts as too many.
+        steps = (self.to_s - self.from_s) / self.step_s
+        if not steps < MAX_SWEEP_TARGETS:
+            raise ScenarioError(f"sweep grid has {steps + 1:.7g} targets, "
+                                f"more than the {MAX_SWEEP_TARGETS:,} allowed")
         if not self.profiles:
             raise ScenarioError("sweep needs at least one profile")
 

@@ -213,7 +213,7 @@ def _describe_event(event: ag.Event) -> dict:
         return {"type": "message", "kind": event.kind.value,
                 "topic": event.topic, "sender": event.sender,
                 "payload_bytes": event.payload_bytes}
-    if isinstance(event, ag.WorkDone):
+    if isinstance(event, ag.Work):
         return {"type": "work_done", "work": event.kind.value,
                 "bytes": event.bytes, "round": event.round}
     if isinstance(event, ag.TimerFired):
@@ -367,7 +367,7 @@ class _Sim:
     # -- work execution -----------------------------------------------
 
     def _start_work(self, agent_id: str,
-                    action: ag.StartWork) -> tuple[float, float]:
+                    action: ag.Work) -> tuple[float, float]:
         """Size, price and schedule one work item; returns its bytes and
         duration. The one place that knows what each kind moves and costs."""
         kind = action.kind
@@ -407,7 +407,7 @@ class _Sim:
         else:  # NS_CLEAR, NS_RECREATE
             nbytes, duration = 0.0, params.ns_overhead_s
         self._push(self.now + duration, agent_id,
-                   ag.WorkDone(kind, nbytes, action.round))
+                   ag.Work(kind, nbytes, action.round))
         return nbytes, duration
 
     # -- logging ------------------------------------------------------
@@ -464,7 +464,7 @@ class _Sim:
                         action_docs.append(
                             {"send": action.kind.value, "topic": action.topic,
                              "payload_bytes": action.payload_bytes})
-                elif kind is ag.StartWork:
+                elif kind is ag.Work:
                     nbytes, duration = self._start_work(agent_id, action)
                     if record:
                         action_docs.append({"work": action.kind.value,
@@ -479,7 +479,7 @@ class _Sim:
                 elif record:
                     action_docs.append({"diagnostic": action.text})
 
-            if (type(event) is ag.WorkDone and event.kind is _RESTORE
+            if (type(event) is ag.Work and event.kind is _RESTORE
                     and new_state.phase.kind is _DONE):
                 self.restore_end = self.now
 

@@ -56,7 +56,7 @@ def sends(actions):
 
 
 def works(actions):
-    return [a for a in actions if isinstance(a, ag.StartWork)]
+    return [a for a in actions if isinstance(a, ag.Work)]
 
 
 def timers(actions):
@@ -97,14 +97,14 @@ def test_source_initial_image_waits_for_query_and_checkpoint():
     state, actions = ag.advance(state, ns_query(info))
     assert works(actions) == [] and sends(actions) == []
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
+        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.TRANSFER_INITIAL and work.bytes == M
 
     # Order B: checkpoint completes first, query afterwards.
     state, _ = ag.advance(idle, task_message(info))
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
+        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
     assert works(actions) == []
     assert timers(actions)  # passive wait is guarded
     state, actions = ag.advance(state, ns_query(info))
@@ -118,9 +118,9 @@ def test_source_full_iterative_walk():
                           task_message(info))
     state, _ = ag.advance(state, ns_query(info))
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
+        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.TRANSFER_INITIAL, bytes=float(M)))
+        state, ag.Work(ag.WorkKind.TRANSFER_INITIAL, bytes=float(M)))
     # The namespace reply carries the initial image; round 1 begins.
     [reply] = sends(actions)
     assert reply.kind is MessageKind.REPLY
@@ -132,7 +132,7 @@ def test_source_full_iterative_walk():
 
     # Round 1: checkpoint done -> ready published, wait for the pull.
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.ROUND_CHECKPOINT, bytes=8192.0, round=1))
+        state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=8192.0, round=1))
     [ready] = sends(actions)
     assert ready.topic == ag.round_ready_topic("t1", 1)
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
@@ -143,37 +143,37 @@ def test_source_full_iterative_walk():
     [work] = works(actions)
     assert work.kind is ag.WorkKind.TRANSFER_ROUND and work.bytes == 8192.0
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.TRANSFER_ROUND, bytes=8192.0, round=1))
+        state, ag.Work(ag.WorkKind.TRANSFER_ROUND, bytes=8192.0, round=1))
     [reply] = sends(actions)
     assert reply.topic == ag.round_image_topic("t1", 1)
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 2)
 
     # Round 2 ends the pre-copy: next comes the stop-and-copy checkpoint.
     state, _ = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.ROUND_CHECKPOINT, bytes=4096.0, round=2))
+        state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=4096.0, round=2))
     pull2 = BusMessage(
         kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 2),
         sender="dst")
     state, _ = ag.advance(state, pull2)
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.TRANSFER_ROUND, bytes=4096.0, round=2))
+        state, ag.Work(ag.WorkKind.TRANSFER_ROUND, bytes=4096.0, round=2))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     [work] = works(actions)
     assert work.kind is ag.WorkKind.STOP_CHECKPOINT
 
     # Stop-and-copy: checkpoint, transfer, push, namespace clear, done.
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.STOP_CHECKPOINT, bytes=20480.0))
+        state, ag.Work(ag.WorkKind.STOP_CHECKPOINT, bytes=20480.0))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.TRANSFER_STOPCOPY and work.bytes == 20480.0
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.TRANSFER_STOPCOPY, bytes=20480.0))
+        state, ag.Work(ag.WorkKind.TRANSFER_STOPCOPY, bytes=20480.0))
     [push] = sends(actions)
     assert push.topic == ag.stopcopy_topic("t1")
     assert push.payload_bytes == 20480.0
     assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
     state, actions = ag.advance(state,
-                                ag.WorkDone(ag.WorkKind.NS_CLEAR, bytes=0.0))
+                                ag.Work(ag.WorkKind.NS_CLEAR, bytes=0.0))
     assert state.phase.kind is ag.PhaseKind.DONE
     assert actions == []
 
@@ -195,7 +195,7 @@ def test_source_unexpected_event_fails_with_diagnostic():
     info = task_info()
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
-    bogus = ag.WorkDone(ag.WorkKind.RESTORE, bytes=1.0)
+    bogus = ag.Work(ag.WorkKind.RESTORE, bytes=1.0)
     state, actions = ag.advance(state, bogus)
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert any(isinstance(a, ag.Diagnostic) for a in actions)
@@ -206,7 +206,7 @@ def _armed_source(info):
                           task_message(info))
     # The checkpoint ends before the destination's query: a passive wait.
     return ag.advance(
-        state, ag.WorkDone(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
+        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
 
 
 def _armed_destination(info):
@@ -268,7 +268,7 @@ def test_terminal_phases_absorb_everything():
     info = task_info()
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
-    failed, _ = ag.advance(state, ag.WorkDone(ag.WorkKind.RESTORE))
+    failed, _ = ag.advance(state, ag.Work(ag.WorkKind.RESTORE))
     assert failed.phase.kind is ag.PhaseKind.FAILED
     after, actions = ag.advance(failed, ns_query(info))
     assert after == failed and actions == []
@@ -332,7 +332,7 @@ def test_destination_full_walk_with_flow_settle():
     assert timers(actions) == []
 
     state, actions = ag.advance(state,
-                                ag.WorkDone(ag.WorkKind.NS_RECREATE))
+                                ag.Work(ag.WorkKind.NS_RECREATE))
     [msg] = sends(actions)
     assert msg.topic == ag.ns_ready_topic("t1")
     # Restore waits for the flow update to settle, a work item like any
@@ -341,11 +341,11 @@ def test_destination_full_walk_with_flow_settle():
     assert work.kind is ag.WorkKind.FLOW_SETTLE and timers(actions) == []
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
-    state, actions = ag.advance(state, ag.WorkDone(ag.WorkKind.FLOW_SETTLE))
+    state, actions = ag.advance(state, ag.Work(ag.WorkKind.FLOW_SETTLE))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.RESTORE and work.bytes == 20480.0
     state, actions = ag.advance(
-        state, ag.WorkDone(ag.WorkKind.RESTORE, bytes=20480.0))
+        state, ag.Work(ag.WorkKind.RESTORE, bytes=20480.0))
     [done] = sends(actions)
     assert done.topic == ag.done_topic("t1")
     assert state.phase.kind is ag.PhaseKind.DONE
@@ -397,7 +397,7 @@ def test_client_updates_flow_and_publishes_nothing():
     assert sends(actions) == []
     [work] = works(actions)
     assert work.kind is ag.WorkKind.FLOW_UPDATE
-    state, actions = ag.advance(state, ag.WorkDone(ag.WorkKind.FLOW_UPDATE))
+    state, actions = ag.advance(state, ag.Work(ag.WorkKind.FLOW_UPDATE))
     # Transparency: the client redirects the flow (its done phase says so)
     # without a single bus message along the way.
     assert sends(actions) == []
@@ -476,7 +476,7 @@ def _noise(info):
     a second kickoff."""
     msgs = [BusMessage(kind=kind, topic=topic, sender="x")
             for topic in ag.subscriptions(info) for kind in MessageKind]
-    done = [ag.WorkDone(kind, 4096.0, round_index) for kind in ag.WorkKind
+    done = [ag.Work(kind, 4096.0, round_index) for kind in ag.WorkKind
             for round_index in range(info.iterations + 1)]
     return msgs + done + [ag.TimerFired(), ag.Kickoff()]
 
@@ -536,8 +536,8 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
                     receivers = [by_role[role]
                                  for role in routes.get(action.topic, ())]
                 pending += [(receiver, action) for receiver in receivers]
-            elif isinstance(action, ag.StartWork):
-                pending.append((agent_id, ag.WorkDone(
+            elif isinstance(action, ag.Work):
+                pending.append((agent_id, ag.Work(
                     action.kind, action.bytes or 4096.0, action.round)))
             elif isinstance(action, ag.SetTimer):
                 guarded.add(agent_id)

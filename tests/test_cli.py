@@ -362,6 +362,15 @@ def test_whole_number_beyond_float_range_is_a_usage_error(
         in capsys.readouterr().err
 
 
+def test_sweep_grid_too_large_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(Path(DEMO).read_text())
+    doc["sweep"]["step_s"] = 1e-300
+    scenario = tmp_path / "dense.json"
+    scenario.write_text(json.dumps(doc))
+    assert run(["sweep", "--scenario", str(scenario)]) == 2
+    assert "sweep grid has 9e+300 targets" in capsys.readouterr().err
+
+
 def test_number_written_as_a_string_is_a_usage_error(tmp_path, capsys):
     doc = json.loads(Path(DEMO).read_text())
     for link in doc["links"]:

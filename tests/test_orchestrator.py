@@ -354,15 +354,15 @@ DEMO_PARAMS = ModelParams(
 @settings(max_examples=200, deadline=None)
 @given(profiles_st, params_st, bandwidth_lists, targets_st,
        st.integers(0, 64), st.sampled_from([None, 0, 1, 2]))
-# Targets where the closed form comes out one below the answer, then one
-# above it, so that both directions of the fix-up are exercised.
+# Targets exactly on a k-iteration total, and one ulp below one, where a
+# count that is off by one in either direction would show.
 @example(MsProfile(445_644_800, 0.021), DEMO_PARAMS, [29e6], 1.0, 12, 0)
 @example(MsProfile(3_155_165_184, 0.038), DEMO_PARAMS, [9.5e6], 1.0, 14, 1)
 def test_iteration_counts_match_scalar_design(profile, params, bws, target,
                                               k, ulps_below):
     if ulps_below is not None:
-        # On or just below the total of k iterations at the first bandwidth,
-        # where the closed form is one off and the fix-up must settle it.
+        # On, or one or two ulps below, the total of k iterations at the
+        # first bandwidth: the edge where k stops fitting.
         target = precopy_kpis(profile, params, bws[0], k).total_s
         for _ in range(ulps_below):
             target = math.nextafter(target, 0.0)
@@ -370,6 +370,8 @@ def test_iteration_counts_match_scalar_design(profile, params, bws, target,
     counts = iteration_counts(profile, params, np.array(bws), target)
     assert counts.shape == (len(bws),)
     for bw, n in zip(bws, counts.tolist()):
+        # One bandwidth as a float takes the same path to the same count.
+        assert iteration_counts(profile, params, bw, target) == n
         config = design(md_task(target), MetricsView(profile, params, bw))
         got = _kind_and_iterations(iteration_choice(n))
         assert got == (config.strategy.kind, config.strategy.iterations)

@@ -21,6 +21,7 @@ from edgemig.model import (
 from edgemig.orchestrator import BandwidthDistribution
 from edgemig.scenario import (
     HOST_ROLES,
+    MAX_SWEEP_TARGETS,
     SimProfile,
     SweepSpec,
     dumps_scenario,
@@ -207,6 +208,20 @@ def test_sweep_spec_rejects_non_finite_bounds(field, value):
         SweepSpec(variable="target_duration_s", profiles=("p",), **bounds)
 
 
+@pytest.mark.parametrize("step_s", [1e-300, 8e-6])
+def test_sweep_grid_too_large_to_enumerate_rejected(raw, step_s):
+    # 1e-300 does not even move from_s: from_s + step_s == from_s.
+    raw["sweep"]["step_s"] = step_s
+    with pytest.raises(ScenarioError, match=r"^sweep grid has \S+ targets, "
+                                            "more than the 1,000,000"):
+        parse_scenario(raw)
+
+
+def test_sweep_grid_of_the_largest_size_accepted(raw):
+    raw["sweep"].update(from_s=1.0, to_s=1.0 + 999_999 * 1e-3, step_s=1e-3)
+    assert len(parse_scenario(raw).sweep.targets()) == 1_000_000
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
 def test_sim_profile_rejects_bad_rate_built_in_code(rate):
     profile = MsProfile(state_size_bytes=4096, dirty_rate_norm=0.1)
@@ -274,10 +289,12 @@ def saved_documents(draw):
         doc["task"] = task
     if draw(st.booleans()):
         from_s, to_s = sorted((draw(_nonneg), draw(_nonneg)))
+        step_s = draw(_pos)
+        assume((to_s - from_s) / step_s < MAX_SWEEP_TARGETS)
         doc["sweep"] = {
             "variable": draw(st.sampled_from(["target_duration_s",
                                               "target_downtime_s"])),
-            "from_s": from_s, "to_s": to_s, "step_s": draw(_pos),
+            "from_s": from_s, "to_s": to_s, "step_s": step_s,
             "profiles": _items(draw, lambda: draw(st.sampled_from(profiles)))}
     if draw(st.booleans()):
         lower, upper = sorted({_mbps(draw), _mbps(draw)} | {0.0})[-2:]
