@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import DomainError, ScenarioError
 from .model import BYTES_PER_S_PER_MBPS
-from .orchestrator import Objective, strategy_distribution
+from .orchestrator import MigrationTask, Objective, strategy_distribution
 from .profiler import calibration_fit, estimate_dirty_rate
-from .scenario import Scenario, SimProfile, check_seed, load_scenario
+from .scenario import (Scenario, SimProfile, TaskSection, check_seed,
+                       load_scenario)
 from .simnet import plan_from_scenario, run_scenario
 
 log = logging.getLogger(__name__)
@@ -165,34 +166,20 @@ def _row_seed(base_seed: int, target_idx: int, profile_idx: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sweep_task(scenario: Scenario, variable: str, target: float,
-                profile_id: str):
-    section = scenario.task
-    if variable == "target_duration_s":
-        task = dataclasses.replace(section.task,
-                                   objective=Objective.MINIMIZE_DOWNTIME,
-                                   target_duration_s=target,
-                                   target_downtime_s=None)
-    else:
-        task = dataclasses.replace(section.task,
-                                   objective=Objective.MINIMIZE_RESOURCES,
-                                   target_downtime_s=target,
-                                   target_duration_s=None)
-    new_section = dataclasses.replace(section, task=task,
-                                      ms_profile_id=profile_id)
-    return dataclasses.replace(scenario, task=new_section)
-
-
 def _sweep_row(job: tuple) -> dict:
     scenario, variable, target, profile_id, seed = job
-    row_scenario = dataclasses.replace(
-        _sweep_task(scenario, variable, target, profile_id), seed=seed)
+    section, task = scenario.task, scenario.task.task
+    on_total = variable == "target_duration_s"
+    objective = (Objective.MINIMIZE_DOWNTIME if on_total
+                 else Objective.MINIMIZE_RESOURCES)
+    targets = (None, target) if on_total else (target, None)
+    row_scenario = dataclasses.replace(scenario, seed=seed, task=TaskSection(
+        MigrationTask(task.container_id, task.source_agent,
+                      task.destination_agent, objective, *targets),
+        section.client, section.orchestrator, profile_id))
     config = plan_from_scenario(row_scenario)
     outcome = run_scenario(row_scenario, config, record_events=False)
-    if variable == "target_duration_s":
-        sim_metric = outcome.total_s
-    else:
-        sim_metric = outcome.downtime_s
+    sim_metric = outcome.total_s if on_total else outcome.downtime_s
     met = (config.target_met and outcome.completed and sim_metric is not None
            and sim_metric <= target * (1 + 1e-9))
     return {

@@ -61,6 +61,9 @@ class MigrationTask:
             raise DomainError("container_id must be non-empty")
         if self.source_agent == self.destination_agent:
             raise DomainError("source and destination must differ")
+        for name in ("target_downtime_s", "target_duration_s"):
+            if not math.isfinite(value := getattr(self, name) or 0.0):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.objective is Objective.MINIMIZE_RESOURCES:
             if self.target_downtime_s is None or self.target_downtime_s <= 0:
                 raise DomainError(

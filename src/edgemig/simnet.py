@@ -15,8 +15,10 @@ once per window, never the writes themselves.
 
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
-are accounted exactly once. Its routing table is built once per task and
-shared, read-only, by every run of an equal task (a sweep's rows).
+are accounted exactly once. Like its routing table, the run setting (the
+link, the designer's view, each hop's latency) is built once per task and
+shared, read-only, by a plan and every run of an equal task (a sweep's
+rows). The seeded generator is made at the first dirty draw: cold never draws.
 
 The simulator keeps all the time: it prices every work item (the
 destination's wait for the client's flow update too) and holds one
@@ -59,7 +61,7 @@ from .model import (
     transfer_duration,
 )
 from .orchestrator import MetricsView, MigrationConfig, design
-from .scenario import Scenario, SimProfile
+from .scenario import Link, Scenario, SimProfile
 
 log = logging.getLogger(__name__)
 
@@ -171,7 +173,47 @@ class _FaultBox:
 
 
 # --------------------------------------------------------------------------
-# Routing
+# Run setting and routing
+
+
+@dataclass(frozen=True, slots=True)
+class _Setting:
+    """The run setting of equal links, model, profile and task agents."""
+
+    metrics: MetricsView
+    dirty_rate: float
+    latency: Mapping[str, Mapping[str, float]]
+
+
+def _setting(scenario: Scenario) -> _Setting:
+    if (section := scenario.task) is None:
+        raise ScenarioError("scenario has no task section")
+    return _run_setting(scenario.links, scenario.model_params,
+                        scenario.profile_by_id(section.ms_profile_id),
+                        (section.task.source_agent,
+                         section.task.destination_agent, section.client,
+                         section.orchestrator))
+
+
+@functools.lru_cache(maxsize=256)
+def _run_setting(links: tuple[Link, ...], params: ModelParams,
+                 sim_profile: SimProfile,
+                 agent_ids: tuple[str, ...]) -> _Setting:
+    """Checked and built once per key, then shared by plans and runs."""
+    if len(set(agent_ids)) < len(agent_ids):
+        raise ScenarioError("task source, destination, client and "
+                            f"orchestrator must differ, got {agent_ids}")
+    # Reversed, so that a pair's first link wins, as in Scenario.link_between.
+    pairs = {frozenset((k.from_host, k.to_host)): k for k in reversed(links)}
+    if (link := pairs.get(frozenset(agent_ids[:2]))) is None:
+        raise ScenarioError("no link between source {!r} and destination "
+                            "{!r}".format(*agent_ids[:2]))
+    latency = {a: MappingProxyType({
+        b: getattr(pairs.get(frozenset((a, b))), "latency_s", 0.0)
+        for b in agent_ids}) for a in agent_ids}
+    return _Setting(
+        MetricsView(sim_profile.profile, params, link.bandwidth_bytes_per_s),
+        sim_profile.dirty_rate_pages_per_s, MappingProxyType(latency))
 
 
 @functools.lru_cache(maxsize=256)
@@ -248,25 +290,14 @@ class MigrationOutcome:
 class _Sim:
     def __init__(self, scenario: Scenario, config: MigrationConfig,
                  fault_rules: Sequence[FaultRule], record_events: bool):
-        if scenario.task is None:
-            raise ScenarioError("scenario has no task section")
-        section = scenario.task
+        setting = _setting(scenario)
+        section, task = scenario.task, scenario.task.task
         self.config = config
         self.params: ModelParams = scenario.model_params
-        sim_profile: SimProfile = scenario.profile_by_id(section.ms_profile_id)
-        self.profile: MsProfile = sim_profile.profile
-        self.dirty_rate = sim_profile.dirty_rate_pages_per_s
-
-        source = section.task.source_agent
-        dest = section.task.destination_agent
-        agent_ids = (source, dest, section.client, section.orchestrator)
-        if len(set(agent_ids)) < len(agent_ids):
-            raise ScenarioError("task source, destination, client and "
-                                f"orchestrator must differ, got {agent_ids}")
-        link = scenario.link_between(source, dest)
-        if link is None:
-            raise ScenarioError(f"no link between {source!r} and {dest!r}")
-        if config.bandwidth_bytes_per_s > link.bandwidth_bytes_per_s * (1 + 1e-9):
+        self.profile: MsProfile = setting.metrics.profile
+        self.dirty_rate = setting.dirty_rate
+        if config.bandwidth_bytes_per_s > \
+                setting.metrics.available_bandwidth_bytes_per_s * (1 + 1e-9):
             raise ScenarioError(
                 "configured bandwidth exceeds the source-destination link")
 
@@ -275,35 +306,22 @@ class _Sim:
         if not math.isfinite(self.watchdog_s):
             raise DomainError(f"predicted total_s {config.predicted.total_s!r}"
                               " is too large for a finite watchdog period")
+        source, dest = task.source_agent, task.destination_agent
         self.info = ag.TaskInfo(
-            task_id=section.task.container_id,
-            source=source,
-            destination=dest,
-            client=section.client,
-            orchestrator=section.orchestrator,
-            strategy=config.strategy.kind,
-            iterations=config.strategy.iterations,
-            ns_config=f"netns:{section.task.container_id}")
-
+            task.container_id, source, dest, section.client,
+            section.orchestrator, config.strategy.kind,
+            config.strategy.iterations, f"netns:{task.container_id}")
         self.agents: dict[str, ag.AgentState] = {
             source: ag.idle_agent(ag.Role.SOURCE, source),
             dest: ag.idle_agent(ag.Role.DESTINATION, dest),
             section.client: ag.idle_agent(ag.Role.CLIENT, section.client),
             section.orchestrator: ag.AgentState(
-                role=ag.Role.ORCHESTRATOR, agent_id=section.orchestrator,
-                info=self.info),
+                ag.Role.ORCHESTRATOR, section.orchestrator, info=self.info),
         }
         self.subscribers = _routes(self.info)
-
-        def latency(sender: str, receiver: str) -> float:
-            link = scenario.link_between(sender, receiver)
-            return link.latency_s if link else 0.0
-        # Propagation delay of a delivery: each sender's row, resolved once.
-        self.latency = {sender: {receiver: latency(sender, receiver)
-                                 for receiver in self.agents}
-                        for sender in self.agents}
-
-        self.rng = np.random.default_rng(scenario.seed)
+        self.latency = setting.latency
+        self.seed = scenario.seed
+        self.rng: Optional[np.random.Generator] = None
         self.faults = _FaultBox(fault_rules) if fault_rules else None
         self.record_events = record_events
 
@@ -337,6 +355,8 @@ class _Sim:
         if self.profile.total_pages == 0:
             # An empty state has no pages to dirty.
             return 0
+        if self.rng is None:  # a cold run never draws
+            self.rng = np.random.default_rng(self.seed)
         return dirty_set_size(self.dirty_rate, window,
                               self.profile.total_pages, self.rng)
 
@@ -533,18 +553,8 @@ def run_scenario(scenario: Scenario, config: MigrationConfig, *,
 
 def plan_from_scenario(scenario: Scenario) -> MigrationConfig:
     """Run the orchestration design step against a scenario's task."""
-    if scenario.task is None:
-        raise ScenarioError("scenario has no task section")
-    section = scenario.task
-    link = scenario.link_between(section.task.source_agent,
-                                 section.task.destination_agent)
-    if link is None:
-        raise ScenarioError("no link between source and destination")
-    metrics = MetricsView(
-        profile=scenario.profile_by_id(section.ms_profile_id).profile,
-        params=scenario.model_params,
-        available_bandwidth_bytes_per_s=link.bandwidth_bytes_per_s)
-    config = design(section.task, metrics)
+    metrics = _setting(scenario).metrics
+    config = design(scenario.task.task, metrics)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("design: %s, %d iterations at %.6g Mbps; predicted "
                   "downtime %.6g s, total %.6g s; target met: %s",

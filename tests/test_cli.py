@@ -1,10 +1,12 @@
 """End-to-end command-line checks, run in process via ``main``."""
 
+import dataclasses
 import json
 import logging
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,13 @@ import pytest
 import edgemig
 from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
 from edgemig.errors import ScenarioError
+from edgemig.model import BYTES_PER_S_PER_MBPS
+from edgemig.orchestrator import Objective
+from edgemig.scenario import SWEEP_VARIABLES
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "scenario.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def run(args):
@@ -127,6 +133,83 @@ def test_sweep_workers_bounded_by_cpus(tmp_path, monkeypatch, parallel, cpus,
                 "--parallel", str(parallel)]) == 0
     assert InlinePool.sizes == ([] if workers is None else [workers])
     assert out.read_text() == (GOLDEN / "sweep.csv").read_text()
+
+
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_each_sweep_row_is_one_plan_and_one_run(variable):
+    scenario = load_scenario(DEMO)
+    scenario = dataclasses.replace(scenario, sweep=dataclasses.replace(
+        scenario.sweep, variable=variable, from_s=0.5, to_s=3.0))
+    sweep, section = scenario.sweep, scenario.task
+    cells = {(target, profile): (t_idx, p_idx)
+             for t_idx, target in enumerate(sweep.targets())
+             for p_idx, profile in enumerate(sweep.profiles)}
+    rows = cli.sweep_rows(scenario)
+    assert sorted(cells) == [(r["target_s"], r["profile"]) for r in rows]
+    for row in rows:
+        target, profile = row["target_s"], row["profile"]
+        if variable == "target_duration_s":
+            task = dataclasses.replace(
+                section.task, objective=Objective.MINIMIZE_DOWNTIME,
+                target_duration_s=target, target_downtime_s=None)
+        else:
+            task = dataclasses.replace(
+                section.task, objective=Objective.MINIMIZE_RESOURCES,
+                target_downtime_s=target, target_duration_s=None)
+        seed = cli._row_seed(scenario.seed, *cells[target, profile])
+        alone = dataclasses.replace(
+            scenario, seed=seed, task=dataclasses.replace(
+                section, task=task, ms_profile_id=profile))
+        config = plan_from_scenario(alone)
+        outcome = run_scenario(alone, config)
+        assert row == {
+            **row,
+            "strategy": config.strategy.kind.value,
+            "iterations": config.strategy.iterations,
+            "bandwidth_mbps":
+                config.bandwidth_bytes_per_s / BYTES_PER_S_PER_MBPS,
+            "pred_downtime_s": config.predicted.downtime_s,
+            "pred_total_s": config.predicted.total_s,
+            "sim_downtime_s": outcome.downtime_s,
+            "sim_total_s": outcome.total_s,
+            "bytes_transferred": outcome.bytes_transferred,
+            "completed": outcome.completed,
+        }
+
+
+def _load_tracer():
+    """perfbench/tracer.py as a module, executed from its text so that
+    nothing is written under perfbench/."""
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
+    tracer = _load_tracer().Tracer()
+    wrap = tracer.wrap
+
+    def wrap_until_teardown(owner, attr, name, after=None):
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+        wrap(owner, attr, name, after)
+
+    tracer.wrap = wrap_until_teardown
+    tracer.install(edgemig)
+    scenario = load_scenario(DEMO)
+    scenario = dataclasses.replace(
+        scenario, sweep=dataclasses.replace(scenario.sweep, to_s=3.0))
+    rows = cli.sweep_rows(scenario)
+    assert {r["strategy"] for r in rows} == {
+        "cold", "precopy", "iterative_precopy"}
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.sweep_rows") == 1
+    # Each row is one operation that plans once and simulates once.
+    for seam in ("simnet.plan_from_scenario", "simnet.run_scenario"):
+        ops = [op for name, _, _, _, op in tracer.spans if name == seam]
+        assert sorted(ops) == list(range(1, len(rows) + 1))
+    assert tracer.counters["sim_runs_checked"] == len(rows)
+    assert tracer.problems == []
 
 
 def test_seed_override_changes_sim_but_not_predictions(tmp_path):
@@ -298,6 +381,19 @@ def test_task_agents_must_be_distinct(tmp_path, capsys, role, same_as):
     assert str(exc.value) == message
     assert run(["simulate", "--scenario", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_missing_source_destination_link_is_a_usage_error(tmp_path, capsys,
+                                                          command):
+    doc = json.loads(Path(DEMO).read_text())
+    doc["links"] = [link for link in doc["links"]
+                    if {link["from"], link["to"]} != {"edge-a", "edge-b"}]
+    path = tmp_path / "unlinked.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no link between source 'edge-a' and destination 'edge-b'\n")
 
 
 def test_missing_scenario_file_exits_3(capsys):

@@ -80,6 +80,20 @@ def test_task_requires_matching_target():
                       target_downtime_s=1.0)
 
 
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["target_downtime_s", "target_duration_s"])
+def test_task_rejects_non_finite_targets(field, value, objective):
+    # Either target, whether the objective reads it or not. Let through, an
+    # infinite duration target plans 64 iterations and calls an infinite
+    # total met.
+    targets = {"target_downtime_s": 1.0, "target_duration_s": 5.0,
+               field: value}
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        MigrationTask(container_id="c", source_agent="a",
+                      destination_agent="b", objective=objective, **targets)
+
+
 # ---------------------------------------------------------------------------
 # Design
 

@@ -282,6 +282,66 @@ def test_routing_table_is_shared_read_only_and_bounded():
     assert info.currsize <= info.maxsize
 
 
+def test_run_setting_is_shared_read_only_and_bounded():
+    base = make_scenario(dirty_rate=2.0, latency_s=0.002)
+    first, *rest = base.links
+    slower = dataclasses.replace(
+        base, links=(dataclasses.replace(first, latency_s=0.005), *rest))
+    narrower = dataclasses.replace(
+        base, links=(dataclasses.replace(first, bandwidth_mbps=500.0), *rest))
+    smaller = make_scenario(dirty_rate=2.0, latency_s=0.002,
+                            state_bytes=1_048_576)
+    costlier = make_scenario(dirty_rate=2.0, latency_s=0.002, params=(
+        dataclasses.replace(PARAMS, flow_update_s=0.02)))
+    moved = _renamed(base, {"a": "x", "b": "y", "c": "z", "o": "w"})
+    # Equal by value (a new build, another seed) shares base's setting.
+    again = make_scenario(dirty_rate=2.0, latency_s=0.002, seed=8)
+    runs = [base, slower, base, narrower, smaller, costlier, moved, again,
+            moved, slower]
+
+    def run(scenario):
+        config = plan_from_scenario(scenario)
+        return config, run_scenario(scenario, config)
+
+    fresh = []
+    for scenario in runs:
+        simnet._run_setting.cache_clear()
+        fresh.append(run(scenario))
+    # Back to back, later plans and runs reuse the settings of earlier ones.
+    simnet._run_setting.cache_clear()
+    for scenario, alone in zip(runs, fresh):
+        assert run(scenario) == alone
+        assert alone[1].completed
+    assert len({outcome.end_time_s for _, outcome in fresh}) >= 5
+    # A plan and its run look the setting up once each; six keys.
+    assert simnet._run_setting.cache_info().hits == 2 * len(runs) - 6
+
+    assert simnet._setting(base) is simnet._setting(again)
+    latency = simnet._Sim(base, make_config(base, StrategyKind.COLD), (),
+                          False).latency
+    assert latency["a"]["b"] == 0.002 and latency["o"]["a"] == 0.0
+    with pytest.raises(TypeError):
+        latency["a"]["b"] = 0.0
+    with pytest.raises(TypeError):
+        latency["a"] = {}
+    info = simnet._run_setting.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 1024
+    assert info.currsize <= info.maxsize
+
+
+def test_cold_run_makes_no_generator(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise RuntimeError("default_rng called")
+
+    scenario = make_scenario(dirty_rate=2.0)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    cold = run_scenario(scenario, make_config(scenario, StrategyKind.COLD))
+    assert cold.completed and cold.message_count == 7
+    # The first dirty draw makes it.
+    with pytest.raises(RuntimeError, match="default_rng"):
+        run_scenario(scenario, make_config(scenario, StrategyKind.PRE_COPY))
+
+
 @pytest.mark.parametrize("strategy,iters", [
     (StrategyKind.COLD, 0),
     (StrategyKind.PRE_COPY, 0),
