@@ -14,7 +14,6 @@ from edgemig import (
     design,
     load_scenario,
     plan_from_scenario,
-    stopcopy_schedule,
 )
 
 scenario = load_scenario(Path(__file__).parent / "scenario.json")
@@ -27,9 +26,9 @@ print(f"  -> {config.strategy.kind.value} with "
 print(f"  predicted downtime {config.predicted.downtime_s:.3f} s, "
       f"total {config.predicted.total_s:.3f} s")
 
-print("\nstop-and-copy schedule (the service is frozen throughout):")
-for step in stopcopy_schedule(config):
-    print(f"  {step.step_id:6s} {step.start_s:6.3f} -> {step.end_s:6.3f} s")
+print("\nstop-and-copy steps (the service is frozen throughout):")
+for step, duration in config.predicted.step_durations_s.items():
+    print(f"  {step:6s} {duration:6.3f} s")
 
 # Same metrics, resource-driven objective.
 task = dataclasses.replace(scenario.task.task,

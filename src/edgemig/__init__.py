@@ -9,7 +9,6 @@ discrete-event simulator (:mod:`edgemig.simnet`), scenario file handling
 (:mod:`edgemig.cli`).
 """
 
-from .agents import ScheduledStep, stopcopy_schedule
 from .errors import (
     CalibrationError,
     DomainError,
@@ -91,7 +90,6 @@ __all__ = [
     "Objective",
     "Scenario",
     "ScenarioError",
-    "ScheduledStep",
     "StrategyChoice",
     "StrategyDistribution",
     "StrategyKind",
@@ -111,7 +109,6 @@ __all__ = [
     "run_scenario",
     "save_scenario",
     "scenario_to_dict",
-    "stopcopy_schedule",
     "strategy_distribution",
     "strategy_kpis",
 ]

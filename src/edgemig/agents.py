@@ -72,15 +72,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 from .bus import BusMessage, MessageKind, topic
-from .model import (
-    STEP_CHECKPOINT,
-    STEP_FLOW_UPDATE,
-    STEP_NAMESPACE,
-    STEP_RESTORE,
-    STEP_TRANSFER,
-    StrategyKind,
-)
-from .orchestrator import MigrationConfig
+from .model import StrategyKind
 
 
 class Role(str, Enum):
@@ -635,40 +627,3 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
         return _take_task(state, event)
     return _ROLE_DISPATCH[state.role](state, event)
 
-
-# --------------------------------------------------------------------------
-# Stop-and-copy schedule
-
-
-@dataclass(frozen=True, slots=True)
-class ScheduledStep:
-    step_id: str
-    start_s: float
-    duration_s: float
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.duration_s
-
-
-def stopcopy_schedule(config: MigrationConfig) -> tuple[ScheduledStep, ...]:
-    """Timed plan of the stop-and-copy pipeline for a configuration.
-
-    Durations come from ``config.predicted.step_durations_s``; offsets are
-    relative to the service freeze. The namespace clear (S2) and recreation
-    (S4) share one window (they run on different hosts), the flow update
-    follows, and the restore starts once the flow update has settled. The
-    schedule spans exactly the predicted downtime.
-    """
-    durations = config.predicted.step_durations_s
-    steps = []
-    t = 0.0
-    for step_ids, key in (((STEP_CHECKPOINT,), STEP_CHECKPOINT),
-                          ((STEP_TRANSFER,), STEP_TRANSFER),
-                          (("S2", "S4"), STEP_NAMESPACE),
-                          ((STEP_FLOW_UPDATE,), STEP_FLOW_UPDATE),
-                          ((STEP_RESTORE,), STEP_RESTORE)):
-        steps.extend(ScheduledStep(step_id, t, durations[key])
-                     for step_id in step_ids)
-        t += durations[key]
-    return tuple(steps)

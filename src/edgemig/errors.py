@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one numeric check:
+every number a caller hands a value class or function passes
+:func:`check_number`."""
+
+import sys
+from numbers import Integral, Real
+
+FLOAT_MAX = sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -11,3 +18,24 @@ class CalibrationError(DomainError):
 
 class ScenarioError(DomainError):
     """A scenario document is malformed or inconsistent."""
+
+
+def check_number(name, value, low=0, high=FLOAT_MAX, *, above=False,
+                 whole=False, error=DomainError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a real number, not
+    a bool (with ``whole``, an integral one), in [low, high] (with ``above``,
+    in (low, high]). ``high`` is finite, so NaN and ±inf fail the range."""
+    number = value
+    if type(value) is not int and (type(value) is not float or whole):
+        # Past the exact-type fast path, a number is compared as a Python
+        # int or float: a numpy scalar would cast the bounds to its type.
+        ok = not isinstance(value, bool) \
+            and isinstance(value, Integral if whole else Real)
+        number = (int if whole else float)(value) if ok else None
+    if number is not None and (low < number if above else low <= number) \
+            and number <= high:
+        return
+    bounds = (f"{'>' if above else '>='} {low}" if high == FLOAT_MAX else
+              f"in {'(' if above else '['}{low}, {high:g}]")
+    raise error(f"{name} must be {'a whole number' if whole else 'finite and'}"
+                f" {bounds}, got {value!r}")

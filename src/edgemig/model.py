@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 # Bandwidth unit conversion used by the interface layers.
 BYTES_PER_S_PER_MBPS = 125_000.0
@@ -69,14 +69,10 @@ class MsProfile:
     cpu_context_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.state_size_bytes < 0:
-            raise DomainError("state_size_bytes must be >= 0")
-        if self.page_size_bytes <= 0:
-            raise DomainError("page_size_bytes must be > 0")
-        if not 0.0 <= self.dirty_rate_norm <= 1.0:
-            raise DomainError("dirty_rate_norm must lie in [0, 1]")
-        if self.cpu_context_bytes < 0:
-            raise DomainError("cpu_context_bytes must be >= 0")
+        check_number("state_size_bytes", self.state_size_bytes, whole=True)
+        check_number("page_size_bytes", self.page_size_bytes, 1, whole=True)
+        check_number("dirty_rate_norm", self.dirty_rate_norm, high=1)
+        check_number("cpu_context_bytes", self.cpu_context_bytes, whole=True)
 
     @property
     def total_pages(self) -> int:
@@ -106,8 +102,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+            check_number(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +115,9 @@ class Kpis:
     bytes_transferred: float
 
     def __post_init__(self) -> None:
-        if self.downtime_s < 0 or self.total_s < 0 or self.bytes_transferred < 0:
+        # Not check_number: +inf is a real prediction on a starved link.
+        if not (self.downtime_s >= 0 and self.total_s >= 0
+                and self.bytes_transferred >= 0):
             raise DomainError("KPI values must be >= 0")
         # Tiny slack: both values may come out of long float chains.
         if self.downtime_s > self.total_s * (1 + 1e-9) + 1e-12:
@@ -239,12 +236,12 @@ def precopy_kpis(profile: MsProfile, params: ModelParams,
     stop-and-copy. Each extra iteration retransmits the worst-case dirty
     volume once more before the service is frozen.
     """
-    if iterations < 0:
-        raise DomainError("iterations must be >= 0")
+    check_number("iterations", iterations, whole=True)
     round0, per_round, steps = _precopy_terms(profile, params,
                                               bandwidth_bytes_per_s)
     downtime = sum(steps.values())
-    total = round0 + iterations * per_round + downtime
+    # Without rounds, adds 0.0: a starved link's 0 * inf would be NaN.
+    total = round0 + (iterations * per_round if iterations else 0.0) + downtime
     transferred = (float(profile.state_size_bytes)
                    + iterations * worst_case_dirty_bytes(profile)
                    + stop_copy_image_bytes(profile))
@@ -274,10 +271,9 @@ def min_bandwidth(profile: MsProfile, params: ModelParams,
     unreachable and None is returned. Infeasibility is an answer here, not
     an error.
     """
-    if target_downtime_s <= 0:
-        raise DomainError("target_downtime_s must be > 0")
-    if available_bandwidth_bytes_per_s <= 0:
-        raise DomainError("available bandwidth must be > 0")
+    check_number("target_downtime_s", target_downtime_s, above=True)
+    check_number("available_bandwidth_bytes_per_s",
+                 available_bandwidth_bytes_per_s, above=True)
     state = float(profile.state_size_bytes)
     # Cold downtime at infinite bandwidth, where state / inf is 0.0.
     floor_s = sum(_downtime_terms(params, state, math.inf).values())
@@ -319,8 +315,7 @@ def iteration_counts(profile: MsProfile, params: ModelParams,
     :func:`precopy_kpis`'s own sum in its own order, so the two agree to
     the last bit.
     """
-    if target_duration_s <= 0:
-        raise DomainError("target_duration_s must be > 0")
+    check_number("target_duration_s", target_duration_s, above=True)
     # A starved link (the smallest positive bandwidth) overflows the round
     # terms to inf and 0 * inf to nan; both fail the <= test below, so
     # such a bandwidth comes out as an overrun.
@@ -351,6 +346,6 @@ def iteration_choice(count: int) -> Optional[StrategyChoice]:
 
 def frame_loss(inference_rate_fps: float, downtime_s: float) -> int:
     """Frames an analytics pipeline drops while its source is frozen."""
-    if inference_rate_fps < 0 or downtime_s < 0:
-        raise DomainError("rate and downtime must be >= 0")
+    check_number("inference_rate_fps", inference_rate_fps)
+    check_number("downtime_s", downtime_s)
     return math.ceil(inference_rate_fps * downtime_s)

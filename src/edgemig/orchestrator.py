@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 from .model import (
     Kpis,
     ModelParams,
@@ -61,17 +61,12 @@ class MigrationTask:
             raise DomainError("container_id must be non-empty")
         if self.source_agent == self.destination_agent:
             raise DomainError("source and destination must differ")
-        for name in ("target_downtime_s", "target_duration_s"):
-            if not math.isfinite(value := getattr(self, name) or 0.0):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-        if self.objective is Objective.MINIMIZE_RESOURCES:
-            if self.target_downtime_s is None or self.target_downtime_s <= 0:
-                raise DomainError(
-                    "minimize_resources needs target_downtime_s > 0")
-        else:
-            if self.target_duration_s is None or self.target_duration_s <= 0:
-                raise DomainError(
-                    "minimize_downtime needs target_duration_s > 0")
+        for name, needs in (("target_downtime_s", Objective.MINIMIZE_RESOURCES),
+                            ("target_duration_s", Objective.MINIMIZE_DOWNTIME)):
+            if (value := getattr(self, name)) is not None:
+                check_number(name, value, above=True)
+            elif self.objective is needs:
+                raise DomainError(f"{needs.value} needs {name} > 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +78,8 @@ class MetricsView:
     available_bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.available_bandwidth_bytes_per_s <= 0:
-            raise DomainError("available bandwidth must be > 0")
+        check_number("available_bandwidth_bytes_per_s",
+                     self.available_bandwidth_bytes_per_s, above=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,8 +92,8 @@ class MigrationConfig:
     target_met: bool
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise DomainError("configured bandwidth must be > 0")
+        check_number("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s,
+                     above=True)
 
 
 def design(task: MigrationTask, metrics: MetricsView) -> MigrationConfig:
@@ -194,14 +189,12 @@ class BandwidthDistribution:
     upper_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.mean_bytes_per_s < math.inf:
-            raise DomainError("mean bandwidth must be finite and > 0")
-        if not 0 <= self.std_bytes_per_s < math.inf:
-            raise DomainError("std must be finite and >= 0")
-        if not 0 <= self.lower_bytes_per_s < math.inf:
-            raise DomainError("lower truncation must be finite and >= 0")
-        if not self.lower_bytes_per_s < self.upper_bytes_per_s:
-            raise DomainError("truncation interval must have positive width")
+        check_number("mean_bytes_per_s", self.mean_bytes_per_s, above=True)
+        check_number("std_bytes_per_s", self.std_bytes_per_s)
+        check_number("lower_bytes_per_s", self.lower_bytes_per_s)
+        if self.upper_bytes_per_s != math.inf:  # +inf: no upper truncation
+            check_number("upper_bytes_per_s", self.upper_bytes_per_s,
+                         self.lower_bytes_per_s, above=True)
 
     @classmethod
     def from_mean_std(cls, mean_bytes_per_s: float, std_bytes_per_s: float
@@ -214,8 +207,7 @@ class BandwidthDistribution:
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Draw bandwidth values, deterministic for a given seed."""
-        if count <= 0:
-            raise DomainError("sample count must be > 0")
+        check_number("count", count, 1, whole=True)
         mean, std = self.mean_bytes_per_s, self.std_bytes_per_s
         lower, upper = self.lower_bytes_per_s, self.upper_bytes_per_s
         a = (lower - mean) / std if std else math.inf
@@ -256,8 +248,7 @@ def strategy_distribution(task: MigrationTask, profile: MsProfile,
     designer runs once over the whole sample rather than once per draw.
     Deterministic for a given seed.
     """
-    if sample_count <= 0:
-        raise DomainError("sample_count must be > 0")
+    check_number("sample_count", sample_count, 1, whole=True)
     kind_counts: dict[str, int] = {k.value: 0 for k in StrategyKind}
     iter_counts: dict[int, int] = {}
     if task.objective is Objective.MINIMIZE_RESOURCES:

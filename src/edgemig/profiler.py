@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, DomainError, check_number
 from .model import DEFAULT_PAGE_SIZE, ModelParams
 
 
@@ -27,10 +27,8 @@ class DirtySample:
     pages_modified: int
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise DomainError("window_s must be > 0")
-        if self.pages_modified < 0:
-            raise DomainError("pages_modified must be >= 0")
+        check_number("window_s", self.window_s, above=True)
+        check_number("pages_modified", self.pages_modified, whole=True)
 
     @property
     def rate_pages_per_s(self) -> float:
@@ -67,8 +65,7 @@ def estimate_dirty_rate(samples: Sequence[DirtySample],
     """
     if not samples:
         raise DomainError("need at least one dirty sample")
-    if page_size_bytes <= 0:
-        raise DomainError("page_size_bytes must be > 0")
+    check_number("page_size_bytes", page_size_bytes, 1, whole=True)
     if state_size_bytes < page_size_bytes:
         raise DomainError("state must span at least one page")
     worst = max(samples, key=lambda s: s.rate_pages_per_s)
@@ -99,12 +96,10 @@ class CalibrationRun:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.image_bytes < 0:
-            raise DomainError("image_bytes must be >= 0")
-        if min(self.checkpoint_s, self.restore_s, self.transfer_s) < 0:
-            raise DomainError("durations must be >= 0")
-        if self.bandwidth_bytes_per_s <= 0:
-            raise DomainError("bandwidth must be > 0")
+        for n in ("image_bytes", "checkpoint_s", "restore_s", "transfer_s"):
+            check_number(n, getattr(self, n))
+        check_number("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s,
+                     above=True)
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import ScenarioError
+from .errors import FLOAT_MAX, ScenarioError, check_number
 from .model import BYTES_PER_S_PER_MBPS, DEFAULT_PAGE_SIZE, ModelParams, MsProfile
 from .orchestrator import BandwidthDistribution, MigrationTask, Objective
 from .profiler import CalibrationRun, DirtySample
@@ -68,10 +66,11 @@ class Link:
     latency_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
-            raise ScenarioError("link bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ScenarioError("link latency must be >= 0")
+        # Bounded so that the bandwidth in bytes/s is finite too.
+        check_number("bandwidth_mbps", self.bandwidth_mbps, above=True,
+                     high=FLOAT_MAX / BYTES_PER_S_PER_MBPS,
+                     error=ScenarioError)
+        check_number("latency_s", self.latency_s, error=ScenarioError)
 
     @property
     def bandwidth_bytes_per_s(self) -> float:
@@ -93,8 +92,8 @@ class SimProfile:
     def __post_init__(self) -> None:
         if not self.id:
             raise ScenarioError("ms profile id must be non-empty")
-        if not 0 <= self.dirty_rate_pages_per_s < math.inf:
-            raise ScenarioError("dirty_rate_pages_per_s must be finite and >= 0")
+        check_number("dirty_rate_pages_per_s", self.dirty_rate_pages_per_s,
+                     error=ScenarioError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,12 +115,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ScenarioError(f"unknown sweep variable {self.variable!r}")
-        if not all(map(math.isfinite, (self.from_s, self.to_s, self.step_s))):
-            raise ScenarioError("sweep from_s, to_s and step_s must be finite")
-        if self.step_s <= 0:
-            raise ScenarioError("sweep step_s must be positive")
-        if self.to_s < self.from_s:
-            raise ScenarioError("sweep to_s must be >= from_s")
+        check_number("from_s", self.from_s, error=ScenarioError)
+        check_number("to_s", self.to_s, self.from_s, error=ScenarioError)
+        check_number("step_s", self.step_s, above=True, error=ScenarioError)
         # Overflow to inf counts as too many.
         steps = (self.to_s - self.from_s) / self.step_s
         if not steps < MAX_SWEEP_TARGETS:
@@ -227,7 +223,7 @@ def _convert(value: Any, kind: Any, where: str) -> Any:
         raise ScenarioError(f"{where}: expected {what}, got {value!r}")
     # JSON's NaN and Infinity (and overflowing literals such as 1e400) would
     # slip past every ``< 0`` check; 10**400 would crash float() later.
-    if kind in (int, float) and not abs(value) <= sys.float_info.max:
+    if kind in (int, float) and not abs(value) <= FLOAT_MAX:
         raise ScenarioError(f"{where}: {value!r} is not a finite number"
                             if isinstance(value, float) else
                             f"{where}: whole number too large for a float")

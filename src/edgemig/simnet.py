@@ -49,7 +49,7 @@ import numpy as np
 
 from . import agents as ag
 from .bus import BusMessage, MessageKind
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, check_number
 from .model import (
     BYTES_PER_S_PER_MBPS,
     ModelParams,
@@ -79,15 +79,6 @@ _QUERY, _REPLY, _DONE = MessageKind.QUERY, MessageKind.REPLY, ag.PhaseKind.DONE
 _TIMER_FIRED = ag.TimerFired()
 
 
-def _check_seconds(name: str, value: object) -> None:
-    """Reject a span or rate that is not a finite number >= 0."""
-    if isinstance(value, bool) \
-            or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"{name} must be a finite number >= 0, "
-                          f"got {value!r}")
-
-
 def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
                    rng: Union[int, np.random.Generator]) -> int:
     """Distinct pages dirtied in a window by a memoryless write process.
@@ -100,13 +91,9 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
     number of writes. Its mean ``P * (1 - exp(-rate * window / P))``
     saturates at ``P``.
     """
-    _check_seconds("rate_pages_per_s", rate_pages_per_s)
-    _check_seconds("window_s", window_s)
-    if isinstance(total_pages, bool) \
-            or not isinstance(total_pages, (int, np.integer)) \
-            or total_pages < 1:
-        raise DomainError(f"total_pages must be a whole number >= 1, "
-                          f"got {total_pages!r}")
+    check_number("rate_pages_per_s", rate_pages_per_s)
+    check_number("window_s", window_s)
+    check_number("total_pages", total_pages, 1, whole=True)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     p_dirty = -math.expm1(-rate_pages_per_s * window_s / total_pages)
@@ -119,11 +106,9 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
 
 def _check_rule(rule: FaultRule) -> None:
     """Reject a rule that could never fire or would run the clock backwards."""
-    n = rule.occurrence
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"occurrence must be a whole number >= 1, got {n!r}")
+    check_number("occurrence", rule.occurrence, 1, whole=True)
     if isinstance(rule, DelayRule):
-        _check_seconds("delay_s", rule.delay_s)
+        check_number("delay_s", rule.delay_s)
 
 
 @dataclass(frozen=True, slots=True)

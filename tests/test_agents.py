@@ -13,23 +13,9 @@ from hypothesis import strategies as st
 
 from edgemig import agents as ag
 from edgemig.bus import BusMessage, MessageKind
-from edgemig.model import (
-    BYTES_PER_S_PER_MBPS,
-    ModelParams,
-    MsProfile,
-    StrategyChoice,
-    StrategyKind,
-    cold_kpis,
-    precopy_kpis,
-)
-from edgemig.orchestrator import MigrationConfig
+from edgemig.model import StrategyKind
 
 M = 10_485_760
-GBPS = 1000.0 * BYTES_PER_S_PER_MBPS
-PROFILE = MsProfile(state_size_bytes=M, dirty_rate_norm=4 / 2559)
-PARAMS = ModelParams(
-    ckpt_fixed_s=0.5, pre_ckpt_fixed_s=0.5, restore_fixed_s=0.35,
-    transfer_signaling_s=0.003, ns_overhead_s=0.085, flow_update_s=0.004)
 
 
 def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
@@ -542,44 +528,3 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
             elif isinstance(action, ag.SetTimer):
                 guarded.add(agent_id)
 
-
-# ---------------------------------------------------------------------------
-# Stop-and-copy schedule
-
-
-def _config(strategy, iterations=0, bw=GBPS):
-    choice = StrategyChoice(strategy, iterations)
-    if strategy is StrategyKind.COLD:
-        predicted = cold_kpis(PROFILE, PARAMS, bw)
-    else:
-        predicted = precopy_kpis(PROFILE, PARAMS, bw, iterations)
-    return MigrationConfig(strategy=choice, bandwidth_bytes_per_s=bw,
-                           predicted=predicted, target_met=True)
-
-
-@pytest.mark.parametrize("strategy,iterations", [
-    (StrategyKind.COLD, 0),
-    (StrategyKind.PRE_COPY, 0),
-    (StrategyKind.ITERATIVE_PRE_COPY, 7),
-])
-def test_schedule_spans_exactly_the_predicted_downtime(strategy, iterations):
-    config = _config(strategy, iterations)
-    steps = ag.stopcopy_schedule(config)
-    start = min(s.start_s for s in steps)
-    end = max(s.end_s for s in steps)
-    assert start == 0.0
-    assert end == pytest.approx(config.predicted.downtime_s, rel=1e-12)
-
-
-def test_schedule_step_structure():
-    steps = ag.stopcopy_schedule(_config(StrategyKind.ITERATIVE_PRE_COPY, 3))
-    by_id = {s.step_id: s for s in steps}
-    assert set(by_id) == {"S1", "S3", "S2", "S4", "S5", "S6"}
-    # Checkpoint before transfer; both namespace operations share a window;
-    # the flow update follows them; the restore closes the pipeline.
-    assert by_id["S1"].end_s == pytest.approx(by_id["S3"].start_s)
-    assert by_id["S2"].start_s == by_id["S4"].start_s
-    assert by_id["S2"].start_s == pytest.approx(by_id["S3"].end_s)
-    assert by_id["S5"].start_s == pytest.approx(by_id["S4"].end_s)
-    assert by_id["S5"].duration_s == PARAMS.flow_update_s
-    assert by_id["S6"].start_s == pytest.approx(by_id["S5"].end_s)

@@ -14,7 +14,7 @@ import pytest
 import edgemig
 from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
 from edgemig.errors import ScenarioError
-from edgemig.model import BYTES_PER_S_PER_MBPS
+from edgemig.model import BYTES_PER_S_PER_MBPS, ModelParams
 from edgemig.orchestrator import Objective
 from edgemig.scenario import SWEEP_VARIABLES
 
@@ -361,6 +361,35 @@ def test_huge_dirty_rate_simulates(tmp_path):
     assert run(["simulate", "--scenario", str(scenario),
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["simulated"]["completed"] is True
+
+
+EXTREME_FIELDS = [("links", "bandwidth_mbps"), ("links", "latency_s")] + [
+    ("ms_profiles", key) for key in (
+        "state_size_bytes", "page_size_bytes", "dirty_rate_norm",
+        "cpu_context_bytes", "dirty_rate_pages_per_s")] + [
+    ("model_params", key) for key in ModelParams.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("section, key", EXTREME_FIELDS,
+                         ids=[key for _, key in EXTREME_FIELDS])
+def test_extreme_values_run_or_are_rejected_by_name(tmp_path, capsys,
+                                                    section, key):
+    # Each command either runs or exits 2 with an error message; none
+    # raises, whichever extreme value one field of the demo holds.
+    doc = json.loads(Path(DEMO).read_text())
+    doc["sweep"].update(to_s=2.0, profiles=["stream-analytics"])
+    scenario, out = tmp_path / "extreme.json", str(tmp_path / "out")
+    for value in (0, 1, 5e-324, 1e-300, 1e18, 2**63, 1e300, 1.7e308):
+        for item in (doc[section] if section != "model_params"
+                     else [doc[section]]):
+            item[key] = value
+        scenario.write_text(json.dumps(doc))
+        for command in (["plan"], ["simulate"], ["dist", "--samples", "200"],
+                        ["profile"], ["fit"], ["sweep"]):
+            code = run([*command, "--scenario", str(scenario), "--out", out])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (value, command)
+            assert code == 0 or err.startswith("error: "), (value, command)
 
 
 @pytest.mark.parametrize("role,same_as", [("client", "source"),

@@ -148,6 +148,17 @@ def test_min_bandwidth_infeasible_cases():
         min_bandwidth(PROFILE, PARAMS, -1.0, GBPS)
 
 
+def test_starved_link_predicts_an_infinite_total():
+    # 1 / 5e-324 overflows every transfer to inf; with no rounds the rounds
+    # term once came out as 0 * inf, a NaN total that Kpis let through.
+    kpis = precopy_kpis(MsProfile(1, 1.0), ModelParams(), 5e-324, 0)
+    assert kpis.total_s == kpis.downtime_s == math.inf
+    for field in ("downtime_s", "total_s", "bytes_transferred"):
+        values = dict(downtime_s=1.0, total_s=2.0, bytes_transferred=3.0)
+        with pytest.raises(DomainError, match="KPI values must be >= 0"):
+            Kpis(step_durations_s={}, **{**values, field: math.nan})
+
+
 def test_min_bandwidth_empty_state():
     empty = MsProfile(state_size_bytes=0, dirty_rate_norm=0.0)
     needed = min_bandwidth(empty, PARAMS, 1.0, GBPS)
