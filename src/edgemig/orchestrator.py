@@ -61,12 +61,12 @@ class MigrationTask:
             raise DomainError("container_id must be non-empty")
         if self.source_agent == self.destination_agent:
             raise DomainError("source and destination must differ")
-        for name, needs in (("target_downtime_s", Objective.MINIMIZE_RESOURCES),
-                            ("target_duration_s", Objective.MINIMIZE_DOWNTIME)):
+        for name, obj in (("target_downtime_s", Objective.MINIMIZE_RESOURCES),
+                          ("target_duration_s", Objective.MINIMIZE_DOWNTIME)):
             if (value := getattr(self, name)) is not None:
                 check_number(name, value, above=True)
-            elif self.objective is needs:
-                raise DomainError(f"{needs.value} needs {name} > 0")
+            elif self.objective is obj:
+                raise DomainError(f"{obj.value} needs {name} > 0")
 
 
 @dataclass(frozen=True, slots=True)

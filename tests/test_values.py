@@ -110,8 +110,8 @@ def test_the_table_covers_every_numeric_field(cls):
     assert set(outside) == numeric
 
 
-@pytest.mark.parametrize("cls, name", FIELDS,
-                         ids=[f"{cls.__name__}.{name}" for cls, name in FIELDS])
+@pytest.mark.parametrize("cls, name", FIELDS, ids=[
+    f"{cls.__name__}.{name}" for cls, name in FIELDS])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_numeric_field_rejects_a_value_outside_its_domain(cls, name,
