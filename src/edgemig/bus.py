@@ -17,9 +17,8 @@ time explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError
 
@@ -32,26 +31,60 @@ class MessageKind(str, Enum):
     REPLY = "reply"
 
 
-@dataclass(frozen=True, slots=True)
-class BusMessage:
+class _NoHeaders(Mapping):
+    """The headers of a message that carries none: immutable, so that one
+    instance serves every such message."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __reduce__(self) -> str:  # copies and unpickles to NO_HEADERS
+        return "NO_HEADERS"
+
+
+NO_HEADERS = _NoHeaders()
+
+
+class _Fields(NamedTuple):
+    kind: MessageKind
+    topic: str
+    sender: str
+    payload_bytes: float
+    headers: Mapping[str, object]
+
+
+class BusMessage(_Fields):
     """One protocol message.
 
     payload_bytes is the bulk size riding along (zero for pure signaling),
     headers carry typed metadata (namespace configuration, reason, task).
-    A reply carries the topic of the one query it answers.
+    A reply carries the topic of the one query it answers. A ``NamedTuple``
+    whose ``__new__`` checks it: see the agents docstring for why.
     """
 
-    kind: MessageKind
-    topic: str
-    sender: str
-    payload_bytes: float = 0.0
-    headers: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.topic:
+    def __new__(cls, kind: MessageKind, topic: str, sender: str,
+                payload_bytes: float = 0.0,
+                headers: Mapping[str, object] = NO_HEADERS) -> BusMessage:
+        if not topic:
             raise DomainError("topic must be non-empty")
-        if self.payload_bytes < 0:
+        if payload_bytes < 0:
             raise DomainError("payload_bytes must be >= 0")
+        return tuple.__new__(cls, (kind, topic, sender, payload_bytes,
+                                   headers))
+
+    @classmethod
+    def _make(cls, iterable) -> BusMessage:  # so _replace checks too
+        return cls(*iterable)
 
 
 def topic(task_id: str, role: str, *name: object) -> str:

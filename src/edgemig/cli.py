@@ -55,7 +55,15 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    # Strict JSON: a NaN or an infinity raises instead of printing a token
+    # that JSON parsers reject.
+    _write_out(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+               + "\n", out)
+
+
+def _finite(value: float) -> Optional[float]:
+    """A prediction for JSON: null where it is infinite (a starved link)."""
+    return value if math.isfinite(value) else None
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -123,10 +131,11 @@ def _config_doc(config) -> dict:
         "bandwidth_mbps": config.bandwidth_bytes_per_s / BYTES_PER_S_PER_MBPS,
         "target_met": config.target_met,
         "predicted": {
-            "downtime_s": config.predicted.downtime_s,
-            "total_s": config.predicted.total_s,
-            "bytes_transferred": config.predicted.bytes_transferred,
-            "steps": dict(config.predicted.step_durations_s),
+            "downtime_s": _finite(config.predicted.downtime_s),
+            "total_s": _finite(config.predicted.total_s),
+            "bytes_transferred": _finite(config.predicted.bytes_transferred),
+            "steps": {step: _finite(seconds) for step, seconds
+                      in config.predicted.step_durations_s.items()},
         },
     }
 

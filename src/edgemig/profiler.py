@@ -66,6 +66,7 @@ def estimate_dirty_rate(samples: Sequence[DirtySample],
     if not samples:
         raise DomainError("need at least one dirty sample")
     check_number("page_size_bytes", page_size_bytes, 1, whole=True)
+    check_number("state_size_bytes", state_size_bytes, whole=True)
     if state_size_bytes < page_size_bytes:
         raise DomainError("state must span at least one page")
     worst = max(samples, key=lambda s: s.rate_pages_per_s)

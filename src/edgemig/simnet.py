@@ -36,11 +36,12 @@ failure, so a faulted run terminates instead of hanging.
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
@@ -68,11 +69,14 @@ log = logging.getLogger(__name__)
 MAX_EVENTS = 1_000_000
 # Hot-path names, bound once at import (see the agents docstring).
 _W = ag.WorkKind
-# Work that moves an image over the source-destination link.
+_Work, _SetTimer = ag.Work, ag.SetTimer
+# Work that takes an image, so comes back sized; work that moves one over
+# the source-destination link.
+_CHECKPOINTS = frozenset({_W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT,
+                          _W.STOP_CHECKPOINT})
 _TRANSFERS = frozenset({_W.TRANSFER_INITIAL, _W.TRANSFER_ROUND,
                         _W.TRANSFER_STOPCOPY})
-_PRE_CHECKPOINT, _ROUND_CHECKPOINT, _STOP_CHECKPOINT = (
-    _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT, _W.STOP_CHECKPOINT)
+_PRE_CHECKPOINT, _ROUND_CHECKPOINT = _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT
 _FLOW_UPDATE, _FLOW_SETTLE, _RESTORE = (
     _W.FLOW_UPDATE, _W.FLOW_SETTLE, _W.RESTORE)
 _QUERY, _REPLY, _DONE = MessageKind.QUERY, MessageKind.REPLY, ag.PhaseKind.DONE
@@ -280,6 +284,7 @@ class _Sim:
         self.config = config
         self.params: ModelParams = scenario.model_params
         self.profile: MsProfile = setting.metrics.profile
+        self.total_pages = self.profile.total_pages
         self.dirty_rate = setting.dirty_rate
         if config.bandwidth_bytes_per_s > \
                 setting.metrics.available_bandwidth_bytes_per_s * (1 + 1e-9):
@@ -288,10 +293,13 @@ class _Sim:
 
         # The only watchdog period, derived from the plan (run_scenario).
         self.watchdog_s = 10.0 * config.predicted.total_s + 10.0
-        if not math.isfinite(self.watchdog_s):
-            raise DomainError(f"predicted total_s {config.predicted.total_s!r}"
-                              " is too large for a finite watchdog period")
         source, dest = task.source_agent, task.destination_agent
+        if not math.isfinite(self.watchdog_s):
+            mbps = scenario.link_between(source, dest).bandwidth_mbps
+            raise ScenarioError(
+                f"predicted total_s {config.predicted.total_s!r} is too large"
+                " for a finite watchdog period (the source-destination link "
+                f"{source!r}-{dest!r} has bandwidth_mbps {mbps!r})")
         self.info = ag.TaskInfo(
             task.container_id, source, dest, section.client,
             section.orchestrator, config.strategy.kind,
@@ -310,8 +318,10 @@ class _Sim:
         self.faults = _FaultBox(fault_rules) if fault_rules else None
         self.record_events = record_events
 
+        # Heap entries are (time, seq, agent id, event); seq breaks ties in
+        # insertion order.
         self.heap: list[tuple] = []
-        self.seq = 0
+        self.next_seq = itertools.count().__next__
         self.now = 0.0
         self.events: list[ProtocolEvent] = []
         self.outstanding_queries: dict[str, str] = {}
@@ -323,12 +333,6 @@ class _Sim:
         self.freeze_time: Optional[float] = None
         self.restore_end: Optional[float] = None
 
-    # -- scheduling ---------------------------------------------------
-
-    def _push(self, time_s: float, agent_id: str, event: ag.Event) -> None:
-        heapq.heappush(self.heap, (time_s, self.seq, agent_id, event))
-        self.seq += 1
-
     # -- dirty process ------------------------------------------------
 
     def _capture_dirty(self) -> int:
@@ -337,13 +341,13 @@ class _Sim:
             raise DomainError("dirty capture before the initial snapshot")
         window = self.now - self.dirty_clock
         self.dirty_clock = self.now
-        if self.profile.total_pages == 0:
+        if self.total_pages == 0:
             # An empty state has no pages to dirty.
             return 0
         if self.rng is None:  # a cold run never draws
             self.rng = np.random.default_rng(self.seed)
-        return dirty_set_size(self.dirty_rate, window,
-                              self.profile.total_pages, self.rng)
+        return dirty_set_size(self.dirty_rate, window, self.total_pages,
+                              self.rng)
 
     # -- routing ------------------------------------------------------
 
@@ -359,47 +363,54 @@ class _Sim:
     def _send(self, msg: BusMessage) -> None:
         self.message_count += 1
         latency = self.latency[msg.sender]
+        now, faults = self.now, self.faults
         for receiver in self._receivers(msg):
-            dropped, extra = (self.faults.apply(msg, receiver) if self.faults
+            dropped, extra = (faults.apply(msg, receiver) if faults
                               else (False, 0.0))
             if dropped:
                 self._log("bus", "bus", "-", "-",
                           {"type": "drop", "topic": msg.topic,
                            "receiver": receiver})
                 continue
-            self._push(self.now + (latency[receiver] + extra), receiver, msg)
+            heappush(self.heap, (now + (latency[receiver] + extra),
+                                 self.next_seq(), receiver, msg))
 
     # -- work execution -----------------------------------------------
 
     def _start_work(self, agent_id: str,
                     action: ag.Work) -> tuple[float, float]:
         """Size, price and schedule one work item; returns its bytes and
-        duration. The one place that knows what each kind moves and costs."""
+        duration. The one place that knows what each kind moves and costs.
+        A checkpoint comes back holding the size it took; any other item
+        comes back as it went out."""
         kind = action.kind
         params = self.params
-        profile = self.profile
-        if kind in _TRANSFERS:
+        if kind in _CHECKPOINTS:
+            page_size = self.profile.page_size_bytes
+            if kind is _ROUND_CHECKPOINT:
+                nbytes = float(self._capture_dirty() * page_size)
+                duration = pre_checkpoint_duration(params, nbytes)
+            elif kind is _PRE_CHECKPOINT:
+                self.dirty_clock = self.now
+                nbytes = float(self.profile.state_size_bytes)
+                duration = pre_checkpoint_duration(params, nbytes)
+            else:
+                self.freeze_time = self.now
+                if self.info.strategy is StrategyKind.COLD:
+                    nbytes = float(self.profile.state_size_bytes)
+                else:
+                    # Left an int: the event log prints it without a ".0".
+                    pages = self.dirty_pages_at_stopcopy = \
+                        self._capture_dirty()
+                    nbytes = (pages * page_size
+                              + self.profile.cpu_context_bytes)
+                duration = checkpoint_duration(params, nbytes)
+            action = _Work(kind, nbytes, action.round)
+        elif kind in _TRANSFERS:
             nbytes = action.bytes
             duration = transfer_duration(params, nbytes,
                                          self.config.bandwidth_bytes_per_s)
             self.bytes_transferred += nbytes
-        elif kind is _ROUND_CHECKPOINT:
-            nbytes = float(self._capture_dirty() * profile.page_size_bytes)
-            duration = pre_checkpoint_duration(params, nbytes)
-        elif kind is _PRE_CHECKPOINT:
-            self.dirty_clock = self.now
-            nbytes = float(profile.state_size_bytes)
-            duration = pre_checkpoint_duration(params, nbytes)
-        elif kind is _STOP_CHECKPOINT:
-            self.freeze_time = self.now
-            if self.info.strategy is StrategyKind.COLD:
-                nbytes = float(profile.state_size_bytes)
-            else:
-                # Left an int: the event log prints it without a ".0".
-                pages = self.dirty_pages_at_stopcopy = self._capture_dirty()
-                nbytes = (pages * profile.page_size_bytes
-                          + profile.cpu_context_bytes)
-            duration = checkpoint_duration(params, nbytes)
         elif kind is _RESTORE:
             nbytes = action.bytes
             duration = restore_duration(params, nbytes)
@@ -411,8 +422,8 @@ class _Sim:
                         + params.flow_update_s)
         else:  # NS_CLEAR, NS_RECREATE
             nbytes, duration = 0.0, params.ns_overhead_s
-        self._push(self.now + duration, agent_id,
-                   ag.Work(kind, nbytes, action.round))
+        heappush(self.heap,
+                 (self.now + duration, self.next_seq(), agent_id, action))
         return nbytes, duration
 
     # -- logging ------------------------------------------------------
@@ -429,30 +440,36 @@ class _Sim:
     # -- main loop ----------------------------------------------------
 
     def run(self) -> MigrationOutcome:
-        self._push(0.0, self.info.orchestrator, ag.Kickoff())
+        # Looked up per run, never at import: a tracer or a test may have
+        # replaced agents.advance (and dirty_set_size, which _capture_dirty
+        # looks up per draw).
+        advance = ag.advance
         # Without an event log, nothing below formats log material; below
         # DEBUG, no phase change is logged.
         record = self.record_events
         debug = log.isEnabledFor(logging.DEBUG)
         terminal = ag.TERMINAL_PHASES
+        agents, send, start_work = self.agents, self._send, self._start_work
+        next_seq, watchdog_s = self.next_seq, self.watchdog_s
         # agent id -> its watchdog as a heap entry. All share one delay, so
         # the first is the earliest; entries compare on unique (time, seq).
         heap, deadlines = self.heap, {}
+        heappush(heap, (0.0, next_seq(), self.info.orchestrator, ag.Kickoff()))
         processed = 0
-        live = len(self.agents)  # agents neither done nor failed
+        live = len(agents)  # agents neither done nor failed
         while live and (heap or deadlines):
             entry = next(iter(deadlines.values()), None)
             if entry is None or heap and heap[0] < entry:
-                entry = heapq.heappop(heap)
+                entry = heappop(heap)
             time_s, _, agent_id, event = entry
             deadlines.pop(agent_id, None)  # any event ends a guarded wait
             self.now = time_s
             processed += 1
             if processed > MAX_EVENTS:
                 raise DomainError("event budget exceeded; simulation diverged")
-            state = self.agents[agent_id]
-            new_state, actions = ag.advance(state, event)
-            self.agents[agent_id] = new_state
+            state = agents[agent_id]
+            new_state, actions = advance(state, event)
+            agents[agent_id] = new_state
             if new_state.phase.kind in terminal \
                     and state.phase.kind not in terminal:
                 live -= 1
@@ -460,59 +477,53 @@ class _Sim:
                 log.debug("%s at %.9g s: %s -> %s", agent_id, time_s,
                           state.phase, new_state.phase)
 
-            action_docs: list[dict] = []
+            if record:
+                action_docs: list[dict] = []
             for action in actions:
                 kind = type(action)
                 if kind is BusMessage:
-                    self._send(action)
+                    send(action)
                     if record:
                         action_docs.append(
                             {"send": action.kind.value, "topic": action.topic,
                              "payload_bytes": action.payload_bytes})
-                elif kind is ag.Work:
-                    nbytes, duration = self._start_work(agent_id, action)
+                elif kind is _Work:
+                    nbytes, duration = start_work(agent_id, action)
                     if record:
                         action_docs.append({"work": action.kind.value,
                                             "bytes": nbytes,
                                             "duration_s": duration})
-                elif kind is ag.SetTimer:
-                    deadlines[agent_id] = (self.now + self.watchdog_s,
-                                           self.seq, agent_id, _TIMER_FIRED)
-                    self.seq += 1
+                elif kind is _SetTimer:
+                    deadlines[agent_id] = (time_s + watchdog_s, next_seq(),
+                                           agent_id, _TIMER_FIRED)
                     if record:
-                        action_docs.append({"timer_s": self.watchdog_s})
+                        action_docs.append({"timer_s": watchdog_s})
                 elif record:
                     action_docs.append({"diagnostic": action.text})
 
-            if (type(event) is ag.Work and event.kind is _RESTORE
+            if (type(event) is _Work and event.kind is _RESTORE
                     and new_state.phase.kind is _DONE):
-                self.restore_end = self.now
+                self.restore_end = time_s
 
             if record:
                 self._log(agent_id, state.role.value, str(state.phase),
                           str(new_state.phase), _describe_event(event),
                           tuple(action_docs))
 
-        final_phases = {aid: str(st.phase) for aid, st in self.agents.items()}
-        # An agent still live here has no event left that could move it.
-        diagnostics = {
-            aid: st.diagnostic or f"stalled in phase {st.phase}"
-            for aid, st in self.agents.items()
-            if st.diagnostic or st.phase.kind not in ag.TERMINAL_PHASES}
-        completed = all(st.phase.kind is _DONE
-                        for st in self.agents.values())
+        final_phases, diagnostics, completed = {}, {}, True
+        for aid, st in agents.items():
+            phase = st.phase
+            final_phases[aid] = str(phase)
+            completed = completed and phase.kind is _DONE
+            # An agent still live here has no event left that could move it.
+            if st.diagnostic or phase.kind not in terminal:
+                diagnostics[aid] = st.diagnostic or f"stalled in phase {phase}"
         downtime = self.restore_end - self.freeze_time if completed else None
         return MigrationOutcome(
-            completed=completed,
-            downtime_s=downtime,
-            total_s=self.restore_end if completed else None,
-            bytes_transferred=self.bytes_transferred,
-            dirty_pages_at_stopcopy=self.dirty_pages_at_stopcopy,
-            message_count=self.message_count,
-            end_time_s=self.now,
-            final_phases=final_phases,
-            diagnostics=diagnostics,
-            events=tuple(self.events))
+            completed, downtime, self.restore_end if completed else None,
+            self.bytes_transferred, self.dirty_pages_at_stopcopy,
+            self.message_count, self.now, final_phases, diagnostics,
+            tuple(self.events))
 
 
 def run_scenario(scenario: Scenario, config: MigrationConfig, *,

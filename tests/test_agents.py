@@ -6,13 +6,15 @@ behaviour and the client's flow update.
 """
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemig import agents as ag
-from edgemig.bus import BusMessage, MessageKind
+from edgemig.bus import NO_HEADERS, BusMessage, MessageKind
+from edgemig.errors import DomainError
 from edgemig.model import StrategyKind
 
 M = 10_485_760
@@ -450,6 +452,90 @@ def test_every_topic_builder_routes_to_its_roles():
     }
     routes.update({ag.failed_topic("t1", role): (orc,) for role in ag.Role})
     assert ag.subscriptions(info) == routes
+
+
+@pytest.mark.parametrize("strategy", [StrategyKind.COLD,
+                                      StrategyKind.PRE_COPY])
+def test_namespace_reply_without_its_configuration_fails(strategy):
+    info = task_info(strategy, 0)
+    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+                          task_message(info))
+    bare = BusMessage(MessageKind.REPLY, ag.nsconfig_topic("t1"), "src")
+    state, actions = ag.advance(state, bare)
+    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic.startswith(
+        "unexpected reply on mig/t1/source/nsconfig in phase ")
+    assert [a.topic for a in sends(actions)] == [
+        ag.failed_topic("t1", ag.Role.DESTINATION)]
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+def test_positional_state_copy_equals_replace_for_every_field():
+    state = ag.AgentState(ag.Role.DESTINATION, "dst", info=task_info(),
+                          preckpt_bytes=1.0, sc_bytes=2.0)
+    names = ("phase", "info", "ns_query_seen", "preckpt_bytes",
+             "round_bytes", "ns_config", "sc_bytes", "diagnostic")
+    assert [ag.AgentState._fields[i] for i in (
+        ag._PHASE, ag._INFO, ag._NS_QUERY_SEEN, ag._PRECKPT_BYTES,
+        ag._ROUND_BYTES, ag._NS_CONFIG, ag._SC_BYTES,
+        ag._DIAGNOSTIC)] == list(names)
+    for index, name in enumerate(ag.AgentState._fields):
+        value = object()
+        copied = ag._with(state, index, value)
+        assert type(copied) is ag.AgentState
+        assert copied == state._replace(**{name: value})
+        assert copied[index] is value
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"topic": ""}, "topic must be non-empty"),
+    ({"payload_bytes": -1.0}, "payload_bytes must be >= 0"),
+])
+def test_message_checks_its_topic_and_payload(change, match):
+    fields = {"kind": MessageKind.PUBLISH, "topic": "mig/t1/x",
+              "sender": "src"}
+    with pytest.raises(DomainError, match=match):
+        BusMessage(**{**fields, **change})
+    with pytest.raises(DomainError, match=match):
+        BusMessage(**fields)._replace(**change)
+
+
+RECORDS = [
+    BusMessage(MessageKind.REPLY, "mig/t1/x", "src", 8.0,
+               {"ns_config": "netns:t1"}),
+    BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst"),
+    ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2),
+    ag.AgentState(ag.Role.SOURCE, "src", ag.Phase(
+        ag.PhaseKind.AWAIT_IMAGE_PULL, 2), task_info(), round_bytes=4096.0),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS,
+                         ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_copy_and_pickle_whole(record):
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for copied in (copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record)
+        assert copied == record
+
+
+def test_messages_without_headers_share_one_immutable_empty_mapping():
+    message = BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst")
+    assert message.headers is NO_HEADERS
+    assert message.headers == {} and len(message.headers) == 0
+    assert message.headers.get("task") is None
+    with pytest.raises(TypeError):
+        message.headers["task"] = task_info()
+    with pytest.raises(AttributeError):
+        message.headers.extra = None
+    assert copy.deepcopy(message).headers is NO_HEADERS
+    assert pickle.loads(pickle.dumps(message)).headers is NO_HEADERS
 
 
 # ---------------------------------------------------------------------------

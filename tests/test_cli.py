@@ -194,6 +194,13 @@ def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
         wrap(owner, attr, name, after)
 
+    runs = []  # (scenario, config) of each row, in operation order
+
+    def remember(scenario, config, **options):
+        runs.append((scenario, config))
+        return run_scenario(scenario, config, **options)
+
+    monkeypatch.setattr(cli, "run_scenario", remember)
     tracer.wrap = wrap_until_teardown
     tracer.install(edgemig)
     scenario = load_scenario(DEMO)
@@ -210,6 +217,19 @@ def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
         assert sorted(ops) == list(range(1, len(rows) + 1))
     assert tracer.counters["sim_runs_checked"] == len(rows)
     assert tracer.problems == []
+    # The per-event seams, which the simulator looks up per run: one
+    # agents.advance span per event, and for a pre-copy row one
+    # simnet.dirty_set_size span per round checkpoint plus one at
+    # stop-and-copy.
+    spans = list(tracer.spans)
+    assert len(runs) == len(rows)
+    for op, (scenario, config) in enumerate(runs, 1):
+        logged = run_scenario(scenario, config, record_events=True)
+        iterations = config.strategy.iterations
+        draws = 0 if config.strategy.kind.value == "cold" else iterations + 1
+        for seam, count in (("agents.advance", len(logged.events)),
+                            ("simnet.dirty_set_size", draws)):
+            assert [s[4] for s in spans if s[0] == seam].count(op) == count
 
 
 def test_seed_override_changes_sim_but_not_predictions(tmp_path):
@@ -423,6 +443,42 @@ def test_missing_source_destination_link_is_a_usage_error(tmp_path, capsys,
     assert run([command, "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: no link between source 'edge-a' and destination 'edge-b'\n")
+
+
+def _starved(tmp_path) -> str:
+    """The demo with the smallest positive source-destination bandwidth."""
+    doc = json.loads(Path(DEMO).read_text())
+    for link in doc["links"]:
+        if {link["from"], link["to"]} == {"edge-a", "edge-b"}:
+            link["bandwidth_mbps"] = 5e-324
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_starved_link_plan_writes_infinite_predictions_as_null(capsys,
+                                                               tmp_path):
+    assert run(["plan", "--scenario", _starved(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out,
+                     parse_constant=_reject_constant)
+    predicted = doc["predicted"]
+    assert doc["target_met"] is False
+    assert predicted["downtime_s"] is None and predicted["total_s"] is None
+    assert predicted["steps"]["S3"] is None
+    assert predicted["bytes_transferred"] == 10485760.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_starved_link_simulation_names_the_link(capsys, tmp_path, command):
+    assert run([command, "--scenario", _starved(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: predicted total_s inf is too large for a finite watchdog "
+        "period (the source-destination link 'edge-a'-'edge-b' has "
+        "bandwidth_mbps 5e-324)\n")
 
 
 def test_missing_scenario_file_exits_3(capsys):

@@ -65,6 +65,13 @@ def test_estimate_validation():
         DirtySample(1.0, -1)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf"),
+                                  True], ids=repr)
+def test_estimate_rejects_a_state_size_that_is_no_byte_count(size):
+    with pytest.raises(DomainError, match="state_size_bytes"):
+        estimate_dirty_rate([DirtySample(1.0, 1)], state_size_bytes=size)
+
+
 # ---------------------------------------------------------------------------
 # Calibration
 
