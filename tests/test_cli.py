@@ -225,8 +225,8 @@ def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
     assert len(runs) == len(rows)
     for op, (scenario, config) in enumerate(runs, 1):
         logged = run_scenario(scenario, config, record_events=True)
-        iterations = config.strategy.iterations
-        draws = 0 if config.strategy.kind.value == "cold" else iterations + 1
+        strategy = config.strategy
+        draws = 0 if strategy.kind.value == "cold" else strategy.iterations + 1
         for seam, count in (("agents.advance", len(logged.events)),
                             ("simnet.dirty_set_size", draws)):
             assert [s[4] for s in spans if s[0] == seam].count(op) == count
