@@ -18,7 +18,7 @@ time explicitly.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError
 
@@ -29,28 +29,6 @@ class MessageKind(str, Enum):
     PUBLISH = "publish"
     QUERY = "query"
     REPLY = "reply"
-
-
-class _NoHeaders(Mapping):
-    """The headers of a message that carries none: immutable, so that one
-    instance serves every such message."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def __reduce__(self) -> str:  # copies and unpickles to NO_HEADERS
-        return "NO_HEADERS"
-
-
-NO_HEADERS = _NoHeaders()
 
 
 class _Fields(NamedTuple):
@@ -74,13 +52,13 @@ class BusMessage(_Fields):
 
     def __new__(cls, kind: MessageKind, topic: str, sender: str,
                 payload_bytes: float = 0.0,
-                headers: Mapping[str, object] = NO_HEADERS) -> BusMessage:
+                headers: Optional[Mapping[str, object]] = None) -> BusMessage:
         if not topic:
             raise DomainError("topic must be non-empty")
         if payload_bytes < 0:
             raise DomainError("payload_bytes must be >= 0")
         return tuple.__new__(cls, (kind, topic, sender, payload_bytes,
-                                   headers))
+                                   {} if headers is None else headers))
 
     @classmethod
     def _make(cls, iterable) -> BusMessage:  # so _replace checks too

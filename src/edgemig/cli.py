@@ -54,16 +54,22 @@ def _write_out(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _json_value(value):
+    """``value`` for a JSON report, every non-finite float in it as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    # Strict JSON: a NaN or an infinity raises instead of printing a token
-    # that JSON parsers reject.
-    _write_out(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-               + "\n", out)
-
-
-def _finite(value: float) -> Optional[float]:
-    """A prediction for JSON: null where it is infinite (a starved link)."""
-    return value if math.isfinite(value) else None
+    # Strict JSON: an infinity or a NaN (a starved link, an overflowing
+    # estimate) is written as null, never as a token JSON parsers reject.
+    _write_out(json.dumps(_json_value(doc), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n", out)
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -131,11 +137,10 @@ def _config_doc(config) -> dict:
         "bandwidth_mbps": config.bandwidth_bytes_per_s / BYTES_PER_S_PER_MBPS,
         "target_met": config.target_met,
         "predicted": {
-            "downtime_s": _finite(config.predicted.downtime_s),
-            "total_s": _finite(config.predicted.total_s),
-            "bytes_transferred": _finite(config.predicted.bytes_transferred),
-            "steps": {step: _finite(seconds) for step, seconds
-                      in config.predicted.step_durations_s.items()},
+            "downtime_s": config.predicted.downtime_s,
+            "total_s": config.predicted.total_s,
+            "bytes_transferred": config.predicted.bytes_transferred,
+            "steps": dict(config.predicted.step_durations_s),
         },
     }
 

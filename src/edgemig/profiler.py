@@ -52,6 +52,7 @@ class DirtyRateEstimate:
     window_s: float
 
 
+@np.errstate(over="ignore")  # an overflowing mean rate is inf
 def estimate_dirty_rate(samples: Sequence[DirtySample],
                         state_size_bytes: int,
                         page_size_bytes: int = DEFAULT_PAGE_SIZE
@@ -141,6 +142,7 @@ def _affine_nnls(sizes: np.ndarray, durations: np.ndarray
     return fixed, per_byte, rms
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ModelParams rejects NaN, inf
 def calibration_fit(runs: Iterable[CalibrationRun]) -> CalibrationFit:
     """Fit affine phase costs from calibration runs.
 

@@ -295,11 +295,16 @@ class _Sim:
         self.watchdog_s = 10.0 * config.predicted.total_s + 10.0
         source, dest = task.source_agent, task.destination_agent
         if not math.isfinite(self.watchdog_s):
-            mbps = scenario.link_between(source, dest).bandwidth_mbps
+            cause = ""  # the link, where it cannot move the state in time
+            if math.isinf(transfer_duration(
+                    self.params, self.profile.state_size_bytes,
+                    config.bandwidth_bytes_per_s)):
+                mbps = scenario.link_between(source, dest).bandwidth_mbps
+                cause = (f" (the source-destination link {source!r}-{dest!r}"
+                         f" has bandwidth_mbps {mbps!r})")
             raise ScenarioError(
                 f"predicted total_s {config.predicted.total_s!r} is too large"
-                " for a finite watchdog period (the source-destination link "
-                f"{source!r}-{dest!r} has bandwidth_mbps {mbps!r})")
+                " for a finite watchdog period" + cause)
         self.info = ag.TaskInfo(
             task.container_id, source, dest, section.client,
             section.orchestrator, config.strategy.kind,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemig import agents as ag
-from edgemig.bus import NO_HEADERS, BusMessage, MessageKind
+from edgemig.bus import BusMessage, MessageKind
 from edgemig.errors import DomainError
 from edgemig.model import StrategyKind
 
@@ -525,17 +525,10 @@ def test_records_are_immutable_and_copy_and_pickle_whole(record):
         assert copied == record
 
 
-def test_messages_without_headers_share_one_immutable_empty_mapping():
-    message = BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst")
-    assert message.headers is NO_HEADERS
-    assert message.headers == {} and len(message.headers) == 0
-    assert message.headers.get("task") is None
-    with pytest.raises(TypeError):
-        message.headers["task"] = task_info()
-    with pytest.raises(AttributeError):
-        message.headers.extra = None
-    assert copy.deepcopy(message).headers is NO_HEADERS
-    assert pickle.loads(pickle.dumps(message)).headers is NO_HEADERS
+def test_messages_without_headers_get_their_own_empty_headers():
+    first, second = (BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst")
+                     for _ in range(2))
+    assert first.headers == {} and first.headers is not second.headers
 
 
 # ---------------------------------------------------------------------------

@@ -387,11 +387,18 @@ EXTREME_FIELDS = [("links", "bandwidth_mbps"), ("links", "latency_s")] + [
     ("ms_profiles", key) for key in (
         "state_size_bytes", "page_size_bytes", "dirty_rate_norm",
         "cpu_context_bytes", "dirty_rate_pages_per_s")] + [
-    ("model_params", key) for key in ModelParams.__dataclass_fields__]
+    ("model_params", key) for key in ModelParams.__dataclass_fields__] + [
+    ("dirty_samples", "window_s"), ("dirty_samples", "pages_modified")] + [
+    ("calibration_runs", key) for key in (
+        "image_bytes", "checkpoint_s", "restore_s", "transfer_s",
+        "bandwidth_mbps")]
+PROFILING = ("dirty_samples", "calibration_runs")  # named with their section
 
 
 @pytest.mark.parametrize("section, key", EXTREME_FIELDS,
-                         ids=[key for _, key in EXTREME_FIELDS])
+                         ids=[key if section not in PROFILING else
+                              f"{section}.{key}"
+                              for section, key in EXTREME_FIELDS])
 def test_extreme_values_run_or_are_rejected_by_name(tmp_path, capsys,
                                                     section, key):
     # Each command either runs or exits 2 with an error message; none
@@ -479,6 +486,44 @@ def test_starved_link_simulation_names_the_link(capsys, tmp_path, command):
         "error: predicted total_s inf is too large for a finite watchdog "
         "period (the source-destination link 'edge-a'-'edge-b' has "
         "bandwidth_mbps 5e-324)\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_plan_blames_no_healthy_link(capsys, tmp_path, command):
+    doc = json.loads(Path(DEMO).read_text())
+    doc["model_params"]["restore_per_byte_s"] = 1.7e308
+    path = tmp_path / "slow-restore.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: predicted total_s inf is too large for a finite watchdog "
+        "period\n")
+
+
+def _report(capsys, tmp_path, command, section, values) -> dict:
+    """The JSON report of the demo with ``values`` set in ``section``."""
+    doc = json.loads(Path(DEMO).read_text())
+    for item, (key, value) in zip(doc[section], values):
+        item[key] = value
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--scenario", str(path)]) == 0
+    return json.loads(capsys.readouterr().out,
+                      parse_constant=_reject_constant)
+
+
+def test_overflowing_dirty_rate_is_written_as_null(capsys, tmp_path):
+    out = _report(capsys, tmp_path, "profile", "dirty_samples",
+                  [("window_s", 5e-324)])
+    assert out["rate_pages_per_s"] is None
+    assert out["mean_rate_pages_per_s"] is None
+
+
+def test_overflowing_fit_residual_is_written_as_null(capsys, tmp_path):
+    out = _report(capsys, tmp_path, "fit", "calibration_runs",
+                  [("transfer_s", 0.0), ("transfer_s", 1e300)])
+    assert out["params"]["transfer_signaling_s"] > 1e299
+    assert out["rms"]["transfer_s"] is None
 
 
 def test_missing_scenario_file_exits_3(capsys):
