@@ -22,13 +22,10 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, check_number
 from .model import BYTES_PER_S_PER_MBPS
 from .orchestrator import MigrationTask, Objective, strategy_distribution
 from .profiler import calibration_fit, estimate_dirty_rate
@@ -175,24 +172,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # Sweep
 
 
-def _row_seed(base_seed: int, target_idx: int, profile_idx: int) -> int:
-    seq = np.random.SeedSequence(entropy=[base_seed, target_idx, profile_idx])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def _sweep_row(job: tuple) -> dict:
-    scenario, variable, target, profile_id, seed = job
+    # stream is the row's (target index, profile index): the simulator
+    # derives the row's seed from it at the first dirty draw, if any.
+    scenario, variable, target, profile_id, stream = job
     section, task = scenario.task, scenario.task.task
     on_total = variable == "target_duration_s"
     objective = (Objective.MINIMIZE_DOWNTIME if on_total
                  else Objective.MINIMIZE_RESOURCES)
     targets = (None, target) if on_total else (target, None)
-    row_scenario = dataclasses.replace(scenario, seed=seed, task=TaskSection(
+    row_scenario = dataclasses.replace(scenario, task=TaskSection(
         MigrationTask(task.container_id, task.source_agent,
                       task.destination_agent, objective, *targets),
         section.client, section.orchestrator, profile_id))
     config = plan_from_scenario(row_scenario)
-    outcome = run_scenario(row_scenario, config, record_events=False)
+    outcome = run_scenario(row_scenario, config, record_events=False,
+                           stream=stream)
     sim_metric = outcome.total_s if on_total else outcome.downtime_s
     met = (config.target_met and outcome.completed and sim_metric is not None
            and sim_metric <= target * (1 + 1e-9))
@@ -219,14 +214,15 @@ def sweep_rows(scenario: Scenario, parallel: int = 0) -> list[dict]:
     if scenario.task is None:
         raise ScenarioError("scenario has no task section")
     sweep = scenario.sweep
-    jobs = []
-    for t_idx, target in enumerate(sweep.targets()):
-        for p_idx, profile_id in enumerate(sweep.profiles):
-            seed = _row_seed(scenario.seed, t_idx, p_idx)
-            jobs.append((scenario, sweep.variable, target, profile_id, seed))
+    jobs = [(scenario, sweep.variable, target, profile_id, (t_idx, p_idx))
+            for t_idx, target in enumerate(sweep.targets())
+            for p_idx, profile_id in enumerate(sweep.profiles)]
     # One worker per CPU at most: a fork start launches them all at once.
     workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: only a parallel sweep pays for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Rows cost milliseconds, so each worker gets them in a few chunks
         # rather than one round trip per row; map keeps the job order.
         chunksize = math.ceil(len(jobs) / (4 * workers))
@@ -274,6 +270,7 @@ def emit_report(rows: Sequence[dict]) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    check_number("--parallel", args.parallel, whole=True)
     scenario = _load(args)
     rows = sweep_rows(scenario, parallel=args.parallel)
     _write_out(emit_report(rows), args.out)

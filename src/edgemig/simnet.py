@@ -18,7 +18,9 @@ size — image payloads ride on work items (the transfer costs), so bytes
 are accounted exactly once. Like its routing table, the run setting (the
 link, the designer's view, each hop's latency) is built once per task and
 shared, read-only, by a plan and every run of an equal task (a sweep's
-rows). The seeded generator is made at the first dirty draw: cold never draws.
+rows). The seeded generator is made at the first dirty draw, from the seed
+or, on a sub-stream (a sweep row's), from the first 64-bit word of
+``SeedSequence([seed, *stream])``: a cold run never draws, so derives none.
 
 The simulator keeps all the time: it prices every work item (the
 destination's wait for the client's flow update too) and holds one
@@ -278,7 +280,8 @@ class MigrationOutcome:
 
 class _Sim:
     def __init__(self, scenario: Scenario, config: MigrationConfig,
-                 fault_rules: Sequence[FaultRule], record_events: bool):
+                 fault_rules: Sequence[FaultRule], record_events: bool,
+                 stream: tuple[int, ...] = ()):
         setting = _setting(scenario)
         section, task = scenario.task, scenario.task.task
         self.config = config
@@ -319,6 +322,9 @@ class _Sim:
         self.subscribers = _routes(self.info)
         self.latency = setting.latency
         self.seed = scenario.seed
+        for index in stream:
+            check_number("stream", index, whole=True)
+        self.stream = stream
         self.rng: Optional[np.random.Generator] = None
         self.faults = _FaultBox(fault_rules) if fault_rules else None
         self.record_events = record_events
@@ -350,7 +356,11 @@ class _Sim:
             # An empty state has no pages to dirty.
             return 0
         if self.rng is None:  # a cold run never draws
-            self.rng = np.random.default_rng(self.seed)
+            seed = self.seed
+            if self.stream:
+                seed = int(np.random.SeedSequence([seed, *self.stream])
+                           .generate_state(1, dtype=np.uint64)[0])
+            self.rng = np.random.default_rng(seed)
         return dirty_set_size(self.dirty_rate, window, self.total_pages,
                               self.rng)
 
@@ -534,14 +544,18 @@ class _Sim:
 def run_scenario(scenario: Scenario, config: MigrationConfig, *,
                  fault_rules: Sequence[FaultRule] = (),
                  event_log_path: Union[str, Path, None] = None,
-                 record_events: bool = True) -> MigrationOutcome:
+                 record_events: bool = True,
+                 stream: tuple[int, ...] = ()) -> MigrationOutcome:
     """Simulate one migration run under the given configuration.
 
-    Every watchdog waits ten times the predicted migration duration plus
-    ten seconds, generous enough never to fire on a healthy run.
+    ``stream``, a sweep row's (target index, profile index) for example,
+    picks a sub-stream of the scenario seed for the dirty draws; empty, the
+    seed itself. Every watchdog waits ten times the predicted migration
+    duration plus ten seconds, generous enough never to fire on a healthy
+    run.
     """
     sim = _Sim(scenario, config, fault_rules,
-               record_events or event_log_path is not None)
+               record_events or event_log_path is not None, stream)
     outcome = sim.run()
     if not outcome.completed:
         log.warning("migration did not complete: %s", outcome.diagnostics)

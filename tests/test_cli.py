@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process via ``main``."""
 
+import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -9,6 +10,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edgemig
@@ -122,10 +124,12 @@ class InlinePool:
     (100_000, None, None),  # cpu_count unknown: taken as one CPU, serial
     (3, 8, 3),
     (1, 8, None),
+    (0, 8, None),  # the default: serial
 ])
 def test_sweep_workers_bounded_by_cpus(tmp_path, monkeypatch, parallel, cpus,
                                        workers):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # sweep_rows imports the pool only when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     InlinePool.sizes.clear()
     out = tmp_path / "sweep.csv"
@@ -156,7 +160,11 @@ def test_each_sweep_row_is_one_plan_and_one_run(variable):
             task = dataclasses.replace(
                 section.task, objective=Objective.MINIMIZE_RESOURCES,
                 target_downtime_s=target, target_duration_s=None)
-        seed = cli._row_seed(scenario.seed, *cells[target, profile])
+        # The README's seed contract, derived here rather than by cli.
+        words = np.random.SeedSequence(
+            [scenario.seed, *cells[target, profile]]).generate_state(
+                1, dtype=np.uint64)
+        seed = int(words[0])
         alone = dataclasses.replace(
             scenario, seed=seed, task=dataclasses.replace(
                 section, task=task, ms_profile_id=profile))
@@ -194,10 +202,10 @@ def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
         wrap(owner, attr, name, after)
 
-    runs = []  # (scenario, config) of each row, in operation order
+    runs = []  # (scenario, config, options) of each row, in operation order
 
     def remember(scenario, config, **options):
-        runs.append((scenario, config))
+        runs.append((scenario, config, options))
         return run_scenario(scenario, config, **options)
 
     monkeypatch.setattr(cli, "run_scenario", remember)
@@ -223,8 +231,9 @@ def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
     # stop-and-copy.
     spans = list(tracer.spans)
     assert len(runs) == len(rows)
-    for op, (scenario, config) in enumerate(runs, 1):
-        logged = run_scenario(scenario, config, record_events=True)
+    for op, (scenario, config, options) in enumerate(runs, 1):
+        logged = run_scenario(scenario, config,
+                              **{**options, "record_events": True})
         strategy = config.strategy
         draws = 0 if strategy.kind.value == "cold" else strategy.iterations + 1
         for seam, count in (("agents.advance", len(logged.events)),
@@ -299,6 +308,52 @@ def scipy_modules_loaded_by(names, tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+LAZY_PROBE = """
+import json, sys
+import edgemig.cli
+watched = ("multiprocessing", "concurrent.futures.process", "numpy.random")
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert edgemig.cli.main(argv) == 0, argv
+    loaded.append([m for m in watched if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
+        tmp_path):
+    """In one fresh interpreter, with every warning an error: no command
+    but a parallel sweep starts a pool, and a run that never draws (every
+    row of a target_downtime_s sweep of the demo is cold) derives no seed,
+    while the demo's pre-copy run loads the generator."""
+    doc = json.loads(Path(DEMO).read_text())
+    doc["sweep"]["variable"] = "target_downtime_s"
+    cold = tmp_path / "cold.json"
+    cold.write_text(json.dumps(doc))
+    commands = [
+        ["plan", "--scenario", DEMO, "--out", str(tmp_path / "plan.json")],
+        ["sweep", "--scenario", str(cold), "--out", str(tmp_path / "cold")],
+        ["simulate", "--scenario", DEMO, "--out", str(tmp_path / "run")],
+        ["sweep", "--scenario", DEMO, "--out", str(tmp_path / "sweep")],
+    ]
+    src = str(Path(edgemig.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", LAZY_PROBE,
+         json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[], [], ["numpy.random"],
+                                       ["numpy.random"]]
+    strategies = {line.split(",")[2] for line in
+                  (tmp_path / "cold").read_text().splitlines()[1:]}
+    assert strategies == {"cold"}
+    assert json.loads((tmp_path / "run").read_text())["strategy"] != "cold"
 
 
 def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
@@ -554,6 +609,17 @@ def test_usage_error_raises_system_exit():
 def test_negative_seed_option_is_a_usage_error(capsys):
     assert run(["simulate", "--scenario", DEMO, "--seed", "-1"]) == 2
     assert "--seed must be a whole number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", ["-1", "-100000"])
+def test_negative_parallel_option_is_a_usage_error(tmp_path, capsys,
+                                                   parallel):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--scenario", DEMO, "--out", str(out),
+                "--parallel", parallel]) == 2
+    assert f"--parallel must be a whole number >= 0, got {parallel}" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key", [("links", "latency_s"),
