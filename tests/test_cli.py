@@ -282,6 +282,16 @@ def test_fit_recovers_parameters(capsys):
     assert doc["rms"]["transfer_s"] < 1e-9
 
 
+def src_env():
+    """The environment for a fresh interpreter that imports this
+    checkout's edgemig."""
+    src = str(Path(edgemig.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 IMPORT_PROBE = """
 import json, sys
 import edgemig, edgemig.cli
@@ -299,13 +309,9 @@ def scipy_modules_loaded_by(names, tmp_path):
     """
     commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
                 for name in names]
-    src = str(Path(edgemig.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -338,14 +344,10 @@ def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
         ["simulate", "--scenario", DEMO, "--out", str(tmp_path / "run")],
         ["sweep", "--scenario", DEMO, "--out", str(tmp_path / "sweep")],
     ]
-    src = str(Path(edgemig.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", LAZY_PROBE,
          json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == [[], [], ["numpy.random"],
@@ -371,14 +373,10 @@ def test_dist_never_loads_scipy(tmp_path):
 
 
 def test_verbose_simulate_logs_the_design_and_each_phase_change(tmp_path):
-    src = str(Path(edgemig.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "edgemig.cli", "-v", "simulate", "--scenario",
          DEMO, "--out", str(tmp_path / "run.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     events = [json.loads(line) for line in

@@ -342,6 +342,24 @@ def test_cold_run_makes_no_generator(monkeypatch):
         run_scenario(scenario, make_config(scenario, StrategyKind.PRE_COPY))
 
 
+def test_a_stream_draws_from_its_own_seed():
+    scenario = make_scenario(dirty_rate=2.0)
+    config = make_config(scenario, StrategyKind.ITERATIVE_PRE_COPY, 3)
+    words = np.random.SeedSequence([scenario.seed, 4, 1]).generate_state(
+        1, dtype=np.uint64)
+    alone = dataclasses.replace(scenario, seed=int(words[0]))
+    assert run_scenario(scenario, config, stream=(4, 1)) \
+        == run_scenario(alone, config) != run_scenario(scenario, config)
+
+
+@pytest.mark.parametrize("stream", [(-1,), (0, 1.5), (True,)])
+def test_stream_index_must_be_a_whole_number(stream):
+    scenario = make_scenario(dirty_rate=2.0)
+    config = make_config(scenario, StrategyKind.PRE_COPY)
+    with pytest.raises(DomainError, match="stream must be a whole number"):
+        run_scenario(scenario, config, stream=stream)
+
+
 @pytest.mark.parametrize("strategy,iters", [
     (StrategyKind.COLD, 0),
     (StrategyKind.PRE_COPY, 0),
