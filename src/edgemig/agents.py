@@ -24,15 +24,17 @@ The happy path, for an iterative pre-copy migration with I rounds:
 7. the destination waits for the flow update to settle, restores and
    publishes the completion notice.
 
-That comes to 7 + 3*I bus messages, a count the trace tests pin down. A
-cold migration follows the same skeleton minus the running-state copies
-(the namespace reply then carries no image), also 7 messages.
-
-The topic builders below and :func:`subscriptions`, the table of roles
-receiving each publication and query, are the protocol's only routing
-facts. Messages stay in process, so headers carry typed objects: the task
-publication hands every agent the frozen :class:`TaskInfo` itself. Image
-sizes ride on ``payload_bytes``; no header repeats them.
+The sequence is written down once, as data: :func:`clean_run` lists the
+messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
+3 per round), each with its sender, kind, topic and receiving roles. A cold
+migration follows the same skeleton minus the running-state copies (the
+namespace reply then carries no image). That table, the topic record
+:class:`Topics` every :class:`TaskInfo` carries, and the simulator's
+``_routes``, which resolves the table plus the failed topics to agent ids,
+are the protocol's only routing facts. Messages stay in process, so
+headers carry typed objects: the task publication hands every agent the
+frozen :class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no
+header repeats them.
 
 State machines are pure: :func:`advance` maps (state, event) to a new state
 plus a list of actions (messages to send, work items to run, watchdogs to
@@ -72,11 +74,11 @@ five rules (timings on CPython 3.11, 2-core host):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .bus import BusMessage, MessageKind, topic
+from .bus import BusMessage, MessageKind
 from .model import StrategyKind
 
 
@@ -201,6 +203,36 @@ Event = Union[BusMessage, Work, TimerFired, Kickoff]
 # Task wiring shared by every agent
 
 
+class Topics(NamedTuple):
+    """Every topic of one task. A round's two topics sit at its number;
+    slot 0 is empty (a message cannot carry it), since round 0, the initial
+    image, rides on the namespace reply. ``failed`` is in ``Role`` order."""
+
+    task: str
+    started: str
+    nsconfig: str
+    round_ready: tuple[str, ...]
+    round_image: tuple[str, ...]
+    stopcopy: str
+    ns_ready: str
+    done: str
+    failed: tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=256)  # a sweep builds one task per row
+def _topics(task_id: str, iterations: int) -> Topics:
+    """The scheme of ``bus``: ``mig/{task_id}/{owning role}/{name}``."""
+    roots = [f"mig/{task_id}/{role.value}/" for role in Role]
+    src, dst, _, orc = roots
+    rounds = range(1, iterations + 1)
+    return Topics(
+        orc + "task", src + "started", src + "nsconfig",
+        ("", *(f"{src}round/{r}/ready" for r in rounds)),
+        ("", *(f"{src}round/{r}/image" for r in rounds)),
+        src + "stopcopy/image", dst + "ns-ready", dst + "done",
+        tuple(root + "failed" for root in roots))
+
+
 @dataclass(frozen=True, slots=True)
 class TaskInfo:
     """Everything an agent learns from the task publication."""
@@ -213,79 +245,44 @@ class TaskInfo:
     strategy: StrategyKind
     iterations: int
     ns_config: str
+    # Derived once per task, so a transition builds no topic string.
+    topics: Topics = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "topics",
+                           _topics(self.task_id, self.iterations))
 
 
-# The topic builders are pure and asked for the same few topics on every
-# simulated event, so each keeps its recent answers.
-_memo = functools.lru_cache(maxsize=4096)
+class Step(NamedTuple):
+    """One message of a fault-free run; a publication reaches every
+    receiver, in delivery order, and a query or reply its one receiver."""
+
+    sender: Role
+    kind: MessageKind
+    topic: str
+    receivers: tuple[Role, ...]
 
 
-@_memo
-def task_topic(task_id: str) -> str:
-    return topic(task_id, Role.ORCHESTRATOR.value, "task")
+def clean_run(info: TaskInfo) -> tuple[Step, ...]:
+    """The messages a fault-free run of ``info`` sends, in protocol order.
 
-
-@_memo
-def started_topic(task_id: str) -> str:
-    return topic(task_id, Role.SOURCE.value, "started")
-
-
-@_memo
-def nsconfig_topic(task_id: str) -> str:
-    return topic(task_id, Role.SOURCE.value, "nsconfig")
-
-
-@_memo
-def round_ready_topic(task_id: str, round_index: int) -> str:
-    return topic(task_id, Role.SOURCE.value, "round", round_index, "ready")
-
-
-@_memo
-def round_image_topic(task_id: str, round_index: int) -> str:
-    return topic(task_id, Role.SOURCE.value, "round", round_index, "image")
-
-
-@_memo
-def stopcopy_topic(task_id: str) -> str:
-    return topic(task_id, Role.SOURCE.value, "stopcopy", "image")
-
-
-@_memo
-def ns_ready_topic(task_id: str) -> str:
-    return topic(task_id, Role.DESTINATION.value, "ns-ready")
-
-
-@_memo
-def done_topic(task_id: str) -> str:
-    return topic(task_id, Role.DESTINATION.value, "done")
-
-
-@_memo
-def failed_topic(task_id: str, role: Role) -> str:
-    return topic(task_id, role.value, "failed")
-
-
-def subscriptions(info: TaskInfo) -> dict[str, tuple[Role, ...]]:
-    """Roles receiving each publication and query of one task.
-
-    A publication goes to every listed role, in delivery order; a query
-    goes to its one listed role, the topic's owner.
+    Across senders the order is the protocol's; a run may interleave
+    them differently, by timing, but each sender sends its own in order.
     """
-    task_id = info.task_id
-    table = {
-        task_topic(task_id): (Role.SOURCE, Role.DESTINATION, Role.CLIENT),
-        started_topic(task_id): (Role.ORCHESTRATOR,),
-        nsconfig_topic(task_id): (Role.SOURCE,),
-        stopcopy_topic(task_id): (Role.DESTINATION,),
-        ns_ready_topic(task_id): (Role.CLIENT,),
-        done_topic(task_id): (Role.ORCHESTRATOR,),
-    }
-    for round_index in range(1, info.iterations + 1):
-        table[round_ready_topic(task_id, round_index)] = (Role.DESTINATION,)
-        table[round_image_topic(task_id, round_index)] = (Role.SOURCE,)
-    for role in Role:
-        table[failed_topic(task_id, role)] = (Role.ORCHESTRATOR,)
-    return table
+    t = info.topics
+    src, dst, cli, orc = Role
+    steps = [Step(orc, _PUBLISH, t.task, (src, dst, cli)),
+             Step(src, _PUBLISH, t.started, (orc,)),
+             Step(dst, _QUERY, t.nsconfig, (src,)),
+             Step(src, _REPLY, t.nsconfig, (dst,))]
+    for r in range(1, info.iterations + 1):
+        steps += (Step(src, _PUBLISH, t.round_ready[r], (dst,)),
+                  Step(dst, _QUERY, t.round_image[r], (src,)),
+                  Step(src, _REPLY, t.round_image[r], (dst,)))
+    steps += (Step(src, _PUBLISH, t.stopcopy, (dst,)),
+              Step(dst, _PUBLISH, t.ns_ready, (cli,)),
+              Step(dst, _PUBLISH, t.done, (orc,)))
+    return tuple(steps)
 
 
 # --------------------------------------------------------------------------
@@ -324,10 +321,10 @@ def idle_agent(role: Role, agent_id: str) -> AgentState:
 
 def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
     actions: list[Action] = [Diagnostic(reason)]
-    if state.info is not None:
-        actions.append(BusMessage(
-            _PUBLISH, failed_topic(state.info.task_id, state.role),
-            state.agent_id, 0.0, {"reason": reason}))
+    if (info := state.info) is not None:
+        failed = info.topics.failed[tuple(Role).index(state.role)]
+        actions.append(BusMessage(_PUBLISH, failed, state.agent_id, 0.0,
+                                  {"reason": reason}))
     return state._replace(phase=FAILED, diagnostic=reason), actions
 
 
@@ -360,7 +357,7 @@ def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
 
 def _source_start(state: AgentState, info: TaskInfo
                   ) -> tuple[AgentState, list[Action]]:
-    started = BusMessage(_PUBLISH, started_topic(info.task_id), state.agent_id)
+    started = BusMessage(_PUBLISH, info.topics.started, state.agent_id)
     if info.strategy is _COLD:
         phase, work = _STOP_COPY_PHASE, _STOP_CHECKPOINT_WORK
     else:
@@ -373,7 +370,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
     phase = state.phase
 
     if type(event) is BusMessage:
-        if event.kind is _QUERY and event.topic == nsconfig_topic(info.task_id):
+        if event.kind is _QUERY and event.topic == info.topics.nsconfig:
             if state.ns_query_seen:
                 return _fail(state, "duplicate namespace-configuration query")
             state = _with(state, _NS_QUERY_SEEN, True)
@@ -393,7 +390,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             return state, []
 
         if event.kind is _QUERY and phase.kind is _AWAIT_IMAGE_PULL \
-                and event.topic == round_image_topic(info.task_id, phase.round):
+                and event.topic == info.topics.round_image[phase.round]:
             return state, [_new(Work, (_TRANSFER_ROUND, state.round_bytes,
                                        phase.round))]
         return _unexpected(state, event)
@@ -408,15 +405,13 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             return _with(state, _PRECKPT_BYTES, event.bytes), [_SET_TIMER]
 
         if kind is _TRANSFER_INITIAL and phase == _ROUND_ZERO:
-            reply = BusMessage(_REPLY, nsconfig_topic(info.task_id),
-                               state.agent_id, event.bytes,
-                               {"ns_config": info.ns_config})
+            reply = BusMessage(_REPLY, info.topics.nsconfig, state.agent_id,
+                               event.bytes, {"ns_config": info.ns_config})
             return _source_image_sent(state, reply, 0)
 
         if kind is _ROUND_CHECKPOINT and phase.kind is _PRE_COPY_ROUND \
                 and phase.round == event.round:
-            ready = BusMessage(_PUBLISH,
-                               round_ready_topic(info.task_id, event.round),
+            ready = BusMessage(_PUBLISH, info.topics.round_ready[event.round],
                                state.agent_id)
             state = _with(state, _ROUND_BYTES, event.bytes)
             next_phase = _new(Phase, (_AWAIT_IMAGE_PULL, event.round))
@@ -425,8 +420,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 
         if kind is _TRANSFER_ROUND and phase.kind is _AWAIT_IMAGE_PULL \
                 and phase.round == event.round:
-            reply = BusMessage(_REPLY,
-                               round_image_topic(info.task_id, event.round),
+            reply = BusMessage(_REPLY, info.topics.round_image[event.round],
                                state.agent_id, event.bytes)
             return _source_image_sent(state, reply, event.round)
 
@@ -434,8 +428,8 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             return state, [_new(Work, (_TRANSFER_STOPCOPY, event.bytes, 0))]
 
         if kind is _TRANSFER_STOPCOPY and phase.kind is _STOP_COPY:
-            push = BusMessage(_PUBLISH, stopcopy_topic(info.task_id),
-                              state.agent_id, event.bytes)
+            push = BusMessage(_PUBLISH, info.topics.stopcopy, state.agent_id,
+                              event.bytes)
             return (_with(state, _PHASE, _NS_TRANSITION_PHASE),
                     [push, _NS_CLEAR_WORK])
 
@@ -471,7 +465,7 @@ def _dest_image_received(state: AgentState, done_round: int
 
 def _dest_start(state: AgentState, info: TaskInfo
                 ) -> tuple[AgentState, list[Action]]:
-    query = BusMessage(_QUERY, nsconfig_topic(info.task_id), state.agent_id)
+    query = BusMessage(_QUERY, info.topics.nsconfig, state.agent_id)
     next_phase = _STOP_COPY_PHASE if info.strategy is _COLD else _ROUND_ZERO
     return (_with(_with(state, _INFO, info), _PHASE, next_phase),
             [query, _SET_TIMER])
@@ -484,7 +478,7 @@ def _advance_destination(state: AgentState, event: Event
 
     if type(event) is BusMessage:
         kind = event.kind
-        if kind is _REPLY and event.topic == nsconfig_topic(info.task_id):
+        if kind is _REPLY and event.topic == info.topics.nsconfig:
             # A reply without the configuration is unexpected too.
             ns_config = event.headers.get("ns_config")
             if ns_config is None:
@@ -500,21 +494,19 @@ def _advance_destination(state: AgentState, event: Event
             return _dest_image_received(
                 _with(state, _NS_CONFIG, str(ns_config)), 0)
 
-        if kind is _PUBLISH \
-                and phase.kind is _PRE_COPY_ROUND and phase.round >= 1 \
-                and event.topic == round_ready_topic(info.task_id, phase.round):
-            pull = BusMessage(_QUERY,
-                              round_image_topic(info.task_id, phase.round),
+        if kind is _PUBLISH and phase.kind is _PRE_COPY_ROUND \
+                and event.topic == info.topics.round_ready[phase.round]:
+            pull = BusMessage(_QUERY, info.topics.round_image[phase.round],
                               state.agent_id)
             next_phase = _new(Phase, (_AWAIT_IMAGE_PULL, phase.round))
             return _with(state, _PHASE, next_phase), [pull, _SET_TIMER]
 
         if kind is _REPLY and phase.kind is _AWAIT_IMAGE_PULL \
-                and event.topic == round_image_topic(info.task_id, phase.round):
+                and event.topic == info.topics.round_image[phase.round]:
             return _dest_image_received(state, phase.round)
 
         if kind is _PUBLISH and phase.kind is _STOP_COPY \
-                and event.topic == stopcopy_topic(info.task_id):
+                and event.topic == info.topics.stopcopy:
             if state.sc_bytes is not None:
                 return _fail(state, "duplicate stop-and-copy image")
             return _dest_maybe_transition(
@@ -524,8 +516,7 @@ def _advance_destination(state: AgentState, event: Event
     if type(event) is Work:
         kind = event.kind
         if kind is _NS_RECREATE and phase.kind is _NS_TRANSITION:
-            ready = BusMessage(_PUBLISH, ns_ready_topic(info.task_id),
-                               state.agent_id)
+            ready = BusMessage(_PUBLISH, info.topics.ns_ready, state.agent_id)
             return (_with(state, _PHASE, _AWAIT_RESTORE_PHASE),
                     [ready, _FLOW_SETTLE_WORK])
 
@@ -533,8 +524,7 @@ def _advance_destination(state: AgentState, event: Event
             return state, [_new(Work, (_RESTORE, state.sc_bytes, 0))]
 
         if kind is _RESTORE and phase.kind is _AWAIT_RESTORE:
-            done = BusMessage(_PUBLISH, done_topic(info.task_id),
-                              state.agent_id)
+            done = BusMessage(_PUBLISH, info.topics.done, state.agent_id)
             return _with(state, _PHASE, DONE), [done]
     return _unexpected(state, event)
 
@@ -553,7 +543,7 @@ def _advance_client(state: AgentState, event: Event
     phase = state.phase
     if type(event) is BusMessage:
         if event.kind is _PUBLISH and phase.kind is _IDLE_KIND \
-                and event.topic == ns_ready_topic(state.info.task_id):
+                and event.topic == state.info.topics.ns_ready:
             return (_with(state, _PHASE, _NS_TRANSITION_PHASE),
                     [_FLOW_UPDATE_WORK])
 
@@ -575,23 +565,23 @@ def _advance_orchestrator(state: AgentState, event: Event
     if type(event) is Kickoff:
         if phase.kind is not _IDLE_KIND or info is None:
             return _unexpected(state, event)
-        pub = BusMessage(_PUBLISH, task_topic(info.task_id), state.agent_id,
+        pub = BusMessage(_PUBLISH, info.topics.task, state.agent_id,
                          0.0, {"task": info})
         return state, [pub, _SET_TIMER]  # expect the start announcement
 
     if type(event) is BusMessage and info is not None:
-        if event.topic.endswith("/failed") and event.kind is _PUBLISH:
+        if event.kind is _PUBLISH and event.topic in info.topics.failed:
             reason = str(event.headers.get("reason", "agent failure"))
             return (state._replace(phase=FAILED,
                                    diagnostic=f"{event.sender}: {reason}"),
                     [Diagnostic(f"failure reported by {event.sender}: {reason}")])
         if event.kind is _PUBLISH \
-                and event.topic == started_topic(info.task_id) \
+                and event.topic == info.topics.started \
                 and phase.kind is _IDLE_KIND:
             # expect the completion notice
             return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [_SET_TIMER]
         if event.kind is _PUBLISH \
-                and event.topic == done_topic(info.task_id) \
+                and event.topic == info.topics.done \
                 and phase.kind is _AWAIT_RESTORE:
             return _with(state, _PHASE, DONE), []
     return _unexpected(state, event)
@@ -622,7 +612,7 @@ def _take_task(state: AgentState, event: Event
     if type(event) is BusMessage and event.kind is _PUBLISH:
         task = event.headers.get("task")
     if not isinstance(task, TaskInfo) \
-            or event.topic != task_topic(task.task_id):
+            or event.topic != task.topics.task:
         return _unexpected(state, event)
     return _ROLE_START[state.role](state, task)
 

@@ -5,14 +5,15 @@ publications (fan out to subscribers), queries (routed to the agent that
 owns the topic), and replies (routed back to the querier of their topic,
 since a reply travels on the topic of the query it answers). Topics follow
 the scheme ``mig/{task_id}/{role}/{name}``; the role segment names the
-agent that owns or emits on the subtree.
+agent that owns or emits on the subtree. Each task's topics are built
+once, into its :class:`edgemig.agents.Topics` record.
 
-Which roles receive a publication or a query is written down once, in
-:func:`edgemig.agents.subscriptions`; no topic string is taken apart.
-Messages never leave the process (the simulator delivers them in memory),
-so headers may carry typed objects, such as the task description. Bulk
-image payloads are carried by size only: the simulator charges transfer
-time explicitly.
+Which roles receive each message, replies included, is written down
+once, in the protocol table :func:`edgemig.agents.clean_run`; no topic
+string is taken apart. Messages never leave the process (the simulator
+delivers them in memory), so headers may carry typed objects, such as the
+task description. Bulk image payloads are carried by size only: the
+simulator charges transfer time explicitly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError
-
-TOPIC_PREFIX = "mig"
 
 
 class MessageKind(str, Enum):
@@ -64,9 +63,3 @@ class BusMessage(_Fields):
     def _make(cls, iterable) -> BusMessage:  # so _replace checks too
         return cls(*iterable)
 
-
-def topic(task_id: str, role: str, *name: object) -> str:
-    """Build a protocol topic, e.g. topic(t, "source", "round", 2, "ready")."""
-    parts = [TOPIC_PREFIX, task_id, role]
-    parts.extend(str(p) for p in name)
-    return "/".join(parts)

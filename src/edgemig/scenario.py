@@ -125,6 +125,9 @@ class SweepSpec:
                                 f"more than the {MAX_SWEEP_TARGETS:,} allowed")
         if not self.profiles:
             raise ScenarioError("sweep needs at least one profile")
+        for i, profile in enumerate(self.profiles):
+            if profile in self.profiles[:i]:
+                raise ScenarioError(f"sweep lists profile {profile!r} twice")
 
     def targets(self) -> tuple[float, ...]:
         """Grid endpoints inclusive, guarding float accumulation."""

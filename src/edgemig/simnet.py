@@ -15,12 +15,15 @@ once per window, never the writes themselves.
 
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
-are accounted exactly once. Like its routing table, the run setting (the
-link, the designer's view, each hop's latency) is built once per task and
-shared, read-only, by a plan and every run of an equal task (a sweep's
-rows). The seeded generator is made at the first dirty draw, from the seed
-or, on a sub-stream (a sweep row's), from the first 64-bit word of
-``SeedSequence([seed, *stream])``: a cold run never draws, so derives none.
+are accounted exactly once. Every message, replies included, is routed
+by its kind and topic through one table: :func:`agents.clean_run` plus
+the failed topics, resolved to agent ids. Like that table, the run
+setting (the link, the designer's view, each hop's latency) is built once
+per task and shared, read-only, by a plan and every run of an equal task
+(a sweep's rows). The seeded generator is made at the first dirty draw,
+from the seed or, on a sub-stream (a sweep row's), from the first 64-bit
+word of ``SeedSequence([seed, *stream])``: a cold run never draws, so
+derives none.
 
 The simulator keeps all the time: it prices every work item (the
 destination's wait for the client's flow update too) and holds one
@@ -81,7 +84,7 @@ _TRANSFERS = frozenset({_W.TRANSFER_INITIAL, _W.TRANSFER_ROUND,
 _PRE_CHECKPOINT, _ROUND_CHECKPOINT = _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT
 _FLOW_UPDATE, _FLOW_SETTLE, _RESTORE = (
     _W.FLOW_UPDATE, _W.FLOW_SETTLE, _W.RESTORE)
-_QUERY, _REPLY, _DONE = MessageKind.QUERY, MessageKind.REPLY, ag.PhaseKind.DONE
+_PUBLISH, _DONE = MessageKind.PUBLISH, ag.PhaseKind.DONE
 _TIMER_FIRED = ag.TimerFired()
 
 
@@ -112,6 +115,12 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
 
 def _check_rule(rule: FaultRule) -> None:
     """Reject a rule that could never fire or would run the clock backwards."""
+    if not isinstance(rule.topic_contains, str):
+        raise DomainError("topic_contains must be a string, got "
+                          f"{rule.topic_contains!r}")
+    if not isinstance(rule.receiver, (str, type(None))):
+        raise DomainError("receiver must be None or an agent id string, "
+                          f"got {rule.receiver!r}")
     check_number("occurrence", rule.occurrence, 1, whole=True)
     if isinstance(rule, DelayRule):
         check_number("delay_s", rule.delay_s)
@@ -208,17 +217,19 @@ def _run_setting(links: tuple[Link, ...], params: ModelParams,
 
 
 @functools.lru_cache(maxsize=256)
-def _routes(info: ag.TaskInfo) -> Mapping[str, tuple[str, ...]]:
-    """Agent ids receiving each publication and query of a task, in
-    delivery order: :func:`agents.subscriptions` with each role resolved.
-    Every run of an equal task shares this one read-only table."""
-    agent_of = {ag.Role.SOURCE: info.source,
-                ag.Role.DESTINATION: info.destination,
-                ag.Role.CLIENT: info.client,
-                ag.Role.ORCHESTRATOR: info.orchestrator}
+def _routes(info: ag.TaskInfo
+            ) -> Mapping[tuple[MessageKind, str], tuple[str, ...]]:
+    """Agent ids receiving each (kind, topic) of a task, in delivery
+    order: :func:`agents.clean_run`, plus every role's failure report to
+    the orchestrator, with each role resolved. Every run of an equal task
+    shares this one read-only table."""
+    agent_of = dict(zip(ag.Role, (info.source, info.destination,
+                                  info.client, info.orchestrator)))
+    failures = [ag.Step(role, _PUBLISH, failed, (ag.Role.ORCHESTRATOR,))
+                for role, failed in zip(ag.Role, info.topics.failed)]
     return MappingProxyType({
-        topic: tuple(agent_of[role] for role in roles)
-        for topic, roles in ag.subscriptions(info).items()})
+        (step.kind, step.topic): tuple(agent_of[r] for r in step.receivers)
+        for step in (*ag.clean_run(info), *failures)})
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +346,6 @@ class _Sim:
         self.next_seq = itertools.count().__next__
         self.now = 0.0
         self.events: list[ProtocolEvent] = []
-        self.outstanding_queries: dict[str, str] = {}
 
         self.dirty_clock: Optional[float] = None
         self.message_count = 0
@@ -366,20 +376,14 @@ class _Sim:
 
     # -- routing ------------------------------------------------------
 
-    def _receivers(self, msg: BusMessage) -> Sequence[str]:
-        if msg.kind is _REPLY:
-            # A reply to no outstanding query raises KeyError rather than
-            # being counted and delivered to nobody.
-            return [self.outstanding_queries[msg.topic]]
-        if msg.kind is _QUERY:
-            self.outstanding_queries[msg.topic] = msg.sender
-        return self.subscribers[msg.topic]
-
     def _send(self, msg: BusMessage) -> None:
+        # An unlisted (kind, topic) raises KeyError rather than being
+        # counted and delivered to nobody.
+        receivers = self.subscribers[msg.kind, msg.topic]
         self.message_count += 1
         latency = self.latency[msg.sender]
         now, faults = self.now, self.faults
-        for receiver in self._receivers(msg):
+        for receiver in receivers:
             dropped, extra = (faults.apply(msg, receiver) if faults
                               else (False, 0.0))
             if dropped:

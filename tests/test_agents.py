@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemig import agents as ag
+from edgemig import simnet
 from edgemig.bus import BusMessage, MessageKind
 from edgemig.errors import DomainError
 from edgemig.model import StrategyKind
@@ -27,15 +28,19 @@ def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
         iterations=iterations, ns_config="netns:t1")
 
 
+TOPICS = task_info().topics
+FAILED = dict(zip(ag.Role, TOPICS.failed))
+
+
 def task_message(info):
     return BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.task_topic(info.task_id),
+        kind=MessageKind.PUBLISH, topic=info.topics.task,
         sender="orc", headers={"task": info})
 
 
 def ns_query(info):
     return BusMessage(
-        kind=MessageKind.QUERY, topic=ag.nsconfig_topic(info.task_id),
+        kind=MessageKind.QUERY, topic=info.topics.nsconfig,
         sender="dst")
 
 
@@ -61,7 +66,7 @@ def test_source_task_receipt_announces_and_checkpoints():
                                 task_message(info))
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
     [started] = sends(actions)
-    assert started.topic == ag.started_topic("t1")
+    assert started.topic == TOPICS.started
     [work] = works(actions)
     assert work.kind is ag.WorkKind.PRE_CHECKPOINT
 
@@ -122,10 +127,10 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=8192.0, round=1))
     [ready] = sends(actions)
-    assert ready.topic == ag.round_ready_topic("t1", 1)
+    assert ready.topic == TOPICS.round_ready[1]
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
     pull = BusMessage(
-        kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 1),
+        kind=MessageKind.QUERY, topic=TOPICS.round_image[1],
         sender="dst")
     state, actions = ag.advance(state, pull)
     [work] = works(actions)
@@ -133,14 +138,14 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.TRANSFER_ROUND, bytes=8192.0, round=1))
     [reply] = sends(actions)
-    assert reply.topic == ag.round_image_topic("t1", 1)
+    assert reply.topic == TOPICS.round_image[1]
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 2)
 
     # Round 2 ends the pre-copy: next comes the stop-and-copy checkpoint.
     state, _ = ag.advance(
         state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=4096.0, round=2))
     pull2 = BusMessage(
-        kind=MessageKind.QUERY, topic=ag.round_image_topic("t1", 2),
+        kind=MessageKind.QUERY, topic=TOPICS.round_image[2],
         sender="dst")
     state, _ = ag.advance(state, pull2)
     state, actions = ag.advance(
@@ -157,7 +162,7 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.TRANSFER_STOPCOPY, bytes=20480.0))
     [push] = sends(actions)
-    assert push.topic == ag.stopcopy_topic("t1")
+    assert push.topic == TOPICS.stopcopy
     assert push.payload_bytes == 20480.0
     assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
     state, actions = ag.advance(state,
@@ -175,7 +180,7 @@ def test_source_rejects_duplicate_ns_query():
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic and "duplicate" in state.diagnostic
     topics = [m.topic for m in sends(actions)]
-    assert ag.failed_topic("t1", ag.Role.SOURCE) in topics
+    assert FAILED[ag.Role.SOURCE] in topics
     assert any(isinstance(a, ag.Diagnostic) for a in actions)
 
 
@@ -230,7 +235,7 @@ def test_watchdog_and_stale_timers(role):
     assert failed.phase.kind is ag.PhaseKind.FAILED
     assert "timed out" in failed.diagnostic
     assert [m.topic for m in sends(failed_actions)] == [
-        ag.failed_topic("t1", role)]
+        FAILED[role]]
     # Once the agent is failed, a late watchdog changes nothing. (Which
     # timers are stale is the driver's business: see the simulator tests.)
     assert ag.advance(failed, ag.TimerFired()) == (failed, [])
@@ -239,9 +244,9 @@ def test_watchdog_and_stale_timers(role):
 @pytest.mark.parametrize("role", [ag.Role.SOURCE, ag.Role.DESTINATION,
                                   ag.Role.CLIENT], ids=lambda r: r.value)
 @pytest.mark.parametrize("topic,headers", [
-    (ag.ns_ready_topic("t1"), {}),
-    (ag.task_topic("t1"), {}),
-    (ag.ns_ready_topic("t1"), {"task": task_info()}),
+    (TOPICS.ns_ready, {}),
+    (TOPICS.task, {}),
+    (TOPICS.ns_ready, {"task": task_info()}),
 ], ids=["other-topic", "no-task", "task-off-its-topic"])
 def test_idle_agent_takes_only_its_task_publication(role, topic, headers):
     stray = BusMessage(kind=MessageKind.PUBLISH, topic=topic,
@@ -268,14 +273,14 @@ def test_terminal_phases_absorb_everything():
 
 def ns_reply(info, payload=0.0):
     return BusMessage(
-        kind=MessageKind.REPLY, topic=ag.nsconfig_topic(info.task_id),
+        kind=MessageKind.REPLY, topic=info.topics.nsconfig,
         sender="src", payload_bytes=payload,
         headers={"ns_config": "netns:t1"})
 
 
 def sc_push(info, payload=20480.0):
     return BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.stopcopy_topic(info.task_id),
+        kind=MessageKind.PUBLISH, topic=info.topics.stopcopy,
         sender="src", payload_bytes=payload)
 
 
@@ -285,7 +290,7 @@ def test_destination_queries_namespace_config_on_task():
                                 task_message(info))
     [query] = sends(actions)
     assert query.kind is MessageKind.QUERY
-    assert query.topic == ag.nsconfig_topic("t1")
+    assert query.topic == TOPICS.nsconfig
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
     assert timers(actions)
 
@@ -297,15 +302,15 @@ def test_destination_full_walk_with_flow_settle():
     state, _ = ag.advance(state, ns_reply(info, payload=float(M)))
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 1)
     ready = BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.round_ready_topic("t1", 1),
+        kind=MessageKind.PUBLISH, topic=TOPICS.round_ready[1],
         sender="src")
     state, actions = ag.advance(state, ready)
     [pull] = sends(actions)
     assert pull.kind is MessageKind.QUERY
-    assert pull.topic == ag.round_image_topic("t1", 1)
+    assert pull.topic == TOPICS.round_image[1]
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
     image = BusMessage(
-        kind=MessageKind.REPLY, topic=ag.round_image_topic("t1", 1),
+        kind=MessageKind.REPLY, topic=TOPICS.round_image[1],
         sender="src", payload_bytes=8192.0)
     state, actions = ag.advance(state, image)
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
@@ -322,7 +327,7 @@ def test_destination_full_walk_with_flow_settle():
     state, actions = ag.advance(state,
                                 ag.Work(ag.WorkKind.NS_RECREATE))
     [msg] = sends(actions)
-    assert msg.topic == ag.ns_ready_topic("t1")
+    assert msg.topic == TOPICS.ns_ready
     # Restore waits for the flow update to settle, a work item like any
     # other; no timer is armed for it.
     [work] = works(actions)
@@ -335,7 +340,7 @@ def test_destination_full_walk_with_flow_settle():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.RESTORE, bytes=20480.0))
     [done] = sends(actions)
-    assert done.topic == ag.done_topic("t1")
+    assert done.topic == TOPICS.done
     assert state.phase.kind is ag.PhaseKind.DONE
 
 
@@ -380,7 +385,7 @@ def test_client_updates_flow_and_publishes_nothing():
                                 task_message(info))
     assert sends(actions) == []
     ns_ready = BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.ns_ready_topic("t1"), sender="dst")
+        kind=MessageKind.PUBLISH, topic=TOPICS.ns_ready, sender="dst")
     state, actions = ag.advance(state, ns_ready)
     assert sends(actions) == []
     [work] = works(actions)
@@ -401,16 +406,16 @@ def test_orchestrator_lifecycle():
     state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
     state, actions = ag.advance(state, ag.Kickoff())
     [pub] = sends(actions)
-    assert pub.topic == ag.task_topic("t1")
+    assert pub.topic == TOPICS.task
     assert pub.headers == {"task": info}
 
     started = BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.started_topic("t1"), sender="src")
+        kind=MessageKind.PUBLISH, topic=TOPICS.started, sender="src")
     state, _ = ag.advance(state, started)
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
     done = BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.done_topic("t1"), sender="dst")
+        kind=MessageKind.PUBLISH, topic=TOPICS.done, sender="dst")
     state, actions = ag.advance(state, done)
     assert state.phase.kind is ag.PhaseKind.DONE
     assert actions == []
@@ -421,7 +426,7 @@ def test_orchestrator_collects_failures():
     state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
     state, _ = ag.advance(state, ag.Kickoff())
     failure = BusMessage(
-        kind=MessageKind.PUBLISH, topic=ag.failed_topic("t1", ag.Role.CLIENT),
+        kind=MessageKind.PUBLISH, topic=FAILED[ag.Role.CLIENT],
         sender="cli", headers={"reason": "timed out waiting in phase idle"})
     state, actions = ag.advance(state, failure)
     assert state.phase.kind is ag.PhaseKind.FAILED
@@ -433,25 +438,50 @@ def test_orchestrator_collects_failures():
 # Routing
 
 
-def test_every_topic_builder_routes_to_its_roles():
+# Iterative pre-copy with I=2, spelled out: (sender, kind, topic, receivers).
+CLEAN_RUN_I2 = [
+    ("orchestrator", "publish", "mig/t1/orchestrator/task",
+     ["source", "destination", "client"]),
+    ("source", "publish", "mig/t1/source/started", ["orchestrator"]),
+    ("destination", "query", "mig/t1/source/nsconfig", ["source"]),
+    ("source", "reply", "mig/t1/source/nsconfig", ["destination"]),
+    ("source", "publish", "mig/t1/source/round/1/ready", ["destination"]),
+    ("destination", "query", "mig/t1/source/round/1/image", ["source"]),
+    ("source", "reply", "mig/t1/source/round/1/image", ["destination"]),
+    ("source", "publish", "mig/t1/source/round/2/ready", ["destination"]),
+    ("destination", "query", "mig/t1/source/round/2/image", ["source"]),
+    ("source", "reply", "mig/t1/source/round/2/image", ["destination"]),
+    ("source", "publish", "mig/t1/source/stopcopy/image", ["destination"]),
+    ("destination", "publish", "mig/t1/destination/ns-ready", ["client"]),
+    ("destination", "publish", "mig/t1/destination/done", ["orchestrator"]),
+]
+
+
+def test_clean_run_is_the_spelled_out_protocol():
     info = task_info(iterations=2)
-    src, dst, cli, orc = (ag.Role.SOURCE, ag.Role.DESTINATION,
-                          ag.Role.CLIENT, ag.Role.ORCHESTRATOR)
-    routes = {
-        ag.task_topic("t1"): (src, dst, cli),
-        ag.started_topic("t1"): (orc,),
-        ag.round_ready_topic("t1", 1): (dst,),
-        ag.round_ready_topic("t1", 2): (dst,),
-        ag.stopcopy_topic("t1"): (dst,),
-        ag.ns_ready_topic("t1"): (cli,),
-        ag.done_topic("t1"): (orc,),
-        # Queries go to the one role owning the topic.
-        ag.nsconfig_topic("t1"): (src,),
-        ag.round_image_topic("t1", 1): (src,),
-        ag.round_image_topic("t1", 2): (src,),
-    }
-    routes.update({ag.failed_topic("t1", role): (orc,) for role in ag.Role})
-    assert ag.subscriptions(info) == routes
+    assert [(step.sender.value, step.kind.value, step.topic,
+             [role.value for role in step.receivers])
+            for step in ag.clean_run(info)] == CLEAN_RUN_I2
+    # Every role reports its failure to the orchestrator, and the route
+    # table holds exactly these routes, each role resolved to its agent.
+    failures = [("publish", f"mig/t1/{role}/failed", ["orchestrator"])
+                for role in ("source", "destination", "client",
+                             "orchestrator")]
+    agent_of = {"source": "src", "destination": "dst", "client": "cli",
+                "orchestrator": "orc"}
+    expected = {(MessageKind(kind), topic): tuple(agent_of[r] for r in to)
+                for kind, topic, to in ([step[1:] for step in CLEAN_RUN_I2]
+                                        + failures)}
+    assert dict(simnet._routes(info)) == expected
+
+
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    *((StrategyKind.ITERATIVE_PRE_COPY, i) for i in range(1, 9)),
+])
+def test_clean_run_sends_seven_plus_three_per_round(strategy, iters):
+    assert len(ag.clean_run(task_info(strategy, iters))) == 7 + 3 * iters
 
 
 @pytest.mark.parametrize("strategy", [StrategyKind.COLD,
@@ -460,13 +490,13 @@ def test_namespace_reply_without_its_configuration_fails(strategy):
     info = task_info(strategy, 0)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
-    bare = BusMessage(MessageKind.REPLY, ag.nsconfig_topic("t1"), "src")
+    bare = BusMessage(MessageKind.REPLY, TOPICS.nsconfig, "src")
     state, actions = ag.advance(state, bare)
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic.startswith(
         "unexpected reply on mig/t1/source/nsconfig in phase ")
     assert [a.topic for a in sends(actions)] == [
-        ag.failed_topic("t1", ag.Role.DESTINATION)]
+        FAILED[ag.Role.DESTINATION]]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +569,10 @@ def _noise(info):
     """Events a protocol step may not be waiting for: every topic of the
     task in every message kind, every work kind and round, a watchdog and
     a second kickoff."""
+    topics = dict.fromkeys([*(step.topic for step in ag.clean_run(info)),
+                            *info.topics.failed])
     msgs = [BusMessage(kind=kind, topic=topic, sender="x")
-            for topic in ag.subscriptions(info) for kind in MessageKind]
+            for topic in topics for kind in MessageKind]
     done = [ag.Work(kind, 4096.0, round_index) for kind in ag.WorkKind
             for round_index in range(info.iterations + 1)]
     return msgs + done + [ag.TimerFired(), ag.Kickoff()]
@@ -561,9 +593,7 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
         ("cli", ag.Role.CLIENT))}
     states["orc"] = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc",
                                   info=info)
-    by_role = {state.role: aid for aid, state in states.items()}
-    routes = ag.subscriptions(info)
-    asked = {}  # query topic -> the agent that asked
+    routes = simnet._routes(info)
     noise = _noise(info)
     pending, guarded = [("orc", ag.Kickoff())], set()
     for _ in range(data.draw(st.integers(1, 80))):
@@ -592,15 +622,8 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
         states[agent_id] = new_state
         for action in actions:
             if isinstance(action, BusMessage):
-                if action.kind is MessageKind.REPLY:
-                    receivers = [asked[action.topic]] \
-                        if action.topic in asked else []
-                else:
-                    if action.kind is MessageKind.QUERY:
-                        asked[action.topic] = agent_id
-                    receivers = [by_role[role]
-                                 for role in routes.get(action.topic, ())]
-                pending += [(receiver, action) for receiver in receivers]
+                pending += [(receiver, action) for receiver in
+                            routes.get((action.kind, action.topic), ())]
             elif isinstance(action, ag.Work):
                 pending.append((agent_id, ag.Work(
                     action.kind, action.bytes or 4096.0, action.round)))

@@ -208,6 +208,15 @@ def test_sweep_spec_rejects_non_finite_bounds(field, value):
         SweepSpec(variable="target_duration_s", profiles=("p",), **bounds)
 
 
+def test_sweep_profile_listed_twice_rejected(raw):
+    # Accepted before: two rows per target for one (target, profile).
+    raw["sweep"]["profiles"] = ["stream-analytics", "packet-probe",
+                                "stream-analytics"]
+    with pytest.raises(ScenarioError, match="^sweep lists profile "
+                                            "'stream-analytics' twice$"):
+        parse_scenario(raw)
+
+
 @pytest.mark.parametrize("step_s", [1e-300, 8e-6])
 def test_sweep_grid_too_large_to_enumerate_rejected(raw, step_s):
     # 1e-300 does not even move from_s: from_s + step_s == from_s.
@@ -295,7 +304,8 @@ def saved_documents(draw):
             "variable": draw(st.sampled_from(["target_duration_s",
                                               "target_downtime_s"])),
             "from_s": from_s, "to_s": to_s, "step_s": step_s,
-            "profiles": _items(draw, lambda: draw(st.sampled_from(profiles)))}
+            "profiles": draw(st.lists(st.sampled_from(profiles), min_size=1,
+                                      max_size=3, unique=True))}
     if draw(st.booleans()):
         lower, upper = sorted({_mbps(draw), _mbps(draw)} | {0.0})[-2:]
         doc["bandwidth_distribution"] = {

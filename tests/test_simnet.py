@@ -367,22 +367,55 @@ def test_stream_index_must_be_a_whole_number(stream):
 ])
 def test_every_sent_message_has_a_receiver(monkeypatch, strategy, iters):
     routed = []
-    receivers = simnet._Sim._receivers
+    send = simnet._Sim._send
 
     def spy(self, msg):
-        result = receivers(self, msg)
-        routed.append((msg, result))
-        return result
+        routed.append((msg, self.subscribers[msg.kind, msg.topic]))
+        send(self, msg)
 
-    monkeypatch.setattr(simnet._Sim, "_receivers", spy)
+    monkeypatch.setattr(simnet._Sim, "_send", spy)
     scenario = make_scenario(dirty_rate=2.0)
     outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
     assert outcome.completed
     assert len(routed) == outcome.message_count == 7 + 3 * iters
     assert all(result for _, result in routed)
     # Every reply goes back to the destination, the only querier.
-    assert all(result == ["b"] for msg, result in routed
+    assert all(result == ("b",) for msg, result in routed
                if msg.kind is MessageKind.REPLY)
+
+
+@pytest.mark.parametrize("latency_s", [0.0, 0.002])
+@pytest.mark.parametrize("strategy,iters", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    *((StrategyKind.ITERATIVE_PRE_COPY, i) for i in range(1, 9)),
+])
+def test_clean_run_sends_and_delivers_the_protocol_table(strategy, iters,
+                                                         latency_s):
+    scenario = make_scenario(dirty_rate=2.0, latency_s=latency_s)
+    config = make_config(scenario, strategy, iters)
+    info = simnet._Sim(scenario, config, (), False).info
+    outcome = run_scenario(scenario, config)
+    assert outcome.completed
+    agent_of = dict(zip(simnet.ag.Role, "abco"))
+    table = simnet.ag.clean_run(info)
+    # Per sender, because the interleaving across senders depends on timing.
+    sent, expected, delivered = {}, {}, {}
+    for step in table:
+        expected.setdefault(agent_of[step.sender], []).append(
+            (step.kind.value, step.topic))
+    for ev in outcome.events:
+        for doc in ev.actions:
+            if "send" in doc:
+                sent.setdefault(ev.agent, []).append((doc["send"],
+                                                      doc["topic"]))
+        if ev.event["type"] == "message":
+            delivered.setdefault((ev.event["kind"], ev.event["topic"]),
+                                 []).append(ev.agent)
+    assert sent == expected
+    assert delivered == {
+        (step.kind.value, step.topic): [agent_of[r] for r in step.receivers]
+        for step in table}
 
 
 def test_publication_without_subscribers_is_not_dropped_silently():
@@ -394,7 +427,7 @@ def test_publication_without_subscribers_is_not_dropped_silently():
                              topic="mig/ms-0/source/unknown", sender="a"))
 
 
-def test_reply_without_outstanding_query_is_not_dropped_silently():
+def test_reply_on_an_unlisted_topic_is_not_dropped_silently():
     scenario = make_scenario()
     sim = simnet._Sim(scenario, make_config(scenario, StrategyKind.COLD),
                       (), False)
@@ -754,9 +787,16 @@ def test_agent_left_with_nothing_pending_is_diagnosed():
     (lambda: DelayRule("/round/1/ready", 1.0, occurrence=-1), "occurrence"),
     (lambda: DropRule("/round/1/ready", occurrence=1.5), "occurrence"),
     (lambda: DropRule("/round/1/ready", occurrence=True), "occurrence"),
+    # Crashed run_scenario with a bare TypeError from the substring test.
+    (lambda: DropRule(5), "topic_contains"),
+    (lambda: DelayRule(None, 1.0), "topic_contains"),
+    # Never matched: a receiver is an agent id.
+    (lambda: DropRule("/task", receiver=3), "receiver"),
+    (lambda: DelayRule("/task", 1.0, receiver=b"a"), "receiver"),
 ], ids=["delay-5", "delay-0.001", "delay-nan", "delay-inf", "delay-bool",
         "delay-str", "delay-none", "occurrence-0", "occurrence-negative",
-        "occurrence-fractional", "occurrence-bool"])
+        "occurrence-fractional", "occurrence-bool", "topic-int",
+        "topic-none", "receiver-int", "receiver-bytes"])
 def test_bad_fault_rules_are_rejected_where_built(build, field):
     with pytest.raises(DomainError, match=field):
         build()
