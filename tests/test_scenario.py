@@ -6,6 +6,7 @@ import json
 import re
 from itertools import combinations
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -457,6 +458,68 @@ def test_section_of_the_wrong_shape_rejected_with_its_key_path(
     raw[section] = value
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}"):
         parse_scenario(raw)
+
+
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("calibration_runs", 2, "x"), 1,
+     "calibration_runs[2]: unknown keys ['x']"),
+    (("surprise",), 1, "scenario: unknown keys ['surprise']"),
+    (("links", 2, "latency_s"), "0.5",
+     "links[2].latency_s: expected a number, got '0.5'"),
+    (("hosts", 3, "role"), None, "hosts[3].role: expected a string, got None"),
+    (("dirty_samples", 1, "pages_modified"), 2.5,
+     "dirty_samples[1].pages_modified must be a whole number >= 0, got 2.5"),
+    (("calibration_runs", 1, "image_bytes"), True,
+     "calibration_runs[1].image_bytes: expected a number, got True"),
+    (("calibration_runs", 2, "bandwidth_mbps"), False,
+     "calibration_runs[2].bandwidth_mbps: expected a number, got False"),
+    (("model_params", "restore_fixed_s"), True,
+     "model_params.restore_fixed_s: expected a number, got True"),
+], ids=lambda v: _key_path(v) if isinstance(v, tuple) else None)
+def test_decoder_messages_name_the_exact_key_path(raw, path, value, message):
+    _set(raw, path, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("path, literal, message", [
+    (("dirty_samples", 1, "window_s"), "1e400",
+     "dirty_samples[1].window_s: inf is not a finite number"),
+    (("calibration_runs", 2, "image_bytes"), "1e400",
+     "calibration_runs[2].image_bytes: inf is not a finite number"),
+    (("sweep", "step_s"), "-1e400",
+     "sweep.step_s: -inf is not a finite number"),
+], ids=lambda v: _key_path(v) if isinstance(v, tuple) else None)
+def test_overflowing_json_literal_message_is_exact(tmp_path, raw, path,
+                                                   literal, message):
+    _set(raw, path, "@literal@")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw).replace('"@literal@"', literal))
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        load_scenario(bad)
+
+
+def test_any_mapping_parses_like_a_dict(raw):
+    def frozen(node):
+        if isinstance(node, dict):
+            return MappingProxyType({k: frozen(v) for k, v in node.items()})
+        if isinstance(node, list):
+            return [frozen(v) for v in node]
+        return node
+
+    proxy = frozen(raw)
+    assert isinstance(proxy["calibration_runs"][0], MappingProxyType)
+    scenario = parse_scenario(raw)
+    assert parse_scenario(proxy) == scenario
+    assert parse_scenario(proxy).mbps_as_read == scenario.mbps_as_read
+    assert scenario.mbps_as_read
 
 
 def test_whole_valued_floats_accepted_as_whole_numbers(raw):
