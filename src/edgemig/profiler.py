@@ -159,7 +159,7 @@ def calibration_fit(runs: Iterable[CalibrationRun]) -> CalibrationFit:
     """
     runs = list(runs)
     sizes = np.array([r.image_bytes for r in runs], dtype=float)
-    if len(runs) < 2 or np.unique(sizes).size < 2:
+    if len(runs) < 2 or sizes.min() == sizes.max():
         raise CalibrationError(
             "parameter fit is under-determined: need runs at two or more "
             "distinct image sizes")

@@ -233,13 +233,12 @@ def _convert(value: Any, kind: Any, where: str) -> Any:
     return kind(value)
 
 
-def _check_object(raw: Any, keys: Sequence[str], required: Sequence[str],
+def _check_object(raw: Any, keys: frozenset[str], required: Sequence[str],
                   where: str) -> None:
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ScenarioError(f"{where}: expected an object, got {raw!r}")
-    extra = set(raw) - set(keys)
-    if extra:
-        raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
+    if not keys.issuperset(raw):
+        raise ScenarioError(f"{where}: unknown keys {sorted(set(raw) - keys)}")
     for key in required:
         if key not in raw:
             raise ScenarioError(f"{where}: missing key {key!r}")
@@ -248,26 +247,35 @@ def _check_object(raw: Any, keys: Sequence[str], required: Sequence[str],
 def _decode(raw: Any, build: Callable[..., Any], fields: Sequence[_Field],
             where: str, many: bool, as_read: dict[str, float]) -> Any:
     """Build one section object, or with ``many`` a tuple from a list;
-    note each scaled value as read in ``as_read``."""
-    if many:
-        if not isinstance(raw, list):
-            raise ScenarioError(f"{where}: expected a list, got {raw!r}")
-        return tuple(_decode(item, build, fields, f"{where}[{i}]", False,
-                             as_read) for i, item in enumerate(raw))
-    _check_object(raw, [f.key for f in fields],
-                  [f.key for f in fields if f.default is _REQUIRED], where)
-    out: dict[str, Any] = {}
-    for f in fields:
-        if f.key not in raw:
-            value = f.default(raw) if callable(f.default) else f.default
-        else:
-            value = _convert(raw[f.key], f.kind, f"{where}.{f.key}")
-            if f.scale:
-                as_read[f"{where}.{f.key}"] = value
-                value *= f.scale
-        head, _, name = (f.attr or f.key).rpartition(".")
-        (out.setdefault(head, {}) if head else out)[name] = value
-    return build(**out)
+    note each scaled value as read in ``as_read``. The per-section work
+    (key set, required keys, attribute splits) is done once; a finite
+    float or an int >= 0 within float range is taken as it is, so a key
+    path is built only for an error, a str or a scaled value."""
+    if many and not isinstance(raw, list):
+        raise ScenarioError(f"{where}: expected a list, got {raw!r}")
+    keys = frozenset(f.key for f in fields)
+    required = [f.key for f in fields if f.default is _REQUIRED]
+    plan = [(f, {float: -FLOAT_MAX, int: 0}.get(f.kind),
+             *(f.attr or f.key).rpartition(".")[::2]) for f in fields]
+    built = []
+    for i, item in enumerate(raw if many else (raw,)):
+        at = f"{where}[{i}]" if many else where
+        _check_object(item, keys, required, at)
+        out: dict[str, Any] = {}
+        for f, low, head, name in plan:
+            value = item.get(f.key, _REQUIRED)
+            if value is _REQUIRED:
+                value = f.default(item) if callable(f.default) else f.default
+            else:
+                if low is None or type(value) is not f.kind \
+                        or not low <= value <= FLOAT_MAX:
+                    value = _convert(value, f.kind, f"{at}.{f.key}")
+                if f.scale:
+                    as_read[f"{at}.{f.key}"] = value
+                    value *= f.scale
+            (out.setdefault(head, {}) if head else out)[name] = value
+        built.append(build(**out))
+    return tuple(built) if many else built[0]
 
 
 def _encode(obj: Any, fields: Sequence[_Field], where: str,
@@ -363,7 +371,7 @@ _SECTIONS = (
 
 def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build a scenario from a parsed JSON document (strict)."""
-    _check_object(raw, ("seed", *(s[0] for s in _SECTIONS)),
+    _check_object(raw, frozenset(("seed", *(s[0] for s in _SECTIONS))),
                   ("seed", *(s[0] for s in _SECTIONS if s[3])), "scenario")
     as_read: dict[str, float] = {}
     try:

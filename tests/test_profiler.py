@@ -132,6 +132,18 @@ def test_fit_needs_two_distinct_sizes():
         calibration_fit(_affine_runs([1_000_000, 1_000_000]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 4096.0, 2.0**30]),
+                max_size=6))
+def test_fit_is_under_determined_exactly_without_two_distinct_sizes(sizes):
+    runs = _affine_runs(sizes)
+    if len(set(sizes)) < 2:
+        with pytest.raises(CalibrationError, match="under-determined"):
+            calibration_fit(runs)
+    else:
+        assert calibration_fit(runs).checkpoint_rms_s < 1e-9
+
+
 def _check_affine_nnls(sizes, durations):
     """The closed-form fit is the NNLS optimum and agrees with scipy's."""
     from scipy.optimize import nnls
