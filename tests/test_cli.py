@@ -319,13 +319,25 @@ def scipy_modules_loaded_by(names, tmp_path):
 LAZY_PROBE = """
 import json, sys
 import edgemig.cli
-watched = ("multiprocessing", "concurrent.futures.process", "numpy.random")
+watched = json.loads(sys.argv[2])
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert edgemig.cli.main(argv) == 0, argv
     loaded.append([m for m in watched if m in sys.modules])
 print(json.dumps(loaded))
 """
+
+
+def watched_modules_after_each(commands, watched):
+    """In one fresh interpreter, with every warning an error: which of
+    `watched` are loaded after each command in turn."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", LAZY_PROBE,
+         json.dumps(commands), json.dumps(watched)],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
 
 
 def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
@@ -344,18 +356,25 @@ def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
         ["simulate", "--scenario", DEMO, "--out", str(tmp_path / "run")],
         ["sweep", "--scenario", DEMO, "--out", str(tmp_path / "sweep")],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", LAZY_PROBE,
-         json.dumps(commands)],
-        env=src_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [[], [], ["numpy.random"],
-                                       ["numpy.random"]]
+    watched = ["multiprocessing", "concurrent.futures.process", "numpy.random"]
+    assert watched_modules_after_each(commands, watched) == [
+        [], [], ["numpy.random"], ["numpy.random"]]
     strategies = {line.split(",")[2] for line in
                   (tmp_path / "cold").read_text().splitlines()[1:]}
     assert strategies == {"cold"}
     assert json.loads((tmp_path / "run").read_text())["strategy"] != "cold"
+
+
+def test_no_command_loads_numpy_ma_and_profile_and_fit_draw_nothing(
+        tmp_path):
+    """numpy.ma is what np.unique imports; the fit needs no masked arrays.
+    profile and fit draw nothing, so they load no generator either."""
+    commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
+                for name in ("profile", "fit", "plan", "simulate", "dist",
+                             "sweep")]
+    loaded = watched_modules_after_each(commands, ["numpy.ma", "numpy.random"])
+    assert loaded == [[], [], [], ["numpy.random"], ["numpy.random"],
+                      ["numpy.random"]]
 
 
 def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
