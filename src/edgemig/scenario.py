@@ -115,7 +115,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ScenarioError(f"unknown sweep variable {self.variable!r}")
-        check_number("from_s", self.from_s, error=ScenarioError)
+        check_number("from_s", self.from_s, above=True, error=ScenarioError)
         check_number("to_s", self.to_s, self.from_s, error=ScenarioError)
         check_number("step_s", self.step_s, above=True, error=ScenarioError)
         # Overflow to inf counts as too many.

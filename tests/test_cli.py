@@ -511,6 +511,19 @@ def test_task_agents_must_be_distinct(tmp_path, capsys, role, same_as):
     assert message in capsys.readouterr().err
 
 
+def test_sweep_from_zero_is_rejected_naming_from_s(tmp_path, capsys):
+    # Accepted before, then every row failed on the task's target instead.
+    doc = json.loads(Path(DEMO).read_text())
+    doc["sweep"]["from_s"] = 0.0
+    path = tmp_path / "from_zero.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: from_s must be finite and > 0, got 0.0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 def test_missing_source_destination_link_is_a_usage_error(tmp_path, capsys,
                                                           command):

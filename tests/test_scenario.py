@@ -298,7 +298,8 @@ def saved_documents(draw):
                      "orchestrator": draw(st.sampled_from(hosts))})
         doc["task"] = task
     if draw(st.booleans()):
-        from_s, to_s = sorted((draw(_nonneg), draw(_nonneg)))
+        # SweepSpec takes a from_s > 0 only.
+        from_s, to_s = sorted((draw(_pos), draw(_pos)))
         step_s = draw(_pos)
         assume((to_s - from_s) / step_s < MAX_SWEEP_TARGETS)
         doc["sweep"] = {

@@ -90,7 +90,7 @@ CASES = {
         dict(variable="target_duration_s", from_s=1.0, to_s=2.0, step_s=0.5,
              profiles=("p",)),
         # to_s lies at or above from_s, 1.0 here.
-        dict(from_s=BELOW_0, to_s=st.floats(max_value=1.0, exclude_max=True),
+        dict(from_s=AT_MOST_0, to_s=st.floats(max_value=1.0, exclude_max=True),
              step_s=AT_MOST_0)),
     DropRule: (dict(topic_contains="/task"),
                dict(occurrence=NOT_WHOLE_AT_LEAST_1)),
