@@ -142,6 +142,13 @@ def _key_path(path):
                              for k in path[1:])
 
 
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
 @pytest.mark.parametrize("path, value", [
     (("sweep", "step_s"), float("nan")),
     (("links", 0, "latency_s"), float("nan")),
@@ -151,10 +158,7 @@ def _key_path(path):
     (("calibration_runs", 2, "image_bytes"), float("inf")),
 ])
 def test_non_finite_number_rejected_with_its_key_path(raw, path, value):
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _set(raw, path, value)
     with pytest.raises(ScenarioError, match=f"^{re.escape(_key_path(path))}: "
                                             ".* is not a finite number"):
         parse_scenario(raw)
@@ -170,10 +174,7 @@ def test_non_finite_number_rejected_with_its_key_path(raw, path, value):
 ], ids=lambda path: ".".join(map(str, path)))
 def test_whole_number_beyond_float_range_rejected(raw, path):
     # Rejected on load, before any float() of it can raise OverflowError.
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = 10 ** 400
+    _set(raw, path, 10 ** 400)
     with pytest.raises(ScenarioError, match=f"^{re.escape(_key_path(path))}: "
                                             "whole number too large"):
         parse_scenario(raw)
@@ -461,13 +462,6 @@ def test_section_of_the_wrong_shape_rejected_with_its_key_path(
         parse_scenario(raw)
 
 
-def _set(raw, path, value):
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-
-
 @pytest.mark.parametrize("path, value, message", [
     (("calibration_runs", 2, "x"), 1,
      "calibration_runs[2]: unknown keys ['x']"),
@@ -517,10 +511,9 @@ def test_any_mapping_parses_like_a_dict(raw):
 
     proxy = frozen(raw)
     assert isinstance(proxy["calibration_runs"][0], MappingProxyType)
-    scenario = parse_scenario(raw)
-    assert parse_scenario(proxy) == scenario
-    assert parse_scenario(proxy).mbps_as_read == scenario.mbps_as_read
-    assert scenario.mbps_as_read
+    scenario, from_proxy = parse_scenario(raw), parse_scenario(proxy)
+    assert from_proxy == scenario
+    assert from_proxy.mbps_as_read == scenario.mbps_as_read != {}
 
 
 def test_whole_valued_floats_accepted_as_whole_numbers(raw):
