@@ -53,8 +53,6 @@ from .scenario import (
     SweepSpec,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 from .simnet import (
     DelayRule,
@@ -107,8 +105,6 @@ __all__ = [
     "plan_from_scenario",
     "precopy_kpis",
     "run_scenario",
-    "save_scenario",
-    "scenario_to_dict",
     "strategy_distribution",
     "strategy_kpis",
 ]

@@ -3,8 +3,7 @@
 A scenario is the single input format shared by the command-line tools and
 the simulator. Parsing is strict — unknown keys, missing keys and values
 of the wrong kind raise :class:`~edgemig.errors.ScenarioError` naming the
-key path. Saving writes every key, defaulted ones included, so a document
-already in saved form round-trips byte for byte.
+key path. An absent optional key reads as its default.
 
 Top-level sections::
 
@@ -31,9 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
-from enum import Enum
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -154,10 +151,6 @@ class Scenario:
     bandwidth_distribution: Optional[BandwidthDistribution] = None
     dirty_samples: tuple[DirtySample, ...] = ()
     calibration_runs: tuple[CalibrationRun, ...] = ()
-    # Each Mbps value as read, by key path, so that saving writes back the
-    # digits read while they still scale to the value held.
-    mbps_as_read: Mapping[str, float] = field(
-        default_factory=dict, compare=False, repr=False)
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
         """Undirected link lookup; None when the pair is not connected."""
@@ -174,7 +167,7 @@ class Scenario:
 
 
 # --------------------------------------------------------------------------
-# Codec: one field table per section drives both parsing and saving
+# Decoder: one field table per section drives parsing
 
 _REQUIRED = object()
 
@@ -185,9 +178,9 @@ class _Field(NamedTuple):
     ``kind`` is ``str``, ``float``, ``int`` (a whole number >= 0),
     ``tuple`` (a list of strings) or an Enum class. ``default`` is the
     attribute value for an absent key; a callable one is given the raw
-    section. ``attr`` is the path saving reads, dotted for a nested
-    object; it defaults to ``key``. ``scale`` turns the JSON unit into the
-    attribute's (Mbps into bytes/s).
+    section. ``attr`` is the constructor argument the value fills, dotted
+    for a nested object; it defaults to ``key``. ``scale`` turns the JSON
+    unit into the attribute's (Mbps into bytes/s).
     """
 
     key: str
@@ -245,12 +238,11 @@ def _check_object(raw: Any, keys: frozenset[str], required: Sequence[str],
 
 
 def _decode(raw: Any, build: Callable[..., Any], fields: Sequence[_Field],
-            where: str, many: bool, as_read: dict[str, float]) -> Any:
-    """Build one section object, or with ``many`` a tuple from a list;
-    note each scaled value as read in ``as_read``. The per-section work
-    (key set, required keys, attribute splits) is done once; a finite
-    float or an int >= 0 within float range is taken as it is, so a key
-    path is built only for an error, a str or a scaled value."""
+            where: str, many: bool) -> Any:
+    """Build one section object, or with ``many`` a tuple from a list.
+    The per-section work (key set, required keys, attribute splits) is
+    done once; a finite float or an int >= 0 within float range is taken
+    as it is, so a key path is built only for an error or a str."""
     if many and not isinstance(raw, list):
         raise ScenarioError(f"{where}: expected a list, got {raw!r}")
     keys = frozenset(f.key for f in fields)
@@ -271,30 +263,10 @@ def _decode(raw: Any, build: Callable[..., Any], fields: Sequence[_Field],
                         or not low <= value <= FLOAT_MAX:
                     value = _convert(value, f.kind, f"{at}.{f.key}")
                 if f.scale:
-                    as_read[f"{at}.{f.key}"] = value
                     value *= f.scale
             (out.setdefault(head, {}) if head else out)[name] = value
         built.append(build(**out))
     return tuple(built) if many else built[0]
-
-
-def _encode(obj: Any, fields: Sequence[_Field], where: str,
-            as_read: Mapping[str, float]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for f in fields:
-        value = attrgetter(f.attr or f.key)(obj)
-        if value is None:
-            continue
-        if f.scale:
-            read = as_read.get(f"{where}.{f.key}")
-            value = (read if read is not None and read * f.scale == value
-                     else value / f.scale)
-        elif f.kind is tuple:
-            value = list(value)
-        elif isinstance(value, Enum):
-            value = value.value
-        out[f.key] = value
-    return out
 
 
 def _sim_profile(profile: dict[str, Any], **fields: Any) -> SimProfile:
@@ -321,7 +293,7 @@ def _distribution(upper_bytes_per_s: Optional[float],
 
 
 _MBPS = BYTES_PER_S_PER_MBPS
-# key, builder, fields, required, is a list; in saving order.
+# key, builder, fields, required, is a list.
 _SECTIONS = (
     ("hosts", Host, (_Field("id", str), _Field("role", str)), True, True),
     ("links", Link, (
@@ -373,32 +345,16 @@ def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build a scenario from a parsed JSON document (strict)."""
     _check_object(raw, frozenset(("seed", *(s[0] for s in _SECTIONS))),
                   ("seed", *(s[0] for s in _SECTIONS if s[3])), "scenario")
-    as_read: dict[str, float] = {}
     try:
         scenario = Scenario(seed=_convert(raw["seed"], int, "seed"), **{
-            key: _decode(raw[key], build, fields, key, many, as_read)
-            for key, build, fields, _, many in _SECTIONS if key in raw},
-            mbps_as_read=as_read)
+            key: _decode(raw[key], build, fields, key, many)
+            for key, build, fields, _, many in _SECTIONS if key in raw})
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     _validate_references(scenario)
     return scenario
-
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Saved form: every key of every section present, in table order."""
-    doc: dict[str, Any] = {"seed": scenario.seed}
-    as_read = scenario.mbps_as_read
-    for key, _, fields, required, many in _SECTIONS:
-        value = getattr(scenario, key)
-        if many and (value or required):
-            doc[key] = [_encode(item, fields, f"{key}[{i}]", as_read)
-                        for i, item in enumerate(value)]
-        elif not many and value is not None:
-            doc[key] = _encode(value, fields, key, as_read)
-    return doc
 
 
 def _validate_references(scenario: Scenario) -> None:
@@ -438,11 +394,3 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     return parse_scenario(raw)
-
-
-def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps_scenario(scenario), encoding="utf-8")
-
-
-def dumps_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"

@@ -1,24 +1,29 @@
 """End-to-end command-line checks, run in process via ``main``."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
 import types
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgemig
 from edgemig import cli, load_scenario, plan_from_scenario, run_scenario
 from edgemig.errors import ScenarioError
 from edgemig.model import BYTES_PER_S_PER_MBPS, ModelParams
 from edgemig.orchestrator import Objective
-from edgemig.scenario import SWEEP_VARIABLES
+from edgemig.scenario import HOST_ROLES, SWEEP_VARIABLES
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "scenario.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -489,6 +494,91 @@ def test_extreme_values_run_or_are_rejected_by_name(tmp_path, capsys,
             err = capsys.readouterr().err
             assert code in (0, 2), (value, command)
             assert code == 0 or err.startswith("error: "), (value, command)
+
+
+_names = st.text(min_size=1, max_size=6)
+_pos = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False,
+                 allow_infinity=False, exclude_min=True)
+_nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                    allow_infinity=False)
+_whole = st.integers(min_value=0, max_value=2**40)
+
+
+def _items(draw, make):
+    return [make() for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def scenario_documents(draw):
+    """A document with every section of the schema, whose four task hosts
+    are distinct and whose source and destination are linked, so that the
+    task can be planned and simulated."""
+    hosts = draw(st.lists(_names, min_size=4, max_size=5, unique=True))
+    agents = draw(st.permutations(hosts))[:4]
+    others = [p for p in combinations(hosts, 2) if set(p) != set(agents[:2])]
+    pairs = [agents[:2], *draw(st.lists(st.sampled_from(others),
+                                        max_size=3, unique=True))]
+    profiles = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+    objective = draw(st.sampled_from([o.value for o in Objective]))
+    task = {"container_id": draw(_names), "objective": objective,
+            "ms_profile": draw(st.sampled_from(profiles)),
+            **dict(zip(("source", "destination", "client", "orchestrator"),
+                       agents))}
+    for key, needed in (("target_downtime_s", "minimize_resources"),
+                        ("target_duration_s", "minimize_downtime")):
+        if objective == needed or draw(st.booleans()):
+            task[key] = draw(_pos)
+    from_s, step_s = draw(_pos), draw(_pos)
+    lower, upper = sorted({draw(_pos), draw(_pos)} | {0.0})[-2:]
+    return {
+        "seed": draw(_whole),
+        "hosts": [{"id": h, "role": draw(st.sampled_from(HOST_ROLES))}
+                  for h in hosts],
+        "links": [{"from": a, "to": b, "bandwidth_mbps": draw(_pos),
+                   "latency_s": draw(st.floats(0.0, 0.05))}
+                  for a, b in (p[::draw(st.sampled_from((1, -1)))]
+                               for p in pairs)],
+        "ms_profiles": [{"id": p, "state_size_bytes": draw(_whole),
+                         "page_size_bytes": draw(st.integers(1, 2**16)),
+                         "dirty_rate_norm": draw(st.floats(0.0, 1.0)),
+                         "cpu_context_bytes": draw(_whole),
+                         "dirty_rate_pages_per_s": draw(_nonneg)}
+                        for p in profiles],
+        "model_params": {name: draw(_nonneg)
+                         for name in ModelParams.__dataclass_fields__},
+        "task": task,
+        "sweep": {
+            "variable": draw(st.sampled_from(SWEEP_VARIABLES)),
+            "from_s": from_s,
+            "to_s": from_s + (draw(st.integers(2, 40)) - 1) * step_s,
+            "step_s": step_s,
+            "profiles": draw(st.lists(st.sampled_from(profiles), min_size=1,
+                                      max_size=3, unique=True))},
+        "bandwidth_distribution": {
+            "mean_mbps": draw(_pos), "std_mbps": draw(_pos),
+            "lower_mbps": lower, "upper_mbps": upper},
+        "dirty_samples": _items(draw, lambda: {
+            "window_s": draw(_pos), "pages_modified": draw(_whole)}),
+        "calibration_runs": _items(draw, lambda: {
+            "image_bytes": draw(_nonneg), "checkpoint_s": draw(_nonneg),
+            "restore_s": draw(_nonneg), "transfer_s": draw(_nonneg),
+            "bandwidth_mbps": draw(_pos)}),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_documents())
+def test_every_command_runs_or_rejects_any_schema_document(tmp_path_factory,
+                                                           doc):
+    work = tmp_path_factory.mktemp("doc")
+    scenario, out = work / "scenario.json", str(work / "out")
+    scenario.write_text(json.dumps(doc))
+    for command in (["plan"], ["simulate"], ["sweep"],
+                    ["dist", "--samples", "200"], ["profile"], ["fit"]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run([*command, "--scenario", str(scenario), "--out", out])
+        assert code in (0, 2), command
+        assert code == 0 or err.getvalue().startswith("error: "), command
 
 
 @pytest.mark.parametrize("role,same_as", [("client", "source"),

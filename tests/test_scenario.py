@@ -1,16 +1,13 @@
-"""Scenario schema round-trips and strict validation."""
+"""Scenario schema: parsed values, defaults and strict validation."""
 
 import copy
 import dataclasses
 import json
 import re
-from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from edgemig.errors import ScenarioError
 from edgemig.model import (
@@ -21,15 +18,10 @@ from edgemig.model import (
 )
 from edgemig.orchestrator import BandwidthDistribution
 from edgemig.scenario import (
-    HOST_ROLES,
-    MAX_SWEEP_TARGETS,
     SimProfile,
     SweepSpec,
-    dumps_scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenario.json"
@@ -38,26 +30,6 @@ DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenario.json"
 @pytest.fixture()
 def raw():
     return json.loads(DEMO.read_text())
-
-
-def test_demo_scenario_round_trips_exactly(raw):
-    scenario = parse_scenario(raw)
-    assert scenario_to_dict(scenario) == raw
-
-
-def test_serialized_text_is_a_fixed_point(raw):
-    scenario = parse_scenario(raw)
-    text = dumps_scenario(scenario)
-    again = dumps_scenario(parse_scenario(json.loads(text)))
-    assert again == text
-    assert text.endswith("\n")
-
-
-def test_save_and_load(tmp_path, raw):
-    scenario = parse_scenario(raw)
-    out = tmp_path / "copy.json"
-    save_scenario(scenario, out)
-    assert load_scenario(out) == scenario
 
 
 def test_lookups(raw):
@@ -134,7 +106,9 @@ def test_optional_sections_may_be_absent(raw):
         minimal.pop(key, None)
     scenario = parse_scenario(minimal)
     assert scenario.task is None and scenario.sweep is None
-    assert scenario_to_dict(scenario) == minimal
+    assert scenario == dataclasses.replace(
+        parse_scenario(raw), task=None, sweep=None,
+        bandwidth_distribution=None, dirty_samples=(), calibration_runs=())
 
 
 def _key_path(path):
@@ -241,130 +215,9 @@ def test_sim_profile_rejects_bad_rate_built_in_code(rate):
 
 
 # ---------------------------------------------------------------------------
-# Codec: documents in saved form round-trip byte for byte
+# Defaults: an absent key reads as its default
 
 M = BYTES_PER_S_PER_MBPS
-_names = st.text(min_size=1, max_size=6)
-_pos = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False,
-                 allow_infinity=False, exclude_min=True)
-_nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-                    allow_infinity=False)
-_whole = st.integers(min_value=0, max_value=2**40)
-
-
-def _mbps(draw):
-    # Saving writes bytes/s / M, so a saved Mbps value is such a quotient.
-    return draw(st.floats(min_value=1.0, max_value=1e12)) / M
-
-
-def _items(draw, make):
-    return [make() for _ in range(draw(st.integers(1, 3)))]
-
-
-@st.composite
-def saved_documents(draw):
-    hosts = draw(st.lists(_names, min_size=2, max_size=3, unique=True))
-    pairs = draw(st.lists(st.sampled_from(list(combinations(hosts, 2))),
-                          min_size=1, max_size=3, unique=True))
-    profiles = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
-    doc = {
-        "seed": draw(_whole),
-        "hosts": [{"id": h, "role": draw(st.sampled_from(HOST_ROLES))}
-                  for h in hosts],
-        "links": [{"from": a, "to": b, "bandwidth_mbps": draw(_pos),
-                   "latency_s": draw(_nonneg)}
-                  for a, b in (p[::draw(st.sampled_from((1, -1)))]
-                               for p in pairs)],
-        "ms_profiles": [{"id": p, "state_size_bytes": draw(_whole),
-                         "page_size_bytes": draw(st.integers(1, 2**16)),
-                         "dirty_rate_norm": draw(st.floats(0.0, 1.0)),
-                         "cpu_context_bytes": draw(_whole),
-                         "dirty_rate_pages_per_s": draw(_nonneg)}
-                        for p in profiles],
-        "model_params": {name: draw(_nonneg)
-                         for name in ModelParams.__dataclass_fields__},
-    }
-    if draw(st.booleans()):
-        objective = draw(st.sampled_from(["minimize_resources",
-                                          "minimize_downtime"]))
-        task = {"container_id": draw(_names), "objective": objective}
-        for key, needed in (("target_downtime_s", "minimize_resources"),
-                            ("target_duration_s", "minimize_downtime")):
-            if objective == needed or draw(st.booleans()):
-                task[key] = draw(_pos)
-        source, destination = hosts[:2]
-        task.update({"ms_profile": draw(st.sampled_from(profiles)),
-                     "source": source, "destination": destination,
-                     "client": draw(st.sampled_from(hosts)),
-                     "orchestrator": draw(st.sampled_from(hosts))})
-        doc["task"] = task
-    if draw(st.booleans()):
-        # SweepSpec takes a from_s > 0 only.
-        from_s, to_s = sorted((draw(_pos), draw(_pos)))
-        step_s = draw(_pos)
-        assume((to_s - from_s) / step_s < MAX_SWEEP_TARGETS)
-        doc["sweep"] = {
-            "variable": draw(st.sampled_from(["target_duration_s",
-                                              "target_downtime_s"])),
-            "from_s": from_s, "to_s": to_s, "step_s": step_s,
-            "profiles": draw(st.lists(st.sampled_from(profiles), min_size=1,
-                                      max_size=3, unique=True))}
-    if draw(st.booleans()):
-        lower, upper = sorted({_mbps(draw), _mbps(draw)} | {0.0})[-2:]
-        doc["bandwidth_distribution"] = {
-            "mean_mbps": _mbps(draw), "std_mbps": _mbps(draw),
-            "lower_mbps": lower, "upper_mbps": upper}
-    if draw(st.booleans()):
-        doc["dirty_samples"] = _items(draw, lambda: {
-            "window_s": draw(_pos), "pages_modified": draw(_whole)})
-    if draw(st.booleans()):
-        doc["calibration_runs"] = _items(draw, lambda: {
-            "image_bytes": draw(_nonneg), "checkpoint_s": draw(_nonneg),
-            "restore_s": draw(_nonneg), "transfer_s": draw(_nonneg),
-            "bandwidth_mbps": _mbps(draw)})
-    return doc
-
-
-@settings(max_examples=200, deadline=None)
-@given(saved_documents())
-def test_saved_form_round_trips_byte_for_byte(doc):
-    assert dumps_scenario(parse_scenario(doc)) \
-        == json.dumps(doc, indent=2) + "\n"
-
-
-def test_mbps_value_saves_as_read(raw):
-    raw["bandwidth_distribution"]["std_mbps"] = 34.278927656647284
-    scenario = parse_scenario(raw)
-    text = dumps_scenario(scenario)
-    assert '"std_mbps": 34.278927656647284,' in text
-    assert dumps_scenario(parse_scenario(json.loads(text))) == text
-    # A value set after loading saves from the bytes/s held.
-    dist = BandwidthDistribution.from_mean_std(100.0 * M, 34.0 * M)
-    changed = dataclasses.replace(scenario, bandwidth_distribution=dist)
-    assert scenario_to_dict(changed)["bandwidth_distribution"] == {
-        "mean_mbps": 100.0, "std_mbps": 34.0, "lower_mbps": 0.0,
-        "upper_mbps": 270.0}
-
-
-_mbps_values = st.floats(min_value=1e-9, max_value=1e12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(mean=_mbps_values, std=st.floats(0.0, 1e12),
-       lower=st.floats(0.0, 1e12), upper=_mbps_values,
-       bandwidth=_mbps_values)
-def test_every_mbps_field_saves_as_read(mean, std, lower, upper, bandwidth):
-    assume(lower * M < upper * M)
-    raw = json.loads(DEMO.read_text())
-    dist = {"mean_mbps": mean, "std_mbps": std, "lower_mbps": lower,
-            "upper_mbps": upper}
-    raw["bandwidth_distribution"] = dist
-    raw["calibration_runs"][-1]["bandwidth_mbps"] = bandwidth
-    text = dumps_scenario(parse_scenario(raw))
-    saved = json.loads(text)
-    assert saved["bandwidth_distribution"] == dist
-    assert saved["calibration_runs"][-1]["bandwidth_mbps"] == bandwidth
-    assert dumps_scenario(parse_scenario(saved)) == text
 
 
 def _distribution_doc(raw, **bounds):
@@ -377,10 +230,7 @@ def test_distribution_without_bounds_uses_from_mean_std(raw):
     scenario = parse_scenario(_distribution_doc(raw))
     assert scenario.bandwidth_distribution \
         == BandwidthDistribution.from_mean_std(1000.3 * M, 99.7 * M)
-    saved = scenario_to_dict(scenario)["bandwidth_distribution"]
-    assert list(saved) == ["mean_mbps", "std_mbps", "lower_mbps",
-                           "upper_mbps"]
-    assert saved["lower_mbps"] == 0.0
+    assert scenario.bandwidth_distribution.lower_bytes_per_s == 0.0
 
 
 def test_distribution_with_only_a_lower_bound_defaults_upper_in_mbps(raw):
@@ -388,13 +238,9 @@ def test_distribution_with_only_a_lower_bound_defaults_upper_in_mbps(raw):
     dist = scenario.bandwidth_distribution
     assert dist.lower_bytes_per_s == 10.0 * M
     assert dist.upper_bytes_per_s == (1000.3 + 5.0 * 99.7) * M
-    saved = scenario_to_dict(scenario)["bandwidth_distribution"]
-    assert list(saved) == ["mean_mbps", "std_mbps", "lower_mbps",
-                           "upper_mbps"]
-    assert saved["lower_mbps"] == 10.0
 
 
-def test_document_without_defaulted_keys_saves_to_a_fixed_point(raw):
+def test_absent_defaulted_keys_read_as_their_defaults(raw):
     for link in raw["links"]:
         del link["latency_s"]
     for profile in raw["ms_profiles"]:
@@ -402,15 +248,15 @@ def test_document_without_defaulted_keys_saves_to_a_fixed_point(raw):
                     "dirty_rate_pages_per_s"):
             del profile[key]
     raw["model_params"] = {}
-    text = dumps_scenario(parse_scenario(raw))
-    saved = json.loads(text)
-    assert saved["links"][0]["latency_s"] == 0.0
-    assert saved["ms_profiles"][0]["page_size_bytes"] == DEFAULT_PAGE_SIZE
-    assert saved["ms_profiles"][0]["cpu_context_bytes"] == 0
-    assert saved["ms_profiles"][0]["dirty_rate_pages_per_s"] == 0.0
-    assert saved["model_params"] == dict.fromkeys(
+    scenario = parse_scenario(raw)
+    assert [link.latency_s for link in scenario.links] \
+        == [0.0] * len(raw["links"])
+    for sim_profile in scenario.ms_profiles:
+        assert sim_profile.profile.page_size_bytes == DEFAULT_PAGE_SIZE
+        assert sim_profile.profile.cpu_context_bytes == 0
+        assert sim_profile.dirty_rate_pages_per_s == 0.0
+    assert dataclasses.asdict(scenario.model_params) == dict.fromkeys(
         ModelParams.__dataclass_fields__, 0.0)
-    assert dumps_scenario(parse_scenario(saved)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +359,6 @@ def test_any_mapping_parses_like_a_dict(raw):
     assert isinstance(proxy["calibration_runs"][0], MappingProxyType)
     scenario, from_proxy = parse_scenario(raw), parse_scenario(proxy)
     assert from_proxy == scenario
-    assert from_proxy.mbps_as_read == scenario.mbps_as_read != {}
 
 
 def test_whole_valued_floats_accepted_as_whole_numbers(raw):
