@@ -114,7 +114,8 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
 
 
 def _check_rule(rule: FaultRule) -> None:
-    """Reject a rule that could never fire or would run the clock backwards."""
+    """Reject a rule that could never fire or would run the clock backwards;
+    a run rejects one that names none of its agents or topics."""
     if not isinstance(rule.topic_contains, str):
         raise DomainError("topic_contains must be a string, got "
                           f"{rule.topic_contains!r}")
@@ -331,6 +332,13 @@ class _Sim:
                 ag.Role.ORCHESTRATOR, section.orchestrator, info=self.info),
         }
         self.subscribers = _routes(self.info)
+        for rule in fault_rules:  # one that could never fire
+            if rule.receiver not in (None, *self.agents):
+                raise DomainError(f"{rule!r}: no agent of the run is "
+                                  f"{rule.receiver!r}")
+            if not any(rule.topic_contains in t for _, t in self.subscribers):
+                raise DomainError(f"{rule!r}: no topic of the run contains "
+                                  f"{rule.topic_contains!r}")
         self.latency = setting.latency
         self.seed = scenario.seed
         for index in stream:
@@ -556,7 +564,8 @@ def run_scenario(scenario: Scenario, config: MigrationConfig, *,
     picks a sub-stream of the scenario seed for the dirty draws; empty, the
     seed itself. Every watchdog waits ten times the predicted migration
     duration plus ten seconds, generous enough never to fire on a healthy
-    run.
+    run. A fault rule whose receiver is no agent of the run, or whose
+    fragment is in none of its topics, raises :class:`DomainError`.
     """
     sim = _Sim(scenario, config, fault_rules,
                record_events or event_log_path is not None, stream)

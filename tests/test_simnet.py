@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgemig import simnet
+from edgemig import agents, simnet
 from edgemig.bus import BusMessage, MessageKind
 from edgemig.errors import DomainError, ScenarioError
 from edgemig.model import (
@@ -605,8 +605,9 @@ def test_run_stops_once_every_agent_is_terminal(strategy, iters):
 
 
 # Topic fragments a fault rule can match: every publication and query of a
-# run with up to four pre-copy rounds. Delays are drawn in watchdog periods
-# and scaled by the test, so that some outlast the watchdog.
+# run with up to four pre-copy rounds; a run with fewer rounds rejects a
+# rule on a round it lacks. Delays are drawn in watchdog periods and scaled
+# by the test, so that some outlast the watchdog.
 FAULT_TOPICS = ("/task", "started", "nsconfig", "round/1/ready",
                 "round/1/image", "round/2/ready", "round/4/image",
                 "stopcopy", "ns-ready", "/done", "failed")
@@ -632,6 +633,18 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
     watchdog_s = 10 * config.predicted.total_s + 10
     rules = [dataclasses.replace(r, delay_s=r.delay_s * watchdog_s)
              if isinstance(r, DelayRule) else r for r in rules]
+    info = agents.TaskInfo("ms-0", "a", "b", "c", "o", strategy, iters,
+                           "netns:ms-0")
+    topics = [step.topic for step in agents.clean_run(info)]
+    topics += info.topics.failed
+    unmatched = [r for r in rules
+                 if not any(r.topic_contains in t for t in topics)]
+    if unmatched:
+        with pytest.raises(DomainError) as exc:
+            run_scenario(scenario, config, fault_rules=rules)
+        assert str(exc.value) == (f"{unmatched[0]!r}: no topic of the run "
+                                  f"contains {unmatched[0].topic_contains!r}")
+        return
     outcome = run_scenario(scenario, config, fault_rules=rules)
     if outcome.completed:
         assert set(outcome.final_phases.values()) == {"done"}
@@ -649,6 +662,22 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
             assert {"timer_s": watchdog_s} in armed.actions
             assert ev.time_s == armed.time_s + watchdog_s
         last[ev.agent] = ev
+
+
+@pytest.mark.parametrize("rule, message", [
+    (DropRule("/task", receiver="cam-clinet"),
+     "DropRule(topic_contains='/task', occurrence=1, receiver='cam-clinet'):"
+     " no agent of the run is 'cam-clinet'"),
+    (DropRule("/tsak"),
+     "DropRule(topic_contains='/tsak', occurrence=1, receiver=None):"
+     " no topic of the run contains '/tsak'"),
+], ids=["receiver", "topic"])
+def test_rule_that_could_never_fire_is_rejected_by_name(rule, message):
+    scenario = load_scenario(DEMO)
+    with pytest.raises(DomainError) as exc:
+        run_scenario(scenario, plan_from_scenario(scenario),
+                     fault_rules=(rule,))
+    assert str(exc.value) == message
 
 
 def test_event_log_written_as_json_lines(tmp_path):
