@@ -8,6 +8,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgemig.errors import ScenarioError
 from edgemig.model import (
@@ -16,10 +18,19 @@ from edgemig.model import (
     ModelParams,
     MsProfile,
 )
-from edgemig.orchestrator import BandwidthDistribution
+from edgemig.orchestrator import (
+    BandwidthDistribution,
+    MigrationTask,
+    Objective,
+)
+from edgemig.profiler import CalibrationRun, DirtySample
 from edgemig.scenario import (
+    Host,
+    Link,
+    Scenario,
     SimProfile,
     SweepSpec,
+    TaskSection,
     load_scenario,
     parse_scenario,
 )
@@ -39,6 +50,35 @@ def test_lookups(raw):
     assert scenario.link_between("edge-a", "nowhere") is None
     assert scenario.profile_by_id("packet-probe").profile.state_size_bytes \
         == 524288
+
+
+def test_demo_scenario_reads_every_value(raw):
+    task, dist = raw["task"], raw["bandwidth_distribution"]
+    assert parse_scenario(raw) == Scenario(
+        seed=raw["seed"],
+        hosts=tuple(Host(h["id"], h["role"]) for h in raw["hosts"]),
+        links=tuple(Link(k["from"], k["to"], k["bandwidth_mbps"],
+                         k["latency_s"]) for k in raw["links"]),
+        ms_profiles=tuple(SimProfile(p["id"], MsProfile(
+            p["state_size_bytes"], p["dirty_rate_norm"], p["page_size_bytes"],
+            p["cpu_context_bytes"]), p["dirty_rate_pages_per_s"])
+            for p in raw["ms_profiles"]),
+        model_params=ModelParams(**raw["model_params"]),
+        task=TaskSection(
+            MigrationTask(task["container_id"], task["source"],
+                          task["destination"], Objective(task["objective"]),
+                          target_duration_s=task["target_duration_s"]),
+            task["client"], task["orchestrator"], task["ms_profile"]),
+        sweep=SweepSpec(**{**raw["sweep"],
+                           "profiles": tuple(raw["sweep"]["profiles"])}),
+        bandwidth_distribution=BandwidthDistribution(
+            dist["mean_mbps"] * M, dist["std_mbps"] * M,
+            dist["lower_mbps"] * M, dist["upper_mbps"] * M),
+        dirty_samples=tuple(DirtySample(**d) for d in raw["dirty_samples"]),
+        calibration_runs=tuple(CalibrationRun(
+            r["image_bytes"], r["checkpoint_s"], r["restore_s"],
+            r["transfer_s"], r["bandwidth_mbps"] * M)
+            for r in raw["calibration_runs"]))
 
 
 def test_unknown_top_level_key_rejected(raw):
@@ -88,6 +128,16 @@ def test_malformed_json_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError):
         load_scenario(bad)
+
+
+def test_load_reads_a_utf8_file_as_parse_reads_its_document(tmp_path, raw):
+    raw["task"]["container_id"] = "ms-vidéo-0"
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+    scenario = parse_scenario(raw)
+    assert scenario.task.task.container_id == "ms-vidéo-0"
+    assert load_scenario(path) == scenario
+    assert load_scenario(str(path)) == scenario
 
 
 def test_sweep_targets_inclusive_grid(raw):
@@ -238,6 +288,29 @@ def test_distribution_with_only_a_lower_bound_defaults_upper_in_mbps(raw):
     dist = scenario.bandwidth_distribution
     assert dist.lower_bytes_per_s == 10.0 * M
     assert dist.upper_bytes_per_s == (1000.3 + 5.0 * 99.7) * M
+
+
+_mbps_values = st.floats(min_value=1e-9, max_value=1e12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean=_mbps_values, std=st.floats(0.0, 1e12),
+       lower=st.floats(0.0, 1e12), upper=_mbps_values,
+       bandwidth=_mbps_values)
+def test_every_mbps_field_reads_as_bytes_per_s(mean, std, lower, upper,
+                                                bandwidth):
+    assume(lower * M < upper * M)
+    raw = json.loads(DEMO.read_text())
+    raw["bandwidth_distribution"] = {"mean_mbps": mean, "std_mbps": std,
+                                     "lower_mbps": lower, "upper_mbps": upper}
+    raw["links"][-1]["bandwidth_mbps"] = bandwidth
+    raw["calibration_runs"][-1]["bandwidth_mbps"] = bandwidth
+    scenario = parse_scenario(raw)
+    assert scenario.bandwidth_distribution == BandwidthDistribution(
+        mean * M, std * M, lower * M, upper * M)
+    assert scenario.links[-1].bandwidth_bytes_per_s == bandwidth * M
+    assert scenario.calibration_runs[-1].bandwidth_bytes_per_s \
+        == bandwidth * M
 
 
 def test_absent_defaulted_keys_read_as_their_defaults(raw):

@@ -680,6 +680,20 @@ def test_rule_that_could_never_fire_is_rejected_by_name(rule, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("agent", ["a", "b", "c", "o"])
+def test_rule_naming_any_agent_of_the_run_fires(agent):
+    # Dropping the first message an agent receives leaves the run
+    # incomplete, with that agent among the diagnosed.
+    scenario = make_scenario()
+    config = make_config(scenario, StrategyKind.PRE_COPY)
+    routes = simnet._Sim(scenario, config, (), False).subscribers
+    topic = next(t for (_, t), ids in routes.items() if agent in ids)
+    outcome = run_scenario(scenario, config,
+                           fault_rules=(DropRule(topic, receiver=agent),))
+    assert not outcome.completed
+    assert agent in outcome.diagnostics
+
+
 def test_event_log_written_as_json_lines(tmp_path):
     import json
 
