@@ -6,9 +6,10 @@ the orchestrator (which publishes the task and collects the outcome).
 
 The happy path, for an iterative pre-copy migration with I rounds:
 
-1. the orchestrator publishes the task;
-2. the source announces it has started and begins the running-state
-   checkpoint, while the destination queries the namespace configuration;
+1. the orchestrator publishes the task and waits for the completion
+   notice;
+2. the source begins the running-state checkpoint, while the destination
+   queries the namespace configuration;
 3. the source answers that query once the initial image is transferred,
    handing over the namespace configuration and the initial image in one
    reply (one round trip saved: the destination cannot act before it holds
@@ -21,8 +22,8 @@ The happy path, for an iterative pre-copy migration with I rounds:
 6. the destination recreates the network namespace (the source clears its
    own in parallel) and publishes that it is ready, which triggers the
    client's flow update;
-7. the destination waits for the flow update to settle, restores and
-   publishes the completion notice.
+7. the client publishes that the flow is updated, upon which the
+   destination restores and publishes the completion notice.
 
 The sequence is written down once, as data: :func:`clean_run` lists the
 messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
@@ -44,16 +45,16 @@ phases, messages and work items are immutable ``NamedTuple`` classes. A
 as an event. So is a :class:`Work` item, which comes back sized when the
 work ends. It names only its kind (plus its round, and for a transfer or
 the restore the bytes of the image it moves, as the checkpoint reported
-them): the simulator sizes every checkpoint and prices every item,
-including the destination's wait for the client's flow update. An agent
-takes its task only from the task publication. An event that is not
-legal in the current phase moves the agent to Failed and emits a
-diagnostic; nothing is dropped silently. Watchdogs are the only timers,
-and the driver keeps them: a :class:`SetTimer` guards the wait on a peer
-that its transition entered, until the agent's next transition. If that
-wait outlasts the driver's watchdog period, the driver delivers a
-:class:`TimerFired`, which fails any live agent, so a lost message turns
-into a diagnosed failure rather than a hang.
+them): the simulator sizes every checkpoint and prices every item. The
+destination's wait for the client's flow update is a wait on a peer like
+any other. An agent takes its task only from the task publication. An
+event that is not legal in the current phase moves the agent to Failed
+and emits a diagnostic; nothing is dropped silently. Watchdogs are the
+only timers, and the driver keeps them: a :class:`SetTimer` guards the
+wait on a peer that its transition entered, until the agent's next
+transition. If that wait outlasts the driver's watchdog period, the driver
+delivers a :class:`TimerFired`, which fails any live agent, so a lost
+message turns into a diagnosed failure rather than a hang.
 
 A transition runs once per simulated event, so the code on that path keeps
 five rules (timings on CPython 3.11, 2-core host):
@@ -145,14 +146,12 @@ class WorkKind(str, Enum):
     NS_CLEAR = "ns_clear"
     NS_RECREATE = "ns_recreate"
     FLOW_UPDATE = "flow_update"
-    # The destination's wait, after ns-ready, for the client's flow update.
-    FLOW_SETTLE = "flow_settle"
     RESTORE = "restore"
 
 
 (_PRE_CHECKPOINT, _ROUND_CHECKPOINT, _STOP_CHECKPOINT, _TRANSFER_INITIAL,
  _TRANSFER_ROUND, _TRANSFER_STOPCOPY, _NS_CLEAR, _NS_RECREATE, _FLOW_UPDATE,
- _FLOW_SETTLE, _RESTORE) = WorkKind  # hot-path names, in definition order
+ _RESTORE) = WorkKind  # hot-path names, in definition order
 
 
 class Work(NamedTuple):
@@ -167,9 +166,9 @@ class Work(NamedTuple):
 # Positional record builds, and the size-less, round-less work items.
 _new = tuple.__new__
 (_PRE_CHECKPOINT_WORK, _STOP_CHECKPOINT_WORK, _NS_CLEAR_WORK,
- _NS_RECREATE_WORK, _FLOW_UPDATE_WORK, _FLOW_SETTLE_WORK) = (
+ _NS_RECREATE_WORK, _FLOW_UPDATE_WORK) = (
     Work(kind) for kind in (_PRE_CHECKPOINT, _STOP_CHECKPOINT, _NS_CLEAR,
-                            _NS_RECREATE, _FLOW_UPDATE, _FLOW_SETTLE))
+                            _NS_RECREATE, _FLOW_UPDATE))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,12 +208,12 @@ class Topics(NamedTuple):
     image, rides on the namespace reply. ``failed`` is in ``Role`` order."""
 
     task: str
-    started: str
     nsconfig: str
     round_ready: tuple[str, ...]
     round_image: tuple[str, ...]
     stopcopy: str
     ns_ready: str
+    flow_updated: str
     done: str
     failed: tuple[str, ...]
 
@@ -223,14 +222,14 @@ class Topics(NamedTuple):
 def _topics(task_id: str, iterations: int) -> Topics:
     """The scheme of ``bus``: ``mig/{task_id}/{owning role}/{name}``."""
     roots = [f"mig/{task_id}/{role.value}/" for role in Role]
-    src, dst, _, orc = roots
+    src, dst, cli, orc = roots
     rounds = range(1, iterations + 1)
     return Topics(
-        orc + "task", src + "started", src + "nsconfig",
+        orc + "task", src + "nsconfig",
         ("", *(f"{src}round/{r}/ready" for r in rounds)),
         ("", *(f"{src}round/{r}/image" for r in rounds)),
-        src + "stopcopy/image", dst + "ns-ready", dst + "done",
-        tuple(root + "failed" for root in roots))
+        src + "stopcopy/image", dst + "ns-ready", cli + "flow-updated",
+        dst + "done", tuple(root + "failed" for root in roots))
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,7 +271,6 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
     t = info.topics
     src, dst, cli, orc = Role
     steps = [Step(orc, _PUBLISH, t.task, (src, dst, cli)),
-             Step(src, _PUBLISH, t.started, (orc,)),
              Step(dst, _QUERY, t.nsconfig, (src,)),
              Step(src, _REPLY, t.nsconfig, (dst,))]
     for r in range(1, info.iterations + 1):
@@ -281,6 +279,7 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
                   Step(src, _REPLY, t.round_image[r], (dst,)))
     steps += (Step(src, _PUBLISH, t.stopcopy, (dst,)),
               Step(dst, _PUBLISH, t.ns_ready, (cli,)),
+              Step(cli, _PUBLISH, t.flow_updated, (dst,)),
               Step(dst, _PUBLISH, t.done, (orc,)))
     return tuple(steps)
 
@@ -357,12 +356,11 @@ def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
 
 def _source_start(state: AgentState, info: TaskInfo
                   ) -> tuple[AgentState, list[Action]]:
-    started = BusMessage(_PUBLISH, info.topics.started, state.agent_id)
     if info.strategy is _COLD:
         phase, work = _STOP_COPY_PHASE, _STOP_CHECKPOINT_WORK
     else:
         phase, work = _ROUND_ZERO, _PRE_CHECKPOINT_WORK
-    return _with(_with(state, _INFO, info), _PHASE, phase), [started, work]
+    return _with(_with(state, _INFO, info), _PHASE, phase), [work]
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -511,17 +509,19 @@ def _advance_destination(state: AgentState, event: Event
                 return _fail(state, "duplicate stop-and-copy image")
             return _dest_maybe_transition(
                 _with(state, _SC_BYTES, event.payload_bytes))
+
+        if kind is _PUBLISH and phase.kind is _AWAIT_RESTORE \
+                and event.topic == info.topics.flow_updated:
+            return state, [_new(Work, (_RESTORE, state.sc_bytes, 0))]
         return _unexpected(state, event)
 
     if type(event) is Work:
         kind = event.kind
         if kind is _NS_RECREATE and phase.kind is _NS_TRANSITION:
             ready = BusMessage(_PUBLISH, info.topics.ns_ready, state.agent_id)
+            # waiting for the client's flow update
             return (_with(state, _PHASE, _AWAIT_RESTORE_PHASE),
-                    [ready, _FLOW_SETTLE_WORK])
-
-        if kind is _FLOW_SETTLE and phase.kind is _AWAIT_RESTORE:
-            return state, [_new(Work, (_RESTORE, state.sc_bytes, 0))]
+                    [ready, _SET_TIMER])
 
         if kind is _RESTORE and phase.kind is _AWAIT_RESTORE:
             done = BusMessage(_PUBLISH, info.topics.done, state.agent_id)
@@ -549,7 +549,9 @@ def _advance_client(state: AgentState, event: Event
 
     if type(event) is Work:
         if event.kind is _FLOW_UPDATE and phase.kind is _NS_TRANSITION:
-            return _with(state, _PHASE, DONE), []
+            updated = BusMessage(_PUBLISH, state.info.topics.flow_updated,
+                                 state.agent_id)
+            return _with(state, _PHASE, DONE), [updated]
     return _unexpected(state, event)
 
 
@@ -567,7 +569,8 @@ def _advance_orchestrator(state: AgentState, event: Event
             return _unexpected(state, event)
         pub = BusMessage(_PUBLISH, info.topics.task, state.agent_id,
                          0.0, {"task": info})
-        return state, [pub, _SET_TIMER]  # expect the start announcement
+        # expect the completion notice
+        return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [pub, _SET_TIMER]
 
     if type(event) is BusMessage and info is not None:
         if event.kind is _PUBLISH and event.topic in info.topics.failed:
@@ -575,11 +578,6 @@ def _advance_orchestrator(state: AgentState, event: Event
             return (state._replace(phase=FAILED,
                                    diagnostic=f"{event.sender}: {reason}"),
                     [Diagnostic(f"failure reported by {event.sender}: {reason}")])
-        if event.kind is _PUBLISH \
-                and event.topic == info.topics.started \
-                and phase.kind is _IDLE_KIND:
-            # expect the completion notice
-            return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [_SET_TIMER]
         if event.kind is _PUBLISH \
                 and event.topic == info.topics.done \
                 and phase.kind is _AWAIT_RESTORE:

@@ -25,8 +25,7 @@ from the seed or, on a sub-stream (a sweep row's), from the first 64-bit
 word of ``SeedSequence([seed, *stream])``: a cold run never draws, so
 derives none.
 
-The simulator keeps all the time: it prices every work item (the
-destination's wait for the client's flow update too) and holds one
+The simulator keeps all the time: it prices every work item and holds one
 watchdog deadline per agent, ten times the predicted total plus ten
 seconds after its ``SetTimer``, cleared by its next event. A run stops
 once every agent is done or failed, so ``end_time_s`` is the time of the
@@ -82,8 +81,7 @@ _CHECKPOINTS = frozenset({_W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT,
 _TRANSFERS = frozenset({_W.TRANSFER_INITIAL, _W.TRANSFER_ROUND,
                         _W.TRANSFER_STOPCOPY})
 _PRE_CHECKPOINT, _ROUND_CHECKPOINT = _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT
-_FLOW_UPDATE, _FLOW_SETTLE, _RESTORE = (
-    _W.FLOW_UPDATE, _W.FLOW_SETTLE, _W.RESTORE)
+_FLOW_UPDATE, _RESTORE = _W.FLOW_UPDATE, _W.RESTORE
 _PUBLISH, _DONE = MessageKind.PUBLISH, ag.PhaseKind.DONE
 _TIMER_FIRED = ag.TimerFired()
 
@@ -443,10 +441,6 @@ class _Sim:
             duration = restore_duration(params, nbytes)
         elif kind is _FLOW_UPDATE:
             nbytes, duration = 0.0, params.flow_update_s
-        elif kind is _FLOW_SETTLE:
-            nbytes = 0.0
-            duration = (self.latency[agent_id][self.info.client]
-                        + params.flow_update_s)
         else:  # NS_CLEAR, NS_RECREATE
             nbytes, duration = 0.0, params.ns_overhead_s
         heappush(self.heap,

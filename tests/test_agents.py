@@ -60,15 +60,12 @@ def timers(actions):
 # Source
 
 
-def test_source_task_receipt_announces_and_checkpoints():
+def test_source_task_receipt_checkpoints_without_a_message():
     info = task_info()
     state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                                 task_message(info))
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
-    [started] = sends(actions)
-    assert started.topic == TOPICS.started
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.PRE_CHECKPOINT
+    assert actions == [ag.Work(ag.WorkKind.PRE_CHECKPOINT)]
 
 
 def test_source_cold_goes_straight_to_stop_copy():
@@ -295,7 +292,13 @@ def test_destination_queries_namespace_config_on_task():
     assert timers(actions)
 
 
-def test_destination_full_walk_with_flow_settle():
+def flow_updated(info):
+    return BusMessage(
+        kind=MessageKind.PUBLISH, topic=info.topics.flow_updated,
+        sender="cli")
+
+
+def test_destination_full_walk_restores_on_flow_updated():
     info = task_info(iterations=1)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
@@ -326,22 +329,32 @@ def test_destination_full_walk_with_flow_settle():
 
     state, actions = ag.advance(state,
                                 ag.Work(ag.WorkKind.NS_RECREATE))
-    [msg] = sends(actions)
-    assert msg.topic == TOPICS.ns_ready
-    # Restore waits for the flow update to settle, a work item like any
-    # other; no timer is armed for it.
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.FLOW_SETTLE and timers(actions) == []
+    # Restore waits for the client's word that the flow is updated: a wait
+    # on a peer, so the watchdog guards it.
+    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst"),
+                       ag.SetTimer()]
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
-    state, actions = ag.advance(state, ag.Work(ag.WorkKind.FLOW_SETTLE))
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.RESTORE and work.bytes == 20480.0
+    state, actions = ag.advance(state, flow_updated(info))
+    assert actions == [ag.Work(ag.WorkKind.RESTORE, 20480.0)]
+    assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.RESTORE, bytes=20480.0))
     [done] = sends(actions)
     assert done.topic == TOPICS.done
     assert state.phase.kind is ag.PhaseKind.DONE
+
+
+def test_destination_fails_on_flow_updated_before_ns_ready():
+    info = task_info(StrategyKind.COLD, 0)
+    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+                          task_message(info))
+    state, actions = ag.advance(state, flow_updated(info))
+    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
+                                " in phase stopcopy_checkpoint")
+    assert [a.topic for a in sends(actions)] == [
+        FAILED[ag.Role.DESTINATION]]
 
 
 def test_destination_cold_accepts_either_arrival_order():
@@ -379,21 +392,18 @@ def test_destination_duplicate_stop_copy_image_fails():
 # Client
 
 
-def test_client_updates_flow_and_publishes_nothing():
+def test_client_updates_flow_and_publishes_once():
     info = task_info()
     state, actions = ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
                                 task_message(info))
-    assert sends(actions) == []
+    assert actions == [ag.SetTimer()]
     ns_ready = BusMessage(
         kind=MessageKind.PUBLISH, topic=TOPICS.ns_ready, sender="dst")
     state, actions = ag.advance(state, ns_ready)
-    assert sends(actions) == []
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.FLOW_UPDATE
+    assert actions == [ag.Work(ag.WorkKind.FLOW_UPDATE)]
     state, actions = ag.advance(state, ag.Work(ag.WorkKind.FLOW_UPDATE))
-    # Transparency: the client redirects the flow (its done phase says so)
-    # without a single bus message along the way.
-    assert sends(actions) == []
+    # The client's one message tells the destination that the flow moved.
+    assert actions == [flow_updated(info)]
     assert state.phase.kind is ag.PhaseKind.DONE
 
 
@@ -405,13 +415,9 @@ def test_orchestrator_lifecycle():
     info = task_info()
     state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
     state, actions = ag.advance(state, ag.Kickoff())
-    [pub] = sends(actions)
-    assert pub.topic == TOPICS.task
-    assert pub.headers == {"task": info}
-
-    started = BusMessage(
-        kind=MessageKind.PUBLISH, topic=TOPICS.started, sender="src")
-    state, _ = ag.advance(state, started)
+    # One watchdog guards the whole migration, up to the completion notice.
+    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.task, "orc",
+                                  0.0, {"task": info}), ag.SetTimer()]
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
     done = BusMessage(
@@ -442,7 +448,6 @@ def test_orchestrator_collects_failures():
 CLEAN_RUN_I2 = [
     ("orchestrator", "publish", "mig/t1/orchestrator/task",
      ["source", "destination", "client"]),
-    ("source", "publish", "mig/t1/source/started", ["orchestrator"]),
     ("destination", "query", "mig/t1/source/nsconfig", ["source"]),
     ("source", "reply", "mig/t1/source/nsconfig", ["destination"]),
     ("source", "publish", "mig/t1/source/round/1/ready", ["destination"]),
@@ -453,6 +458,7 @@ CLEAN_RUN_I2 = [
     ("source", "reply", "mig/t1/source/round/2/image", ["destination"]),
     ("source", "publish", "mig/t1/source/stopcopy/image", ["destination"]),
     ("destination", "publish", "mig/t1/destination/ns-ready", ["client"]),
+    ("client", "publish", "mig/t1/client/flow-updated", ["destination"]),
     ("destination", "publish", "mig/t1/destination/done", ["orchestrator"]),
 ]
 

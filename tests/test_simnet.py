@@ -212,7 +212,7 @@ def test_message_count_is_seven_plus_three_per_round(strategy, iters,
     (StrategyKind.PRE_COPY, 0),
     *((StrategyKind.ITERATIVE_PRE_COPY, i) for i in range(1, 9)),
 ])
-def test_event_count_is_seventeen_cold_else_nineteen_plus_five_per_round(
+def test_event_count_is_sixteen_cold_else_eighteen_plus_five_per_round(
         monkeypatch, strategy, iters):
     # Every event of a clean run goes through one agents.advance call.
     calls = []
@@ -226,7 +226,7 @@ def test_event_count_is_seventeen_cold_else_nineteen_plus_five_per_round(
     scenario = make_scenario(dirty_rate=2.0)
     outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
     assert outcome.completed
-    expected = 17 if strategy is StrategyKind.COLD else 19 + 5 * iters
+    expected = 16 if strategy is StrategyKind.COLD else 18 + 5 * iters
     assert len(calls) == len(outcome.events) == expected
 
 
@@ -582,13 +582,15 @@ def _work_starts(outcome, agent, work):
 ])
 def test_restore_starts_when_the_flow_update_ends(strategy, iters):
     # With link latency, the flow update starts one propagation delay after
-    # ns-ready, and the restore (S6) must wait until it has settled (S5).
-    scenario = make_scenario(dirty_rate=1.0, latency_s=0.002)
+    # ns-ready, and the restore (S6) starts when the client's word that it
+    # has ended (S5) reaches the destination, one more delay later.
+    latency_s = 0.002
+    scenario = make_scenario(dirty_rate=1.0, latency_s=latency_s)
     outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
     assert outcome.completed
     [(flow_start, flow_s)] = _work_starts(outcome, "c", "flow_update")
     [(restore_start, _)] = _work_starts(outcome, "b", "restore")
-    assert restore_start == flow_start + flow_s
+    assert restore_start == flow_start + flow_s + latency_s
 
 
 @pytest.mark.parametrize("strategy,iters", [
@@ -608,7 +610,7 @@ def test_run_stops_once_every_agent_is_terminal(strategy, iters):
 # run with up to four pre-copy rounds; a run with fewer rounds rejects a
 # rule on a round it lacks. Delays are drawn in watchdog periods and scaled
 # by the test, so that some outlast the watchdog.
-FAULT_TOPICS = ("/task", "started", "nsconfig", "round/1/ready",
+FAULT_TOPICS = ("/task", "flow-updated", "nsconfig", "round/1/ready",
                 "round/1/image", "round/2/ready", "round/4/image",
                 "stopcopy", "ns-ready", "/done", "failed")
 fault_rules = st.lists(st.one_of(
@@ -651,6 +653,9 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
         assert outcome.downtime_s <= outcome.total_s
     else:
         assert outcome.diagnostics
+        # The orchestrator never reports success for a run that failed.
+        assert outcome.final_phases["o"] != "done"
+        assert "o" in outcome.diagnostics
     assert outcome.end_time_s == outcome.events[-1].time_s
     # No finished wait ever fires: a watchdog fails its agent, exactly one
     # period after the agent's previous transition, which armed it.
@@ -802,14 +807,39 @@ def test_task_arriving_after_ns_ready_fails_the_client_cleanly():
 
 def test_agent_left_with_nothing_pending_is_diagnosed():
     # The client hears neither the task nor ns-ready, so no watchdog of its
-    # own guards it, yet the others finish.
+    # own guards it; the destination, waiting for its flow update, and the
+    # orchestrator, waiting for the completion notice, time out.
     scenario = make_scenario()
     outcome = run_scenario(scenario, make_config(scenario, StrategyKind.COLD),
                            fault_rules=(DropRule("/task", receiver="c"),
                                         DropRule("ns-ready")))
     assert not outcome.completed
-    assert outcome.diagnostics == {"c": "stalled in phase idle"}
-    assert set(outcome.final_phases.values()) == {"done", "idle"}
+    assert outcome.final_phases == {"a": "done", "b": "failed", "c": "idle",
+                                    "o": "failed"}
+    assert outcome.diagnostics["c"] == "stalled in phase idle"
+    assert outcome.diagnostics["b"] == (
+        "timed out waiting in phase await_restore")
+    assert outcome.diagnostics.keys() == {"b", "c", "o"}
+
+
+@pytest.mark.parametrize("rule", [
+    DropRule("/task", receiver="cam-client"),
+    DelayRule("/task", 100.0, receiver="cam-client"),
+    DropRule("flow-updated"),
+], ids=["drop-task", "delay-task", "drop-flow-updated"])
+def test_client_that_never_moves_the_flow_fails_the_migration(rule):
+    # The restore waits for the client's flow-updated, so without it the
+    # destination times out and the orchestrator never reports success.
+    # (The orchestrator's own watchdog, armed at kickoff, may fire before
+    # the destination's failure report reaches it.)
+    scenario = load_scenario(DEMO)
+    outcome = run_scenario(scenario, plan_from_scenario(scenario),
+                           fault_rules=(rule,))
+    assert not outcome.completed
+    assert outcome.diagnostics["edge-b"] == (
+        "timed out waiting in phase await_restore")
+    assert outcome.final_phases["orchestrator"] != "done"
+    assert outcome.diagnostics["orchestrator"]
 
 
 @pytest.mark.parametrize("build,field", [
