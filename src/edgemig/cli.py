@@ -152,7 +152,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     config = plan_from_scenario(scenario)
-    outcome = run_scenario(scenario, config, event_log_path=args.events)
+    outcome = run_scenario(scenario, config, event_log_path=args.events,
+                           record_events=False)
     doc = _config_doc(config)
     doc["simulated"] = {
         "completed": outcome.completed,

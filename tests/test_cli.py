@@ -66,6 +66,29 @@ def test_simulate_reports_kpis_and_events(tmp_path):
                          for i, ln in enumerate(lines))
 
 
+def test_simulate_records_events_only_into_its_event_log(tmp_path,
+                                                        monkeypatch):
+    calls = []  # the keywords of each run
+
+    def spy(scenario, config, **options):
+        calls.append(options)
+        return run_scenario(scenario, config, **options)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    out, events = tmp_path / "simulate.json", tmp_path / "events.jsonl"
+    assert run(["simulate", "--scenario", DEMO, "--out", str(out)]) == 0
+    assert calls == [{"event_log_path": None, "record_events": False}]
+    assert out.read_bytes() == (GOLDEN / "simulate.json").read_bytes()
+    # With --events, the path alone makes the run record its events.
+    assert run(["simulate", "--scenario", DEMO, "--out", str(out),
+                "--events", str(events)]) == 0
+    assert calls[1] == {"event_log_path": str(events),
+                        "record_events": False}
+    assert out.read_bytes() == (GOLDEN / "simulate.json").read_bytes()
+    assert events.read_bytes() == \
+        (GOLDEN / "simulate_events.jsonl").read_bytes()
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     texts = []
     for name in ("a", "b"):
