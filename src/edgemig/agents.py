@@ -31,30 +31,32 @@ messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
 migration follows the same skeleton minus the running-state copies (the
 namespace reply then carries no image). That table, the topic record
 :class:`Topics` every :class:`TaskInfo` carries, and the simulator's
-``_routes``, which resolves the table plus the failed topics to agent ids,
-are the protocol's only routing facts. Messages stay in process, so
-headers carry typed objects: the task publication hands every agent the
-frozen :class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no
-header repeats them.
+``_routes``, which resolves the table to agent ids, are the protocol's
+only routing facts. Messages stay in process, so headers carry typed
+objects: the task publication hands every agent the frozen
+:class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no header
+repeats them.
 
 State machines are pure: :func:`advance` maps (state, event) to a new state
-plus a list of actions (messages to send, work items to run, watchdogs to
-arm), and the simulator or any other driver executes those actions. States,
-phases, messages and work items are immutable ``NamedTuple`` classes. A
-:class:`BusMessage` is both: an agent emits it as an action and receives it
-as an event. So is a :class:`Work` item, which comes back sized when the
-work ends. It names only its kind (plus its round, and for a transfer or
-the restore the bytes of the image it moves, as the checkpoint reported
-them): the simulator sizes every checkpoint and prices every item. The
-destination's wait for the client's flow update is a wait on a peer like
-any other. An agent takes its task only from the task publication. An
-event that is not legal in the current phase moves the agent to Failed
-and emits a diagnostic; nothing is dropped silently. Watchdogs are the
-only timers, and the driver keeps them: a :class:`SetTimer` guards the
-wait on a peer that its transition entered, until the agent's next
-transition. If that wait outlasts the driver's watchdog period, the driver
-delivers a :class:`TimerFired`, which fails any live agent, so a lost
-message turns into a diagnosed failure rather than a hang.
+plus a list of actions, each a message to send, a work item to run or a
+watchdog to arm, and the simulator or any other driver executes those
+actions. States, phases, messages and work items are immutable
+``NamedTuple`` classes. A :class:`BusMessage` is both: an agent emits it
+as an action and receives it as an event. So is a :class:`Work` item,
+which comes back sized when the work ends. It names only its kind (plus
+its round, and for a transfer or the restore the bytes of the image it
+moves, as the checkpoint reported them): the simulator sizes every
+checkpoint and prices every item. The destination's wait for the client's
+flow update is a wait on a peer like any other. An agent takes its task
+only from the task publication. An event that is not legal in the current
+phase moves the agent to Failed and records its reason in the agent's
+state, ``diagnostic``; the failing transition sends nothing, and nothing
+is dropped silently. Watchdogs are the only timers, and the driver keeps
+them: a :class:`SetTimer` guards the wait on a peer that its transition
+entered, until the agent's next transition. If that wait outlasts the
+driver's watchdog period, the driver delivers a :class:`TimerFired`,
+which fails any live agent, so a lost message turns into a diagnosed
+failure rather than a hang.
 
 A transition runs once per simulated event, so the code on that path keeps
 five rules (timings on CPython 3.11, 2-core host):
@@ -176,12 +178,7 @@ class SetTimer:
     """Guard the wait this transition entered, until the agent's next one."""
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    text: str
-
-
-Action = Union[BusMessage, Work, SetTimer, Diagnostic]
+Action = Union[BusMessage, Work, SetTimer]
 _SET_TIMER = SetTimer()
 
 
@@ -203,9 +200,10 @@ Event = Union[BusMessage, Work, TimerFired, Kickoff]
 
 
 class Topics(NamedTuple):
-    """Every topic of one task. A round's two topics sit at its number;
-    slot 0 is empty (a message cannot carry it), since round 0, the initial
-    image, rides on the namespace reply. ``failed`` is in ``Role`` order."""
+    """Every topic of one task, each the topic of a :func:`clean_run`
+    row. A round's two topics sit at its number; slot 0 is empty (a message
+    cannot carry it), since round 0, the initial image, rides on the
+    namespace reply."""
 
     task: str
     nsconfig: str
@@ -215,21 +213,19 @@ class Topics(NamedTuple):
     ns_ready: str
     flow_updated: str
     done: str
-    failed: tuple[str, ...]
 
 
 @functools.lru_cache(maxsize=256)  # a sweep builds one task per row
 def _topics(task_id: str, iterations: int) -> Topics:
     """The scheme of ``bus``: ``mig/{task_id}/{owning role}/{name}``."""
-    roots = [f"mig/{task_id}/{role.value}/" for role in Role]
-    src, dst, cli, orc = roots
+    src, dst, cli, orc = (f"mig/{task_id}/{role.value}/" for role in Role)
     rounds = range(1, iterations + 1)
     return Topics(
         orc + "task", src + "nsconfig",
         ("", *(f"{src}round/{r}/ready" for r in rounds)),
         ("", *(f"{src}round/{r}/image" for r in rounds)),
         src + "stopcopy/image", dst + "ns-ready", cli + "flow-updated",
-        dst + "done", tuple(root + "failed" for root in roots))
+        dst + "done")
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,12 +315,7 @@ def idle_agent(role: Role, agent_id: str) -> AgentState:
 
 
 def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
-    actions: list[Action] = [Diagnostic(reason)]
-    if (info := state.info) is not None:
-        failed = info.topics.failed[tuple(Role).index(state.role)]
-        actions.append(BusMessage(_PUBLISH, failed, state.agent_id, 0.0,
-                                  {"reason": reason}))
-    return state._replace(phase=FAILED, diagnostic=reason), actions
+    return state._replace(phase=FAILED, diagnostic=reason), []
 
 
 def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -572,16 +563,10 @@ def _advance_orchestrator(state: AgentState, event: Event
         # expect the completion notice
         return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [pub, _SET_TIMER]
 
-    if type(event) is BusMessage and info is not None:
-        if event.kind is _PUBLISH and event.topic in info.topics.failed:
-            reason = str(event.headers.get("reason", "agent failure"))
-            return (state._replace(phase=FAILED,
-                                   diagnostic=f"{event.sender}: {reason}"),
-                    [Diagnostic(f"failure reported by {event.sender}: {reason}")])
-        if event.kind is _PUBLISH \
-                and event.topic == info.topics.done \
-                and phase.kind is _AWAIT_RESTORE:
-            return _with(state, _PHASE, DONE), []
+    if type(event) is BusMessage and info is not None \
+            and event.kind is _PUBLISH and event.topic == info.topics.done \
+            and phase.kind is _AWAIT_RESTORE:
+        return _with(state, _PHASE, DONE), []
     return _unexpected(state, event)
 
 
@@ -621,7 +606,8 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     Terminal phases absorb every event; in any other phase a fired
     watchdog fails the agent, whatever its role. An agent without a task
     takes only the publication of one. Any other event that the current
-    phase has no transition for fails the agent with a diagnostic.
+    phase has no transition for fails the agent, its reason in
+    ``diagnostic``.
     """
     if state.phase.kind in TERMINAL_PHASES:
         return state, []

@@ -16,14 +16,15 @@ once per window, never the writes themselves.
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
 are accounted exactly once. Every message, replies included, is routed
-by its kind and topic through one table: :func:`agents.clean_run` plus
-the failed topics, resolved to agent ids. Like that table, the run
-setting (the link, the designer's view, each hop's latency) is built once
-per task and shared, read-only, by a plan and every run of an equal task
-(a sweep's rows). The seeded generator is made at the first dirty draw,
-from the seed or, on a sub-stream (a sweep row's), from the first 64-bit
-word of ``SeedSequence([seed, *stream])``: a cold run never draws, so
-derives none.
+by its kind and topic through one table, :func:`agents.clean_run`
+resolved to agent ids; no message off that table is sent. A failed agent
+reports to no one: the outcome's ``diagnostics`` hold each agent's own
+reason. Like that table, the run setting (the link, the designer's view,
+each hop's latency) is built once per task and shared, read-only, by a
+plan and every run of an equal task (a sweep's rows). The seeded
+generator is made at the first dirty draw, from the seed or, on a
+sub-stream (a sweep row's), from the first 64-bit word of
+``SeedSequence([seed, *stream])``: a cold run never draws, so derives none.
 
 The simulator keeps all the time: it prices every work item and holds one
 watchdog deadline per agent, ten times the predicted total plus ten
@@ -82,7 +83,7 @@ _TRANSFERS = frozenset({_W.TRANSFER_INITIAL, _W.TRANSFER_ROUND,
                         _W.TRANSFER_STOPCOPY})
 _PRE_CHECKPOINT, _ROUND_CHECKPOINT = _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT
 _FLOW_UPDATE, _RESTORE = _W.FLOW_UPDATE, _W.RESTORE
-_PUBLISH, _DONE = MessageKind.PUBLISH, ag.PhaseKind.DONE
+_DONE = ag.PhaseKind.DONE
 _TIMER_FIRED = ag.TimerFired()
 
 
@@ -219,16 +220,13 @@ def _run_setting(links: tuple[Link, ...], params: ModelParams,
 def _routes(info: ag.TaskInfo
             ) -> Mapping[tuple[MessageKind, str], tuple[str, ...]]:
     """Agent ids receiving each (kind, topic) of a task, in delivery
-    order: :func:`agents.clean_run`, plus every role's failure report to
-    the orchestrator, with each role resolved. Every run of an equal task
-    shares this one read-only table."""
+    order: :func:`agents.clean_run` with each role resolved. Every run of
+    an equal task shares this one read-only table."""
     agent_of = dict(zip(ag.Role, (info.source, info.destination,
                                   info.client, info.orchestrator)))
-    failures = [ag.Step(role, _PUBLISH, failed, (ag.Role.ORCHESTRATOR,))
-                for role, failed in zip(ag.Role, info.topics.failed)]
     return MappingProxyType({
         (step.kind, step.topic): tuple(agent_of[r] for r in step.receivers)
-        for step in (*ag.clean_run(info), *failures)})
+        for step in ag.clean_run(info)})
 
 
 # --------------------------------------------------------------------------
@@ -519,14 +517,14 @@ class _Sim:
                                            agent_id, _TIMER_FIRED)
                     if record:
                         action_docs.append({"timer_s": watchdog_s})
-                elif record:
-                    action_docs.append({"diagnostic": action.text})
 
             if (type(event) is _Work and event.kind is _RESTORE
                     and new_state.phase.kind is _DONE):
                 self.restore_end = time_s
 
             if record:
+                if new_state.diagnostic != state.diagnostic:
+                    action_docs.append({"diagnostic": new_state.diagnostic})
                 self._log(agent_id, state.role.value, str(state.phase),
                           str(new_state.phase), _describe_event(event),
                           tuple(action_docs))

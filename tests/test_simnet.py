@@ -637,10 +637,9 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
              if isinstance(r, DelayRule) else r for r in rules]
     info = agents.TaskInfo("ms-0", "a", "b", "c", "o", strategy, iters,
                            "netns:ms-0")
-    topics = [step.topic for step in agents.clean_run(info)]
-    topics += info.topics.failed
+    rows = [(step.kind.value, step.topic) for step in agents.clean_run(info)]
     unmatched = [r for r in rules
-                 if not any(r.topic_contains in t for t in topics)]
+                 if not any(r.topic_contains in t for _, t in rows)]
     if unmatched:
         with pytest.raises(DomainError) as exc:
             run_scenario(scenario, config, fault_rules=rules)
@@ -657,6 +656,13 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
         assert outcome.final_phases["o"] != "done"
         assert "o" in outcome.diagnostics
     assert outcome.end_time_s == outcome.events[-1].time_s
+    # Every message sent is a row of the protocol table, none twice: a
+    # fault only ever removes messages from a run.
+    sent = [(doc["send"], doc["topic"]) for ev in outcome.events
+            for doc in ev.actions if "send" in doc]
+    assert set(sent) <= set(rows)
+    assert len(set(sent)) == len(sent) == outcome.message_count
+    assert outcome.message_count <= len(rows)
     # No finished wait ever fires: a watchdog fails its agent, exactly one
     # period after the agent's previous transition, which armed it.
     last = {}
@@ -830,8 +836,7 @@ def test_agent_left_with_nothing_pending_is_diagnosed():
 def test_client_that_never_moves_the_flow_fails_the_migration(rule):
     # The restore waits for the client's flow-updated, so without it the
     # destination times out and the orchestrator never reports success.
-    # (The orchestrator's own watchdog, armed at kickoff, may fire before
-    # the destination's failure report reaches it.)
+    # (The orchestrator's own watchdog, armed at kickoff, fires first.)
     scenario = load_scenario(DEMO)
     outcome = run_scenario(scenario, plan_from_scenario(scenario),
                            fault_rules=(rule,))
@@ -840,6 +845,25 @@ def test_client_that_never_moves_the_flow_fails_the_migration(rule):
         "timed out waiting in phase await_restore")
     assert outcome.final_phases["orchestrator"] != "done"
     assert outcome.diagnostics["orchestrator"]
+
+
+def test_each_agent_diagnoses_its_own_failure_and_reports_nothing():
+    # The delayed reply lets round 1's announcement overtake it, so edge-b
+    # fails at once; no one hears of it, and the others time out on their
+    # own waits, the orchestrator on the completion notice.
+    scenario = load_scenario(DEMO)
+    outcome = run_scenario(
+        scenario, plan_from_scenario(scenario),
+        fault_rules=(DelayRule("nsconfig", 1.0, receiver="edge-b"),))
+    assert not outcome.completed
+    assert outcome.diagnostics["edge-b"] == (
+        "unexpected publish on mig/ms-video-0/source/round/1/ready"
+        " in phase precopy_round[0]")
+    assert outcome.diagnostics["orchestrator"] == (
+        "timed out waiting in phase await_restore")
+    # Task, query, reply and the round-1 announcement: no failure report.
+    assert outcome.message_count == 4
+    assert outcome.end_time_s == 56.786569230580696
 
 
 @pytest.mark.parametrize("build,field", [
