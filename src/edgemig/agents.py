@@ -399,7 +399,7 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             return _source_image_sent(state, reply, 0)
 
         if kind is _ROUND_CHECKPOINT and phase.kind is _PRE_COPY_ROUND \
-                and phase.round == event.round:
+                and 0 < event.round == phase.round:  # round 0: PRE_CHECKPOINT
             ready = BusMessage(_PUBLISH, info.topics.round_ready[event.round],
                                state.agent_id)
             state = _with(state, _ROUND_BYTES, event.bytes)

@@ -190,6 +190,19 @@ def test_source_unexpected_event_fails_with_diagnostic():
     assert actions == []
 
 
+def test_source_fails_on_a_round_zero_round_checkpoint():
+    # Round 0 is the initial image, checkpointed by PRE_CHECKPOINT; its
+    # round slot holds no topic to announce it on.
+    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+                          task_message(task_info()))
+    state, actions = ag.advance(
+        state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 4096.0, 0))
+    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic == (
+        "unexpected end of round_checkpoint in phase precopy_round[0]")
+    assert actions == []
+
+
 def _armed_source(info):
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
