@@ -28,7 +28,6 @@ from .model import (
     max_iterations,
     min_bandwidth,
     precopy_kpis,
-    strategy_kpis,
 )
 from .orchestrator import (
     BandwidthDistribution,
@@ -106,5 +105,4 @@ __all__ = [
     "precopy_kpis",
     "run_scenario",
     "strategy_distribution",
-    "strategy_kpis",
 ]

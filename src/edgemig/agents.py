@@ -8,12 +8,12 @@ The happy path, for an iterative pre-copy migration with I rounds:
 
 1. the orchestrator publishes the task and waits for the completion
    notice;
-2. the source begins the running-state checkpoint, while the destination
-   queries the namespace configuration;
+2. the source begins the running-state checkpoint (round 0), while the
+   destination queries the namespace configuration;
 3. the source answers that query once the initial image is transferred,
    handing over the namespace configuration and the initial image in one
    reply (one round trip saved: the destination cannot act before it holds
-   both);
+   both), which ends round 0 on both sides;
 4. each dirty-page round is pulled by the destination (a ready
    publication, an image query, an image reply);
 5. after the last round the source freezes the service, checkpoints, and
@@ -28,8 +28,10 @@ The happy path, for an iterative pre-copy migration with I rounds:
 The sequence is written down once, as data: :func:`clean_run` lists the
 messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
 3 per round), each with its sender, kind, topic and receiving roles. A cold
-migration follows the same skeleton minus the running-state copies (the
-namespace reply then carries no image). That table, the topic record
+migration follows the same skeleton minus the running-state copies: its
+source checkpoints nothing in round 0 and answers the query at once with a
+0-byte reply, then freezes the service as after a last round, so the
+destination walks one path whatever the strategy. That table, the topic record
 :class:`Topics` every :class:`TaskInfo` carries, and the simulator's
 ``_routes``, which resolves the table to agent ids, are the protocol's
 only routing facts. Messages stay in process, so headers carry typed
@@ -294,14 +296,13 @@ class AgentState(NamedTuple):
     preckpt_bytes: Optional[float] = None
     round_bytes: float = 0.0
     # Destination side.
-    ns_config: Optional[str] = None
     sc_bytes: Optional[float] = None
     diagnostic: Optional[str] = None
 
 
 # Field positions, for _with.
-(_PHASE, _INFO, _NS_QUERY_SEEN, _PRECKPT_BYTES, _ROUND_BYTES, _NS_CONFIG,
- _SC_BYTES, _DIAGNOSTIC) = range(2, len(AgentState._fields))
+(_PHASE, _INFO, _NS_QUERY_SEEN, _PRECKPT_BYTES, _ROUND_BYTES, _SC_BYTES,
+ _DIAGNOSTIC) = range(2, len(AgentState._fields))
 
 
 def _with(state: AgentState, index: int, value: object) -> AgentState:
@@ -347,11 +348,11 @@ def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
 
 def _source_start(state: AgentState, info: TaskInfo
                   ) -> tuple[AgentState, list[Action]]:
-    if info.strategy is _COLD:
-        phase, work = _STOP_COPY_PHASE, _STOP_CHECKPOINT_WORK
-    else:
-        phase, work = _ROUND_ZERO, _PRE_CHECKPOINT_WORK
-    return _with(_with(state, _INFO, info), _PHASE, phase), [work]
+    # Every source starts in round 0. A cold one makes no running-state
+    # copy: it waits, guarded, for the destination's query, and freezes the
+    # service only once asked, so it cannot finish before the query comes.
+    action = _SET_TIMER if info.strategy is _COLD else _PRE_CHECKPOINT_WORK
+    return _with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO), [action]
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -363,15 +364,12 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             if state.ns_query_seen:
                 return _fail(state, "duplicate namespace-configuration query")
             state = _with(state, _NS_QUERY_SEEN, True)
-            if info.strategy is _COLD:
-                # Nothing rides along; answer straight away.
-                if phase.kind is _STOP_COPY or phase.kind is _NS_TRANSITION:
-                    return state, [BusMessage(
-                        _REPLY, event.topic, state.agent_id, 0.0,
-                        {"ns_config": info.ns_config})]
-                return _unexpected(state, event)
             if phase != _ROUND_ZERO:
                 return _unexpected(state, event)
+            if info.strategy is _COLD:  # no initial image rides along
+                reply = BusMessage(_REPLY, event.topic, state.agent_id, 0.0,
+                                   {"ns_config": info.ns_config})
+                return _source_image_sent(state, reply, 0)
             if state.preckpt_bytes is not None:
                 # Initial image already checkpointed; ship it.
                 return state, [_new(Work, (_TRANSFER_INITIAL,
@@ -431,15 +429,6 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 # Destination
 
 
-def _dest_maybe_transition(state: AgentState
-                           ) -> tuple[AgentState, list[Action]]:
-    """Enter the namespace transition once image and config are both here
-    (``state`` holds what just arrived); until then, guard the wait."""
-    if state.sc_bytes is None or state.ns_config is None:
-        return state, [_SET_TIMER]
-    return _with(state, _PHASE, _NS_TRANSITION_PHASE), [_NS_RECREATE_WORK]
-
-
 def _dest_image_received(state: AgentState, done_round: int
                          ) -> tuple[AgentState, list[Action]]:
     """Pre-copy round ``done_round`` is here (0: the initial image): wait
@@ -455,8 +444,7 @@ def _dest_image_received(state: AgentState, done_round: int
 def _dest_start(state: AgentState, info: TaskInfo
                 ) -> tuple[AgentState, list[Action]]:
     query = BusMessage(_QUERY, info.topics.nsconfig, state.agent_id)
-    next_phase = _STOP_COPY_PHASE if info.strategy is _COLD else _ROUND_ZERO
-    return (_with(_with(state, _INFO, info), _PHASE, next_phase),
+    return (_with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO),
             [query, _SET_TIMER])
 
 
@@ -469,19 +457,10 @@ def _advance_destination(state: AgentState, event: Event
         kind = event.kind
         if kind is _REPLY and event.topic == info.topics.nsconfig:
             # A reply without the configuration is unexpected too.
-            ns_config = event.headers.get("ns_config")
-            if ns_config is None:
+            if phase != _ROUND_ZERO \
+                    or event.headers.get("ns_config") is None:
                 return _unexpected(state, event)
-            if info.strategy is _COLD:
-                if phase.kind is not _STOP_COPY \
-                        or state.ns_config is not None:
-                    return _unexpected(state, event)
-                return _dest_maybe_transition(
-                    _with(state, _NS_CONFIG, str(ns_config)))
-            if phase != _ROUND_ZERO:
-                return _unexpected(state, event)
-            return _dest_image_received(
-                _with(state, _NS_CONFIG, str(ns_config)), 0)
+            return _dest_image_received(state, 0)
 
         if kind is _PUBLISH and phase.kind is _PRE_COPY_ROUND \
                 and event.topic == info.topics.round_ready[phase.round]:
@@ -496,10 +475,8 @@ def _advance_destination(state: AgentState, event: Event
 
         if kind is _PUBLISH and phase.kind is _STOP_COPY \
                 and event.topic == info.topics.stopcopy:
-            if state.sc_bytes is not None:
-                return _fail(state, "duplicate stop-and-copy image")
-            return _dest_maybe_transition(
-                _with(state, _SC_BYTES, event.payload_bytes))
+            return (_with(_with(state, _SC_BYTES, event.payload_bytes),
+                          _PHASE, _NS_TRANSITION_PHASE), [_NS_RECREATE_WORK])
 
         if kind is _PUBLISH and phase.kind is _AWAIT_RESTORE \
                 and event.topic == info.topics.flow_updated:

@@ -249,16 +249,6 @@ def precopy_kpis(profile: MsProfile, params: ModelParams,
                 bytes_transferred=transferred)
 
 
-def strategy_kpis(profile: MsProfile, params: ModelParams,
-                  bandwidth_bytes_per_s: float,
-                  strategy: StrategyChoice) -> Kpis:
-    """Dispatch to the right predictor for a given strategy choice."""
-    if strategy.kind is StrategyKind.COLD:
-        return cold_kpis(profile, params, bandwidth_bytes_per_s)
-    return precopy_kpis(profile, params, bandwidth_bytes_per_s,
-                        strategy.iterations)
-
-
 def min_bandwidth(profile: MsProfile, params: ModelParams,
                   target_downtime_s: float,
                   available_bandwidth_bytes_per_s: float) -> Optional[float]:

@@ -26,7 +26,6 @@ from edgemig.model import (
     min_bandwidth,
     precopy_kpis,
     restore_duration,
-    strategy_kpis,
 )
 from edgemig.orchestrator import (
     BandwidthDistribution,
@@ -74,8 +73,12 @@ def _scenario(profile: MsProfile, params: ModelParams, *, seed: int,
 
 def _config(scenario, strategy, iterations, bandwidth):
     choice = StrategyChoice(strategy, iterations)
-    predicted = strategy_kpis(scenario.ms_profiles[0].profile,
-                              scenario.model_params, bandwidth, choice)
+    profile = scenario.ms_profiles[0].profile
+    if strategy is StrategyKind.COLD:
+        predicted = cold_kpis(profile, scenario.model_params, bandwidth)
+    else:
+        predicted = precopy_kpis(profile, scenario.model_params, bandwidth,
+                                 iterations)
     from edgemig.orchestrator import MigrationConfig
     return MigrationConfig(strategy=choice, bandwidth_bytes_per_s=bandwidth,
                            predicted=predicted, target_met=True)

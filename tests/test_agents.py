@@ -67,13 +67,18 @@ def test_source_task_receipt_checkpoints_without_a_message():
     assert actions == [ag.Work(ag.WorkKind.PRE_CHECKPOINT)]
 
 
-def test_source_cold_goes_straight_to_stop_copy():
+def test_source_cold_freezes_once_asked():
     info = task_info(StrategyKind.COLD, 0)
     state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                                 task_message(info))
+    # No running-state copy to make: only the wait for the query is guarded.
+    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
+    assert actions == [ag.SetTimer()]
+    state, actions = ag.advance(state, ns_query(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.STOP_CHECKPOINT
+    assert actions == [BusMessage(MessageKind.REPLY, TOPICS.nsconfig, "src",
+                                  0.0, {"ns_config": "netns:t1"}),
+                       ag.Work(ag.WorkKind.STOP_CHECKPOINT)]
 
 
 def test_source_initial_image_waits_for_query_and_checkpoint():
@@ -363,39 +368,45 @@ def test_destination_fails_on_flow_updated_before_ns_ready():
     state, actions = ag.advance(state, flow_updated(info))
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
-                                " in phase stopcopy_checkpoint")
+                                " in phase precopy_round[0]")
     assert actions == []
 
 
-def test_destination_cold_accepts_either_arrival_order():
+def test_destination_cold_takes_the_reply_before_the_image():
     info = task_info(StrategyKind.COLD, 0)
     idle = ag.idle_agent(ag.Role.DESTINATION, "dst")
 
-    # Config reply first, then the image.
+    # The 0-byte reply is round 0; the image follows it.
     state, _ = ag.advance(idle, task_message(info))
+    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
+    state, actions = ag.advance(state, ns_reply(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    state, actions = ag.advance(state, ns_reply(info))
-    assert works(actions) == []  # still waiting on the image
+    assert actions == [ag.SetTimer()]  # still waiting on the image
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.NS_RECREATE
+    assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
+    assert actions == [ag.Work(ag.WorkKind.NS_RECREATE)]
 
-    # Image first, then the config reply.
+    # The source freezes only once it has answered, so an image ahead of
+    # the reply is unexpected.
     state, _ = ag.advance(idle, task_message(info))
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
-    assert works(actions) == []
-    state, actions = ag.advance(state, ns_reply(info))
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.NS_RECREATE
+    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic == (f"unexpected publish on {TOPICS.stopcopy}"
+                                " in phase precopy_round[0]")
+    assert actions == []
 
 
 def test_destination_duplicate_stop_copy_image_fails():
     info = task_info(StrategyKind.COLD, 0)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
+    state, _ = ag.advance(state, ns_reply(info))
     state, _ = ag.advance(state, sc_push(info))
-    state, _ = ag.advance(state, sc_push(info))
+    state, actions = ag.advance(state, sc_push(info))
     assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic == (f"unexpected publish on {TOPICS.stopcopy}"
+                                " in phase namespace_transition")
+    assert actions == []
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +516,10 @@ def test_positional_state_copy_equals_replace_for_every_field():
     state = ag.AgentState(ag.Role.DESTINATION, "dst", info=task_info(),
                           preckpt_bytes=1.0, sc_bytes=2.0)
     names = ("phase", "info", "ns_query_seen", "preckpt_bytes",
-             "round_bytes", "ns_config", "sc_bytes", "diagnostic")
+             "round_bytes", "sc_bytes", "diagnostic")
     assert [ag.AgentState._fields[i] for i in (
         ag._PHASE, ag._INFO, ag._NS_QUERY_SEEN, ag._PRECKPT_BYTES,
-        ag._ROUND_BYTES, ag._NS_CONFIG, ag._SC_BYTES,
-        ag._DIAGNOSTIC)] == list(names)
+        ag._ROUND_BYTES, ag._SC_BYTES, ag._DIAGNOSTIC)] == list(names)
     for index, name in enumerate(ag.AgentState._fields):
         value = object()
         copied = ag._with(state, index, value)

@@ -25,7 +25,6 @@ from edgemig.model import (
     max_iterations,
     min_bandwidth,
     precopy_kpis,
-    strategy_kpis,
     stop_copy_image_bytes,
     worst_case_dirty_bytes,
 )
@@ -114,17 +113,6 @@ def test_cpu_context_joins_the_stop_copy_image():
     assert with_ctx.bytes_transferred - plain.bytes_transferred == \
         pytest.approx(4096, rel=REL)
     assert with_ctx.downtime_s > plain.downtime_s
-
-
-def test_strategy_dispatch():
-    cold = strategy_kpis(PROFILE, PARAMS, GBPS, StrategyChoice(StrategyKind.COLD))
-    assert cold.downtime_s == cold_kpis(PROFILE, PARAMS, GBPS).downtime_s
-    pre = strategy_kpis(PROFILE, PARAMS, GBPS,
-                        StrategyChoice(StrategyKind.PRE_COPY))
-    assert pre.total_s == precopy_kpis(PROFILE, PARAMS, GBPS, 0).total_s
-    it = strategy_kpis(PROFILE, PARAMS, GBPS,
-                       StrategyChoice(StrategyKind.ITERATIVE_PRE_COPY, 5))
-    assert it.total_s == precopy_kpis(PROFILE, PARAMS, GBPS, 5).total_s
 
 
 def test_min_bandwidth_inverts_the_downtime():

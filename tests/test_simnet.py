@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgemig import agents, simnet
@@ -22,7 +22,8 @@ from edgemig.model import (
     MsProfile,
     StrategyChoice,
     StrategyKind,
-    strategy_kpis,
+    cold_kpis,
+    precopy_kpis,
 )
 from edgemig.orchestrator import MigrationConfig, MigrationTask, Objective
 from edgemig.scenario import (
@@ -74,8 +75,11 @@ def make_scenario(*, state_bytes=10_485_760, dirty_norm=4 / 2559,
 def make_config(scenario, strategy, iterations=0, bandwidth=GBPS):
     profile = scenario.ms_profiles[0].profile
     choice = StrategyChoice(strategy, iterations)
-    predicted = strategy_kpis(profile, scenario.model_params, bandwidth,
-                              choice)
+    if strategy is StrategyKind.COLD:
+        predicted = cold_kpis(profile, scenario.model_params, bandwidth)
+    else:
+        predicted = precopy_kpis(profile, scenario.model_params, bandwidth,
+                                 iterations)
     return MigrationConfig(strategy=choice, bandwidth_bytes_per_s=bandwidth,
                            predicted=predicted, target_met=True)
 
@@ -568,6 +572,54 @@ def test_latency_delays_but_does_not_break_protocol():
     outcome = run_scenario(scenario, config)
     assert outcome.completed
     assert outcome.total_s > config.predicted.total_s  # latency adds up
+
+
+def test_cold_query_behind_a_slow_task_completes():
+    # The task reaches edge-b 4.6 s after edge-a: a source that froze on its
+    # task would be done before the query came. It freezes once asked.
+    scenario = load_scenario(DEMO)
+    task = dataclasses.replace(scenario.task.task,
+                               objective=Objective.MINIMIZE_RESOURCES,
+                               target_downtime_s=5.0)
+    links = tuple(
+        dataclasses.replace(link, latency_s=0.2)
+        if {link.from_host, link.to_host} == {"edge-a", "edge-b"} else link
+        for link in scenario.links)
+    scenario = dataclasses.replace(
+        scenario, links=(*links, Link("orchestrator", "edge-b", 1000.0, 4.6)),
+        task=dataclasses.replace(scenario.task, task=task))
+    config = plan_from_scenario(scenario)
+    assert config.strategy.kind is StrategyKind.COLD
+    outcome = run_scenario(scenario, config)
+    assert outcome.completed
+    assert outcome.message_count == 7
+    assert outcome.downtime_s == pytest.approx(
+        config.predicted.downtime_s + 0.2, rel=1e-9)
+    assert outcome.total_s == pytest.approx(4.6 + 0.2 + outcome.downtime_s,
+                                            rel=1e-9)
+
+
+LATENCY = st.floats(0.0, 0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LATENCY, LATENCY, LATENCY, LATENCY, LATENCY, LATENCY)
+def test_cold_latency_adds_the_pre_copy_hops(os_, od, oc, sd, sc, dc):
+    # The source hears its task no later than the destination's query.
+    assume(os_ <= od + sd)
+    scenario = dataclasses.replace(make_scenario(), links=tuple(
+        Link(a, b, 1000.0, latency) for a, b, latency in (
+            ("o", "a", os_), ("o", "b", od), ("o", "c", oc),
+            ("a", "b", sd), ("a", "c", sc), ("b", "c", dc))))
+    config = make_config(scenario, StrategyKind.COLD)
+    outcome = run_scenario(scenario, config)
+    assert outcome.completed
+    # Freeze on the query; the image, ns-ready and flow-updated each cross
+    # one link inside the downtime window.
+    assert outcome.downtime_s == pytest.approx(
+        config.predicted.downtime_s + sd + dc + dc, rel=1e-9)
+    assert outcome.total_s == pytest.approx(od + sd + outcome.downtime_s,
+                                            rel=1e-9)
 
 
 def _work_starts(outcome, agent, work):
