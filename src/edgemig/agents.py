@@ -29,15 +29,15 @@ The sequence is written down once, as data: :func:`clean_run` lists the
 messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
 3 per round), each with its sender, kind, topic and receiving roles. A cold
 migration follows the same skeleton minus the running-state copies: its
-source checkpoints nothing in round 0 and answers the query at once with a
-0-byte reply, then freezes the service as after a last round, so the
-destination walks one path whatever the strategy. That table, the topic record
-:class:`Topics` every :class:`TaskInfo` carries, and the simulator's
-``_routes``, which resolves the table to agent ids, are the protocol's
-only routing facts. Messages stay in process, so headers carry typed
-objects: the task publication hands every agent the frozen
-:class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no header
-repeats them.
+source checkpoints nothing in round 0, answers the query at once with a
+0-byte reply, and then freezes the service as after a last round, so the
+destination walks one path whatever the strategy. That table, the topic
+record :class:`Topics` every :class:`TaskInfo` carries, and the
+simulator's ``_routes``, which resolves the table to agent ids, are the
+protocol's only routing facts. Messages stay in process, so headers
+carry typed objects: the task publication hands every agent the frozen
+:class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no
+header repeats them.
 
 State machines are pure: :func:`advance` maps (state, event) to a new state
 plus a list of actions, each a message to send, a work item to run or a
