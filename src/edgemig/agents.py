@@ -8,33 +8,33 @@ The happy path, for an iterative pre-copy migration with I rounds:
 
 1. the orchestrator publishes the task and waits for the completion
    notice;
-2. the source begins the running-state checkpoint (round 0), while the
-   destination queries the namespace configuration;
-3. the source answers that query once the initial image is transferred,
-   handing over the namespace configuration and the initial image in one
-   reply (one round trip saved: the destination cannot act before it holds
-   both), which ends round 0 on both sides;
-4. each dirty-page round is pulled by the destination (a ready
-   publication, an image query, an image reply);
-5. after the last round the source freezes the service, checkpoints, and
+2. each pre-copy round r = 0..I is pulled by the destination: the source
+   checkpoints (round 0 the whole running state, each later round the
+   pages dirtied since the previous one), the destination queries the
+   round's image, and the source transfers it and replies with it and the
+   namespace configuration. The destination asks for round 0 as soon as it
+   holds its task, so that query may arrive before the checkpoint ends and
+   is then held; every later round is announced by a ready publication
+   once its checkpoint ends;
+3. after the last round the source freezes the service, checkpoints, and
    pushes the stop-and-copy image without waiting to be asked (a request
    round trip inside the downtime window would cost downtime for nothing);
-6. the destination recreates the network namespace (the source clears its
+4. the destination recreates the network namespace (the source clears its
    own in parallel) and publishes that it is ready, which triggers the
    client's flow update;
-7. the client publishes that the flow is updated, upon which the
+5. the client publishes that the flow is updated, upon which the
    destination restores and publishes the completion notice.
 
 The sequence is written down once, as data: :func:`clean_run` lists the
 messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
-3 per round), each with its sender, kind, topic and receiving roles. A cold
-migration follows the same skeleton minus the running-state copies: its
-source checkpoints nothing in round 0, answers the query at once with a
-0-byte reply, and then freezes the service as after a last round, so the
-destination walks one path whatever the strategy. That table, the topic
-record :class:`Topics` every :class:`TaskInfo` carries, and the
-simulator's ``_routes``, which resolves the table to agent ids, are the
-protocol's only routing facts. Messages stay in process, so headers
+3 per round after round 0), each with its sender, kind, topic and
+receiving roles. A cold migration follows the same skeleton minus the
+running-state copies: its source checkpoints nothing in round 0, answers
+the query at once with a 0-byte reply, and then freezes the service as
+after a last round, so the destination walks one path whatever the
+strategy. That table, the topic record :class:`Topics` every
+:class:`TaskInfo` carries, and the simulator's ``_routes``, which resolves
+the table to agent ids, are the protocol's only routing facts. Messages stay in process, so headers
 carry typed objects: the task publication hands every agent the frozen
 :class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no
 header repeats them.
@@ -133,6 +133,7 @@ _STOP_COPY = PhaseKind.STOP_COPY_CHECKPOINT
 _NS_TRANSITION = PhaseKind.NAMESPACE_TRANSITION
 _AWAIT_RESTORE = PhaseKind.AWAIT_RESTORE
 _ROUND_ZERO = Phase(_PRE_COPY_ROUND, 0)
+_PULL_ZERO = Phase(_AWAIT_IMAGE_PULL, 0)
 _STOP_COPY_PHASE = Phase(_STOP_COPY)
 _NS_TRANSITION_PHASE = Phase(_NS_TRANSITION)
 _AWAIT_RESTORE_PHASE = Phase(_AWAIT_RESTORE)
@@ -141,10 +142,8 @@ _AWAIT_RESTORE_PHASE = Phase(_AWAIT_RESTORE)
 class WorkKind(str, Enum):
     """Timed activities an agent asks its host to carry out."""
 
-    PRE_CHECKPOINT = "pre_checkpoint"
     ROUND_CHECKPOINT = "round_checkpoint"
     STOP_CHECKPOINT = "stop_checkpoint"
-    TRANSFER_INITIAL = "transfer_initial"
     TRANSFER_ROUND = "transfer_round"
     TRANSFER_STOPCOPY = "transfer_stopcopy"
     NS_CLEAR = "ns_clear"
@@ -153,9 +152,9 @@ class WorkKind(str, Enum):
     RESTORE = "restore"
 
 
-(_PRE_CHECKPOINT, _ROUND_CHECKPOINT, _STOP_CHECKPOINT, _TRANSFER_INITIAL,
- _TRANSFER_ROUND, _TRANSFER_STOPCOPY, _NS_CLEAR, _NS_RECREATE, _FLOW_UPDATE,
- _RESTORE) = WorkKind  # hot-path names, in definition order
+# Hot-path names, in definition order.
+(_ROUND_CHECKPOINT, _STOP_CHECKPOINT, _TRANSFER_ROUND, _TRANSFER_STOPCOPY,
+ _NS_CLEAR, _NS_RECREATE, _FLOW_UPDATE, _RESTORE) = WorkKind
 
 
 class Work(NamedTuple):
@@ -167,11 +166,11 @@ class Work(NamedTuple):
     round: int = 0
 
 
-# Positional record builds, and the size-less, round-less work items.
+# Positional record builds, and the size-less, round-0 work items.
 _new = tuple.__new__
-(_PRE_CHECKPOINT_WORK, _STOP_CHECKPOINT_WORK, _NS_CLEAR_WORK,
+(_ROUND_CHECKPOINT_WORK, _STOP_CHECKPOINT_WORK, _NS_CLEAR_WORK,
  _NS_RECREATE_WORK, _FLOW_UPDATE_WORK) = (
-    Work(kind) for kind in (_PRE_CHECKPOINT, _STOP_CHECKPOINT, _NS_CLEAR,
+    Work(kind) for kind in (_ROUND_CHECKPOINT, _STOP_CHECKPOINT, _NS_CLEAR,
                             _NS_RECREATE, _FLOW_UPDATE))
 
 
@@ -203,12 +202,12 @@ Event = Union[BusMessage, Work, TimerFired, Kickoff]
 
 class Topics(NamedTuple):
     """Every topic of one task, each the topic of a :func:`clean_run`
-    row. A round's two topics sit at its number; slot 0 is empty (a message
-    cannot carry it), since round 0, the initial image, rides on the
-    namespace reply."""
+    row. A round's two topics sit at its number. Round 0's image topic is
+    named ``nsconfig``, as the destination holds no namespace configuration
+    before that reply; its ready slot is empty (a message cannot carry it),
+    since the destination asks for round 0 unannounced."""
 
     task: str
-    nsconfig: str
     round_ready: tuple[str, ...]
     round_image: tuple[str, ...]
     stopcopy: str
@@ -223,9 +222,8 @@ def _topics(task_id: str, iterations: int) -> Topics:
     src, dst, cli, orc = (f"mig/{task_id}/{role.value}/" for role in Role)
     rounds = range(1, iterations + 1)
     return Topics(
-        orc + "task", src + "nsconfig",
-        ("", *(f"{src}round/{r}/ready" for r in rounds)),
-        ("", *(f"{src}round/{r}/image" for r in rounds)),
+        orc + "task", ("", *(f"{src}round/{r}/ready" for r in rounds)),
+        (src + "nsconfig", *(f"{src}round/{r}/image" for r in rounds)),
         src + "stopcopy/image", dst + "ns-ready", cli + "flow-updated",
         dst + "done")
 
@@ -268,12 +266,11 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
     """
     t = info.topics
     src, dst, cli, orc = Role
-    steps = [Step(orc, _PUBLISH, t.task, (src, dst, cli)),
-             Step(dst, _QUERY, t.nsconfig, (src,)),
-             Step(src, _REPLY, t.nsconfig, (dst,))]
-    for r in range(1, info.iterations + 1):
-        steps += (Step(src, _PUBLISH, t.round_ready[r], (dst,)),
-                  Step(dst, _QUERY, t.round_image[r], (src,)),
+    steps = [Step(orc, _PUBLISH, t.task, (src, dst, cli))]
+    for r in range(info.iterations + 1):
+        if r:  # round 0 is asked for unannounced
+            steps.append(Step(src, _PUBLISH, t.round_ready[r], (dst,)))
+        steps += (Step(dst, _QUERY, t.round_image[r], (src,)),
                   Step(src, _REPLY, t.round_image[r], (dst,)))
     steps += (Step(src, _PUBLISH, t.stopcopy, (dst,)),
               Step(dst, _PUBLISH, t.ns_ready, (cli,)),
@@ -291,18 +288,17 @@ class AgentState(NamedTuple):
     agent_id: str
     phase: Phase = IDLE
     info: Optional[TaskInfo] = None
-    # Source side.
-    ns_query_seen: bool = False
-    preckpt_bytes: Optional[float] = None
-    round_bytes: float = 0.0
-    # Destination side.
-    sc_bytes: Optional[float] = None
+    # The source's last round asked for.
+    pulled: int = -1
+    # The source's image of the current round; the destination's
+    # stop-and-copy image.
+    image_bytes: float = 0.0
     diagnostic: Optional[str] = None
 
 
 # Field positions, for _with.
-(_PHASE, _INFO, _NS_QUERY_SEEN, _PRECKPT_BYTES, _ROUND_BYTES, _SC_BYTES,
- _DIAGNOSTIC) = range(2, len(AgentState._fields))
+_PHASE, _INFO, _PULLED, _IMAGE_BYTES, _DIAGNOSTIC = range(
+    2, len(AgentState._fields))
 
 
 def _with(state: AgentState, index: int, value: object) -> AgentState:
@@ -333,12 +329,15 @@ def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Actio
 # Source
 
 
-def _source_image_sent(state: AgentState, reply: BusMessage, done_round: int
+def _source_image_sent(state: AgentState, done_round: int, nbytes: float
                        ) -> tuple[AgentState, list[Action]]:
-    """Pre-copy round ``done_round`` is shipped (0: the initial image):
-    checkpoint the next round, or freeze the service for the stop-and-copy
-    checkpoint after the last."""
-    if done_round >= state.info.iterations:
+    """Reply with pre-copy round ``done_round``'s image of ``nbytes`` and
+    the namespace configuration, then checkpoint the next round, or freeze
+    the service for the stop-and-copy checkpoint after the last."""
+    info = state.info
+    reply = BusMessage(_REPLY, info.topics.round_image[done_round],
+                       state.agent_id, nbytes, {"ns_config": info.ns_config})
+    if done_round >= info.iterations:
         return (_with(state, _PHASE, _STOP_COPY_PHASE),
                 [reply, _STOP_CHECKPOINT_WORK])
     next_round = done_round + 1
@@ -351,65 +350,48 @@ def _source_start(state: AgentState, info: TaskInfo
     # Every source starts in round 0. A cold one makes no running-state
     # copy: it waits, guarded, for the destination's query, and freezes the
     # service only once asked, so it cannot finish before the query comes.
-    action = _SET_TIMER if info.strategy is _COLD else _PRE_CHECKPOINT_WORK
+    action = _SET_TIMER if info.strategy is _COLD else _ROUND_CHECKPOINT_WORK
     return _with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO), [action]
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     info = state.info
     phase = state.phase
+    r = phase.round
 
     if type(event) is BusMessage:
-        if event.kind is _QUERY and event.topic == info.topics.nsconfig:
-            if state.ns_query_seen:
-                return _fail(state, "duplicate namespace-configuration query")
-            state = _with(state, _NS_QUERY_SEEN, True)
-            if phase != _ROUND_ZERO:
-                return _unexpected(state, event)
-            if info.strategy is _COLD:  # no initial image rides along
-                reply = BusMessage(_REPLY, event.topic, state.agent_id, 0.0,
-                                   {"ns_config": info.ns_config})
-                return _source_image_sent(state, reply, 0)
-            if state.preckpt_bytes is not None:
-                # Initial image already checkpointed; ship it.
-                return state, [_new(Work, (_TRANSFER_INITIAL,
-                                           state.preckpt_bytes, 0))]
-            return state, []
-
-        if event.kind is _QUERY and phase.kind is _AWAIT_IMAGE_PULL \
-                and event.topic == info.topics.round_image[phase.round]:
-            return state, [_new(Work, (_TRANSFER_ROUND, state.round_bytes,
-                                       phase.round))]
+        if event.kind is _QUERY and (phase.kind is _PRE_COPY_ROUND
+                                     or phase.kind is _AWAIT_IMAGE_PULL) \
+                and event.topic == info.topics.round_image[r]:
+            if state.pulled == r:
+                return _fail(state, f"duplicate query for round {r}")
+            state = _with(state, _PULLED, r)
+            if phase.kind is _AWAIT_IMAGE_PULL:
+                return state, [_new(Work, (_TRANSFER_ROUND, state.image_bytes,
+                                           r))]
+            if info.strategy is _COLD:  # no initial image to copy
+                return _source_image_sent(state, 0, 0.0)
+            return state, []  # held until the round's checkpoint ends
         return _unexpected(state, event)
 
     if type(event) is Work:
         kind = event.kind
-        if kind is _PRE_CHECKPOINT and phase == _ROUND_ZERO:
-            if state.ns_query_seen:
-                return (_with(state, _PRECKPT_BYTES, event.bytes),
-                        [_new(Work, (_TRANSFER_INITIAL, event.bytes, 0))])
-            # waiting for the destination query
-            return _with(state, _PRECKPT_BYTES, event.bytes), [_SET_TIMER]
-
-        if kind is _TRANSFER_INITIAL and phase == _ROUND_ZERO:
-            reply = BusMessage(_REPLY, info.topics.nsconfig, state.agent_id,
-                               event.bytes, {"ns_config": info.ns_config})
-            return _source_image_sent(state, reply, 0)
-
         if kind is _ROUND_CHECKPOINT and phase.kind is _PRE_COPY_ROUND \
-                and 0 < event.round == phase.round:  # round 0: PRE_CHECKPOINT
-            ready = BusMessage(_PUBLISH, info.topics.round_ready[event.round],
+                and event.round == r:
+            state = _with(_with(state, _IMAGE_BYTES, event.bytes), _PHASE,
+                          _new(Phase, (_AWAIT_IMAGE_PULL, r)))
+            if state.pulled == r:  # its query came first
+                return state, [_new(Work, (_TRANSFER_ROUND, event.bytes, r))]
+            if r == 0:  # asked for unannounced; waiting for the query
+                return state, [_SET_TIMER]
+            ready = BusMessage(_PUBLISH, info.topics.round_ready[r],
                                state.agent_id)
-            state = _with(state, _ROUND_BYTES, event.bytes)
-            next_phase = _new(Phase, (_AWAIT_IMAGE_PULL, event.round))
             # waiting for the pull query
-            return _with(state, _PHASE, next_phase), [ready, _SET_TIMER]
+            return state, [ready, _SET_TIMER]
 
         if kind is _TRANSFER_ROUND and phase.kind is _AWAIT_IMAGE_PULL \
-                and phase.round == event.round:
-            reply = BusMessage(_REPLY, info.topics.round_image[event.round],
-                               state.agent_id, event.bytes)
-            return _source_image_sent(state, reply, event.round)
+                and event.round == r:
+            return _source_image_sent(state, r, event.bytes)
 
         if kind is _STOP_CHECKPOINT and phase.kind is _STOP_COPY:
             return state, [_new(Work, (_TRANSFER_STOPCOPY, event.bytes, 0))]
@@ -431,9 +413,8 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
 
 def _dest_image_received(state: AgentState, done_round: int
                          ) -> tuple[AgentState, list[Action]]:
-    """Pre-copy round ``done_round`` is here (0: the initial image): wait
-    for the next round's announcement, or the stop-and-copy image after the
-    last."""
+    """Pre-copy round ``done_round`` is here: wait for the next round's
+    announcement, or the stop-and-copy image after the last."""
     if done_round < state.info.iterations:
         next_phase = _new(Phase, (_PRE_COPY_ROUND, done_round + 1))
     else:
@@ -443,8 +424,8 @@ def _dest_image_received(state: AgentState, done_round: int
 
 def _dest_start(state: AgentState, info: TaskInfo
                 ) -> tuple[AgentState, list[Action]]:
-    query = BusMessage(_QUERY, info.topics.nsconfig, state.agent_id)
-    return (_with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO),
+    query = BusMessage(_QUERY, info.topics.round_image[0], state.agent_id)
+    return (_with(_with(state, _INFO, info), _PHASE, _PULL_ZERO),
             [query, _SET_TIMER])
 
 
@@ -455,13 +436,6 @@ def _advance_destination(state: AgentState, event: Event
 
     if type(event) is BusMessage:
         kind = event.kind
-        if kind is _REPLY and event.topic == info.topics.nsconfig:
-            # A reply without the configuration is unexpected too.
-            if phase != _ROUND_ZERO \
-                    or event.headers.get("ns_config") is None:
-                return _unexpected(state, event)
-            return _dest_image_received(state, 0)
-
         if kind is _PUBLISH and phase.kind is _PRE_COPY_ROUND \
                 and event.topic == info.topics.round_ready[phase.round]:
             pull = BusMessage(_QUERY, info.topics.round_image[phase.round],
@@ -469,18 +443,20 @@ def _advance_destination(state: AgentState, event: Event
             next_phase = _new(Phase, (_AWAIT_IMAGE_PULL, phase.round))
             return _with(state, _PHASE, next_phase), [pull, _SET_TIMER]
 
+        # A reply without the configuration is unexpected too.
         if kind is _REPLY and phase.kind is _AWAIT_IMAGE_PULL \
-                and event.topic == info.topics.round_image[phase.round]:
+                and event.topic == info.topics.round_image[phase.round] \
+                and event.headers.get("ns_config") is not None:
             return _dest_image_received(state, phase.round)
 
         if kind is _PUBLISH and phase.kind is _STOP_COPY \
                 and event.topic == info.topics.stopcopy:
-            return (_with(_with(state, _SC_BYTES, event.payload_bytes),
+            return (_with(_with(state, _IMAGE_BYTES, event.payload_bytes),
                           _PHASE, _NS_TRANSITION_PHASE), [_NS_RECREATE_WORK])
 
         if kind is _PUBLISH and phase.kind is _AWAIT_RESTORE \
                 and event.topic == info.topics.flow_updated:
-            return state, [_new(Work, (_RESTORE, state.sc_bytes, 0))]
+            return state, [_new(Work, (_RESTORE, state.image_bytes, 0))]
         return _unexpected(state, event)
 
     if type(event) is Work:

@@ -277,19 +277,9 @@ def _task_section(task: dict[str, Any], **fields: Any) -> TaskSection:
     return TaskSection(task=MigrationTask(**task), **fields)
 
 
-def _default_upper_bytes_per_s(raw: Mapping[str, Any]) -> Optional[float]:
-    """With only a lower bound, mean + 5 std in Mbps; with none, unset."""
-    if "lower_mbps" not in raw:
-        return None
+def _default_upper_bytes_per_s(raw: Mapping[str, Any]) -> float:
+    """mean + 5 std, in Mbps."""
     return (raw["mean_mbps"] + 5.0 * raw["std_mbps"]) * BYTES_PER_S_PER_MBPS
-
-
-def _distribution(upper_bytes_per_s: Optional[float],
-                  **fields: float) -> BandwidthDistribution:
-    if upper_bytes_per_s is None:
-        return BandwidthDistribution.from_mean_std(
-            fields["mean_bytes_per_s"], fields["std_bytes_per_s"])
-    return BandwidthDistribution(upper_bytes_per_s=upper_bytes_per_s, **fields)
 
 
 _MBPS = BYTES_PER_S_PER_MBPS
@@ -324,7 +314,7 @@ _SECTIONS = (
         _Field("variable", str), _Field("from_s", float),
         _Field("to_s", float), _Field("step_s", float),
         _Field("profiles", tuple)), False, False),
-    ("bandwidth_distribution", _distribution, (
+    ("bandwidth_distribution", BandwidthDistribution, (
         _Field("mean_mbps", float, attr="mean_bytes_per_s", scale=_MBPS),
         _Field("std_mbps", float, attr="std_bytes_per_s", scale=_MBPS),
         _Field("lower_mbps", float, 0.0, "lower_bytes_per_s", _MBPS),

@@ -60,7 +60,6 @@ from .model import (
     BYTES_PER_S_PER_MBPS,
     ModelParams,
     MsProfile,
-    StrategyKind,
     checkpoint_duration,
     pre_checkpoint_duration,
     restore_duration,
@@ -77,11 +76,9 @@ _W = ag.WorkKind
 _Work, _SetTimer = ag.Work, ag.SetTimer
 # Work that takes an image, so comes back sized; work that moves one over
 # the source-destination link.
-_CHECKPOINTS = frozenset({_W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT,
-                          _W.STOP_CHECKPOINT})
-_TRANSFERS = frozenset({_W.TRANSFER_INITIAL, _W.TRANSFER_ROUND,
-                        _W.TRANSFER_STOPCOPY})
-_PRE_CHECKPOINT, _ROUND_CHECKPOINT = _W.PRE_CHECKPOINT, _W.ROUND_CHECKPOINT
+_CHECKPOINTS = frozenset({_W.ROUND_CHECKPOINT, _W.STOP_CHECKPOINT})
+_TRANSFERS = frozenset({_W.TRANSFER_ROUND, _W.TRANSFER_STOPCOPY})
+_ROUND_CHECKPOINT = _W.ROUND_CHECKPOINT
 _FLOW_UPDATE, _RESTORE = _W.FLOW_UPDATE, _W.RESTORE
 _DONE = ag.PhaseKind.DONE
 _TIMER_FIRED = ag.TimerFired()
@@ -411,15 +408,15 @@ class _Sim:
         if kind in _CHECKPOINTS:
             page_size = self.profile.page_size_bytes
             if kind is _ROUND_CHECKPOINT:
-                nbytes = float(self._capture_dirty() * page_size)
-                duration = pre_checkpoint_duration(params, nbytes)
-            elif kind is _PRE_CHECKPOINT:
-                self.dirty_clock = self.now
-                nbytes = float(self.profile.state_size_bytes)
+                if action.round:
+                    nbytes = float(self._capture_dirty() * page_size)
+                else:  # round 0 takes the whole state and starts the clock
+                    self.dirty_clock = self.now
+                    nbytes = float(self.profile.state_size_bytes)
                 duration = pre_checkpoint_duration(params, nbytes)
             else:
                 self.freeze_time = self.now
-                if self.info.strategy is StrategyKind.COLD:
+                if self.dirty_clock is None:  # cold: no earlier snapshot
                     nbytes = float(self.profile.state_size_bytes)
                 else:
                     # Left an int: the event log prints it without a ".0".

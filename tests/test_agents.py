@@ -37,9 +37,9 @@ def task_message(info):
         sender="orc", headers={"task": info})
 
 
-def ns_query(info):
+def pull_query(info, round_index=0):
     return BusMessage(
-        kind=MessageKind.QUERY, topic=info.topics.nsconfig,
+        kind=MessageKind.QUERY, topic=info.topics.round_image[round_index],
         sender="dst")
 
 
@@ -64,7 +64,7 @@ def test_source_task_receipt_checkpoints_without_a_message():
     state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                                 task_message(info))
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
-    assert actions == [ag.Work(ag.WorkKind.PRE_CHECKPOINT)]
+    assert actions == [ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 0.0, 0)]
 
 
 def test_source_cold_freezes_once_asked():
@@ -74,11 +74,15 @@ def test_source_cold_freezes_once_asked():
     # No running-state copy to make: only the wait for the query is guarded.
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
     assert actions == [ag.SetTimer()]
-    state, actions = ag.advance(state, ns_query(info))
+    state, actions = ag.advance(state, pull_query(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    assert actions == [BusMessage(MessageKind.REPLY, TOPICS.nsconfig, "src",
+    assert actions == [BusMessage(MessageKind.REPLY, TOPICS.round_image[0],
+                                  "src",
                                   0.0, {"ns_config": "netns:t1"}),
                        ag.Work(ag.WorkKind.STOP_CHECKPOINT)]
+
+
+CHECKPOINT_ZERO = ag.Work(ag.WorkKind.ROUND_CHECKPOINT, float(M), 0)
 
 
 def test_source_initial_image_waits_for_query_and_checkpoint():
@@ -88,35 +92,33 @@ def test_source_initial_image_waits_for_query_and_checkpoint():
 
     # Order A: query first, then checkpoint completion.
     state, _ = ag.advance(idle, task_message(info))
-    state, actions = ag.advance(state, ns_query(info))
+    state, actions = ag.advance(state, pull_query(info))
     assert works(actions) == [] and sends(actions) == []
-    state, actions = ag.advance(
-        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.TRANSFER_INITIAL and work.bytes == M
+    state, actions = ag.advance(state, CHECKPOINT_ZERO)
+    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    assert actions == [ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0)]
 
     # Order B: checkpoint completes first, query afterwards.
     state, _ = ag.advance(idle, task_message(info))
-    state, actions = ag.advance(
-        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
-    assert works(actions) == []
-    assert timers(actions)  # passive wait is guarded
-    state, actions = ag.advance(state, ns_query(info))
-    [work] = works(actions)
-    assert work.kind is ag.WorkKind.TRANSFER_INITIAL and work.bytes == M
+    state, actions = ag.advance(state, CHECKPOINT_ZERO)
+    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    # No announcement for round 0; the passive wait is guarded.
+    assert actions == [ag.SetTimer()]
+    state, actions = ag.advance(state, pull_query(info))
+    assert actions == [ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0)]
 
 
 def test_source_full_iterative_walk():
     info = task_info(iterations=2)
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
-    state, _ = ag.advance(state, ns_query(info))
+    state, _ = ag.advance(state, pull_query(info))
+    state, actions = ag.advance(state, CHECKPOINT_ZERO)
     state, actions = ag.advance(
-        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
-    state, actions = ag.advance(
-        state, ag.Work(ag.WorkKind.TRANSFER_INITIAL, bytes=float(M)))
-    # The namespace reply carries the initial image; round 1 begins.
+        state, ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0))
+    # The round-0 reply carries the initial image; round 1 begins.
     [reply] = sends(actions)
+    assert reply.topic == TOPICS.round_image[0]
     assert reply.kind is MessageKind.REPLY
     assert reply.payload_bytes == M
     assert reply.headers["ns_config"] == "netns:t1"
@@ -140,6 +142,7 @@ def test_source_full_iterative_walk():
         state, ag.Work(ag.WorkKind.TRANSFER_ROUND, bytes=8192.0, round=1))
     [reply] = sends(actions)
     assert reply.topic == TOPICS.round_image[1]
+    assert reply.headers["ns_config"] == "netns:t1"
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 2)
 
     # Round 2 ends the pre-copy: next comes the stop-and-copy checkpoint.
@@ -172,14 +175,35 @@ def test_source_full_iterative_walk():
     assert actions == []
 
 
-def test_source_rejects_duplicate_ns_query():
-    info = task_info()
+def _source_in_round(info, round_index):
+    """A source checkpointing pre-copy round ``round_index``."""
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
-    state, _ = ag.advance(state, ns_query(info))
-    state, actions = ag.advance(state, ns_query(info))
+    for r in range(round_index):
+        for event in (ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 4096.0, r),
+                      pull_query(info, r),
+                      ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, r)):
+            state, _ = ag.advance(state, event)
+    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, round_index)
+    return state
+
+
+@pytest.mark.parametrize("round_index", [0, 2])
+def test_source_rejects_a_duplicate_query(round_index):
+    # Round 0's query is held while its checkpoint runs; round 2's, once
+    # announced, starts the transfer. A repeat of either fails the source
+    # and starts nothing.
+    info = task_info(iterations=2)
+    state = _source_in_round(info, round_index)
+    if round_index:
+        state, _ = ag.advance(state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT,
+                                             4096.0, round_index))
+    state, actions = ag.advance(state, pull_query(info, round_index))
+    assert works(actions) == ([ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2)]
+                              if round_index else [])
+    state, actions = ag.advance(state, pull_query(info, round_index))
     assert state.phase.kind is ag.PhaseKind.FAILED
-    assert state.diagnostic == "duplicate namespace-configuration query"
+    assert state.diagnostic == f"duplicate query for round {round_index}"
     assert actions == []  # a failing agent sends nothing
 
 
@@ -195,16 +219,18 @@ def test_source_unexpected_event_fails_with_diagnostic():
     assert actions == []
 
 
-def test_source_fails_on_a_round_zero_round_checkpoint():
-    # Round 0 is the initial image, checkpointed by PRE_CHECKPOINT; its
-    # round slot holds no topic to announce it on.
-    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
-                          task_message(task_info()))
+@pytest.mark.parametrize("round_index", [0, 2])
+def test_source_fails_on_another_rounds_checkpoint_end(round_index):
+    # Only the current round's checkpoint may end: another round's fails
+    # the source with a diagnostic, whatever slot that round's topics hold.
+    info = task_info(iterations=2)
+    state = _source_in_round(info, 1)
+    phase = state.phase
     state, actions = ag.advance(
-        state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 4096.0, 0))
+        state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 4096.0, round_index))
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic == (
-        "unexpected end of round_checkpoint in phase precopy_round[0]")
+        f"unexpected end of round_checkpoint in phase {phase}")
     assert actions == []
 
 
@@ -212,8 +238,7 @@ def _armed_source(info):
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
     # The checkpoint ends before the destination's query: a passive wait.
-    return ag.advance(
-        state, ag.Work(ag.WorkKind.PRE_CHECKPOINT, bytes=float(M)))
+    return ag.advance(state, CHECKPOINT_ZERO)
 
 
 def _armed_destination(info):
@@ -276,7 +301,7 @@ def test_terminal_phases_absorb_everything():
                           task_message(info))
     failed, _ = ag.advance(state, ag.Work(ag.WorkKind.RESTORE))
     assert failed.phase.kind is ag.PhaseKind.FAILED
-    after, actions = ag.advance(failed, ns_query(info))
+    after, actions = ag.advance(failed, pull_query(info))
     assert after == failed and actions == []
 
 
@@ -284,9 +309,9 @@ def test_terminal_phases_absorb_everything():
 # Destination
 
 
-def ns_reply(info, payload=0.0):
+def image_reply(info, payload=0.0, round_index=0):
     return BusMessage(
-        kind=MessageKind.REPLY, topic=info.topics.nsconfig,
+        kind=MessageKind.REPLY, topic=info.topics.round_image[round_index],
         sender="src", payload_bytes=payload,
         headers={"ns_config": "netns:t1"})
 
@@ -297,14 +322,14 @@ def sc_push(info, payload=20480.0):
         sender="src", payload_bytes=payload)
 
 
-def test_destination_queries_namespace_config_on_task():
+def test_destination_pulls_round_zero_on_task():
     info = task_info()
     state, actions = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                                 task_message(info))
     [query] = sends(actions)
     assert query.kind is MessageKind.QUERY
-    assert query.topic == TOPICS.nsconfig
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
+    assert query.topic == TOPICS.round_image[0] == "mig/t1/source/nsconfig"
+    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
     assert timers(actions)
 
 
@@ -318,7 +343,7 @@ def test_destination_full_walk_restores_on_flow_updated():
     info = task_info(iterations=1)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
-    state, _ = ag.advance(state, ns_reply(info, payload=float(M)))
+    state, _ = ag.advance(state, image_reply(info, payload=float(M)))
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 1)
     ready = BusMessage(
         kind=MessageKind.PUBLISH, topic=TOPICS.round_ready[1],
@@ -328,10 +353,7 @@ def test_destination_full_walk_restores_on_flow_updated():
     assert pull.kind is MessageKind.QUERY
     assert pull.topic == TOPICS.round_image[1]
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
-    image = BusMessage(
-        kind=MessageKind.REPLY, topic=TOPICS.round_image[1],
-        sender="src", payload_bytes=8192.0)
-    state, actions = ag.advance(state, image)
+    state, actions = ag.advance(state, image_reply(info, 8192.0, 1))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     assert timers(actions) == [ag.SetTimer()]
 
@@ -368,7 +390,7 @@ def test_destination_fails_on_flow_updated_before_ns_ready():
     state, actions = ag.advance(state, flow_updated(info))
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
-                                " in phase precopy_round[0]")
+                                " in phase await_image_pull[0]")
     assert actions == []
 
 
@@ -378,8 +400,8 @@ def test_destination_cold_takes_the_reply_before_the_image():
 
     # The 0-byte reply is round 0; the image follows it.
     state, _ = ag.advance(idle, task_message(info))
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
-    state, actions = ag.advance(state, ns_reply(info))
+    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    state, actions = ag.advance(state, image_reply(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     assert actions == [ag.SetTimer()]  # still waiting on the image
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
@@ -392,7 +414,7 @@ def test_destination_cold_takes_the_reply_before_the_image():
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
     assert state.phase.kind is ag.PhaseKind.FAILED
     assert state.diagnostic == (f"unexpected publish on {TOPICS.stopcopy}"
-                                " in phase precopy_round[0]")
+                                " in phase await_image_pull[0]")
     assert actions == []
 
 
@@ -400,7 +422,7 @@ def test_destination_duplicate_stop_copy_image_fails():
     info = task_info(StrategyKind.COLD, 0)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
-    state, _ = ag.advance(state, ns_reply(info))
+    state, _ = ag.advance(state, image_reply(info))
     state, _ = ag.advance(state, sc_push(info))
     state, actions = ag.advance(state, sc_push(info))
     assert state.phase.kind is ag.PhaseKind.FAILED
@@ -494,17 +516,25 @@ def test_clean_run_sends_seven_plus_three_per_round(strategy, iters):
     assert len(ag.clean_run(task_info(strategy, iters))) == 7 + 3 * iters
 
 
-@pytest.mark.parametrize("strategy", [StrategyKind.COLD,
-                                      StrategyKind.PRE_COPY])
-def test_namespace_reply_without_its_configuration_fails(strategy):
-    info = task_info(strategy, 0)
+@pytest.mark.parametrize("strategy,round_index", [
+    (StrategyKind.COLD, 0),
+    (StrategyKind.PRE_COPY, 0),
+    (StrategyKind.ITERATIVE_PRE_COPY, 1),
+])
+def test_image_reply_without_its_configuration_fails(strategy, round_index):
+    info = task_info(strategy, round_index)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
-    bare = BusMessage(MessageKind.REPLY, TOPICS.nsconfig, "src")
-    state, actions = ag.advance(state, bare)
+    if round_index:
+        state, _ = ag.advance(state, image_reply(info))
+        state, _ = ag.advance(state, BusMessage(
+            MessageKind.PUBLISH, info.topics.round_ready[1], "src"))
+    topic = info.topics.round_image[round_index]
+    state, actions = ag.advance(state,
+                                BusMessage(MessageKind.REPLY, topic, "src"))
     assert state.phase.kind is ag.PhaseKind.FAILED
-    assert state.diagnostic.startswith(
-        "unexpected reply on mig/t1/source/nsconfig in phase ")
+    assert state.diagnostic == (f"unexpected reply on {topic} in phase "
+                                f"await_image_pull[{round_index}]")
     assert actions == []
 
 
@@ -514,12 +544,11 @@ def test_namespace_reply_without_its_configuration_fails(strategy):
 
 def test_positional_state_copy_equals_replace_for_every_field():
     state = ag.AgentState(ag.Role.DESTINATION, "dst", info=task_info(),
-                          preckpt_bytes=1.0, sc_bytes=2.0)
-    names = ("phase", "info", "ns_query_seen", "preckpt_bytes",
-             "round_bytes", "sc_bytes", "diagnostic")
+                          pulled=1, image_bytes=2.0)
+    names = ("phase", "info", "pulled", "image_bytes", "diagnostic")
     assert [ag.AgentState._fields[i] for i in (
-        ag._PHASE, ag._INFO, ag._NS_QUERY_SEEN, ag._PRECKPT_BYTES,
-        ag._ROUND_BYTES, ag._SC_BYTES, ag._DIAGNOSTIC)] == list(names)
+        ag._PHASE, ag._INFO, ag._PULLED, ag._IMAGE_BYTES,
+        ag._DIAGNOSTIC)] == list(names)
     for index, name in enumerate(ag.AgentState._fields):
         value = object()
         copied = ag._with(state, index, value)
@@ -547,7 +576,7 @@ RECORDS = [
     BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst"),
     ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2),
     ag.AgentState(ag.Role.SOURCE, "src", ag.Phase(
-        ag.PhaseKind.AWAIT_IMAGE_PULL, 2), task_info(), round_bytes=4096.0),
+        ag.PhaseKind.AWAIT_IMAGE_PULL, 2), task_info(), image_bytes=4096.0),
 ]
 
 

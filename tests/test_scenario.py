@@ -270,17 +270,27 @@ def test_sim_profile_rejects_bad_rate_built_in_code(rate):
 M = BYTES_PER_S_PER_MBPS
 
 
-def _distribution_doc(raw, **bounds):
-    raw["bandwidth_distribution"] = {"mean_mbps": 1000.3, "std_mbps": 99.7,
+def _distribution_doc(raw, mean=1000.3, std=99.7, **bounds):
+    raw["bandwidth_distribution"] = {"mean_mbps": mean, "std_mbps": std,
                                      **bounds}
     return raw
 
 
-def test_distribution_without_bounds_uses_from_mean_std(raw):
-    scenario = parse_scenario(_distribution_doc(raw))
-    assert scenario.bandwidth_distribution \
-        == BandwidthDistribution.from_mean_std(1000.3 * M, 99.7 * M)
-    assert scenario.bandwidth_distribution.lower_bytes_per_s == 0.0
+@pytest.mark.parametrize("mean,std", [
+    (1000.3, 99.7),
+    # Here mean * M + 5 * (std * M) is 429757500.0, one ulp above the
+    # README's (mean + 5 * std) * M.
+    (714.66, 544.68),
+])
+def test_distribution_bounds_omitted_or_written_as_defaults_parse_equal(
+        raw, mean, std):
+    expected = BandwidthDistribution(mean * M, std * M, 0.0,
+                                     (mean + 5.0 * std) * M)
+    for bounds in ({}, {"lower_mbps": 0.0},
+                   {"lower_mbps": 0.0, "upper_mbps": mean + 5.0 * std}):
+        scenario = parse_scenario(_distribution_doc(
+            copy.deepcopy(raw), mean, std, **bounds))
+        assert scenario.bandwidth_distribution == expected, bounds
 
 
 def test_distribution_with_only_a_lower_bound_defaults_upper_in_mbps(raw):

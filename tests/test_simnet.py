@@ -540,16 +540,16 @@ def test_work_bytes_follow_their_kind(strategy, iters):
     state = profile.state_size_bytes
     if strategy is StrategyKind.COLD:
         image = state
-        assert "pre_checkpoint" not in sized
+        assert "round_checkpoint" not in sized
     else:
         assert outcome.dirty_pages_at_stopcopy > 0
         image = (outcome.dirty_pages_at_stopcopy * profile.page_size_bytes
                  + profile.cpu_context_bytes)
-        assert sized["pre_checkpoint"] == [state]
-        assert sized["transfer_initial"] == sized["pre_checkpoint"]
+        # Round 0 takes the whole state, each later round its dirty pages.
+        assert sized["round_checkpoint"][0] == state
+        assert len(sized["round_checkpoint"]) == iters + 1
     assert sized["stop_checkpoint"] == [image]
     assert sized["transfer_stopcopy"] == sized["stop_checkpoint"]
-    assert len(sized.get("round_checkpoint", [])) == iters
     assert sized.get("transfer_round") == sized.get("round_checkpoint")
     assert sized["restore"] == [image]
 
@@ -910,7 +910,7 @@ def test_each_agent_diagnoses_its_own_failure_and_reports_nothing():
     assert not outcome.completed
     assert outcome.diagnostics["edge-b"] == (
         "unexpected publish on mig/ms-video-0/source/round/1/ready"
-        " in phase precopy_round[0]")
+        " in phase await_image_pull[0]")
     assert outcome.diagnostics["orchestrator"] == (
         "timed out waiting in phase await_restore")
     # Task, query, reply and the round-1 announcement: no failure report.
