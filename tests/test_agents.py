@@ -77,8 +77,7 @@ def test_source_cold_freezes_once_asked():
     state, actions = ag.advance(state, pull_query(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     assert actions == [BusMessage(MessageKind.REPLY, TOPICS.round_image[0],
-                                  "src",
-                                  0.0, {"ns_config": "netns:t1"}),
+                                  "src", 0.0, {"ns_config": "netns:t1"}),
                        ag.Work(ag.WorkKind.STOP_CHECKPOINT)]
 
 
