@@ -5,7 +5,6 @@ duration budget picks an iteration count; minimizing resources under a
 downtime budget picks a bandwidth allocation.
 """
 
-import dataclasses
 from pathlib import Path
 
 from edgemig import (
@@ -31,9 +30,9 @@ for step, duration in config.predicted.step_durations_s.items():
     print(f"  {step:6s} {duration:6.3f} s")
 
 # Same metrics, resource-driven objective.
-task = dataclasses.replace(scenario.task.task,
-                           objective=Objective.MINIMIZE_RESOURCES,
-                           target_duration_s=None, target_downtime_s=1.2)
+task = scenario.task.task._replace(objective=Objective.MINIMIZE_RESOURCES,
+                                  target_duration_s=None,
+                                  target_downtime_s=1.2)
 link = scenario.link_between(task.source_agent, task.destination_agent)
 metrics = MetricsView(
     profile=scenario.profile_by_id(scenario.task.ms_profile_id).profile,

@@ -5,7 +5,6 @@ tabulates which strategy the designer would configure for each draw,
 across a grid of duration targets.
 """
 
-import dataclasses
 from pathlib import Path
 
 from edgemig import load_scenario, strategy_distribution
@@ -21,7 +20,7 @@ print(f"bandwidth ~ truncated normal, mean "
 
 print("target  P(cold)  P(pre-copy)  P(iterative)  E[I | iterative]")
 for target in (1.45, 1.50, 1.55, 1.60, 2.0, 3.0, 5.0):
-    task = dataclasses.replace(section.task, target_duration_s=target)
+    task = section.task._replace(target_duration_s=target)
     result = strategy_distribution(task, profile, scenario.model_params,
                                    dist, sample_count=5000, seed=scenario.seed)
     probs = result.strategy_probs

@@ -16,7 +16,6 @@ Exit codes: 0 on success, 2 for usage errors or malformed scenarios,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -73,7 +72,7 @@ def _load(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         check_seed(args.seed, "--seed")
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = scenario._replace(seed=args.seed)
     return scenario
 
 
@@ -100,13 +99,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scenario.dirty_samples,
         state_size_bytes=sim_profile.profile.state_size_bytes,
         page_size_bytes=sim_profile.profile.page_size_bytes)
-    _emit_json({
-        "ms_profile": sim_profile.id,
-        "rate_pages_per_s": estimate.rate_pages_per_s,
-        "normalized": estimate.normalized,
-        "mean_rate_pages_per_s": estimate.mean_rate_pages_per_s,
-        "window_s": estimate.window_s,
-    }, args.out)
+    _emit_json({"ms_profile": sim_profile.id, **estimate._asdict()}, args.out)
     return 0
 
 
@@ -115,10 +108,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if not scenario.calibration_runs:
         raise ScenarioError("scenario has no calibration_runs section")
     fit = calibration_fit(scenario.calibration_runs)
-    params = {f.name: getattr(fit.params, f.name)
-              for f in dataclasses.fields(fit.params)}
     _emit_json({
-        "params": params,
+        "params": fit.params._asdict(),
         "rms": {"checkpoint_s": fit.checkpoint_rms_s,
                 "restore_s": fit.restore_rms_s,
                 "transfer_s": fit.transfer_rms_s},
@@ -182,7 +173,7 @@ def _sweep_row(job: tuple) -> dict:
     objective = (Objective.MINIMIZE_DOWNTIME if on_total
                  else Objective.MINIMIZE_RESOURCES)
     targets = (None, target) if on_total else (target, None)
-    row_scenario = dataclasses.replace(scenario, task=TaskSection(
+    row_scenario = scenario._replace(task=TaskSection(
         MigrationTask(task.container_id, task.source_agent,
                       task.destination_agent, objective, *targets),
         section.client, section.orchestrator, profile_id))

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and its one numeric check:
-every number a caller hands a value class or function passes
-:func:`check_number`."""
+"""Exception types shared across the package, its one numeric check
+(every number a caller hands a value class or function passes
+:func:`check_number`) and :func:`checked`, which runs a value class's
+checks on every build of one."""
 
+import functools
 import sys
 from numbers import Integral, Real
 
@@ -39,3 +41,20 @@ def check_number(name, value, low=0, high=FLOAT_MAX, *, above=False,
               f"in {'(' if above else '['}{low}, {high:g}]")
     raise error(f"{name} must be {'a whole number' if whole else 'finite and'}"
                 f" {bounds}, got {value!r}")
+
+
+def checked(cls):
+    """Class decorator: every build of the ``NamedTuple`` class ``cls`` runs
+    its ``_check``, whether by the constructor, ``_make`` (so ``_replace``),
+    unpickling or ``copy``; all of them call ``__new__``."""
+    new, check = cls.__new__, cls._check
+
+    @functools.wraps(new)  # keeps the fields as the signature
+    def __new__(cls, *args, **kwargs):
+        record = new(cls, *args, **kwargs)
+        check(record)
+        return record
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, values: cls(*values))
+    return cls

@@ -21,13 +21,12 @@ realized dirty rate stays at or below the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, check_number
+from .errors import DomainError, check_number, checked
 
 # Bandwidth unit conversion used by the interface layers.
 BYTES_PER_S_PER_MBPS = 125_000.0
@@ -52,8 +51,8 @@ class StrategyKind(str, Enum):
     ITERATIVE_PRE_COPY = "iterative_precopy"
 
 
-@dataclass(frozen=True, slots=True)
-class MsProfile:
+@checked
+class MsProfile(NamedTuple):
     """Migration-relevant profile of one microservice.
 
     dirty_rate_norm is the page-dirtying rate normalized to [0, 1] against
@@ -68,7 +67,7 @@ class MsProfile:
     page_size_bytes: int = DEFAULT_PAGE_SIZE
     cpu_context_bytes: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_number("state_size_bytes", self.state_size_bytes, whole=True)
         check_number("page_size_bytes", self.page_size_bytes, 1, whole=True)
         check_number("dirty_rate_norm", self.dirty_rate_norm, high=1)
@@ -79,8 +78,8 @@ class MsProfile:
         return math.ceil(self.state_size_bytes / self.page_size_bytes)
 
 
-@dataclass(frozen=True, slots=True)
-class ModelParams:
+@checked
+class ModelParams(NamedTuple):
     """Fitted affine costs of the migration pipeline phases.
 
     ``ckpt_*`` applies to checkpoints taken with the service frozen,
@@ -100,13 +99,13 @@ class ModelParams:
     ns_overhead_s: float = 0.0
     flow_update_s: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            check_number(name, getattr(self, name))
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
+            check_number(name, value)
 
 
-@dataclass(frozen=True, slots=True)
-class Kpis:
+@checked
+class Kpis(NamedTuple):
     """Predicted or measured key indicators of one migration."""
 
     step_durations_s: Mapping[str, float]
@@ -114,7 +113,7 @@ class Kpis:
     total_s: float
     bytes_transferred: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Not check_number: +inf is a real prediction on a starved link.
         if not (self.downtime_s >= 0 and self.total_s >= 0
                 and self.bytes_transferred >= 0):
@@ -124,8 +123,8 @@ class Kpis:
             raise DomainError("downtime cannot exceed total migration time")
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyChoice:
+@checked
+class StrategyChoice(NamedTuple):
     """A migration strategy plus its iteration count.
 
     iterations is meaningful only for ITERATIVE_PRE_COPY (where it is >= 1);
@@ -135,7 +134,7 @@ class StrategyChoice:
     kind: StrategyKind
     iterations: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind is StrategyKind.ITERATIVE_PRE_COPY:
             if self.iterations < 1:
                 raise DomainError("iterative pre-copy needs iterations >= 1")
@@ -204,9 +203,7 @@ def cold_kpis(profile: MsProfile, params: ModelParams,
     steps = _downtime_terms(params, float(profile.state_size_bytes),
                             bandwidth_bytes_per_s)
     downtime = sum(steps.values())
-    return Kpis(step_durations_s=steps, downtime_s=downtime,
-                total_s=downtime,
-                bytes_transferred=float(profile.state_size_bytes))
+    return Kpis(steps, downtime, downtime, float(profile.state_size_bytes))
 
 
 def _precopy_terms(profile: MsProfile, params: ModelParams,
@@ -245,8 +242,7 @@ def precopy_kpis(profile: MsProfile, params: ModelParams,
     transferred = (float(profile.state_size_bytes)
                    + iterations * worst_case_dirty_bytes(profile)
                    + stop_copy_image_bytes(profile))
-    return Kpis(step_durations_s=steps, downtime_s=downtime, total_s=total,
-                bytes_transferred=transferred)
+    return Kpis(steps, downtime, total, transferred)
 
 
 def min_bandwidth(profile: MsProfile, params: ModelParams,

@@ -19,13 +19,12 @@ minimize-downtime it is a cold migration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, check_number
+from .errors import DomainError, check_number, checked
 from .model import (
     Kpis,
     ModelParams,
@@ -45,8 +44,8 @@ class Objective(str, Enum):
     MINIMIZE_DOWNTIME = "minimize_downtime"
 
 
-@dataclass(frozen=True, slots=True)
-class MigrationTask:
+@checked
+class MigrationTask(NamedTuple):
     """What should move, between which agents, and what matters."""
 
     container_id: str
@@ -56,7 +55,7 @@ class MigrationTask:
     target_downtime_s: Optional[float] = None
     target_duration_s: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.container_id:
             raise DomainError("container_id must be non-empty")
         if self.source_agent == self.destination_agent:
@@ -69,21 +68,21 @@ class MigrationTask:
                 raise DomainError(f"{obj.value} needs {name} > 0")
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsView:
+@checked
+class MetricsView(NamedTuple):
     """Inputs the designer works from."""
 
     profile: MsProfile
     params: ModelParams
     available_bandwidth_bytes_per_s: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_number("available_bandwidth_bytes_per_s",
                      self.available_bandwidth_bytes_per_s, above=True)
 
 
-@dataclass(frozen=True, slots=True)
-class MigrationConfig:
+@checked
+class MigrationConfig(NamedTuple):
     """Designer output: what to run and what it should cost."""
 
     strategy: StrategyChoice
@@ -91,7 +90,7 @@ class MigrationConfig:
     predicted: Kpis
     target_met: bool
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_number("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s,
                      above=True)
 
@@ -102,11 +101,9 @@ def design(task: MigrationTask, metrics: MetricsView) -> MigrationConfig:
     available = metrics.available_bandwidth_bytes_per_s
 
     def cold(bandwidth: float, target_met: bool) -> MigrationConfig:
-        return MigrationConfig(
-            strategy=StrategyChoice(StrategyKind.COLD),
-            bandwidth_bytes_per_s=bandwidth,
-            predicted=cold_kpis(profile, params, bandwidth),
-            target_met=target_met)
+        return MigrationConfig(StrategyChoice(StrategyKind.COLD), bandwidth,
+                               cold_kpis(profile, params, bandwidth),
+                               target_met)
 
     if task.objective is Objective.MINIMIZE_RESOURCES:
         needed = min_bandwidth(profile, params, task.target_downtime_s,
@@ -121,11 +118,8 @@ def design(task: MigrationTask, metrics: MetricsView) -> MigrationConfig:
                             task.target_duration_s)
     if choice is None:
         return cold(available, False)
-    return MigrationConfig(
-        strategy=choice,
-        bandwidth_bytes_per_s=available,
-        predicted=precopy_kpis(profile, params, available, choice.iterations),
-        target_met=True)
+    return MigrationConfig(choice, available, precopy_kpis(
+        profile, params, available, choice.iterations), True)
 
 
 def _standard_truncnorm(a: float, b: float, count: int,
@@ -167,8 +161,8 @@ def _standard_truncnorm(a: float, b: float, count: int,
     return sign * out
 
 
-@dataclass(frozen=True, slots=True)
-class BandwidthDistribution:
+@checked
+class BandwidthDistribution(NamedTuple):
     """Truncated normal model of the bandwidth available at design time.
 
     :meth:`sample` draws with numpy alone, by accept-reject on the
@@ -188,22 +182,13 @@ class BandwidthDistribution:
     lower_bytes_per_s: float
     upper_bytes_per_s: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_number("mean_bytes_per_s", self.mean_bytes_per_s, above=True)
         check_number("std_bytes_per_s", self.std_bytes_per_s)
         check_number("lower_bytes_per_s", self.lower_bytes_per_s)
         if self.upper_bytes_per_s != math.inf:  # +inf: no upper truncation
             check_number("upper_bytes_per_s", self.upper_bytes_per_s,
                          self.lower_bytes_per_s, above=True)
-
-    @classmethod
-    def from_mean_std(cls, mean_bytes_per_s: float, std_bytes_per_s: float
-                      ) -> "BandwidthDistribution":
-        """Apply the default truncation [0, mean + 5 * std]."""
-        return cls(mean_bytes_per_s=mean_bytes_per_s,
-                   std_bytes_per_s=std_bytes_per_s,
-                   lower_bytes_per_s=0.0,
-                   upper_bytes_per_s=mean_bytes_per_s + 5 * std_bytes_per_s)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Draw bandwidth values, deterministic for a given seed."""
@@ -220,8 +205,7 @@ class BandwidthDistribution:
         return np.clip(mean + std * z, lower, upper)
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyDistribution:
+class StrategyDistribution(NamedTuple):
     """Monte Carlo summary of design outcomes under bandwidth uncertainty."""
 
     strategy_probs: Mapping[str, float]

@@ -10,23 +10,22 @@ from timed calibration runs. The simulator's model of page dirtying is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, check_number
+from .errors import CalibrationError, DomainError, check_number, checked
 from .model import DEFAULT_PAGE_SIZE, ModelParams
 
 
-@dataclass(frozen=True, slots=True)
-class DirtySample:
+@checked
+class DirtySample(NamedTuple):
     """One profiling observation: pages modified over a sampling window."""
 
     window_s: float
     pages_modified: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_number("window_s", self.window_s, above=True)
         check_number("pages_modified", self.pages_modified, whole=True)
 
@@ -35,8 +34,7 @@ class DirtySample:
         return self.pages_modified / self.window_s
 
 
-@dataclass(frozen=True, slots=True)
-class DirtyRateEstimate:
+class DirtyRateEstimate(NamedTuple):
     """Worst-case dirty rate plus its normalized form.
 
     rate_pages_per_s is the maximum observed rate (worst case wins; the
@@ -87,8 +85,8 @@ def estimate_dirty_rate(samples: Sequence[DirtySample],
                              mean_rate_pages_per_s=mean, window_s=window)
 
 
-@dataclass(frozen=True, slots=True)
-class CalibrationRun:
+@checked
+class CalibrationRun(NamedTuple):
     """Timings of one instrumented migration used for parameter fitting."""
 
     image_bytes: float
@@ -97,15 +95,14 @@ class CalibrationRun:
     transfer_s: float
     bandwidth_bytes_per_s: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for n in ("image_bytes", "checkpoint_s", "restore_s", "transfer_s"):
             check_number(n, getattr(self, n))
         check_number("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s,
                      above=True)
 
 
-@dataclass(frozen=True, slots=True)
-class CalibrationFit:
+class CalibrationFit(NamedTuple):
     """Fitted parameters plus root-mean-square residuals per regression."""
 
     params: ModelParams

@@ -28,13 +28,11 @@ Top-level sections::
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import FLOAT_MAX, ScenarioError, check_number
+from .errors import FLOAT_MAX, ScenarioError, check_number, checked
 from .model import BYTES_PER_S_PER_MBPS, DEFAULT_PAGE_SIZE, ModelParams, MsProfile
 from .orchestrator import BandwidthDistribution, MigrationTask, Objective
 from .profiler import CalibrationRun, DirtySample
@@ -45,24 +43,24 @@ SWEEP_VARIABLES = ("target_duration_s", "target_downtime_s")
 MAX_SWEEP_TARGETS = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class Host:
+@checked
+class Host(NamedTuple):
     id: str
     role: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.role not in HOST_ROLES:
             raise ScenarioError(f"unknown host role {self.role!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
+@checked
+class Link(NamedTuple):
     from_host: str
     to_host: str
     bandwidth_mbps: float
     latency_s: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Bounded so that the bandwidth in bytes/s is finite too.
         check_number("bandwidth_mbps", self.bandwidth_mbps, above=True,
                      high=FLOAT_MAX / BYTES_PER_S_PER_MBPS,
@@ -74,8 +72,8 @@ class Link:
         return self.bandwidth_mbps * BYTES_PER_S_PER_MBPS
 
 
-@dataclass(frozen=True, slots=True)
-class SimProfile:
+@checked
+class SimProfile(NamedTuple):
     """A microservice profile plus the dirtying behaviour the simulator drives.
 
     ``profile`` carries the worst-case planning inputs; ``dirty_rate_pages_per_s``
@@ -86,30 +84,29 @@ class SimProfile:
     profile: MsProfile
     dirty_rate_pages_per_s: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.id:
             raise ScenarioError("ms profile id must be non-empty")
         check_number("dirty_rate_pages_per_s", self.dirty_rate_pages_per_s,
                      error=ScenarioError)
 
 
-@dataclass(frozen=True, slots=True)
-class TaskSection:
+class TaskSection(NamedTuple):
     task: MigrationTask
     client: str
     orchestrator: str
     ms_profile_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSpec:
+@checked
+class SweepSpec(NamedTuple):
     variable: str
     from_s: float
     to_s: float
     step_s: float
     profiles: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ScenarioError(f"unknown sweep variable {self.variable!r}")
         check_number("from_s", self.from_s, above=True, error=ScenarioError)
@@ -139,8 +136,7 @@ class SweepSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(NamedTuple):
     seed: int
     hosts: tuple[Host, ...]
     links: tuple[Link, ...]
@@ -299,7 +295,7 @@ _SECTIONS = (
         _Field("cpu_context_bytes", int, 0, "profile.cpu_context_bytes"),
         _Field("dirty_rate_pages_per_s", float, 0.0)), True, True),
     ("model_params", ModelParams, tuple(
-        _Field(f.name, float, 0.0) for f in dataclasses.fields(ModelParams)),
+        _Field(name, float, 0.0) for name in ModelParams._fields),
      True, False),
     ("task", _task_section, (
         _Field("container_id", str, attr="task.container_id"),

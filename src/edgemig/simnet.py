@@ -45,17 +45,16 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import agents as ag
 from .bus import BusMessage, MessageKind
-from .errors import DomainError, ScenarioError, check_number
+from .errors import DomainError, ScenarioError, check_number, checked
 from .model import (
     BYTES_PER_S_PER_MBPS,
     ModelParams,
@@ -123,25 +122,25 @@ def _check_rule(rule: FaultRule) -> None:
         check_number("delay_s", rule.delay_s)
 
 
-@dataclass(frozen=True, slots=True)
-class DropRule:
+@checked
+class DropRule(NamedTuple):
     """Drop the Nth delivery whose topic contains the given fragment."""
 
     topic_contains: str
     occurrence: int = 1
     receiver: Optional[str] = None
-    __post_init__ = _check_rule
+    _check = _check_rule
 
 
-@dataclass(frozen=True, slots=True)
-class DelayRule:
+@checked
+class DelayRule(NamedTuple):
     """Delay the Nth matching delivery, reordering it past later traffic."""
 
     topic_contains: str
     delay_s: float
     occurrence: int = 1
     receiver: Optional[str] = None
-    __post_init__ = _check_rule
+    _check = _check_rule
 
 
 FaultRule = Union[DropRule, DelayRule]
@@ -173,8 +172,7 @@ class _FaultBox:
 # Run setting and routing
 
 
-@dataclass(frozen=True, slots=True)
-class _Setting:
+class _Setting(NamedTuple):
     """The run setting of equal links, model, profile and task agents."""
 
     metrics: MetricsView
@@ -230,8 +228,7 @@ def _routes(info: ag.TaskInfo
 # Event log
 
 
-@dataclass(frozen=True, slots=True)
-class ProtocolEvent:
+class ProtocolEvent(NamedTuple):
     seq: int
     time_s: float
     agent: str
@@ -242,8 +239,7 @@ class ProtocolEvent:
     actions: tuple[dict, ...] = ()
 
     def to_json_line(self) -> str:
-        # The slots are the fields in order; json writes a tuple as a list.
-        return json.dumps({f: getattr(self, f) for f in self.__slots__})
+        return json.dumps(self._asdict())  # a tuple as a list
 
 
 def _describe_event(event: ag.Event) -> dict:
@@ -263,8 +259,7 @@ def _describe_event(event: ag.Event) -> dict:
 # Outcome
 
 
-@dataclass(frozen=True, slots=True)
-class MigrationOutcome:
+class MigrationOutcome(NamedTuple):
     """Measured results of one simulated run."""
 
     completed: bool
@@ -274,8 +269,8 @@ class MigrationOutcome:
     dirty_pages_at_stopcopy: int
     message_count: int
     end_time_s: float
-    final_phases: dict[str, str] = field(default_factory=dict)
-    diagnostics: dict[str, str] = field(default_factory=dict)
+    final_phases: dict[str, str]
+    diagnostics: dict[str, str]
     events: tuple[ProtocolEvent, ...] = ()
 
 

@@ -6,7 +6,6 @@ values are computed inline from first principles rather than imported from
 the code under test wherever the check is about numeric agreement.
 """
 
-import dataclasses
 import math
 import time
 from pathlib import Path
@@ -275,7 +274,7 @@ def test_criterion_05_calibrated_model_reproduces_measured_pipeline():
                        bandwidth_bytes_per_s=gbps),
     ]
     fit = calibration_fit(slow_runs)
-    slow_params = dataclasses.replace(fit.params, ns_overhead_s=0.084,
+    slow_params = fit.params._replace(ns_overhead_s=0.084,
                                       flow_update_s=0.004)
     downtime = cold_kpis(MsProfile(state_size_bytes=big, dirty_rate_norm=0.0),
                          slow_params, gbps).downtime_s
@@ -292,9 +291,8 @@ def test_criterion_05_calibrated_model_reproduces_measured_pipeline():
                        transfer_s=0.0029 + big / gbps,
                        bandwidth_bytes_per_s=gbps),
     ]
-    fast_params = dataclasses.replace(calibration_fit(fast_runs).params,
-                                      ns_overhead_s=0.084,
-                                      flow_update_s=0.004)
+    fast_params = calibration_fit(fast_runs).params._replace(
+        ns_overhead_s=0.084, flow_update_s=0.004)
     pages = math.ceil(big / 4096)
     norm = (5.0 - 1.0) / (pages - 1.0)  # worst case of 5 pages/s, 1 s window
     profile = MsProfile(state_size_bytes=big, dirty_rate_norm=norm)
@@ -403,8 +401,9 @@ def test_criterion_09_strategy_mix_shifts_monotonically_with_the_target():
         pre_ckpt_fixed_s=0.5, pre_ckpt_per_byte_s=1.9e-9,
         restore_fixed_s=0.35, restore_per_byte_s=1.9e-9,
         transfer_signaling_s=0.003, ns_overhead_s=0.085, flow_update_s=0.004)
-    dist = BandwidthDistribution.from_mean_std(
-        1000.0 * BYTES_PER_S_PER_MBPS, 100.0 * BYTES_PER_S_PER_MBPS)
+    dist = BandwidthDistribution(
+        1000.0 * BYTES_PER_S_PER_MBPS, 100.0 * BYTES_PER_S_PER_MBPS, 0.0,
+        (1000.0 + 5 * 100.0) * BYTES_PER_S_PER_MBPS)
 
     p_cold, p_iter, mass_ok = [], [], True
     for target in (1.45, 1.50, 1.53, 1.56, 1.60, 1.80, 2.10, 2.60):

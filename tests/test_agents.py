@@ -7,18 +7,20 @@ behaviour and the client's flow update.
 
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemig import agents as ag
-from edgemig import simnet
+from edgemig import load_scenario, plan_from_scenario, run_scenario, simnet
 from edgemig.bus import BusMessage, MessageKind
 from edgemig.errors import DomainError
 from edgemig.model import StrategyKind
 
 M = 10_485_760
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenario.json"
 
 
 def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
@@ -569,6 +571,7 @@ def test_message_checks_its_topic_and_payload(change, match):
         BusMessage(**fields)._replace(**change)
 
 
+SCENARIO = load_scenario(DEMO)
 RECORDS = [
     BusMessage(MessageKind.REPLY, "mig/t1/x", "src", 8.0,
                {"ns_config": "netns:t1"}),
@@ -576,6 +579,9 @@ RECORDS = [
     ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2),
     ag.AgentState(ag.Role.SOURCE, "src", ag.Phase(
         ag.PhaseKind.AWAIT_IMAGE_PULL, 2), task_info(), image_bytes=4096.0),
+    task_info(),
+    SCENARIO,  # every section present, as a parallel sweep pickles it
+    run_scenario(SCENARIO, plan_from_scenario(SCENARIO)),
 ]
 
 
@@ -589,6 +595,21 @@ def test_records_are_immutable_and_copy_and_pickle_whole(record):
                    pickle.loads(pickle.dumps(record))):
         assert type(copied) is type(record)
         assert copied == record
+        if type(record) is ag.TaskInfo:
+            assert copied.topics == record.topics == TOPICS
+
+
+MARKERS = (ag.SetTimer, ag.TimerFired, ag.Kickoff)
+
+
+@pytest.mark.parametrize("kind", MARKERS, ids=lambda kind: kind.__name__)
+def test_markers_are_equal_to_their_own_kind_only_and_truthy(kind):
+    marker = kind()
+    assert marker == kind() and hash(marker) == hash(kind())
+    assert [other for other in MARKERS if other() == marker] == [kind]
+    assert marker != () and marker
+    for copied in (copy.deepcopy(marker), pickle.loads(pickle.dumps(marker))):
+        assert type(copied) is kind and copied == marker
 
 
 def test_messages_without_headers_get_their_own_empty_headers():

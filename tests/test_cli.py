@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import contextlib
-import dataclasses
 import io
 import json
 import logging
@@ -170,8 +169,8 @@ def test_sweep_workers_bounded_by_cpus(tmp_path, monkeypatch, parallel, cpus,
 @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
 def test_each_sweep_row_is_one_plan_and_one_run(variable):
     scenario = load_scenario(DEMO)
-    scenario = dataclasses.replace(scenario, sweep=dataclasses.replace(
-        scenario.sweep, variable=variable, from_s=0.5, to_s=3.0))
+    scenario = scenario._replace(sweep=scenario.sweep._replace(
+        variable=variable, from_s=0.5, to_s=3.0))
     sweep, section = scenario.sweep, scenario.task
     cells = {(target, profile): (t_idx, p_idx)
              for t_idx, target in enumerate(sweep.targets())
@@ -181,21 +180,20 @@ def test_each_sweep_row_is_one_plan_and_one_run(variable):
     for row in rows:
         target, profile = row["target_s"], row["profile"]
         if variable == "target_duration_s":
-            task = dataclasses.replace(
-                section.task, objective=Objective.MINIMIZE_DOWNTIME,
+            task = section.task._replace(
+                objective=Objective.MINIMIZE_DOWNTIME,
                 target_duration_s=target, target_downtime_s=None)
         else:
-            task = dataclasses.replace(
-                section.task, objective=Objective.MINIMIZE_RESOURCES,
+            task = section.task._replace(
+                objective=Objective.MINIMIZE_RESOURCES,
                 target_downtime_s=target, target_duration_s=None)
         # The README's seed contract, derived here rather than by cli.
         words = np.random.SeedSequence(
             [scenario.seed, *cells[target, profile]]).generate_state(
                 1, dtype=np.uint64)
         seed = int(words[0])
-        alone = dataclasses.replace(
-            scenario, seed=seed, task=dataclasses.replace(
-                section, task=task, ms_profile_id=profile))
+        alone = scenario._replace(seed=seed, task=section._replace(
+            task=task, ms_profile_id=profile))
         config = plan_from_scenario(alone)
         outcome = run_scenario(alone, config)
         assert row == {
@@ -240,8 +238,7 @@ def test_traced_sweep_rows_each_cross_both_benchmark_seams(monkeypatch):
     tracer.wrap = wrap_until_teardown
     tracer.install(edgemig)
     scenario = load_scenario(DEMO)
-    scenario = dataclasses.replace(
-        scenario, sweep=dataclasses.replace(scenario.sweep, to_s=3.0))
+    scenario = scenario._replace(sweep=scenario.sweep._replace(to_s=3.0))
     rows = cli.sweep_rows(scenario)
     assert {r["strategy"] for r in rows} == {
         "cold", "precopy", "iterative_precopy"}
@@ -396,11 +393,13 @@ def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
 def test_no_command_loads_numpy_ma_and_profile_and_fit_draw_nothing(
         tmp_path):
     """numpy.ma is what np.unique imports; the fit needs no masked arrays.
-    profile and fit draw nothing, so they load no generator either."""
+    profile and fit draw nothing, so they load no generator either. No
+    command loads dataclasses: every record is a NamedTuple."""
     commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
                 for name in ("profile", "fit", "plan", "simulate", "dist",
                              "sweep")]
-    loaded = watched_modules_after_each(commands, ["numpy.ma", "numpy.random"])
+    loaded = watched_modules_after_each(
+        commands, ["numpy.ma", "numpy.random", "dataclasses"])
     assert loaded == [[], [], [], ["numpy.random"], ["numpy.random"],
                       ["numpy.random"]]
 
@@ -487,7 +486,7 @@ EXTREME_FIELDS = [("links", "bandwidth_mbps"), ("links", "latency_s")] + [
     ("ms_profiles", key) for key in (
         "state_size_bytes", "page_size_bytes", "dirty_rate_norm",
         "cpu_context_bytes", "dirty_rate_pages_per_s")] + [
-    ("model_params", key) for key in ModelParams.__dataclass_fields__] + [
+    ("model_params", key) for key in ModelParams._fields] + [
     ("dirty_samples", "window_s"), ("dirty_samples", "pages_modified")] + [
     ("calibration_runs", key) for key in (
         "image_bytes", "checkpoint_s", "restore_s", "transfer_s",
@@ -568,7 +567,7 @@ def scenario_documents(draw):
                          "dirty_rate_pages_per_s": draw(_nonneg)}
                         for p in profiles],
         "model_params": {name: draw(_nonneg)
-                         for name in ModelParams.__dataclass_fields__},
+                         for name in ModelParams._fields},
         "task": task,
         "sweep": {
             "variable": draw(st.sampled_from(SWEEP_VARIABLES)),

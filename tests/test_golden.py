@@ -10,7 +10,6 @@ golden file from the current code and prints each file's old and new
 sha256, the record a deliberate rewrite cites.
 """
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -68,8 +67,8 @@ def faulted_run(name: str, directory: Path) -> tuple[str, str]:
     events = directory / f"fault_{name}_events.jsonl"
     outcome = run_scenario(scenario, plan_from_scenario(scenario),
                            fault_rules=FAULT_CASES[name], event_log_path=events)
-    doc = {f.name: getattr(outcome, f.name)
-           for f in dataclasses.fields(outcome) if f.name != "events"}
+    doc = {name: value for name, value in outcome._asdict().items()
+           if name != "events"}
     outcome_file = directory / f"fault_{name}.json"
     outcome_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
@@ -87,8 +86,7 @@ def long_sweep(directory: Path) -> str:
     """The demo sweep stretched to ``target_duration_s`` 1-20 s, step 0.5,
     whose upper rows take iterative pre-copy to dozens of rounds."""
     scenario = load_scenario(DEMO)
-    scenario = dataclasses.replace(
-        scenario, sweep=dataclasses.replace(scenario.sweep, to_s=20.0))
+    scenario = scenario._replace(sweep=scenario.sweep._replace(to_s=20.0))
     assert scenario.sweep.variable == "target_duration_s"
     assert scenario.sweep.step_s == 0.5
     out = directory / "sweep_long.csv"

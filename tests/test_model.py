@@ -15,6 +15,7 @@ from edgemig.errors import DomainError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
     DEFAULT_ITERATION_CAP,
+    DEFAULT_PAGE_SIZE,
     Kpis,
     ModelParams,
     MsProfile,
@@ -232,6 +233,8 @@ profiles = st.builds(
     MsProfile,
     state_size_bytes=st.integers(min_value=4096, max_value=64 * 1024 * 1024),
     dirty_rate_norm=st.floats(min_value=0.0, max_value=1.0),
+    # builds() fills every NamedTuple field, those with a default too.
+    page_size_bytes=st.just(DEFAULT_PAGE_SIZE),
     cpu_context_bytes=st.integers(min_value=0, max_value=65536))
 
 params_st = st.builds(

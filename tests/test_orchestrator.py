@@ -13,6 +13,7 @@ from edgemig.errors import DomainError
 from edgemig.model import (
     BYTES_PER_S_PER_MBPS,
     DEFAULT_ITERATION_CAP,
+    DEFAULT_PAGE_SIZE,
     ModelParams,
     MsProfile,
     StrategyKind,
@@ -144,13 +145,13 @@ def test_design_is_pure():
 
 
 def test_distribution_zero_std_is_a_point_mass():
-    dist = BandwidthDistribution.from_mean_std(GBPS, 0.0)
+    dist = BandwidthDistribution(GBPS, 0.0, 0.0, GBPS + 5 * 0.0)
     draws = dist.sample(100, seed=1)
     assert np.all(draws == GBPS)
 
 
 def test_distribution_respects_truncation():
-    dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 10)
+    dist = BandwidthDistribution(GBPS, GBPS / 10, 0.0, GBPS + 5 * (GBPS / 10))
     draws = dist.sample(10_000, seed=2)
     assert draws.min() >= dist.lower_bytes_per_s
     assert draws.max() <= dist.upper_bytes_per_s
@@ -158,20 +159,20 @@ def test_distribution_respects_truncation():
 
 
 def test_distribution_sampling_is_deterministic():
-    dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 10)
+    dist = BandwidthDistribution(GBPS, GBPS / 10, 0.0, GBPS + 5 * (GBPS / 10))
     assert np.array_equal(dist.sample(50, seed=3), dist.sample(50, seed=3))
     assert not np.array_equal(dist.sample(50, seed=3), dist.sample(50, seed=4))
 
 
 def test_distribution_validation():
     with pytest.raises(DomainError):
-        BandwidthDistribution.from_mean_std(-1.0, 1.0)
+        BandwidthDistribution(-1.0, 1.0, 0.0, -1.0 + 5 * 1.0)
     with pytest.raises(DomainError):
-        BandwidthDistribution.from_mean_std(GBPS, -1.0)
+        BandwidthDistribution(GBPS, -1.0, 0.0, GBPS + 5 * -1.0)
     with pytest.raises(DomainError):
         BandwidthDistribution(mean_bytes_per_s=GBPS, std_bytes_per_s=1.0,
                               lower_bytes_per_s=10.0, upper_bytes_per_s=5.0)
-    dist = BandwidthDistribution.from_mean_std(GBPS, 1.0)
+    dist = BandwidthDistribution(GBPS, 1.0, 0.0, GBPS + 5 * 1.0)
     with pytest.raises(DomainError):
         dist.sample(0, seed=1)
     for bad in (math.nan, math.inf):
@@ -279,7 +280,7 @@ def test_distribution_draws_lie_in_bounds(mean, std, lower, width, count,
 
 
 def test_strategy_distribution_point_mass():
-    dist = BandwidthDistribution.from_mean_std(GBPS, 0.0)
+    dist = BandwidthDistribution(GBPS, 0.0, 0.0, GBPS + 5 * 0.0)
     got = strategy_distribution(md_task(5.0), PROFILE, PARAMS, dist,
                                 sample_count=200, seed=0)
     assert got.strategy_probs["iterative_precopy"] == 1.0
@@ -289,7 +290,7 @@ def test_strategy_distribution_point_mass():
 
 
 def test_strategy_distribution_probabilities_are_consistent():
-    dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 5)
+    dist = BandwidthDistribution(GBPS, GBPS / 5, 0.0, GBPS + 5 * (GBPS / 5))
     got = strategy_distribution(md_task(2.2), PROFILE, PARAMS, dist,
                                 sample_count=4000, seed=11)
     total = math.fsum(got.strategy_probs.values())
@@ -301,7 +302,7 @@ def test_strategy_distribution_probabilities_are_consistent():
 
 
 def test_strategy_distribution_reports_sampling_error():
-    dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 5)
+    dist = BandwidthDistribution(GBPS, GBPS / 5, 0.0, GBPS + 5 * (GBPS / 5))
     got = strategy_distribution(md_task(1.55), PROFILE, PARAMS, dist,
                                 sample_count=4000, seed=11)
     assert 0.0 < got.strategy_probs["cold"] < 1.0
@@ -311,7 +312,7 @@ def test_strategy_distribution_reports_sampling_error():
 
 def test_strategy_distribution_couples_across_targets():
     """Same seed per target point: cold probability cannot rise with slack."""
-    dist = BandwidthDistribution.from_mean_std(GBPS, GBPS / 5)
+    dist = BandwidthDistribution(GBPS, GBPS / 5, 0.0, GBPS + 5 * (GBPS / 5))
     targets = np.linspace(1.4, 6.0, 8)
     p_cold, p_iter = [], []
     for theta in targets:
@@ -332,6 +333,8 @@ profiles_st = st.builds(
     MsProfile,
     state_size_bytes=st.one_of(st.just(0), st.integers(1, 8 << 30)),
     dirty_rate_norm=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    # builds() fills every NamedTuple field, those with a default too.
+    page_size_bytes=st.just(DEFAULT_PAGE_SIZE),
     cpu_context_bytes=st.one_of(st.just(0), st.integers(0, 1 << 20)))
 
 params_st = st.builds(
@@ -457,7 +460,8 @@ def test_strategy_distribution_matches_per_draw_design(task, profile, params,
        st.floats(0.0, 1.0), st.integers(1, 400), st.integers(0, 2**32))
 def test_truncnorm_strategy_distribution_matches_per_draw_design(
         task, profile, params, mean, rel_std, samples, seed):
-    dist = BandwidthDistribution.from_mean_std(mean, rel_std * mean)
+    dist = BandwidthDistribution(mean, rel_std * mean, 0.0,
+                                 mean + 5 * (rel_std * mean))
     got = strategy_distribution(task, profile, params, dist, samples, seed)
     expected = per_draw_distribution(task, profile, params, dist, samples,
                                      seed)

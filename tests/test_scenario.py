@@ -1,7 +1,6 @@
 """Scenario schema: parsed values, defaults and strict validation."""
 
 import copy
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -156,9 +155,9 @@ def test_optional_sections_may_be_absent(raw):
         minimal.pop(key, None)
     scenario = parse_scenario(minimal)
     assert scenario.task is None and scenario.sweep is None
-    assert scenario == dataclasses.replace(
-        parse_scenario(raw), task=None, sweep=None,
-        bandwidth_distribution=None, dirty_samples=(), calibration_runs=())
+    assert scenario == parse_scenario(raw)._replace(
+        task=None, sweep=None, bandwidth_distribution=None, dirty_samples=(),
+        calibration_runs=())
 
 
 def _key_path(path):
@@ -338,8 +337,8 @@ def test_absent_defaulted_keys_read_as_their_defaults(raw):
         assert sim_profile.profile.page_size_bytes == DEFAULT_PAGE_SIZE
         assert sim_profile.profile.cpu_context_bytes == 0
         assert sim_profile.dirty_rate_pages_per_s == 0.0
-    assert dataclasses.asdict(scenario.model_params) == dict.fromkeys(
-        ModelParams.__dataclass_fields__, 0.0)
+    assert scenario.model_params._asdict() == dict.fromkeys(
+        ModelParams._fields, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ The scenario builder below constructs a four-host topology in memory so
 each test can tweak rates, sizes, and strategies without JSON fixtures.
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -237,19 +236,16 @@ def test_event_count_is_sixteen_cold_else_eighteen_plus_five_per_round(
 def _renamed(scenario, names):
     """``scenario`` with every host id mapped through ``names``."""
     section = scenario.task
-    task = dataclasses.replace(
-        section.task, source_agent=names[section.task.source_agent],
+    task = section.task._replace(
+        source_agent=names[section.task.source_agent],
         destination_agent=names[section.task.destination_agent])
-    return dataclasses.replace(
-        scenario,
-        hosts=tuple(dataclasses.replace(h, id=names[h.id])
-                    for h in scenario.hosts),
-        links=tuple(dataclasses.replace(link, from_host=names[link.from_host],
-                                        to_host=names[link.to_host])
+    return scenario._replace(
+        hosts=tuple(h._replace(id=names[h.id]) for h in scenario.hosts),
+        links=tuple(link._replace(from_host=names[link.from_host],
+                                  to_host=names[link.to_host])
                     for link in scenario.links),
-        task=dataclasses.replace(section, task=task,
-                                 client=names[section.client],
-                                 orchestrator=names[section.orchestrator]))
+        task=section._replace(task=task, client=names[section.client],
+                              orchestrator=names[section.orchestrator]))
 
 
 def test_routing_table_is_shared_read_only_and_bounded():
@@ -289,14 +285,13 @@ def test_routing_table_is_shared_read_only_and_bounded():
 def test_run_setting_is_shared_read_only_and_bounded():
     base = make_scenario(dirty_rate=2.0, latency_s=0.002)
     first, *rest = base.links
-    slower = dataclasses.replace(
-        base, links=(dataclasses.replace(first, latency_s=0.005), *rest))
-    narrower = dataclasses.replace(
-        base, links=(dataclasses.replace(first, bandwidth_mbps=500.0), *rest))
+    slower = base._replace(links=(first._replace(latency_s=0.005), *rest))
+    narrower = base._replace(
+        links=(first._replace(bandwidth_mbps=500.0), *rest))
     smaller = make_scenario(dirty_rate=2.0, latency_s=0.002,
                             state_bytes=1_048_576)
     costlier = make_scenario(dirty_rate=2.0, latency_s=0.002, params=(
-        dataclasses.replace(PARAMS, flow_update_s=0.02)))
+        PARAMS._replace(flow_update_s=0.02)))
     moved = _renamed(base, {"a": "x", "b": "y", "c": "z", "o": "w"})
     # Equal by value (a new build, another seed) shares base's setting.
     again = make_scenario(dirty_rate=2.0, latency_s=0.002, seed=8)
@@ -351,7 +346,7 @@ def test_a_stream_draws_from_its_own_seed():
     config = make_config(scenario, StrategyKind.ITERATIVE_PRE_COPY, 3)
     words = np.random.SeedSequence([scenario.seed, 4, 1]).generate_state(
         1, dtype=np.uint64)
-    alone = dataclasses.replace(scenario, seed=int(words[0]))
+    alone = scenario._replace(seed=int(words[0]))
     assert run_scenario(scenario, config, stream=(4, 1)) \
         == run_scenario(alone, config) != run_scenario(scenario, config)
 
@@ -526,9 +521,9 @@ def test_work_bytes_follow_their_kind(strategy, iters):
     # Work items name only their kind; the simulator sizes each one.
     scenario = make_scenario(dirty_rate=200.0, seed=5)
     [sim_profile] = scenario.ms_profiles
-    profile = dataclasses.replace(sim_profile.profile, cpu_context_bytes=1500)
-    scenario = dataclasses.replace(scenario, ms_profiles=(
-        dataclasses.replace(sim_profile, profile=profile),))
+    profile = sim_profile.profile._replace(cpu_context_bytes=1500)
+    scenario = scenario._replace(ms_profiles=(
+        sim_profile._replace(profile=profile),))
     outcome = run_scenario(scenario, make_config(scenario, strategy, iters))
     assert outcome.completed
 
@@ -578,16 +573,15 @@ def test_cold_query_behind_a_slow_task_completes():
     # The task reaches edge-b 4.6 s after edge-a: a source that froze on its
     # task would be done before the query came. It freezes once asked.
     scenario = load_scenario(DEMO)
-    task = dataclasses.replace(scenario.task.task,
-                               objective=Objective.MINIMIZE_RESOURCES,
-                               target_downtime_s=5.0)
+    task = scenario.task.task._replace(
+        objective=Objective.MINIMIZE_RESOURCES, target_downtime_s=5.0)
     links = tuple(
-        dataclasses.replace(link, latency_s=0.2)
+        link._replace(latency_s=0.2)
         if {link.from_host, link.to_host} == {"edge-a", "edge-b"} else link
         for link in scenario.links)
-    scenario = dataclasses.replace(
-        scenario, links=(*links, Link("orchestrator", "edge-b", 1000.0, 4.6)),
-        task=dataclasses.replace(scenario.task, task=task))
+    scenario = scenario._replace(
+        links=(*links, Link("orchestrator", "edge-b", 1000.0, 4.6)),
+        task=scenario.task._replace(task=task))
     config = plan_from_scenario(scenario)
     assert config.strategy.kind is StrategyKind.COLD
     outcome = run_scenario(scenario, config)
@@ -607,7 +601,7 @@ LATENCY = st.floats(0.0, 0.05)
 def test_cold_latency_adds_the_pre_copy_hops(os_, od, oc, sd, sc, dc):
     # The source hears its task no later than the destination's query.
     assume(os_ <= od + sd)
-    scenario = dataclasses.replace(make_scenario(), links=tuple(
+    scenario = make_scenario()._replace(links=tuple(
         Link(a, b, 1000.0, latency) for a, b, latency in (
             ("o", "a", os_), ("o", "b", od), ("o", "c", oc),
             ("a", "b", sd), ("a", "c", sc), ("b", "c", dc))))
@@ -685,7 +679,7 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
     scenario = make_scenario(dirty_rate=50.0, latency_s=latency_s)
     config = make_config(scenario, strategy, iters)
     watchdog_s = 10 * config.predicted.total_s + 10
-    rules = [dataclasses.replace(r, delay_s=r.delay_s * watchdog_s)
+    rules = [r._replace(delay_s=r.delay_s * watchdog_s)
              if isinstance(r, DelayRule) else r for r in rules]
     info = agents.TaskInfo("ms-0", "a", "b", "c", "o", strategy, iters,
                            "netns:ms-0")
@@ -811,7 +805,7 @@ def test_record_events_only_controls_the_log(strategy, iters, faults):
     quiet = run_scenario(scenario, config, fault_rules=faults,
                          record_events=False)
     assert logged.events and quiet.events == ()
-    assert quiet == dataclasses.replace(logged, events=())
+    assert quiet == logged._replace(events=())
     assert logged.completed is not bool(faults)
 
 

@@ -1,8 +1,9 @@
 """Every numeric field of every public value class rejects NaN, ±inf, a
-bool and any number outside its range, with a DomainError naming it."""
+bool and any number outside its range, with a DomainError naming it, both
+when the record is built and when a copy is made by ``_replace``."""
 
-import dataclasses
 import math
+from typing import Optional, get_type_hints
 
 import pytest
 from hypothesis import assume, given, settings
@@ -48,7 +49,7 @@ CASES = {
              page_size_bytes=NOT_WHOLE_AT_LEAST_1,
              cpu_context_bytes=NOT_WHOLE_AT_LEAST_0)),
     ModelParams: (
-        {}, {name: BELOW_0 for name in ModelParams.__dataclass_fields__}),
+        {}, {name: BELOW_0 for name in ModelParams._fields}),
     MigrationTask: (
         dict(container_id="c", source_agent="a", destination_agent="b",
              objective=Objective.MINIMIZE_DOWNTIME, target_downtime_s=1.0,
@@ -105,9 +106,18 @@ FIELDS = [(cls, name) for cls, (_, outside) in CASES.items()
 def test_the_table_covers_every_numeric_field(cls):
     valid, outside = CASES[cls]
     cls(**valid)
-    numeric = {f.name for f in dataclasses.fields(cls)
-               if f.type in ("int", "float", "Optional[float]")}
+    numeric = {name for name, kind in get_type_hints(cls).items()
+               if kind in (int, float, Optional[float])}
     assert set(outside) == numeric
+
+
+def draw_outside(cls, name, data):
+    """A value outside the domain of ``cls``'s field ``name``."""
+    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, True,
+                                       False]) | CASES[cls][1][name])
+    # +inf is a distribution without upper truncation.
+    assume(not (name == "upper_bytes_per_s" and value == math.inf))
+    return value
 
 
 @pytest.mark.parametrize("cls, name", FIELDS, ids=[
@@ -116,11 +126,22 @@ def test_the_table_covers_every_numeric_field(cls):
 @given(data=st.data())
 def test_every_numeric_field_rejects_a_value_outside_its_domain(cls, name,
                                                                 data):
-    valid, outside = CASES[cls]
-    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, True,
-                                       False]) | outside[name])
-    # +inf is a distribution without upper truncation.
-    assume(not (name == "upper_bytes_per_s" and value == math.inf))
+    valid, _ = CASES[cls]
+    value = draw_outside(cls, name, data)
     with pytest.raises(DomainError) as excinfo:
         cls(**{**valid, name: value})
     assert str(excinfo.value).startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("cls, name", FIELDS, ids=[
+    f"{cls.__name__}.{name}" for cls, name in FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_replace_checks_every_numeric_field_as_a_build_does(cls, name, data):
+    valid, _ = CASES[cls]
+    value = draw_outside(cls, name, data)
+    with pytest.raises(DomainError) as built:
+        cls(**{**valid, name: value})
+    with pytest.raises(DomainError) as replaced:
+        cls(**valid)._replace(**{name: value})
+    assert str(replaced.value) == str(built.value)
