@@ -137,6 +137,7 @@ _PULL_ZERO = Phase(_AWAIT_IMAGE_PULL, 0)
 _STOP_COPY_PHASE = Phase(_STOP_COPY)
 _NS_TRANSITION_PHASE = Phase(_NS_TRANSITION)
 _AWAIT_RESTORE_PHASE = Phase(_AWAIT_RESTORE)
+_RESTORING = Phase(_AWAIT_RESTORE, 1)  # prints as await_restore too
 
 
 class WorkKind(str, Enum):
@@ -473,9 +474,10 @@ def _advance_destination(state: AgentState, event: Event
             return (_with(_with(state, _IMAGE_BYTES, event.payload_bytes),
                           _PHASE, _NS_TRANSITION_PHASE), [_NS_RECREATE_WORK])
 
-        if kind is _PUBLISH and phase.kind is _AWAIT_RESTORE \
+        if kind is _PUBLISH and phase == _AWAIT_RESTORE_PHASE \
                 and event.topic == info.topics.flow_updated:
-            return state, [_new(Work, (_RESTORE, state.image_bytes, 0))]
+            return (_with(state, _PHASE, _RESTORING),
+                    [_new(Work, (_RESTORE, state.image_bytes, 0))])
         return _unexpected(state, event)
 
     if type(event) is Work:
@@ -486,7 +488,7 @@ def _advance_destination(state: AgentState, event: Event
             return (_with(state, _PHASE, _AWAIT_RESTORE_PHASE),
                     [ready, _SET_TIMER])
 
-        if kind is _RESTORE and phase.kind is _AWAIT_RESTORE:
+        if kind is _RESTORE and phase == _RESTORING:
             done = BusMessage(_PUBLISH, info.topics.done, state.agent_id)
             return _with(state, _PHASE, DONE), [done]
     return _unexpected(state, event)

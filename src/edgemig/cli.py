@@ -226,14 +226,9 @@ def sweep_rows(scenario: Scenario, parallel: int = 0) -> list[dict]:
     by_target: dict[float, list[dict]] = {}
     for row in rows:
         by_target.setdefault(row["target_s"], []).append(row)
-    for target, group in by_target.items():
-        met_count = sum(1 for r in group if r["met"])
-        if met_count == len(group):
-            region = "green"
-        elif met_count == 0:
-            region = "red"
-        else:
-            region = "yellow"
+    for group in by_target.values():
+        met = [r["met"] for r in group]
+        region = "green" if all(met) else "yellow" if any(met) else "red"
         for r in group:
             r["region"] = region
     rows.sort(key=lambda r: (r["target_s"], r["profile"]))
@@ -278,12 +273,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     section = scenario.task
     profile = scenario.profile_by_id(section.ms_profile_id).profile
     dist = strategy_distribution(
-        task=section.task,
-        profile=profile,
-        params=scenario.model_params,
-        distribution=scenario.bandwidth_distribution,
-        sample_count=args.samples,
-        seed=scenario.seed)
+        section.task, profile, scenario.model_params,
+        scenario.bandwidth_distribution, args.samples, scenario.seed)
     _emit_json({
         "samples": dist.sample_count,
         "strategy_probs": dict(sorted(dist.strategy_probs.items())),

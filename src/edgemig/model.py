@@ -21,10 +21,9 @@ realized dirty rate stays at or below the profile.
 from __future__ import annotations
 
 import math
+import struct
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional
-
-import numpy as np
 
 from .errors import DomainError, check_number, checked
 
@@ -158,14 +157,8 @@ def restore_duration(params: ModelParams, image_bytes: float) -> float:
 
 def transfer_duration(params: ModelParams, image_bytes: float,
                       bandwidth_bytes_per_s: float) -> float:
-    """Signaling overhead plus serialization delay of one image transfer.
-
-    Also takes an array of bandwidths and then returns one duration each.
-    """
-    lowest = (bandwidth_bytes_per_s.min()
-              if isinstance(bandwidth_bytes_per_s, np.ndarray)
-              else bandwidth_bytes_per_s)
-    if lowest <= 0:
+    """Signaling overhead plus serialization delay of one image transfer."""
+    if bandwidth_bytes_per_s <= 0:
         raise DomainError("bandwidth must be > 0")
     return params.transfer_signaling_s + image_bytes / bandwidth_bytes_per_s
 
@@ -209,11 +202,7 @@ def cold_kpis(profile: MsProfile, params: ModelParams,
 def _precopy_terms(profile: MsProfile, params: ModelParams,
                    bandwidth_bytes_per_s: float
                    ) -> tuple[float, float, dict[str, float]]:
-    """(initial round, per-iteration round, stop-and-copy step durations).
-
-    Given an array of bandwidths, every bandwidth-dependent term is an
-    array, element by element the same float operations as the scalar case.
-    """
+    """(initial round, per-iteration round, stop-and-copy step durations)."""
     state = float(profile.state_size_bytes)
     dirty = worst_case_dirty_bytes(profile)
     round0 = (pre_checkpoint_duration(params, state)
@@ -276,53 +265,73 @@ def max_iterations(profile: MsProfile, params: ModelParams,
                    ) -> Optional[StrategyChoice]:
     """Largest iteration count whose predicted total stays within a target.
 
-    Returns an ITERATIVE_PRE_COPY choice when at least one iteration fits,
-    a PRE_COPY choice when only the iteration-free variant fits, and None
-    when even that overruns the target. The count is clamped to
-    DEFAULT_ITERATION_CAP. The returned value is maximal: adding one more
-    iteration (below the cap) would overrun the target.
+    An ITERATIVE_PRE_COPY choice when at least one iteration fits, a
+    PRE_COPY choice when only the iteration-free variant fits, and None
+    when even that overruns the target. Below DEFAULT_ITERATION_CAP, its
+    clamp, the count is maximal: one more iteration would overrun.
     """
-    return iteration_choice(int(iteration_counts(
-        profile, params, bandwidth_bytes_per_s, target_duration_s)))
+    return iteration_choice(iteration_counts(
+        profile, params, bandwidth_bytes_per_s, target_duration_s))
 
 
 def iteration_counts(profile: MsProfile, params: ModelParams,
-                     bandwidth_bytes_per_s: float | np.ndarray,
-                     target_duration_s: float) -> np.integer | np.ndarray:
-    """:func:`max_iterations` as a count, for one bandwidth or an array.
+                     bandwidth_bytes_per_s: float,
+                     target_duration_s: float) -> int:
+    """:func:`max_iterations` as a count.
 
     The count is the largest number of iterations (0 for plain pre-copy)
     whose predicted total stays within the target, or -1 when even plain
     pre-copy overruns it; :func:`iteration_choice` turns a count into a
-    strategy. An array of bandwidths gives an array of counts.
-
-    The count is found by searching the predictor itself: the predicted
+    strategy. It is found by searching the predictor itself: the predicted
     total never decreases as iterations are added, and every probe is
     :func:`precopy_kpis`'s own sum in its own order, so the two agree to
     the last bit.
     """
     check_number("target_duration_s", target_duration_s, above=True)
-    # A starved link (the smallest positive bandwidth) overflows the round
-    # terms to inf and 0 * inf to nan; both fail the <= test below, so
-    # such a bandwidth comes out as an overrun.
-    with np.errstate(all="ignore"):
-        round0, per_round, steps = _precopy_terms(profile, params,
-                                                  bandwidth_bytes_per_s)
-        downtime = sum(steps.values())
-        # Binary search up from -1: steps of 64, 32, ..., 1 can reach 126,
-        # past the cap, and a probe that fits is kept, since the total
-        # never decreases with the count.
-        count = -1
-        step = 1 << ((DEFAULT_ITERATION_CAP + 1).bit_length() - 1)
-        while step:
-            total = round0 + (count + step) * per_round + downtime
-            count = count + step * (total <= target_duration_s)
-            step //= 2
-    return np.minimum(count, DEFAULT_ITERATION_CAP)
+    round0, per_round, steps = _precopy_terms(profile, params,
+                                              bandwidth_bytes_per_s)
+    downtime = sum(steps.values())
+    # Binary search up from -1: steps of 64, 32, ..., 1 can reach 126, past
+    # the cap, and a probe that fits is kept. A starved link (the smallest
+    # positive bandwidth) overflows the round terms to inf and 0 * inf to
+    # nan; both fail the <= test, so such a bandwidth comes out an overrun.
+    count = -1
+    step = 1 << ((DEFAULT_ITERATION_CAP + 1).bit_length() - 1)
+    while step:
+        total = round0 + (count + step) * per_round + downtime
+        count += step * (total <= target_duration_s)
+        step //= 2
+    return min(count, DEFAULT_ITERATION_CAP)
+
+
+def iteration_thresholds(profile: MsProfile, params: ModelParams,
+                         target_duration_s: float, low: float, high: float
+                         ) -> tuple[int, list[float]]:
+    """(count at bandwidth ``low``, thresholds), where ``thresholds[i]`` is
+    the smallest bandwidth in (low, high] whose :func:`iteration_counts`
+    count is at least that count + 1 + i, for each count ``high`` reaches.
+
+    No term of the predicted total rises with bandwidth, even rounded, so
+    the count at a bandwidth in [low, high] is the count at ``low`` plus
+    the thresholds at or below it. Positive floats order as their bit
+    patterns do, and bisecting those makes each threshold exact.
+    """
+    def count(bits: int) -> int:
+        bandwidth, = struct.unpack("<d", struct.pack("<q", bits))
+        return iteration_counts(profile, params, bandwidth, target_duration_s)
+    lo, top = struct.unpack("<2q", struct.pack("<2d", low, high))
+    base, thresholds = count(lo), []
+    for n in range(base + 1, count(top) + 1):  # the count at lo is below n
+        hi = top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if count(mid) >= n else (mid, hi)
+        thresholds += struct.unpack("<d", struct.pack("<q", hi))
+    return base, thresholds
 
 
 def iteration_choice(count: int) -> Optional[StrategyChoice]:
-    """The strategy one :func:`iteration_counts` element stands for."""
+    """The strategy an :func:`iteration_counts` count stands for."""
     if count < 0:
         return None
     if count >= 1:

@@ -33,7 +33,7 @@ from .model import (
     StrategyKind,
     cold_kpis,
     iteration_choice,
-    iteration_counts,
+    iteration_thresholds,
     max_iterations,
     min_bandwidth,
     precopy_kpis,
@@ -228,9 +228,9 @@ def strategy_distribution(task: MigrationTask, profile: MsProfile,
 
     Tabulates what :func:`design` answers when each sampled bandwidth is
     the available bandwidth: strategy frequencies and, for the iterative
-    outcomes, a probability mass function over the iteration count. The
-    designer runs once over the whole sample rather than once per draw.
-    Deterministic for a given seed.
+    outcomes, a probability mass function over the iteration count. Each
+    frequency is exact: the draws between two of the designer's
+    :func:`iteration_thresholds` over the sample. Deterministic for a seed.
     """
     check_number("sample_count", sample_count, 1, whole=True)
     kind_counts: dict[str, int] = {k.value: 0 for k in StrategyKind}
@@ -243,15 +243,18 @@ def strategy_distribution(task: MigrationTask, profile: MsProfile,
         # The lower truncation keeps draws nonnegative; an exact zero
         # would starve the designer, nudge it to the smallest positive.
         draws[draws <= 0] = np.nextafter(0.0, 1.0)
-        counts = iteration_counts(profile, params, draws,
-                                  task.target_duration_s)
-        values, freqs = np.unique(counts, return_counts=True)
-        for n, freq in zip(values.tolist(), freqs.tolist()):
+        base, thresholds = iteration_thresholds(
+            profile, params, task.target_duration_s, draws.min(), draws.max())
+        # The draws whose count is base + i or more, for i = 0, 1, ...
+        at_least = [sample_count, *(int(np.count_nonzero(draws >= t))
+                                    for t in thresholds), 0]
+        for n, freq in enumerate(map(int.__sub__, at_least, at_least[1:]),
+                                 base):
             # None is design()'s cold fallback.
             choice = iteration_choice(n)
             kind = choice.kind if choice else StrategyKind.COLD
             kind_counts[kind.value] += freq
-            if kind is StrategyKind.ITERATIVE_PRE_COPY:
+            if kind is StrategyKind.ITERATIVE_PRE_COPY and freq:
                 iter_counts[n] = freq
     probs = {k: c / sample_count for k, c in kind_counts.items()}
     pmf = {n: c / sample_count for n, c in iter_counts.items()}

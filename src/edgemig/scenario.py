@@ -28,6 +28,7 @@ Top-level sections::
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -125,15 +126,9 @@ class SweepSpec(NamedTuple):
 
     def targets(self) -> tuple[float, ...]:
         """Grid endpoints inclusive, guarding float accumulation."""
-        out = []
-        k = 0
-        while True:
-            t = self.from_s + k * self.step_s
-            if t > self.to_s + 1e-9 * max(1.0, abs(self.to_s)):
-                break
-            out.append(t)
-            k += 1
-        return tuple(out)
+        limit = self.to_s + 1e-9 * max(1.0, abs(self.to_s))
+        return tuple(itertools.takewhile(lambda t: t <= limit, (
+            self.from_s + k * self.step_s for k in itertools.count())))
 
 
 class Scenario(NamedTuple):

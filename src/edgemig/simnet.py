@@ -484,7 +484,7 @@ class _Sim:
             if new_state.phase.kind in terminal \
                     and state.phase.kind not in terminal:
                 live -= 1
-            if debug and new_state.phase != state.phase:
+            if debug and str(new_state.phase) != str(state.phase):
                 log.debug("%s at %.9g s: %s -> %s", agent_id, time_s,
                           state.phase, new_state.phase)
 

@@ -384,6 +384,26 @@ def test_destination_full_walk_restores_on_flow_updated():
     assert state.phase.kind is ag.PhaseKind.DONE
 
 
+def test_destination_fails_on_a_second_flow_updated_while_restoring():
+    info = task_info(StrategyKind.COLD, 0)
+    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+                          task_message(info))
+    state, _ = ag.advance(state, image_reply(info, payload=0.0))
+    state, _ = ag.advance(state, sc_push(info))
+    state, _ = ag.advance(state, ag.Work(ag.WorkKind.NS_RECREATE))
+    state, actions = ag.advance(state, flow_updated(info))
+    [restore] = works(actions)
+    assert restore.kind is ag.WorkKind.RESTORE
+    assert str(state.phase) == "await_restore"
+    # The same publication again: the restore already runs, so the
+    # destination fails naming it and starts nothing.
+    state, actions = ag.advance(state, flow_updated(info))
+    assert actions == []
+    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
+                                " in phase await_restore")
+
+
 def test_destination_fails_on_flow_updated_before_ns_ready():
     info = task_info(StrategyKind.COLD, 0)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),

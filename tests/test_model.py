@@ -5,7 +5,10 @@ arithmetic on the affine cost definitions) rather than through the helpers
 under test.
 """
 
+import ast
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +199,22 @@ def test_max_iterations_hits_the_cap():
     choice = max_iterations(clean, free, GBPS, target_duration_s=10.0)
     assert choice is not None
     assert choice.iterations == DEFAULT_ITERATION_CAP
+
+
+def test_model_imports_only_the_standard_library_and_errors():
+    """The model computes on Python floats: no numpy, nor anything else
+    outside the standard library but the package's own errors."""
+    import edgemig.model
+    tree = ast.parse(Path(edgemig.model.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    outside = {name for name in imported
+               if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == {".errors"}
 
 
 def test_frame_loss_rounds_up():

@@ -20,6 +20,7 @@ from edgemig.model import (
     cold_kpis,
     iteration_choice,
     iteration_counts,
+    iteration_thresholds,
     min_bandwidth,
     precopy_kpis,
 )
@@ -325,7 +326,7 @@ def test_strategy_distribution_couples_across_targets():
 
 
 # ---------------------------------------------------------------------------
-# The batched designer against the scalar one
+# The iteration count and its bandwidth thresholds against the designer
 
 TINY = float(np.nextafter(0.0, 1.0))
 
@@ -368,6 +369,17 @@ DEMO_PARAMS = ModelParams(
     ns_overhead_s=0.085, flow_update_s=0.004)
 
 
+def _edge_target(profile, params, bandwidth, target, k, ulps_below):
+    """On, or one or two ulps below, the total of k iterations at a
+    bandwidth: the edge where k stops fitting (None keeps ``target``)."""
+    if ulps_below is not None:
+        target = precopy_kpis(profile, params, bandwidth, k).total_s
+        for _ in range(ulps_below):
+            target = math.nextafter(target, 0.0)
+        assume(0.0 < target < math.inf)
+    return target
+
+
 @settings(max_examples=200, deadline=None)
 @given(profiles_st, params_st, bandwidth_lists, targets_st,
        st.integers(0, 64), st.sampled_from([None, 0, 1, 2]))
@@ -377,18 +389,10 @@ DEMO_PARAMS = ModelParams(
 @example(MsProfile(3_155_165_184, 0.038), DEMO_PARAMS, [9.5e6], 1.0, 14, 1)
 def test_iteration_counts_match_scalar_design(profile, params, bws, target,
                                               k, ulps_below):
-    if ulps_below is not None:
-        # On, or one or two ulps below, the total of k iterations at the
-        # first bandwidth: the edge where k stops fitting.
-        target = precopy_kpis(profile, params, bws[0], k).total_s
-        for _ in range(ulps_below):
-            target = math.nextafter(target, 0.0)
-        assume(0.0 < target < math.inf)
-    counts = iteration_counts(profile, params, np.array(bws), target)
-    assert counts.shape == (len(bws),)
-    for bw, n in zip(bws, counts.tolist()):
-        # One bandwidth as a float takes the same path to the same count.
-        assert iteration_counts(profile, params, bw, target) == n
+    target = _edge_target(profile, params, bws[0], target, k, ulps_below)
+    for bw in bws:
+        n = iteration_counts(profile, params, bw, target)
+        assert type(n) is int
         config = design(md_task(target), MetricsView(profile, params, bw))
         got = _kind_and_iterations(iteration_choice(n))
         assert got == (config.strategy.kind, config.strategy.iterations)
@@ -396,6 +400,38 @@ def test_iteration_counts_match_scalar_design(profile, params, bws, target,
         fitting = [k for k in range(DEFAULT_ITERATION_CAP + 1)
                    if precopy_kpis(profile, params, bw, k).total_s <= target]
         assert n == (max(fitting) if fitting else -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles_st, params_st, bandwidth_lists, targets_st,
+       st.integers(0, 64), st.sampled_from([None, 0, 1, 2]),
+       st.lists(st.floats(0.0, 1.0), max_size=10))
+# The edge examples above over the widest range: the first bandwidth sits
+# on (or one or two ulps off) a threshold.
+@example(MsProfile(445_644_800, 0.021), DEMO_PARAMS, [29e6, TINY, 1e11], 1.0,
+         12, 0, [])
+@example(MsProfile(3_155_165_184, 0.038), DEMO_PARAMS, [9.5e6, TINY, 1e11],
+         1.0, 14, 1, [])
+def test_iteration_thresholds_are_where_the_count_steps_up(
+        profile, params, bws, target, k, ulps_below, fractions):
+    target = _edge_target(profile, params, bws[0], target, k, ulps_below)
+    low, high = min(bws), max(bws)
+    base, thresholds = iteration_thresholds(profile, params, target, low,
+                                            high)
+    assert base == iteration_counts(profile, params, low, target)
+    assert base + len(thresholds) == iteration_counts(profile, params, high,
+                                                      target)
+    assert thresholds == sorted(thresholds)
+    for n, t in enumerate(thresholds, base + 1):
+        # The smallest bandwidth in (low, high] whose count reaches n.
+        assert low < t <= high
+        assert iteration_counts(profile, params, t, target) >= n
+        assert iteration_counts(profile, params, math.nextafter(t, 0.0),
+                                target) < n
+    inside = [min(max(low + f * (high - low), low), high) for f in fractions]
+    for bw in [*bws, *inside, *thresholds]:
+        assert base + sum(t <= bw for t in thresholds) == iteration_counts(
+            profile, params, bw, target)
 
 
 def per_draw_distribution(task, profile, params, distribution, sample_count,
@@ -440,12 +476,27 @@ def assert_same_distribution(got, expected):
 
 
 tasks_st = st.one_of(targets_st.map(md_task), targets_st.map(mr_task))
+EDGE_PROFILE = MsProfile(445_644_800, 0.021)
+
+
+def _threshold_draws(target, low, high):
+    """Each threshold of EDGE_PROFILE over [low, high], and one ulp below."""
+    _, thresholds = iteration_thresholds(EDGE_PROFILE, DEMO_PARAMS, target,
+                                         low, high)
+    assert len(thresholds) >= 2
+    return [x for t in thresholds for x in (t, math.nextafter(t, 0.0))]
 
 
 @settings(max_examples=100, deadline=None)
 @given(tasks_st, profiles_st, params_st,
        st.lists(st.one_of(st.just(0.0), st.just(TINY), st.floats(1e3, 1e11)),
                 min_size=1, max_size=60))
+# Draws exactly on each threshold and one ulp below it: from cold through
+# pre-copy to iterative, and between iteration counts.
+@example(md_task(30.0), EDGE_PROFILE, DEMO_PARAMS,
+         _threshold_draws(30.0, 1e6, 1e9))
+@example(md_task(12.0), EDGE_PROFILE, DEMO_PARAMS,
+         [0.0, *_threshold_draws(12.0, 1e7, 1e11)])
 def test_strategy_distribution_matches_per_draw_design(task, profile, params,
                                                        draws):
     dist = FixedDraws(draws)
