@@ -456,7 +456,7 @@ class _Sim:
         # looks up per draw).
         advance = ag.advance
         # Without an event log, nothing below formats log material; below
-        # DEBUG, no phase change is logged.
+        # DEBUG, no phase change (as printed) is logged.
         record = self.record_events
         debug = log.isEnabledFor(logging.DEBUG)
         terminal = ag.TERMINAL_PHASES
