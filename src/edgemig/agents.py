@@ -39,26 +39,25 @@ carry typed objects: the task publication hands every agent the frozen
 :class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no
 header repeats them.
 
-State machines are pure: :func:`advance` maps (state, event) to a new state
-plus a list of actions, each a message to send, a work item to run or a
-watchdog to arm, and the simulator or any other driver executes those
-actions. States, phases, messages and work items are immutable
-``NamedTuple`` classes. A :class:`BusMessage` is both: an agent emits it
-as an action and receives it as an event. So is a :class:`Work` item,
-which comes back sized when the work ends. It names only its kind (plus
-its round, and for a transfer or the restore the bytes of the image it
-moves, as the checkpoint reported them): the simulator sizes every
-checkpoint and prices every item. The destination's wait for the client's
-flow update is a wait on a peer like any other. An agent takes its task
-only from the task publication. An event that is not legal in the current
-phase moves the agent to Failed and records its reason in the agent's
-state, ``diagnostic``; the failing transition sends nothing, and nothing
-is dropped silently. Watchdogs are the only timers, and the driver keeps
-them: a :class:`SetTimer` guards the wait on a peer that its transition
-entered, until the agent's next transition. If that wait outlasts the
-driver's watchdog period, the driver delivers a :class:`TimerFired`,
-which fails any live agent, so a lost message turns into a diagnosed
-failure rather than a hang.
+State machines are pure: :func:`advance` maps (state, event) to a new
+state plus a list of actions, each a message to send or a work item to
+run, and the simulator or any other driver executes those actions. States,
+phases, messages and work items are immutable ``NamedTuple`` classes. A
+:class:`BusMessage` is both: an agent emits it as an action and receives
+it as an event. So is a :class:`Work` item, which comes back sized when
+the work ends. It names only its kind (plus its round, and for a transfer
+or the restore the bytes of the image it moves, as the checkpoint reported
+them): the simulator sizes every checkpoint and prices every item. The
+destination's wait for the client's flow update is a wait on a peer like
+any other. An agent takes its task only from the task publication. An
+event that is not legal in the current phase moves the agent to Failed and
+records its reason in the agent's state, ``diagnostic``; the failing
+transition sends nothing, and nothing is dropped silently. Watchdogs are
+the only timers, and the driver alone keeps them: any agent neither done
+nor failed that hears nothing for one watchdog period fails. The driver
+then delivers it a :class:`TimerFired`, which fails any live agent. So a
+lost message turns into a diagnosed failure rather than a hang, and no
+transition can leave its agent unguarded.
 
 A transition runs once per simulated event, so the code on that path keeps
 five rules (timings on CPython 3.11, 2-core host):
@@ -191,16 +190,11 @@ class _Marker:
         return f"{type(self).__name__}()"
 
 
-class SetTimer(_Marker):
-    """Guard the wait this transition entered, until the agent's next one."""
-
-
-Action = Union[BusMessage, Work, SetTimer]
-_SET_TIMER = SetTimer()
+Action = Union[BusMessage, Work]
 
 
 class TimerFired(_Marker):
-    """The agent's guarded wait outlasted the driver's watchdog period."""
+    """The live agent heard nothing for the driver's watchdog period."""
 
 
 class Kickoff(_Marker):
@@ -368,10 +362,10 @@ def _source_image_sent(state: AgentState, done_round: int, nbytes: float
 def _source_start(state: AgentState, info: TaskInfo
                   ) -> tuple[AgentState, list[Action]]:
     # Every source starts in round 0. A cold one makes no running-state
-    # copy: it waits, guarded, for the destination's query, and freezes the
-    # service only once asked, so it cannot finish before the query comes.
-    action = _SET_TIMER if info.strategy is _COLD else _ROUND_CHECKPOINT_WORK
-    return _with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO), [action]
+    # copy: it waits for the destination's query, and freezes the service
+    # only once asked, so it cannot finish before the query comes.
+    actions = [] if info.strategy is _COLD else [_ROUND_CHECKPOINT_WORK]
+    return _with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO), actions
 
 
 def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
@@ -403,11 +397,10 @@ def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[A
             if state.pulled == r:  # its query came first
                 return state, [_new(Work, (_TRANSFER_ROUND, event.bytes, r))]
             if r == 0:  # asked for unannounced; waiting for the query
-                return state, [_SET_TIMER]
-            ready = BusMessage(_PUBLISH, info.topics.round_ready[r],
-                               state.agent_id)
-            # waiting for the pull query
-            return state, [ready, _SET_TIMER]
+                return state, []
+            # announced; waiting for the pull query
+            return state, [BusMessage(_PUBLISH, info.topics.round_ready[r],
+                                      state.agent_id)]
 
         if kind is _TRANSFER_ROUND and phase.kind is _AWAIT_IMAGE_PULL \
                 and event.round == r:
@@ -439,14 +432,13 @@ def _dest_image_received(state: AgentState, done_round: int
         next_phase = _new(Phase, (_PRE_COPY_ROUND, done_round + 1))
     else:
         next_phase = _STOP_COPY_PHASE
-    return _with(state, _PHASE, next_phase), [_SET_TIMER]
+    return _with(state, _PHASE, next_phase), []
 
 
 def _dest_start(state: AgentState, info: TaskInfo
                 ) -> tuple[AgentState, list[Action]]:
     query = BusMessage(_QUERY, info.topics.round_image[0], state.agent_id)
-    return (_with(_with(state, _INFO, info), _PHASE, _PULL_ZERO),
-            [query, _SET_TIMER])
+    return _with(_with(state, _INFO, info), _PHASE, _PULL_ZERO), [query]
 
 
 def _advance_destination(state: AgentState, event: Event
@@ -461,7 +453,7 @@ def _advance_destination(state: AgentState, event: Event
             pull = BusMessage(_QUERY, info.topics.round_image[phase.round],
                               state.agent_id)
             next_phase = _new(Phase, (_AWAIT_IMAGE_PULL, phase.round))
-            return _with(state, _PHASE, next_phase), [pull, _SET_TIMER]
+            return _with(state, _PHASE, next_phase), [pull]
 
         # A reply without the configuration is unexpected too.
         if kind is _REPLY and phase.kind is _AWAIT_IMAGE_PULL \
@@ -485,8 +477,7 @@ def _advance_destination(state: AgentState, event: Event
         if kind is _NS_RECREATE and phase.kind is _NS_TRANSITION:
             ready = BusMessage(_PUBLISH, info.topics.ns_ready, state.agent_id)
             # waiting for the client's flow update
-            return (_with(state, _PHASE, _AWAIT_RESTORE_PHASE),
-                    [ready, _SET_TIMER])
+            return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [ready]
 
         if kind is _RESTORE and phase == _RESTORING:
             done = BusMessage(_PUBLISH, info.topics.done, state.agent_id)
@@ -500,7 +491,7 @@ def _advance_destination(state: AgentState, event: Event
 
 def _client_start(state: AgentState, info: TaskInfo
                   ) -> tuple[AgentState, list[Action]]:
-    return _with(state, _INFO, info), [_SET_TIMER]
+    return _with(state, _INFO, info), []
 
 
 def _advance_client(state: AgentState, event: Event
@@ -535,7 +526,7 @@ def _advance_orchestrator(state: AgentState, event: Event
         pub = BusMessage(_PUBLISH, info.topics.task, state.agent_id,
                          0.0, {"task": info})
         # expect the completion notice
-        return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [pub, _SET_TIMER]
+        return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [pub]
 
     if type(event) is BusMessage and info is not None \
             and event.kind is _PUBLISH and event.topic == info.topics.done \

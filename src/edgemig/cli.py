@@ -143,8 +143,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     config = plan_from_scenario(scenario)
-    outcome = run_scenario(scenario, config, event_log_path=args.events,
-                           record_events=False)
+    outcome = run_scenario(scenario, config,
+                           record_events=args.events is not None)
+    if args.events is not None:
+        _write_out("".join(f"{event.to_json_line()}\n"
+                           for event in outcome.events), args.events)
     doc = _config_doc(config)
     doc["simulated"] = {
         "completed": outcome.completed,

@@ -9,13 +9,12 @@ from timed calibration runs. The simulator's model of page dirtying is
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, DomainError, check_number, checked
-from .model import DEFAULT_PAGE_SIZE, ModelParams
+from .model import DEFAULT_PAGE_SIZE, ModelParams, MsProfile
 
 
 @checked
@@ -64,14 +63,13 @@ def estimate_dirty_rate(samples: Sequence[DirtySample],
     """
     if not samples:
         raise DomainError("need at least one dirty sample")
-    check_number("page_size_bytes", page_size_bytes, 1, whole=True)
-    check_number("state_size_bytes", state_size_bytes, whole=True)
+    # The profile checks both sizes and owns the page count.
+    total_pages = MsProfile(state_size_bytes, 0.0, page_size_bytes).total_pages
     if state_size_bytes < page_size_bytes:
         raise DomainError("state must span at least one page")
     worst = max(samples, key=lambda s: s.rate_pages_per_s)
     rate = worst.rate_pages_per_s
     window = worst.window_s
-    total_pages = math.ceil(state_size_bytes / page_size_bytes)
     r_min = 1.0 / window
     r_max = total_pages / window
     if r_max <= r_min:

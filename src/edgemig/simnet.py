@@ -27,10 +27,11 @@ sub-stream (a sweep row's), from the first 64-bit word of
 ``SeedSequence([seed, *stream])``: a cold run never draws, so derives none.
 
 The simulator keeps all the time: it prices every work item and holds one
-watchdog deadline per agent, ten times the predicted total plus ten
-seconds after its ``SetTimer``, cleared by its next event. A run stops
-once every agent is done or failed, so ``end_time_s`` is the time of the
-last event an agent acted on.
+watchdog deadline per live agent, ten times the predicted total plus ten
+seconds after the agent's last event. Any agent neither done nor failed
+that hears nothing for that period fails, whatever it waits on. A run
+stops once every agent is done or failed, so ``end_time_s`` is the time
+of the last event an agent acted on.
 
 Fault injection is off by default. Drop and delay rules match deliveries
 by topic substring and occurrence index; a dropped delivery is logged and
@@ -46,7 +47,6 @@ import json
 import logging
 import math
 from heapq import heappop, heappush
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -72,7 +72,7 @@ log = logging.getLogger(__name__)
 MAX_EVENTS = 1_000_000
 # Hot-path names, bound once at import (see the agents docstring).
 _W = ag.WorkKind
-_Work, _SetTimer = ag.Work, ag.SetTimer
+_Work = ag.Work
 # Work that takes an image, so comes back sized; work that moves one over
 # the source-destination link.
 _CHECKPOINTS = frozenset({_W.ROUND_CHECKPOINT, _W.STOP_CHECKPOINT})
@@ -461,19 +461,21 @@ class _Sim:
         debug = log.isEnabledFor(logging.DEBUG)
         terminal = ag.TERMINAL_PHASES
         agents, send, start_work = self.agents, self._send, self._start_work
-        next_seq, watchdog_s = self.next_seq, self.watchdog_s
-        # agent id -> its watchdog as a heap entry. All share one delay, so
-        # the first is the earliest; entries compare on unique (time, seq).
+        watchdog_s = self.watchdog_s
+        # agent id -> its watchdog as a heap entry, armed with the seq of
+        # the event it follows. All share one delay, so the first is the
+        # earliest; entries compare on unique (time, seq).
         heap, deadlines = self.heap, {}
-        heappush(heap, (0.0, next_seq(), self.info.orchestrator, ag.Kickoff()))
+        heappush(heap, (0.0, self.next_seq(), self.info.orchestrator,
+                        ag.Kickoff()))
         processed = 0
         live = len(agents)  # agents neither done nor failed
         while live and (heap or deadlines):
             entry = next(iter(deadlines.values()), None)
             if entry is None or heap and heap[0] < entry:
                 entry = heappop(heap)
-            time_s, _, agent_id, event = entry
-            deadlines.pop(agent_id, None)  # any event ends a guarded wait
+            time_s, seq, agent_id, event = entry
+            deadlines.pop(agent_id, None)  # re-armed below while live
             self.now = time_s
             processed += 1
             if processed > MAX_EVENTS:
@@ -481,8 +483,10 @@ class _Sim:
             state = agents[agent_id]
             new_state, actions = advance(state, event)
             agents[agent_id] = new_state
-            if new_state.phase.kind in terminal \
-                    and state.phase.kind not in terminal:
+            if new_state.phase.kind not in terminal:
+                deadlines[agent_id] = (time_s + watchdog_s, seq, agent_id,
+                                       _TIMER_FIRED)
+            elif state.phase.kind not in terminal:
                 live -= 1
             if debug and str(new_state.phase) != str(state.phase):
                 log.debug("%s at %.9g s: %s -> %s", agent_id, time_s,
@@ -491,24 +495,18 @@ class _Sim:
             if record:
                 action_docs: list[dict] = []
             for action in actions:
-                kind = type(action)
-                if kind is BusMessage:
+                if type(action) is BusMessage:
                     send(action)
                     if record:
                         action_docs.append(
                             {"send": action.kind.value, "topic": action.topic,
                              "payload_bytes": action.payload_bytes})
-                elif kind is _Work:
+                else:  # a Work item
                     nbytes, duration = start_work(agent_id, action)
                     if record:
                         action_docs.append({"work": action.kind.value,
                                             "bytes": nbytes,
                                             "duration_s": duration})
-                elif kind is _SetTimer:
-                    deadlines[agent_id] = (time_s + watchdog_s, next_seq(),
-                                           agent_id, _TIMER_FIRED)
-                    if record:
-                        action_docs.append({"timer_s": watchdog_s})
 
             if (type(event) is _Work and event.kind is _RESTORE
                     and new_state.phase.kind is _DONE):
@@ -539,7 +537,6 @@ class _Sim:
 
 def run_scenario(scenario: Scenario, config: MigrationConfig, *,
                  fault_rules: Sequence[FaultRule] = (),
-                 event_log_path: Union[str, Path, None] = None,
                  record_events: bool = True,
                  stream: tuple[int, ...] = ()) -> MigrationOutcome:
     """Simulate one migration run under the given configuration.
@@ -548,18 +545,15 @@ def run_scenario(scenario: Scenario, config: MigrationConfig, *,
     picks a sub-stream of the scenario seed for the dirty draws; empty, the
     seed itself. Every watchdog waits ten times the predicted migration
     duration plus ten seconds, generous enough never to fire on a healthy
-    run. A fault rule whose receiver is no agent of the run, or whose
-    fragment is in none of its topics, raises :class:`DomainError`.
+    run. With ``record_events``, ``outcome.events`` holds the event log;
+    the simulator writes no file. A fault rule whose receiver is no agent
+    of the run, or whose fragment is in none of its topics, raises
+    :class:`DomainError`.
     """
-    sim = _Sim(scenario, config, fault_rules,
-               record_events or event_log_path is not None, stream)
-    outcome = sim.run()
+    outcome = _Sim(scenario, config, fault_rules, record_events,
+                   stream).run()
     if not outcome.completed:
         log.warning("migration did not complete: %s", outcome.diagnostics)
-    if event_log_path is not None:
-        lines = [ev.to_json_line() for ev in outcome.events]
-        Path(event_log_path).write_text("\n".join(lines) + "\n",
-                                        encoding="utf-8")
     return outcome
 
 

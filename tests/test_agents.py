@@ -53,10 +53,6 @@ def works(actions):
     return [a for a in actions if isinstance(a, ag.Work)]
 
 
-def timers(actions):
-    return [a for a in actions if isinstance(a, ag.SetTimer)]
-
-
 # ---------------------------------------------------------------------------
 # Source
 
@@ -73,9 +69,9 @@ def test_source_cold_freezes_once_asked():
     info = task_info(StrategyKind.COLD, 0)
     state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                                 task_message(info))
-    # No running-state copy to make: only the wait for the query is guarded.
+    # No running-state copy to make: it only waits for the query.
     assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
-    assert actions == [ag.SetTimer()]
+    assert actions == []
     state, actions = ag.advance(state, pull_query(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
     assert actions == [BusMessage(MessageKind.REPLY, TOPICS.round_image[0],
@@ -103,8 +99,8 @@ def test_source_initial_image_waits_for_query_and_checkpoint():
     state, _ = ag.advance(idle, task_message(info))
     state, actions = ag.advance(state, CHECKPOINT_ZERO)
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
-    # No announcement for round 0; the passive wait is guarded.
-    assert actions == [ag.SetTimer()]
+    # No announcement for round 0: a passive wait for the query.
+    assert actions == []
     state, actions = ag.advance(state, pull_query(info))
     assert actions == [ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0)]
 
@@ -268,8 +264,7 @@ ARM_WATCHDOG = {
 @pytest.mark.parametrize("role", list(ag.Role), ids=lambda r: r.value)
 def test_watchdog_and_stale_timers(role):
     info = task_info()
-    state, actions = ARM_WATCHDOG[role](info)
-    assert timers(actions) == [ag.SetTimer()]
+    state, _ = ARM_WATCHDOG[role](info)
     # The fired watchdog diagnoses the stall.
     failed, failed_actions = ag.advance(state, ag.TimerFired())
     assert failed.phase.kind is ag.PhaseKind.FAILED
@@ -331,7 +326,7 @@ def test_destination_pulls_round_zero_on_task():
     assert query.kind is MessageKind.QUERY
     assert query.topic == TOPICS.round_image[0] == "mig/t1/source/nsconfig"
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
-    assert timers(actions)
+    assert actions == [query]
 
 
 def flow_updated(info):
@@ -356,22 +351,17 @@ def test_destination_full_walk_restores_on_flow_updated():
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
     state, actions = ag.advance(state, image_reply(info, 8192.0, 1))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    assert timers(actions) == [ag.SetTimer()]
+    assert actions == []
 
     state, actions = ag.advance(state, sc_push(info))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.NS_RECREATE
     assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
-    # The image is here and the namespace work is the agent's own: the
-    # transition leaves it unguarded.
-    assert timers(actions) == []
 
     state, actions = ag.advance(state,
                                 ag.Work(ag.WorkKind.NS_RECREATE))
-    # Restore waits for the client's word that the flow is updated: a wait
-    # on a peer, so the watchdog guards it.
-    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst"),
-                       ag.SetTimer()]
+    # Restore waits for the client's word that the flow is updated.
+    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst")]
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
     state, actions = ag.advance(state, flow_updated(info))
@@ -424,7 +414,7 @@ def test_destination_cold_takes_the_reply_before_the_image():
     assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
     state, actions = ag.advance(state, image_reply(info))
     assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
-    assert actions == [ag.SetTimer()]  # still waiting on the image
+    assert actions == []  # still waiting on the image
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
     assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
     assert actions == [ag.Work(ag.WorkKind.NS_RECREATE)]
@@ -460,7 +450,7 @@ def test_client_updates_flow_and_publishes_once():
     info = task_info()
     state, actions = ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
                                 task_message(info))
-    assert actions == [ag.SetTimer()]
+    assert actions == []
     ns_ready = BusMessage(
         kind=MessageKind.PUBLISH, topic=TOPICS.ns_ready, sender="dst")
     state, actions = ag.advance(state, ns_ready)
@@ -479,9 +469,9 @@ def test_orchestrator_lifecycle():
     info = task_info()
     state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
     state, actions = ag.advance(state, ag.Kickoff())
-    # One watchdog guards the whole migration, up to the completion notice.
+    # It publishes the task, then waits for the completion notice.
     assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.task, "orc",
-                                  0.0, {"task": info}), ag.SetTimer()]
+                                  0.0, {"task": info})]
     assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
 
     done = BusMessage(
@@ -619,7 +609,7 @@ def test_records_are_immutable_and_copy_and_pickle_whole(record):
             assert copied.topics == record.topics == TOPICS
 
 
-MARKERS = (ag.SetTimer, ag.TimerFired, ag.Kickoff)
+MARKERS = (ag.TimerFired, ag.Kickoff)
 
 
 @pytest.mark.parametrize("kind", MARKERS, ids=lambda kind: kind.__name__)
@@ -661,8 +651,10 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
     # order, an event the agents' own actions produced; now and then a
     # watchdog instead, or a noise event to any agent. (Fired as often as
     # messages, watchdogs and noise would fail nearly every walk early.)
-    # As in the simulator, any event delivered to an agent drops its
-    # pending watchdog, and only the agent's next SetTimer sets another.
+    # As in the simulator, every agent an event leaves neither done nor
+    # failed is guarded by a watchdog until its next event. Every action is
+    # a message or a work item, told apart by exact type as the simulator
+    # does.
     info = task_info(strategy, iterations)
     states = {aid: ag.idle_agent(role, aid) for aid, role in (
         ("src", ag.Role.SOURCE), ("dst", ag.Role.DESTINATION),
@@ -696,13 +688,14 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
         with pytest.raises(ValueError):
             new_state._replace(no_such_field=1)
         states[agent_id] = new_state
+        if new_state.phase.kind not in ag.TERMINAL_PHASES:
+            guarded.add(agent_id)
         for action in actions:
-            if isinstance(action, BusMessage):
+            assert type(action) in (BusMessage, ag.Work)
+            if type(action) is BusMessage:
                 pending += [(receiver, action) for receiver in
                             routes.get((action.kind, action.topic), ())]
-            elif isinstance(action, ag.Work):
+            else:
                 pending.append((agent_id, ag.Work(
                     action.kind, action.bytes or 4096.0, action.round)))
-            elif isinstance(action, ag.SetTimer):
-                guarded.add(agent_id)
 

@@ -76,13 +76,13 @@ def test_simulate_records_events_only_into_its_event_log(tmp_path,
     monkeypatch.setattr(cli, "run_scenario", spy)
     out, events = tmp_path / "simulate.json", tmp_path / "events.jsonl"
     assert run(["simulate", "--scenario", DEMO, "--out", str(out)]) == 0
-    assert calls == [{"event_log_path": None, "record_events": False}]
+    assert calls == [{"record_events": False}]
     assert out.read_bytes() == (GOLDEN / "simulate.json").read_bytes()
-    # With --events, the path alone makes the run record its events.
+    # With --events, the run records its events and the command writes
+    # them, one JSON line each.
     assert run(["simulate", "--scenario", DEMO, "--out", str(out),
                 "--events", str(events)]) == 0
-    assert calls[1] == {"event_log_path": str(events),
-                        "record_events": False}
+    assert calls[1] == {"record_events": True}
     assert out.read_bytes() == (GOLDEN / "simulate.json").read_bytes()
     assert events.read_bytes() == \
         (GOLDEN / "simulate_events.jsonl").read_bytes()

@@ -64,9 +64,11 @@ FAULT_CASES = {
 def faulted_run(name: str, directory: Path) -> tuple[str, str]:
     """Run one faulted case, writing its two files into ``directory``."""
     scenario = load_scenario(DEMO)
-    events = directory / f"fault_{name}_events.jsonl"
     outcome = run_scenario(scenario, plan_from_scenario(scenario),
-                           fault_rules=FAULT_CASES[name], event_log_path=events)
+                           fault_rules=FAULT_CASES[name])
+    events = directory / f"fault_{name}_events.jsonl"
+    events.write_text("".join(f"{event.to_json_line()}\n"
+                              for event in outcome.events), encoding="utf-8")
     doc = {name: value for name, value in outcome._asdict().items()
            if name != "events"}
     outcome_file = directory / f"fault_{name}.json"

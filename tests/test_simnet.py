@@ -710,14 +710,12 @@ def test_faulted_runs_end_completed_or_diagnosed(iters, latency_s, pre_copy,
     assert len(set(sent)) == len(sent) == outcome.message_count
     assert outcome.message_count <= len(rows)
     # No finished wait ever fires: a watchdog fails its agent, exactly one
-    # period after the agent's previous transition, which armed it.
+    # period after the agent's previous event, which armed it.
     last = {}
     for ev in outcome.events:
         if ev.event["type"] == "timer":
             assert ev.phase_after == "failed" != ev.phase_before
-            armed = last[ev.agent]
-            assert {"timer_s": watchdog_s} in armed.actions
-            assert ev.time_s == armed.time_s + watchdog_s
+            assert ev.time_s == last[ev.agent].time_s + watchdog_s
         last[ev.agent] = ev
 
 
@@ -751,14 +749,13 @@ def test_rule_naming_any_agent_of_the_run_fires(agent):
     assert agent in outcome.diagnostics
 
 
-def test_event_log_written_as_json_lines(tmp_path):
+def test_event_log_written_as_json_lines():
     import json
 
     scenario = make_scenario()
     config = make_config(scenario, StrategyKind.PRE_COPY)
-    log = tmp_path / "events.jsonl"
-    run_scenario(scenario, config, event_log_path=log)
-    lines = log.read_text().splitlines()
+    outcome = run_scenario(scenario, config)
+    lines = [event.to_json_line() for event in outcome.events]
     assert len(lines) > 10
     seqs = [json.loads(line)["seq"] for line in lines]
     assert seqs == sorted(seqs)
@@ -844,6 +841,36 @@ def test_delay_beyond_watchdog_fails_cleanly():
         fault_rules=(DelayRule("nsconfig", delay_s=1000.0),))
     assert not outcome.completed
     assert any("timed out" in d for d in outcome.diagnostics.values())
+
+
+def test_work_outlasting_the_watchdog_fails_the_busy_agent():
+    # The plan expects no dirtying, so its watchdog period is short
+    # (55.67 s); the run dirties every page, and the source's stop-and-copy
+    # checkpoint of them at 1e-4 s a byte takes over 1,000 s. A busy agent
+    # is as live as a waiting one: the source times out with the others
+    # instead of finishing long after every one of them has given up.
+    scenario = load_scenario(DEMO)
+    profile_id = scenario.task.ms_profile_id
+    scenario = scenario._replace(
+        model_params=scenario.model_params._replace(ckpt_per_byte_s=1e-4),
+        ms_profiles=tuple(
+            p._replace(profile=p.profile._replace(dirty_rate_norm=0.0),
+                       dirty_rate_pages_per_s=1e5) if p.id == profile_id
+            else p for p in scenario.ms_profiles))
+    config = plan_from_scenario(scenario)
+    watchdog_s = 10 * config.predicted.total_s + 10
+    outcome = run_scenario(scenario, config)
+    assert not outcome.completed
+    assert outcome.diagnostics == {
+        "edge-a": "timed out waiting in phase stopcopy_checkpoint",
+        "edge-b": "timed out waiting in phase stopcopy_checkpoint",
+        "cam-client": "timed out waiting in phase idle",
+        "orchestrator": "timed out waiting in phase await_restore"}
+    *_, froze, fired = [ev for ev in outcome.events if ev.agent == "edge-a"]
+    assert froze.phase_after == "stopcopy_checkpoint"
+    assert fired.event == {"type": "timer"}
+    assert outcome.end_time_s == fired.time_s == froze.time_s + watchdog_s
+    assert outcome.end_time_s == pytest.approx(59.92, abs=0.01)
 
 
 def test_task_arriving_after_ns_ready_fails_the_client_cleanly():
