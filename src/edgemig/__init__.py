@@ -3,7 +3,7 @@
 The package splits into a worst-case cost model (:mod:`edgemig.model`),
 workload profiling and parameter calibration (:mod:`edgemig.profiler`),
 the orchestration decision logic (:mod:`edgemig.orchestrator`), the
-protocol state machines (:mod:`edgemig.agents`), a deterministic
+protocol table and its interpreter (:mod:`edgemig.agents`), a deterministic
 discrete-event simulator (:mod:`edgemig.simnet`), scenario file handling
 (:mod:`edgemig.scenario`) and a command-line front end
 (:mod:`edgemig.cli`).

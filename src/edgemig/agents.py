@@ -1,79 +1,65 @@
-"""Protocol state machines for the agents executing a migration.
+"""The migration protocol, written once as a table, and its interpreter.
 
 Four roles cooperate over the bus: the source host agent, the destination
 host agent, the client-side agent (which redirects the service flow), and
 the orchestrator (which publishes the task and collects the outcome).
 
-The happy path, for an iterative pre-copy migration with I rounds:
+:func:`clean_run` lists the messages a fault-free run sends, in protocol
+order: ``7 + 3·I`` of them for I pre-copy rounds after round 0. Each row
+names its sender, kind, topic and receiving roles, the work its sender
+runs before sending it, and whether it carries an image. In order: the
+orchestrator publishes the task; the destination pulls each round r =
+0..I (the source checkpoints it and, from round 1, announces it; the
+destination queries it; the source transfers it and replies with the image
+and the namespace configuration); the source freezes the service,
+checkpoints and pushes the stop-and-copy image unasked (a request inside
+the downtime window would cost downtime for nothing); the destination
+recreates the namespace and publishes ns-ready; the client updates the
+flow and publishes flow-updated; the destination restores and publishes
+the completion notice. A cold run walks the same table without the
+running-state copies: its round-0 reply is empty. The table, the topic
+record :class:`Topics` of every :class:`TaskInfo` and the simulator's
+``_routes``, which resolves the table to agent ids, are the protocol's
+only routing facts. Headers carry typed objects (the task publication
+hands every agent the :class:`TaskInfo`); image sizes ride on
+``payload_bytes``.
 
-1. the orchestrator publishes the task and waits for the completion
-   notice;
-2. each pre-copy round r = 0..I is pulled by the destination: the source
-   checkpoints (round 0 the whole running state, each later round the
-   pages dirtied since the previous one), the destination queries the
-   round's image, and the source transfers it and replies with it and the
-   namespace configuration. The destination asks for round 0 as soon as it
-   holds its task, so that query may arrive before the checkpoint ends and
-   is then held; every later round is announced by a ready publication
-   once its checkpoint ends;
-3. after the last round the source freezes the service, checkpoints, and
-   pushes the stop-and-copy image without waiting to be asked (a request
-   round trip inside the downtime window would cost downtime for nothing);
-4. the destination recreates the network namespace (the source clears its
-   own in parallel) and publishes that it is ready, which triggers the
-   client's flow update;
-5. the client publishes that the flow is updated, upon which the
-   destination restores and publishes the completion notice.
+Every agent runs one interpreter, :func:`advance`, over its role's
+projection of the table, its :class:`Script`: await each row it receives,
+run each work item and await its end, send each row it sends. Two work
+items precede no send of their role: the source's round-0 checkpoint after
+its task (none when cold) and its namespace clear after the stop-and-copy
+push. A script is compiled once per task, role and agent, when the agent
+takes its task, and the agent's state keeps it. A message's position in
+the script decides its fate:
 
-The sequence is written down once, as data: :func:`clean_run` lists the
-messages a fault-free run sends, ``len(clean_run(info))`` of them (7 plus
-3 per round after round 0), each with its sender, kind, topic and
-receiving roles. A cold migration follows the same skeleton minus the
-running-state copies: its source checkpoints nothing in round 0, answers
-the query at once with a 0-byte reply, and then freezes the service as
-after a last round, so the destination walks one path whatever the
-strategy. That table, the topic record :class:`Topics` every
-:class:`TaskInfo` carries, and the simulator's ``_routes``, which resolves
-the table to agent ids, are the protocol's only routing facts. Messages stay in process, so headers
-carry typed objects: the task publication hands every agent the frozen
-:class:`TaskInfo` itself. Image sizes ride on ``payload_bytes``; no
-header repeats them.
+* at the current wait: taken, and the agent emits up to its next wait;
+* ahead of it, or any message before the task: held, and taken when its
+  turn comes;
+* behind it (a duplicate), or nowhere in the script: the agent fails.
 
-State machines are pure: :func:`advance` maps (state, event) to a new
-state plus a list of actions, each a message to send or a work item to
-run, and the simulator or any other driver executes those actions. States,
-phases, messages and work items are immutable ``NamedTuple`` classes. A
-:class:`BusMessage` is both: an agent emits it as an action and receives
-it as an event. So is a :class:`Work` item, which comes back sized when
-the work ends. It names only its kind (plus its round, and for a transfer
-or the restore the bytes of the image it moves, as the checkpoint reported
-them): the simulator sizes every checkpoint and prices every item. The
-destination's wait for the client's flow update is a wait on a peer like
-any other. An agent takes its task only from the task publication. An
-event that is not legal in the current phase moves the agent to Failed and
-records its reason in the agent's state, ``diagnostic``; the failing
-transition sends nothing, and nothing is dropped silently. Watchdogs are
-the only timers, and the driver alone keeps them: any agent neither done
-nor failed that hears nothing for one watchdog period fails. The driver
-then delivers it a :class:`TimerFired`, which fails any live agent. So a
-lost message turns into a diagnosed failure rather than a hang, and no
-transition can leave its agent unguarded.
+A work item's end is taken only at its own position, and a reply only
+with the namespace configuration. The orchestrator, built holding its
+task, starts on :class:`Kickoff`. A failing agent records its reason in
+``diagnostic`` and sends nothing. ``phase`` prints the current wait
+(``await reply source/round/2/image``, ``transfer_round[2]``), or
+``idle``, ``done`` or ``failed``. The driver alone keeps watchdogs: a live
+agent that hears nothing for one period gets a :class:`TimerFired`, which
+fails it, so a lost message ends in a diagnosis rather than a hang.
 
-A transition runs once per simulated event, so the code on that path keeps
-five rules (timings on CPython 3.11, 2-core host):
-
-* enum members, and the fixed phases and work items entered, are module
-  globals bound at import: ``PhaseKind.DONE`` takes ``EnumType.__getattr__``'s
-  slow path, 0.13 µs against 0.008 µs for a global (0.039 µs on 3.12);
-* a state is copied positionally, by :func:`_with`: 0.5–0.7 µs against
-  1.0–1.5 µs for ``_replace(phase=...)`` on :class:`AgentState`;
-* every record with fields is a ``NamedTuple``, never a frozen dataclass.
-  A :class:`BusMessage` with its two checks takes 0.5 µs against 1.4 µs,
-  and a :class:`Work` item or a :class:`Phase` built by ``tuple.__new__``
-  0.2 µs against 0.58 µs and 0.31 µs. At import, a class of 1–9 fields
-  takes 0.06–0.13 ms to build against 0.74–1.39 ms;
-* records are built from positional arguments, never keywords;
-* events and actions are told apart by their exact type.
+:func:`advance` is pure: it maps (state, event) to a new state and a list
+of actions, each a :class:`BusMessage` to send or a :class:`Work` item to
+run, and a driver executes them. A message is received as it was sent; a
+work item comes back sized when it ends (the driver sizes every checkpoint
+and prices every item). A transition runs once per simulated event, so
+that path keeps four rules (CPython 3.11, 2-core host): enum members are
+module globals (0.008 µs against 0.13 µs through
+``EnumType.__getattr__``); every record is a ``NamedTuple``, never a
+frozen dataclass (a checked :class:`BusMessage` takes 0.5 µs against
+1.4 µs, a :class:`Work` built by ``tuple.__new__`` 0.2 µs against 0.58 µs,
+and a class 0.06–0.13 ms to build at import against 0.74–1.39 ms);
+records, a state included, are built positionally and in full, never by
+keywords or ``_replace``; events and actions are told apart by exact type.
 """
 
 from __future__ import annotations
@@ -93,50 +79,14 @@ class Role(str, Enum):
     ORCHESTRATOR = "orchestrator"
 
 
-class PhaseKind(str, Enum):
-    IDLE = "idle"
-    PRE_COPY_ROUND = "precopy_round"
-    AWAIT_IMAGE_PULL = "await_image_pull"
-    STOP_COPY_CHECKPOINT = "stopcopy_checkpoint"
-    NAMESPACE_TRANSITION = "namespace_transition"
-    AWAIT_RESTORE = "await_restore"
-    DONE = "done"
-    FAILED = "failed"
+# The phases that are no wait of a script.
+IDLE, DONE, FAILED = "idle", "done", "failed"
+TERMINAL_PHASES = frozenset({DONE, FAILED})
 
-
-class Phase(NamedTuple):
-    kind: PhaseKind
-    round: int = 0
-
-    def __str__(self) -> str:  # compact form for logs
-        kind = self.kind  # _value_: the plain attribute behind .value
-        if kind is _PRE_COPY_ROUND or kind is _AWAIT_IMAGE_PULL:
-            return f"{kind._value_}[{self.round}]"
-        return kind._value_
-
-
-IDLE = Phase(PhaseKind.IDLE)
-DONE = Phase(PhaseKind.DONE)
-FAILED = Phase(PhaseKind.FAILED)
-
-TERMINAL_PHASES = frozenset({PhaseKind.DONE, PhaseKind.FAILED})
-
-# Hot-path names (see the module docstring): the members the transitions
-# test, and the round-less and round-0 phases they enter.
-_PUBLISH, _QUERY, _REPLY = MessageKind  # in definition order
+# Hot-path names (see the module docstring), in definition order.
+_PUBLISH, _QUERY, _REPLY = MessageKind
+_SOURCE, _ORCHESTRATOR = Role.SOURCE, Role.ORCHESTRATOR
 _COLD = StrategyKind.COLD
-_IDLE_KIND = PhaseKind.IDLE
-_PRE_COPY_ROUND = PhaseKind.PRE_COPY_ROUND
-_AWAIT_IMAGE_PULL = PhaseKind.AWAIT_IMAGE_PULL
-_STOP_COPY = PhaseKind.STOP_COPY_CHECKPOINT
-_NS_TRANSITION = PhaseKind.NAMESPACE_TRANSITION
-_AWAIT_RESTORE = PhaseKind.AWAIT_RESTORE
-_ROUND_ZERO = Phase(_PRE_COPY_ROUND, 0)
-_PULL_ZERO = Phase(_AWAIT_IMAGE_PULL, 0)
-_STOP_COPY_PHASE = Phase(_STOP_COPY)
-_NS_TRANSITION_PHASE = Phase(_NS_TRANSITION)
-_AWAIT_RESTORE_PHASE = Phase(_AWAIT_RESTORE)
-_RESTORING = Phase(_AWAIT_RESTORE, 1)  # prints as await_restore too
 
 
 class WorkKind(str, Enum):
@@ -152,9 +102,13 @@ class WorkKind(str, Enum):
     RESTORE = "restore"
 
 
-# Hot-path names, in definition order.
 (_ROUND_CHECKPOINT, _STOP_CHECKPOINT, _TRANSFER_ROUND, _TRANSFER_STOPCOPY,
  _NS_CLEAR, _NS_RECREATE, _FLOW_UPDATE, _RESTORE) = WorkKind
+# Work that comes back sized by the image it took; work handed that image;
+# work printed with its round.
+_CHECKPOINTS = frozenset({_ROUND_CHECKPOINT, _STOP_CHECKPOINT})
+_TAKES_IMAGE = frozenset({_TRANSFER_ROUND, _TRANSFER_STOPCOPY, _RESTORE})
+_ROUNDED = frozenset({_ROUND_CHECKPOINT, _TRANSFER_ROUND})
 
 
 class Work(NamedTuple):
@@ -166,12 +120,7 @@ class Work(NamedTuple):
     round: int = 0
 
 
-# Positional record builds, and the size-less, round-0 work items.
-_new = tuple.__new__
-(_ROUND_CHECKPOINT_WORK, _STOP_CHECKPOINT_WORK, _NS_CLEAR_WORK,
- _NS_RECREATE_WORK, _FLOW_UPDATE_WORK) = (
-    Work(kind) for kind in (_ROUND_CHECKPOINT, _STOP_CHECKPOINT, _NS_CLEAR,
-                            _NS_RECREATE, _FLOW_UPDATE))
+_new = tuple.__new__  # a positional record build
 
 
 class _Marker:
@@ -205,12 +154,12 @@ Event = Union[BusMessage, Work, TimerFired, Kickoff]
 
 
 # --------------------------------------------------------------------------
-# Task wiring shared by every agent
+# The protocol table
 
 
 class Topics(NamedTuple):
     """Every topic of one task, each the topic of a :func:`clean_run`
-    row. A round's two topics sit at its number. Round 0's image topic is
+    row, built once per task by ``TaskInfo.topics``. A round's two topics sit at its number. Round 0's image topic is
     named ``nsconfig``, as the destination holds no namespace configuration
     before that reply; its ready slot is empty (a message cannot carry it),
     since the destination asks for round 0 unannounced."""
@@ -236,7 +185,9 @@ def _topics(task_id: str, iterations: int) -> Topics:
         dst + "done")
 
 
-class _TaskFields(NamedTuple):
+class TaskInfo(NamedTuple):
+    """Everything an agent learns from the task publication."""
+
     task_id: str
     source: str
     destination: str
@@ -245,31 +196,25 @@ class _TaskFields(NamedTuple):
     strategy: StrategyKind
     iterations: int
     ns_config: str
-    topics: Optional[Topics] = None
 
-
-class TaskInfo(_TaskFields):
-    """Everything an agent learns from the task publication. Every build,
-    ``_replace``, a copy and unpickling included, derives ``topics``, once
-    per task, so a transition builds no topic string."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> TaskInfo:
-        info = _TaskFields.__new__(cls, *args, **kwargs)
-        return _new(cls, (*info[:8], _topics(info.task_id, info.iterations)))
-
-    _make = classmethod(lambda cls, values: cls(*values))
+    @property
+    def topics(self) -> Topics:
+        return _topics(self.task_id, self.iterations)
 
 
 class Step(NamedTuple):
     """One message of a fault-free run; a publication reaches every
-    receiver, in delivery order, and a query or reply its one receiver."""
+    receiver, in delivery order, and a query or reply its one receiver.
+    Its sender runs ``work``, in order, before sending it. A row that
+    carries an ``image`` has the size of the image its sender last took as
+    its payload."""
 
     sender: Role
     kind: MessageKind
     topic: str
     receivers: tuple[Role, ...]
+    work: tuple[Work, ...] = ()
+    image: bool = False
 
 
 def clean_run(info: TaskInfo) -> tuple[Step, ...]:
@@ -283,42 +228,118 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
     steps = [Step(orc, _PUBLISH, t.task, (src, dst, cli))]
     for r in range(info.iterations + 1):
         if r:  # round 0 is asked for unannounced
-            steps.append(Step(src, _PUBLISH, t.round_ready[r], (dst,)))
+            steps.append(Step(src, _PUBLISH, t.round_ready[r], (dst,),
+                              (Work(_ROUND_CHECKPOINT, 0.0, r),)))
+        # A cold source has no running-state copy: its reply is empty.
+        transfer = () if info.strategy is _COLD else (
+            Work(_TRANSFER_ROUND, 0.0, r),)
         steps += (Step(dst, _QUERY, t.round_image[r], (src,)),
-                  Step(src, _REPLY, t.round_image[r], (dst,)))
-    steps += (Step(src, _PUBLISH, t.stopcopy, (dst,)),
-              Step(dst, _PUBLISH, t.ns_ready, (cli,)),
-              Step(cli, _PUBLISH, t.flow_updated, (dst,)),
-              Step(dst, _PUBLISH, t.done, (orc,)))
+                  Step(src, _REPLY, t.round_image[r], (dst,), transfer, True))
+    steps += (Step(src, _PUBLISH, t.stopcopy, (dst,),
+                   (Work(_STOP_CHECKPOINT), Work(_TRANSFER_STOPCOPY)), True),
+              Step(dst, _PUBLISH, t.ns_ready, (cli,), (Work(_NS_RECREATE),)),
+              Step(cli, _PUBLISH, t.flow_updated, (dst,),
+                   (Work(_FLOW_UPDATE),)),
+              Step(dst, _PUBLISH, t.done, (orc,), (Work(_RESTORE),)))
     return tuple(steps)
 
 
 # --------------------------------------------------------------------------
-# Agent state
+# Scripts: the table projected onto one role
+
+
+class Script(NamedTuple):
+    """One role's projection of :func:`clean_run`, compiled. Position p
+    waits for a message, whose ``(kind, topic)`` ``index`` maps to p, or
+    for the end of the work item ``waits[p]``; ``names[p]`` prints it, and
+    taking it sets the image size when ``sized[p]``. ``emits[p + 1]`` is
+    what follows it up to the next wait (``emits[0]`` what precedes the
+    first), with the image size put into the actions at ``fills[p + 1]``.
+    Past the last wait the agent is done: ``names[-1]`` is ``done``."""
+
+    index: dict[tuple[MessageKind, str], int]
+    waits: tuple[Optional[Work], ...]
+    sized: tuple[bool, ...]
+    names: tuple[str, ...]
+    emits: tuple[tuple[Action, ...], ...]
+    fills: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=1024)  # four per task; a sweep has one a row
+def _script(info: TaskInfo, role: Role, agent_id: str) -> Script:
+    t = info.topics
+    # A wait prints its topic without the task's "mig/{task_id}/".
+    prefix = len(t.task) - len("orchestrator/task")
+    # Work that comes before no send of its role, by the row it follows.
+    after = {t.task: () if info.strategy is _COLD else (
+                 Work(_ROUND_CHECKPOINT),),
+             t.stopcopy: (Work(_NS_CLEAR),)} if role is _SOURCE else {}
+    index, waits, sized, names = {}, [], [], []
+    emits, fills = [[]], [[]]
+
+    def emit(action: Action, takes_image: bool) -> None:
+        if takes_image:
+            fills[-1].append(len(emits[-1]))
+        emits[-1].append(action)
+
+    def wait(work: Optional[Work], name: str, image: bool) -> None:
+        waits.append(work)
+        sized.append(image)
+        names.append(name)
+        emits.append([])
+        fills.append([])
+
+    def run(items: tuple[Work, ...]) -> None:
+        for work in items:
+            kind = work.kind
+            emit(work, kind in _TAKES_IMAGE)
+            wait(work, f"{kind.value}[{work.round}]" if kind in _ROUNDED
+                 else kind.value, kind in _CHECKPOINTS)
+
+    for step in clean_run(info):
+        if step.sender is role:
+            run(step.work)
+            headers = ({"task": info} if step.topic == t.task else
+                       {"ns_config": info.ns_config} if step.kind is _REPLY
+                       else None)
+            emit(BusMessage(step.kind, step.topic, agent_id, 0.0, headers),
+                 step.image)
+        elif role in step.receivers:
+            index[step.kind, step.topic] = len(waits)
+            wait(None, f"await {step.kind.value} {step.topic[prefix:]}",
+                 step.image)
+        run(after.get(step.topic, ()))
+    return Script(index, tuple(waits), tuple(sized), (*names, DONE),
+                  tuple(map(tuple, emits)), tuple(map(tuple, fills)))
+
+
+def _emit(script: Script, pos: int, image: float) -> list[Action]:
+    """The actions that follow wait ``pos - 1``, the image sized in."""
+    actions = list(script.emits[pos])
+    for i in script.fills[pos]:
+        action = actions[i]
+        actions[i] = (_new(Work, (action.kind, image, action.round))
+                      if type(action) is Work else
+                      BusMessage(*action[:3], image, action.headers))
+    return actions
+
+
+# --------------------------------------------------------------------------
+# Agent state and the interpreter
 
 
 class AgentState(NamedTuple):
     role: Role
     agent_id: str
-    phase: Phase = IDLE
+    phase: str = IDLE
     info: Optional[TaskInfo] = None
-    # The source's last round asked for.
-    pulled: int = -1
-    # The source's image of the current round; the destination's
-    # stop-and-copy image.
+    script: Optional[Script] = None
+    pos: int = 0
+    # Messages that came before their turn, in arrival order.
+    held: tuple[BusMessage, ...] = ()
+    # The size of the image last taken: checkpointed or received.
     image_bytes: float = 0.0
     diagnostic: Optional[str] = None
-
-
-# Field positions, for _with.
-_PHASE, _INFO, _PULLED, _IMAGE_BYTES, _DIAGNOSTIC = range(
-    2, len(AgentState._fields))
-
-
-def _with(state: AgentState, index: int, value: object) -> AgentState:
-    """``state`` with its field at ``index`` set to ``value``: what
-    ``_replace`` returns, built positionally (see the module docstring)."""
-    return _new(AgentState, (*state[:index], value, *state[index + 1:]))
 
 
 def idle_agent(role: Role, agent_id: str) -> AgentState:
@@ -339,246 +360,81 @@ def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Actio
     return _fail(state, f"unexpected {what} in phase {state.phase}")
 
 
-# --------------------------------------------------------------------------
-# Source
-
-
-def _source_image_sent(state: AgentState, done_round: int, nbytes: float
-                       ) -> tuple[AgentState, list[Action]]:
-    """Reply with pre-copy round ``done_round``'s image of ``nbytes`` and
-    the namespace configuration, then checkpoint the next round, or freeze
-    the service for the stop-and-copy checkpoint after the last."""
-    info = state.info
-    reply = BusMessage(_REPLY, info.topics.round_image[done_round],
-                       state.agent_id, nbytes, {"ns_config": info.ns_config})
-    if done_round >= info.iterations:
-        return (_with(state, _PHASE, _STOP_COPY_PHASE),
-                [reply, _STOP_CHECKPOINT_WORK])
-    next_round = done_round + 1
-    return (_with(state, _PHASE, _new(Phase, (_PRE_COPY_ROUND, next_round))),
-            [reply, _new(Work, (_ROUND_CHECKPOINT, 0.0, next_round))])
-
-
-def _source_start(state: AgentState, info: TaskInfo
-                  ) -> tuple[AgentState, list[Action]]:
-    # Every source starts in round 0. A cold one makes no running-state
-    # copy: it waits for the destination's query, and freezes the service
-    # only once asked, so it cannot finish before the query comes.
-    actions = [] if info.strategy is _COLD else [_ROUND_CHECKPOINT_WORK]
-    return _with(_with(state, _INFO, info), _PHASE, _ROUND_ZERO), actions
-
-
-def _advance_source(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
-    info = state.info
-    phase = state.phase
-    r = phase.round
-
+def _begin(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
+    """An agent without a script takes its task (the orchestrator its
+    kickoff), and holds any other message until then."""
+    role, agent_id, _, info, _, _, held, _, _ = state
     if type(event) is BusMessage:
-        if event.kind is _QUERY and (phase.kind is _PRE_COPY_ROUND
-                                     or phase.kind is _AWAIT_IMAGE_PULL) \
-                and event.topic == info.topics.round_image[r]:
-            if state.pulled == r:
-                return _fail(state, f"duplicate query for round {r}")
-            state = _with(state, _PULLED, r)
-            if phase.kind is _AWAIT_IMAGE_PULL:
-                return state, [_new(Work, (_TRANSFER_ROUND, state.image_bytes,
-                                           r))]
-            if info.strategy is _COLD:  # no initial image to copy
-                return _source_image_sent(state, 0, 0.0)
-            return state, []  # held until the round's checkpoint ends
-        return _unexpected(state, event)
-
-    if type(event) is Work:
-        kind = event.kind
-        if kind is _ROUND_CHECKPOINT and phase.kind is _PRE_COPY_ROUND \
-                and event.round == r:
-            state = _with(_with(state, _IMAGE_BYTES, event.bytes), _PHASE,
-                          _new(Phase, (_AWAIT_IMAGE_PULL, r)))
-            if state.pulled == r:  # its query came first
-                return state, [_new(Work, (_TRANSFER_ROUND, event.bytes, r))]
-            if r == 0:  # asked for unannounced; waiting for the query
-                return state, []
-            # announced; waiting for the pull query
-            return state, [BusMessage(_PUBLISH, info.topics.round_ready[r],
-                                      state.agent_id)]
-
-        if kind is _TRANSFER_ROUND and phase.kind is _AWAIT_IMAGE_PULL \
-                and event.round == r:
-            return _source_image_sent(state, r, event.bytes)
-
-        if kind is _STOP_CHECKPOINT and phase.kind is _STOP_COPY:
-            return state, [_new(Work, (_TRANSFER_STOPCOPY, event.bytes, 0))]
-
-        if kind is _TRANSFER_STOPCOPY and phase.kind is _STOP_COPY:
-            push = BusMessage(_PUBLISH, info.topics.stopcopy, state.agent_id,
-                              event.bytes)
-            return (_with(state, _PHASE, _NS_TRANSITION_PHASE),
-                    [push, _NS_CLEAR_WORK])
-
-        if kind is _NS_CLEAR and phase.kind is _NS_TRANSITION:
-            return _with(state, _PHASE, DONE), []
-    return _unexpected(state, event)
-
-
-# --------------------------------------------------------------------------
-# Destination
-
-
-def _dest_image_received(state: AgentState, done_round: int
-                         ) -> tuple[AgentState, list[Action]]:
-    """Pre-copy round ``done_round`` is here: wait for the next round's
-    announcement, or the stop-and-copy image after the last."""
-    if done_round < state.info.iterations:
-        next_phase = _new(Phase, (_PRE_COPY_ROUND, done_round + 1))
-    else:
-        next_phase = _STOP_COPY_PHASE
-    return _with(state, _PHASE, next_phase), []
-
-
-def _dest_start(state: AgentState, info: TaskInfo
-                ) -> tuple[AgentState, list[Action]]:
-    query = BusMessage(_QUERY, info.topics.round_image[0], state.agent_id)
-    return _with(_with(state, _INFO, info), _PHASE, _PULL_ZERO), [query]
-
-
-def _advance_destination(state: AgentState, event: Event
-                         ) -> tuple[AgentState, list[Action]]:
-    info = state.info
-    phase = state.phase
-
-    if type(event) is BusMessage:
-        kind = event.kind
-        if kind is _PUBLISH and phase.kind is _PRE_COPY_ROUND \
-                and event.topic == info.topics.round_ready[phase.round]:
-            pull = BusMessage(_QUERY, info.topics.round_image[phase.round],
-                              state.agent_id)
-            next_phase = _new(Phase, (_AWAIT_IMAGE_PULL, phase.round))
-            return _with(state, _PHASE, next_phase), [pull]
-
-        # A reply without the configuration is unexpected too.
-        if kind is _REPLY and phase.kind is _AWAIT_IMAGE_PULL \
-                and event.topic == info.topics.round_image[phase.round] \
-                and event.headers.get("ns_config") is not None:
-            return _dest_image_received(state, phase.round)
-
-        if kind is _PUBLISH and phase.kind is _STOP_COPY \
-                and event.topic == info.topics.stopcopy:
-            return (_with(_with(state, _IMAGE_BYTES, event.payload_bytes),
-                          _PHASE, _NS_TRANSITION_PHASE), [_NS_RECREATE_WORK])
-
-        if kind is _PUBLISH and phase == _AWAIT_RESTORE_PHASE \
-                and event.topic == info.topics.flow_updated:
-            return (_with(state, _PHASE, _RESTORING),
-                    [_new(Work, (_RESTORE, state.image_bytes, 0))])
-        return _unexpected(state, event)
-
-    if type(event) is Work:
-        kind = event.kind
-        if kind is _NS_RECREATE and phase.kind is _NS_TRANSITION:
-            ready = BusMessage(_PUBLISH, info.topics.ns_ready, state.agent_id)
-            # waiting for the client's flow update
-            return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [ready]
-
-        if kind is _RESTORE and phase == _RESTORING:
-            done = BusMessage(_PUBLISH, info.topics.done, state.agent_id)
-            return _with(state, _PHASE, DONE), [done]
-    return _unexpected(state, event)
-
-
-# --------------------------------------------------------------------------
-# Client
-
-
-def _client_start(state: AgentState, info: TaskInfo
-                  ) -> tuple[AgentState, list[Action]]:
-    return _with(state, _INFO, info), []
-
-
-def _advance_client(state: AgentState, event: Event
-                    ) -> tuple[AgentState, list[Action]]:
-    phase = state.phase
-    if type(event) is BusMessage:
-        if event.kind is _PUBLISH and phase.kind is _IDLE_KIND \
-                and event.topic == state.info.topics.ns_ready:
-            return (_with(state, _PHASE, _NS_TRANSITION_PHASE),
-                    [_FLOW_UPDATE_WORK])
-
-    if type(event) is Work:
-        if event.kind is _FLOW_UPDATE and phase.kind is _NS_TRANSITION:
-            updated = BusMessage(_PUBLISH, state.info.topics.flow_updated,
-                                 state.agent_id)
-            return _with(state, _PHASE, DONE), [updated]
-    return _unexpected(state, event)
-
-
-# --------------------------------------------------------------------------
-# Orchestrator
-
-
-def _advance_orchestrator(state: AgentState, event: Event
-                          ) -> tuple[AgentState, list[Action]]:
-    info = state.info
-    phase = state.phase
-
-    if type(event) is Kickoff:
-        if phase.kind is not _IDLE_KIND or info is None:
-            return _unexpected(state, event)
-        pub = BusMessage(_PUBLISH, info.topics.task, state.agent_id,
-                         0.0, {"task": info})
-        # expect the completion notice
-        return _with(state, _PHASE, _AWAIT_RESTORE_PHASE), [pub]
-
-    if type(event) is BusMessage and info is not None \
-            and event.kind is _PUBLISH and event.topic == info.topics.done \
-            and phase.kind is _AWAIT_RESTORE:
-        return _with(state, _PHASE, DONE), []
-    return _unexpected(state, event)
-
-
-# --------------------------------------------------------------------------
-# Shared entry point
-
-
-_ROLE_DISPATCH = {
-    Role.SOURCE: _advance_source,
-    Role.DESTINATION: _advance_destination,
-    Role.CLIENT: _advance_client,
-    Role.ORCHESTRATOR: _advance_orchestrator,
-}
-# First transitions; the orchestrator is built holding its task.
-_ROLE_START = {
-    Role.SOURCE: _source_start,
-    Role.DESTINATION: _dest_start,
-    Role.CLIENT: _client_start,
-}
-
-
-def _take_task(state: AgentState, event: Event
-               ) -> tuple[AgentState, list[Action]]:
-    """An agent without a task accepts only the publication of one."""
-    task = None
-    if type(event) is BusMessage and event.kind is _PUBLISH:
         task = event.headers.get("task")
-    if not isinstance(task, TaskInfo) \
-            or event.topic != task.topics.task:
+        if role is _ORCHESTRATOR or event.kind is not _PUBLISH \
+                or not isinstance(task, TaskInfo) \
+                or event.topic != task.topics.task:
+            return state._replace(held=(*held, event)), []
+        info, early = task, (event, *held)  # the task is its first wait
+    elif type(event) is Kickoff and role is _ORCHESTRATOR and info is not None:
+        early = held
+    else:
         return _unexpected(state, event)
-    return _ROLE_START[state.role](state, task)
+    script = _script(info, role, agent_id)
+    return _feed(AgentState(role, agent_id, script.names[0], info, script),
+                 _emit(script, 0, 0.0), early)
+
+
+def _feed(state: AgentState, actions: list[Action],
+          messages: tuple[BusMessage, ...]) -> tuple[AgentState, list[Action]]:
+    """``state`` after ``actions`` and then each of ``messages`` in turn,
+    through :func:`advance`'s rule, so that each is taken, held again, or
+    fails the agent, whereupon the transition sends nothing."""
+    for message in messages:
+        state, more = _advance(state, message)
+        actions += more
+    return state, [] if state.phase == FAILED else actions
 
 
 def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
-    """One transition of an agent's state machine.
+    """One transition of an agent's interpreter.
 
     Terminal phases absorb every event; in any other phase a fired
-    watchdog fails the agent, whatever its role. An agent without a task
-    takes only the publication of one. Any other event that the current
-    phase has no transition for fails the agent, its reason in
-    ``diagnostic``.
+    watchdog fails the agent, whatever its role. An agent without a
+    script takes only its task, and holds every other message. Otherwise
+    the event's position in the script decides: at the current wait it is
+    taken, ahead of it a message is held, and behind it or nowhere the
+    agent fails, its reason in ``diagnostic``.
     """
-    if state.phase.kind in TERMINAL_PHASES:
+    role, agent_id, phase, info, script, pos, held, image, _ = state
+    if phase in TERMINAL_PHASES:
         return state, []
     if type(event) is TimerFired:
-        return _fail(state, f"timed out waiting in phase {state.phase}")
-    if state.info is None and state.role is not Role.ORCHESTRATOR:
-        return _take_task(state, event)
-    return _ROLE_DISPATCH[state.role](state, event)
+        return _fail(state, f"timed out waiting in phase {phase}")
+    if script is None:
+        return _begin(state, event)
+    if type(event) is BusMessage:
+        at = script.index.get((event.kind, event.topic))
+        if at is None or at < pos or event.kind is _REPLY \
+                and event.headers.get("ns_config") is None:
+            return _unexpected(state, event)
+        if at > pos:
+            index = script.index
+            if any(index[m.kind, m.topic] == at for m in held):
+                return _unexpected(state, event)
+            return _new(AgentState, (role, agent_id, phase, info, script, pos,
+                                     (*held, event), image, None)), []
+        if script.sized[pos]:
+            image = event.payload_bytes
+    elif type(event) is Work and (wait := script.waits[pos]) is not None \
+            and event.kind is wait.kind and event.round == wait.round:
+        if script.sized[pos]:
+            image = event.bytes
+    else:
+        return _unexpected(state, event)
+    pos += 1
+    state = _new(AgentState, (role, agent_id, script.names[pos], info, script,
+                              pos, (), image, None))
+    if held:  # each held message is taken if its turn has come
+        return _feed(state, _emit(script, pos, image), held)
+    return state, _emit(script, pos, image)
 
+
+# What _feed delivers through: a wrapper on ``advance`` (a tracer, a test
+# spy) then sees one call per event.
+_advance = advance

@@ -3,7 +3,8 @@
 A scenario is the single input format shared by the command-line tools and
 the simulator. Parsing is strict — unknown keys, missing keys and values
 of the wrong kind raise :class:`~edgemig.errors.ScenarioError` naming the
-key path. An absent optional key reads as its default.
+key path. An absent optional key reads as its default. Each task agent's
+host has the role of its slot: the task's source host is a ``source``.
 
 Top-level sections::
 
@@ -338,29 +339,43 @@ def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
     return scenario
 
 
-def _validate_references(scenario: Scenario) -> None:
-    host_ids = {h.id for h in scenario.hosts}
-    if len(host_ids) != len(scenario.hosts):
-        raise ScenarioError("duplicate host ids")
-    pairs: set[frozenset[str]] = set()
-    for link in scenario.links:
-        for end in (link.from_host, link.to_host):
-            if end not in host_ids:
-                raise ScenarioError(f"link references unknown host {end!r}")
+def link_pairs(links: Sequence[Link]) -> dict[frozenset[str], Link]:
+    """Each link by its unordered pair of hosts; a second link between one
+    pair raises :class:`ScenarioError`."""
+    pairs: dict[frozenset[str], Link] = {}
+    for link in links:
         pair = frozenset((link.from_host, link.to_host))
         if pair in pairs:
             raise ScenarioError(f"two links between {link.from_host!r} and "
                                 f"{link.to_host!r}")
-        pairs.add(pair)
+        pairs[pair] = link
+    return pairs
+
+
+def _validate_references(scenario: Scenario) -> None:
+    host_ids = {h.id for h in scenario.hosts}
+    if len(host_ids) != len(scenario.hosts):
+        raise ScenarioError("duplicate host ids")
+    for link in scenario.links:
+        for end in (link.from_host, link.to_host):
+            if end not in host_ids:
+                raise ScenarioError(f"link references unknown host {end!r}")
+    link_pairs(scenario.links)
     profile_ids = [p.id for p in scenario.ms_profiles]
     if len(set(profile_ids)) != len(profile_ids):
         raise ScenarioError("duplicate ms profile ids")
     if scenario.task is not None:
         section = scenario.task
-        for agent in (section.task.source_agent, section.task.destination_agent,
-                      section.client, section.orchestrator):
+        agents = (section.task.source_agent, section.task.destination_agent,
+                  section.client, section.orchestrator)
+        for agent in agents:
             if agent not in host_ids:
                 raise ScenarioError(f"task references unknown host {agent!r}")
+        role_of = {h.id: h.role for h in scenario.hosts}
+        for slot, agent in zip(HOST_ROLES, agents):
+            if role_of[agent] != slot:
+                raise ScenarioError(f"task {slot} {agent!r} is a host of role "
+                                    f"{role_of[agent]!r}")
         scenario.profile_by_id(section.ms_profile_id)
     if scenario.sweep is not None:
         for pid in scenario.sweep.profiles:

@@ -65,7 +65,7 @@ from .model import (
     transfer_duration,
 )
 from .orchestrator import MetricsView, MigrationConfig, design
-from .scenario import Link, Scenario, SimProfile
+from .scenario import Link, Scenario, SimProfile, link_pairs
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ _CHECKPOINTS = frozenset({_W.ROUND_CHECKPOINT, _W.STOP_CHECKPOINT})
 _TRANSFERS = frozenset({_W.TRANSFER_ROUND, _W.TRANSFER_STOPCOPY})
 _ROUND_CHECKPOINT = _W.ROUND_CHECKPOINT
 _FLOW_UPDATE, _RESTORE = _W.FLOW_UPDATE, _W.RESTORE
-_DONE = ag.PhaseKind.DONE
+_DONE = ag.DONE
 _TIMER_FIRED = ag.TimerFired()
 
 
@@ -198,8 +198,7 @@ def _run_setting(links: tuple[Link, ...], params: ModelParams,
     if len(set(agent_ids)) < len(agent_ids):
         raise ScenarioError("task source, destination, client and "
                             f"orchestrator must differ, got {agent_ids}")
-    # Reversed, so that a pair's first link wins, as in Scenario.link_between.
-    pairs = {frozenset((k.from_host, k.to_host)): k for k in reversed(links)}
+    pairs = link_pairs(links)
     if (link := pairs.get(frozenset(agent_ids[:2]))) is None:
         raise ScenarioError("no link between source {!r} and destination "
                             "{!r}".format(*agent_ids[:2]))
@@ -483,12 +482,12 @@ class _Sim:
             state = agents[agent_id]
             new_state, actions = advance(state, event)
             agents[agent_id] = new_state
-            if new_state.phase.kind not in terminal:
+            if new_state.phase not in terminal:
                 deadlines[agent_id] = (time_s + watchdog_s, seq, agent_id,
                                        _TIMER_FIRED)
-            elif state.phase.kind not in terminal:
+            elif state.phase not in terminal:
                 live -= 1
-            if debug and str(new_state.phase) != str(state.phase):
+            if debug and new_state.phase != state.phase:
                 log.debug("%s at %.9g s: %s -> %s", agent_id, time_s,
                           state.phase, new_state.phase)
 
@@ -509,23 +508,23 @@ class _Sim:
                                             "duration_s": duration})
 
             if (type(event) is _Work and event.kind is _RESTORE
-                    and new_state.phase.kind is _DONE):
+                    and new_state.phase == _DONE):
                 self.restore_end = time_s
 
             if record:
                 if new_state.diagnostic != state.diagnostic:
                     action_docs.append({"diagnostic": new_state.diagnostic})
-                self._log(agent_id, state.role.value, str(state.phase),
-                          str(new_state.phase), _describe_event(event),
+                self._log(agent_id, state.role.value, state.phase,
+                          new_state.phase, _describe_event(event),
                           tuple(action_docs))
 
         final_phases, diagnostics, completed = {}, {}, True
         for aid, st in agents.items():
             phase = st.phase
-            final_phases[aid] = str(phase)
-            completed = completed and phase.kind is _DONE
+            final_phases[aid] = phase
+            completed = completed and phase == _DONE
             # An agent still live here has no event left that could move it.
-            if st.diagnostic or phase.kind not in terminal:
+            if st.diagnostic or phase not in terminal:
                 diagnostics[aid] = st.diagnostic or f"stalled in phase {phase}"
         downtime = self.restore_end - self.freeze_time if completed else None
         return MigrationOutcome(

@@ -1,8 +1,9 @@
-"""Pure transition tests for the protocol state machines.
+"""Pure transition tests for the protocol table and its interpreter.
 
 These drive :func:`edgemig.agents.advance` directly, event by event, with
-no simulator in the loop, checking phases, emitted actions, failure
-behaviour and the client's flow update.
+no simulator in the loop, checking each role's projection of
+:func:`edgemig.agents.clean_run`, phases, emitted actions, held messages,
+failure behaviour and the client's flow update.
 """
 
 import copy
@@ -61,7 +62,7 @@ def test_source_task_receipt_checkpoints_without_a_message():
     info = task_info()
     state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                                 task_message(info))
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
+    assert state.phase == "round_checkpoint[0]"
     assert actions == [ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 0.0, 0)]
 
 
@@ -70,10 +71,10 @@ def test_source_cold_freezes_once_asked():
     state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                                 task_message(info))
     # No running-state copy to make: it only waits for the query.
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 0)
+    assert state.phase == "await query source/nsconfig"
     assert actions == []
     state, actions = ag.advance(state, pull_query(info))
-    assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
+    assert state.phase == "stop_checkpoint"
     assert actions == [BusMessage(MessageKind.REPLY, TOPICS.round_image[0],
                                   "src", 0.0, {"ns_config": "netns:t1"}),
                        ag.Work(ag.WorkKind.STOP_CHECKPOINT)]
@@ -87,18 +88,20 @@ def test_source_initial_image_waits_for_query_and_checkpoint():
     info = task_info()
     idle = ag.idle_agent(ag.Role.SOURCE, "src")
 
-    # Order A: query first, then checkpoint completion.
+    # Order A: query first, held until the checkpoint completes.
     state, _ = ag.advance(idle, task_message(info))
     state, actions = ag.advance(state, pull_query(info))
-    assert works(actions) == [] and sends(actions) == []
+    assert actions == []
+    assert state.held == (pull_query(info),)
+    assert state.phase == "round_checkpoint[0]"
     state, actions = ag.advance(state, CHECKPOINT_ZERO)
-    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    assert state.phase == "transfer_round[0]" and state.held == ()
     assert actions == [ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0)]
 
     # Order B: checkpoint completes first, query afterwards.
     state, _ = ag.advance(idle, task_message(info))
     state, actions = ag.advance(state, CHECKPOINT_ZERO)
-    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    assert state.phase == "await query source/nsconfig"
     # No announcement for round 0: a passive wait for the query.
     assert actions == []
     state, actions = ag.advance(state, pull_query(info))
@@ -119,7 +122,7 @@ def test_source_full_iterative_walk():
     assert reply.kind is MessageKind.REPLY
     assert reply.payload_bytes == M
     assert reply.headers["ns_config"] == "netns:t1"
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 1)
+    assert state.phase == "round_checkpoint[1]"
     [work] = works(actions)
     assert work.kind is ag.WorkKind.ROUND_CHECKPOINT
 
@@ -128,7 +131,7 @@ def test_source_full_iterative_walk():
         state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=8192.0, round=1))
     [ready] = sends(actions)
     assert ready.topic == TOPICS.round_ready[1]
-    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
+    assert state.phase == "await query source/round/1/image"
     pull = BusMessage(
         kind=MessageKind.QUERY, topic=TOPICS.round_image[1],
         sender="dst")
@@ -140,7 +143,7 @@ def test_source_full_iterative_walk():
     [reply] = sends(actions)
     assert reply.topic == TOPICS.round_image[1]
     assert reply.headers["ns_config"] == "netns:t1"
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 2)
+    assert state.phase == "round_checkpoint[2]"
 
     # Round 2 ends the pre-copy: next comes the stop-and-copy checkpoint.
     state, _ = ag.advance(
@@ -151,7 +154,7 @@ def test_source_full_iterative_walk():
     state, _ = ag.advance(state, pull2)
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.TRANSFER_ROUND, bytes=4096.0, round=2))
-    assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
+    assert state.phase == "stop_checkpoint"
     [work] = works(actions)
     assert work.kind is ag.WorkKind.STOP_CHECKPOINT
 
@@ -165,10 +168,10 @@ def test_source_full_iterative_walk():
     [push] = sends(actions)
     assert push.topic == TOPICS.stopcopy
     assert push.payload_bytes == 20480.0
-    assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
+    assert state.phase == "ns_clear"
     state, actions = ag.advance(state,
                                 ag.Work(ag.WorkKind.NS_CLEAR, bytes=0.0))
-    assert state.phase.kind is ag.PhaseKind.DONE
+    assert state.phase == "done"
     assert actions == []
 
 
@@ -181,15 +184,17 @@ def _source_in_round(info, round_index):
                       pull_query(info, r),
                       ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, r)):
             state, _ = ag.advance(state, event)
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, round_index)
+    assert state.phase == f"round_checkpoint[{round_index}]"
     return state
 
 
-@pytest.mark.parametrize("round_index", [0, 2])
-def test_source_rejects_a_duplicate_query(round_index):
-    # Round 0's query is held while its checkpoint runs; round 2's, once
-    # announced, starts the transfer. A repeat of either fails the source
-    # and starts nothing.
+@pytest.mark.parametrize("round_index,phase", [
+    (0, "round_checkpoint[0]"), (2, "transfer_round[2]")])
+def test_source_rejects_a_duplicate_query(round_index, phase):
+    # Round 0's query is held while its checkpoint runs, so a repeat is
+    # ahead of the source a second time; round 2's, once announced, starts
+    # the transfer, so a repeat is behind it. Either fails the source and
+    # starts nothing.
     info = task_info(iterations=2)
     state = _source_in_round(info, round_index)
     if round_index:
@@ -199,8 +204,10 @@ def test_source_rejects_a_duplicate_query(round_index):
     assert works(actions) == ([ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2)]
                               if round_index else [])
     state, actions = ag.advance(state, pull_query(info, round_index))
-    assert state.phase.kind is ag.PhaseKind.FAILED
-    assert state.diagnostic == f"duplicate query for round {round_index}"
+    assert state.phase == "failed"
+    assert state.diagnostic == (
+        f"unexpected query on {TOPICS.round_image[round_index]} in phase "
+        f"{phase}")
     assert actions == []  # a failing agent sends nothing
 
 
@@ -210,9 +217,9 @@ def test_source_unexpected_event_fails_with_diagnostic():
                           task_message(info))
     bogus = ag.Work(ag.WorkKind.RESTORE, bytes=1.0)
     state, actions = ag.advance(state, bogus)
-    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.phase == "failed"
     assert state.diagnostic == (
-        "unexpected end of restore in phase precopy_round[0]")
+        "unexpected end of restore in phase round_checkpoint[0]")
     assert actions == []
 
 
@@ -225,7 +232,8 @@ def test_source_fails_on_another_rounds_checkpoint_end(round_index):
     phase = state.phase
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 4096.0, round_index))
-    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert phase == "round_checkpoint[1]"
+    assert state.phase == "failed"
     assert state.diagnostic == (
         f"unexpected end of round_checkpoint in phase {phase}")
     assert actions == []
@@ -267,12 +275,25 @@ def test_watchdog_and_stale_timers(role):
     state, _ = ARM_WATCHDOG[role](info)
     # The fired watchdog diagnoses the stall.
     failed, failed_actions = ag.advance(state, ag.TimerFired())
-    assert failed.phase.kind is ag.PhaseKind.FAILED
+    assert failed.phase == "failed"
     assert failed.diagnostic == f"timed out waiting in phase {state.phase}"
     assert failed_actions == []
     # Once the agent is failed, a late watchdog changes nothing. (Which
     # timers are stale is the driver's business: see the simulator tests.)
     assert ag.advance(failed, ag.TimerFired()) == (failed, [])
+
+
+# What each role makes of a message held before its task, once the task
+# comes: ns-ready is the client's next wait, and in no other script; a
+# second task publication is behind every script.
+AFTER_TASK = {
+    (ag.Role.SOURCE, TOPICS.ns_ready): "round_checkpoint[0]",
+    (ag.Role.DESTINATION, TOPICS.ns_ready): "await reply source/nsconfig",
+    (ag.Role.CLIENT, TOPICS.ns_ready): None,
+    (ag.Role.SOURCE, TOPICS.task): "round_checkpoint[0]",
+    (ag.Role.DESTINATION, TOPICS.task): "await reply source/nsconfig",
+    (ag.Role.CLIENT, TOPICS.task): "await publish destination/ns-ready",
+}
 
 
 @pytest.mark.parametrize("role", [ag.Role.SOURCE, ag.Role.DESTINATION,
@@ -283,12 +304,22 @@ def test_watchdog_and_stale_timers(role):
     (TOPICS.ns_ready, {"task": task_info()}),
 ], ids=["other-topic", "no-task", "task-off-its-topic"])
 def test_idle_agent_takes_only_its_task_publication(role, topic, headers):
+    # Anything else is held, and judged by the script once the task comes.
     stray = BusMessage(kind=MessageKind.PUBLISH, topic=topic,
                        sender="dst", headers=headers)
     state, actions = ag.advance(ag.idle_agent(role, "agent"), stray)
-    assert state.phase.kind is ag.PhaseKind.FAILED
-    assert state.diagnostic == f"unexpected publish on {topic} in phase idle"
+    assert state == ag.AgentState(role, "agent", held=(stray,))
     assert actions == []
+    state, actions = ag.advance(state, task_message(task_info()))
+    phase = AFTER_TASK[role, topic]
+    if phase is None:  # the client's ns-ready, taken in its turn
+        assert state.phase == "flow_update"
+        assert actions == [ag.Work(ag.WorkKind.FLOW_UPDATE)]
+    else:
+        assert state.phase == "failed"
+        assert state.diagnostic == (
+            f"unexpected publish on {topic} in phase {phase}")
+        assert actions == []  # not even what the task itself started
 
 
 def test_terminal_phases_absorb_everything():
@@ -296,7 +327,7 @@ def test_terminal_phases_absorb_everything():
     state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
                           task_message(info))
     failed, _ = ag.advance(state, ag.Work(ag.WorkKind.RESTORE))
-    assert failed.phase.kind is ag.PhaseKind.FAILED
+    assert failed.phase == "failed"
     after, actions = ag.advance(failed, pull_query(info))
     assert after == failed and actions == []
 
@@ -325,7 +356,7 @@ def test_destination_pulls_round_zero_on_task():
     [query] = sends(actions)
     assert query.kind is MessageKind.QUERY
     assert query.topic == TOPICS.round_image[0] == "mig/t1/source/nsconfig"
-    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    assert state.phase == "await reply source/nsconfig"
     assert actions == [query]
 
 
@@ -340,7 +371,7 @@ def test_destination_full_walk_restores_on_flow_updated():
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
     state, _ = ag.advance(state, image_reply(info, payload=float(M)))
-    assert state.phase == ag.Phase(ag.PhaseKind.PRE_COPY_ROUND, 1)
+    assert state.phase == "await publish source/round/1/ready"
     ready = BusMessage(
         kind=MessageKind.PUBLISH, topic=TOPICS.round_ready[1],
         sender="src")
@@ -348,30 +379,30 @@ def test_destination_full_walk_restores_on_flow_updated():
     [pull] = sends(actions)
     assert pull.kind is MessageKind.QUERY
     assert pull.topic == TOPICS.round_image[1]
-    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 1)
+    assert state.phase == "await reply source/round/1/image"
     state, actions = ag.advance(state, image_reply(info, 8192.0, 1))
-    assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
+    assert state.phase == "await publish source/stopcopy/image"
     assert actions == []
 
     state, actions = ag.advance(state, sc_push(info))
     [work] = works(actions)
     assert work.kind is ag.WorkKind.NS_RECREATE
-    assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
+    assert state.phase == "ns_recreate"
 
     state, actions = ag.advance(state,
                                 ag.Work(ag.WorkKind.NS_RECREATE))
     # Restore waits for the client's word that the flow is updated.
     assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst")]
-    assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
+    assert state.phase == "await publish client/flow-updated"
 
     state, actions = ag.advance(state, flow_updated(info))
     assert actions == [ag.Work(ag.WorkKind.RESTORE, 20480.0)]
-    assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
+    assert state.phase == "restore"
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.RESTORE, bytes=20480.0))
     [done] = sends(actions)
     assert done.topic == TOPICS.done
-    assert state.phase.kind is ag.PhaseKind.DONE
+    assert state.phase == "done"
 
 
 def test_destination_fails_on_a_second_flow_updated_while_restoring():
@@ -384,25 +415,30 @@ def test_destination_fails_on_a_second_flow_updated_while_restoring():
     state, actions = ag.advance(state, flow_updated(info))
     [restore] = works(actions)
     assert restore.kind is ag.WorkKind.RESTORE
-    assert str(state.phase) == "await_restore"
+    assert state.phase == "restore"
     # The same publication again: the restore already runs, so the
     # destination fails naming it and starts nothing.
     state, actions = ag.advance(state, flow_updated(info))
     assert actions == []
-    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.phase == "failed"
     assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
-                                " in phase await_restore")
+                                " in phase restore")
 
 
-def test_destination_fails_on_flow_updated_before_ns_ready():
+def test_destination_holds_flow_updated_before_ns_ready():
     info = task_info(StrategyKind.COLD, 0)
     state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
                           task_message(info))
     state, actions = ag.advance(state, flow_updated(info))
-    assert state.phase.kind is ag.PhaseKind.FAILED
-    assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
-                                " in phase await_image_pull[0]")
-    assert actions == []
+    assert state.phase == "await reply source/nsconfig"
+    assert state.held == (flow_updated(info),) and actions == []
+    state, _ = ag.advance(state, image_reply(info))
+    state, _ = ag.advance(state, sc_push(info))
+    # Its turn comes once ns-ready is out: the restore starts at once.
+    state, actions = ag.advance(state, ag.Work(ag.WorkKind.NS_RECREATE))
+    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst"),
+                       ag.Work(ag.WorkKind.RESTORE, 20480.0)]
+    assert state.phase == "restore" and state.held == ()
 
 
 def test_destination_cold_takes_the_reply_before_the_image():
@@ -411,22 +447,24 @@ def test_destination_cold_takes_the_reply_before_the_image():
 
     # The 0-byte reply is round 0; the image follows it.
     state, _ = ag.advance(idle, task_message(info))
-    assert state.phase == ag.Phase(ag.PhaseKind.AWAIT_IMAGE_PULL, 0)
+    assert state.phase == "await reply source/nsconfig"
     state, actions = ag.advance(state, image_reply(info))
-    assert state.phase.kind is ag.PhaseKind.STOP_COPY_CHECKPOINT
+    assert state.phase == "await publish source/stopcopy/image"
     assert actions == []  # still waiting on the image
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
-    assert state.phase.kind is ag.PhaseKind.NAMESPACE_TRANSITION
+    assert state.phase == "ns_recreate"
     assert actions == [ag.Work(ag.WorkKind.NS_RECREATE)]
 
-    # The source freezes only once it has answered, so an image ahead of
-    # the reply is unexpected.
+    # An image ahead of the reply (which a slower link may delay) is held
+    # until the reply comes, and sized by the image, not the reply.
     state, _ = ag.advance(idle, task_message(info))
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
-    assert state.phase.kind is ag.PhaseKind.FAILED
-    assert state.diagnostic == (f"unexpected publish on {TOPICS.stopcopy}"
-                                " in phase await_image_pull[0]")
+    assert state.phase == "await reply source/nsconfig"
     assert actions == []
+    state, actions = ag.advance(state, image_reply(info))
+    assert state.phase == "ns_recreate" and state.held == ()
+    assert state.image_bytes == M
+    assert actions == [ag.Work(ag.WorkKind.NS_RECREATE)]
 
 
 def test_destination_duplicate_stop_copy_image_fails():
@@ -436,9 +474,9 @@ def test_destination_duplicate_stop_copy_image_fails():
     state, _ = ag.advance(state, image_reply(info))
     state, _ = ag.advance(state, sc_push(info))
     state, actions = ag.advance(state, sc_push(info))
-    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.phase == "failed"
     assert state.diagnostic == (f"unexpected publish on {TOPICS.stopcopy}"
-                                " in phase namespace_transition")
+                                " in phase ns_recreate")
     assert actions == []
 
 
@@ -451,14 +489,16 @@ def test_client_updates_flow_and_publishes_once():
     state, actions = ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
                                 task_message(info))
     assert actions == []
+    assert state.phase == "await publish destination/ns-ready"
     ns_ready = BusMessage(
         kind=MessageKind.PUBLISH, topic=TOPICS.ns_ready, sender="dst")
     state, actions = ag.advance(state, ns_ready)
     assert actions == [ag.Work(ag.WorkKind.FLOW_UPDATE)]
+    assert state.phase == "flow_update"
     state, actions = ag.advance(state, ag.Work(ag.WorkKind.FLOW_UPDATE))
     # The client's one message tells the destination that the flow moved.
     assert actions == [flow_updated(info)]
-    assert state.phase.kind is ag.PhaseKind.DONE
+    assert state.phase == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +512,12 @@ def test_orchestrator_lifecycle():
     # It publishes the task, then waits for the completion notice.
     assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.task, "orc",
                                   0.0, {"task": info})]
-    assert state.phase.kind is ag.PhaseKind.AWAIT_RESTORE
+    assert state.phase == "await publish destination/done"
 
     done = BusMessage(
         kind=MessageKind.PUBLISH, topic=TOPICS.done, sender="dst")
     state, actions = ag.advance(state, done)
-    assert state.phase.kind is ag.PhaseKind.DONE
+    assert state.phase == "done"
     assert actions == []
 
 
@@ -518,6 +558,53 @@ def test_clean_run_is_the_spelled_out_protocol():
     assert dict(simnet._routes(info)) == expected
 
 
+# The waits each role's script passes, in order, for I=2, spelled out.
+SCRIPTS_I2 = {
+    ag.Role.SOURCE: [
+        "await publish orchestrator/task", "round_checkpoint[0]",
+        "await query source/nsconfig", "transfer_round[0]",
+        "round_checkpoint[1]", "await query source/round/1/image",
+        "transfer_round[1]", "round_checkpoint[2]",
+        "await query source/round/2/image", "transfer_round[2]",
+        "stop_checkpoint", "transfer_stopcopy", "ns_clear"],
+    ag.Role.DESTINATION: [
+        "await publish orchestrator/task", "await reply source/nsconfig",
+        "await publish source/round/1/ready",
+        "await reply source/round/1/image",
+        "await publish source/round/2/ready",
+        "await reply source/round/2/image",
+        "await publish source/stopcopy/image", "ns_recreate",
+        "await publish client/flow-updated", "restore"],
+    ag.Role.CLIENT: ["await publish orchestrator/task",
+                     "await publish destination/ns-ready", "flow_update"],
+    ag.Role.ORCHESTRATOR: ["await publish destination/done"],
+}
+
+
+@pytest.mark.parametrize("role", list(ag.Role), ids=lambda r: r.value)
+def test_each_role_walks_its_projection_of_the_table(role):
+    info = task_info(iterations=2)
+    agent_id = dict(zip(ag.Role, ("src", "dst", "cli", "orc")))[role]
+    script = ag._script(info, role, agent_id)
+    assert list(script.names) == [*SCRIPTS_I2[role], "done"]
+    # It sends its rows of the table in order, each after the work the
+    # row names, and waits for each row it receives.
+    rows = [step for step in ag.clean_run(info) if step.sender is role]
+    emitted = [action for segment in script.emits for action in segment]
+    assert [(m.kind, m.topic) for m in sends(emitted)] == [
+        (step.kind, step.topic) for step in rows]
+    for step in rows:
+        at = next(i for i, m in enumerate(emitted)
+                  if type(m) is BusMessage and m.topic == step.topic)
+        assert tuple(emitted[at - len(step.work):at]) == step.work
+    assert sorted(script.index.values()) == [
+        i for i, name in enumerate(SCRIPTS_I2[role])
+        if name.startswith("await ")]
+    assert {key for key in script.index} == {
+        (step.kind, step.topic) for step in ag.clean_run(info)
+        if role in step.receivers}
+
+
 @pytest.mark.parametrize("strategy,iters", [
     (StrategyKind.COLD, 0),
     (StrategyKind.PRE_COPY, 0),
@@ -543,29 +630,14 @@ def test_image_reply_without_its_configuration_fails(strategy, round_index):
     topic = info.topics.round_image[round_index]
     state, actions = ag.advance(state,
                                 BusMessage(MessageKind.REPLY, topic, "src"))
-    assert state.phase.kind is ag.PhaseKind.FAILED
+    assert state.phase == "failed"
     assert state.diagnostic == (f"unexpected reply on {topic} in phase "
-                                f"await_image_pull[{round_index}]")
+                                f"await reply {topic[len('mig/t1/'):]}")
     assert actions == []
 
 
 # ---------------------------------------------------------------------------
 # Records
-
-
-def test_positional_state_copy_equals_replace_for_every_field():
-    state = ag.AgentState(ag.Role.DESTINATION, "dst", info=task_info(),
-                          pulled=1, image_bytes=2.0)
-    names = ("phase", "info", "pulled", "image_bytes", "diagnostic")
-    assert [ag.AgentState._fields[i] for i in (
-        ag._PHASE, ag._INFO, ag._PULLED, ag._IMAGE_BYTES,
-        ag._DIAGNOSTIC)] == list(names)
-    for index, name in enumerate(ag.AgentState._fields):
-        value = object()
-        copied = ag._with(state, index, value)
-        assert type(copied) is ag.AgentState
-        assert copied == state._replace(**{name: value})
-        assert copied[index] is value
 
 
 @pytest.mark.parametrize("change,match", [
@@ -587,8 +659,10 @@ RECORDS = [
                {"ns_config": "netns:t1"}),
     BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst"),
     ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2),
-    ag.AgentState(ag.Role.SOURCE, "src", ag.Phase(
-        ag.PhaseKind.AWAIT_IMAGE_PULL, 2), task_info(), image_bytes=4096.0),
+    # A source holding its round-0 query: a script, a held message.
+    ag.advance(ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+                          task_message(task_info()))[0],
+               pull_query(task_info()))[0],
     task_info(),
     SCENARIO,  # every section present, as a parallel sweep pickles it
     run_scenario(SCENARIO, plan_from_scenario(SCENARIO)),
@@ -607,6 +681,8 @@ def test_records_are_immutable_and_copy_and_pickle_whole(record):
         assert copied == record
         if type(record) is ag.TaskInfo:
             assert copied.topics == record.topics == TOPICS
+        if type(record) is ag.AgentState:
+            assert copied.held == record.held != ()
 
 
 MARKERS = (ag.TimerFired, ag.Kickoff)
@@ -644,17 +720,30 @@ def _noise(info):
     return msgs + done + [ag.TimerFired(), ag.Kickoff()]
 
 
+def _early(info):
+    """Every row of the table as its sender sends it, for one of its
+    receivers: delivered at any time, most come ahead of their turn."""
+    agent_of = dict(zip(ag.Role, ("src", "dst", "cli", "orc")))
+    headers = {info.topics.task: {"task": info}}
+    return [(agent_of[role], BusMessage(
+        step.kind, step.topic, agent_of[step.sender], 4096.0 * step.image,
+        headers.get(step.topic, {"ns_config": info.ns_config}
+                    if step.kind is MessageKind.REPLY else None)))
+            for step in ag.clean_run(info) for role in step.receivers]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(list(StrategyKind)), st.integers(0, 3), st.data())
 def test_transitions_never_change_their_input(strategy, iterations, data):
     # Walk all four agents through one task. Each step delivers, in any
     # order, an event the agents' own actions produced; now and then a
-    # watchdog instead, or a noise event to any agent. (Fired as often as
-    # messages, watchdogs and noise would fail nearly every walk early.)
-    # As in the simulator, every agent an event leaves neither done nor
-    # failed is guarded by a watchdog until its next event. Every action is
-    # a message or a work item, told apart by exact type as the simulator
-    # does.
+    # watchdog instead, a row of the table to one of its receivers ahead
+    # of (or after) its turn, or a noise event to any agent. (Fired as
+    # often as messages, watchdogs and noise would fail nearly every walk
+    # early.) As in the simulator, every agent an event leaves neither
+    # done nor failed is guarded by a watchdog until its next event. Every
+    # action is a message or a work item, told apart by exact type as the
+    # simulator does.
     info = task_info(strategy, iterations)
     states = {aid: ag.idle_agent(role, aid) for aid, role in (
         ("src", ag.Role.SOURCE), ("dst", ag.Role.DESTINATION),
@@ -662,13 +751,15 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
     states["orc"] = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc",
                                   info=info)
     routes = simnet._routes(info)
-    noise = _noise(info)
+    noise, early = _noise(info), _early(info)
     pending, guarded = [("orc", ag.Kickoff())], set()
     for _ in range(data.draw(st.integers(1, 80))):
         roll = data.draw(st.integers(0, 29))
         if roll == 0 or not (pending or guarded):
             agent_id = data.draw(st.sampled_from(sorted(states)))
             event = data.draw(st.sampled_from(noise))
+        elif roll in (2, 3):
+            agent_id, event = data.draw(st.sampled_from(early))
         elif guarded and (roll == 1 or not pending):
             agent_id = data.draw(st.sampled_from(sorted(guarded)))
             event = ag.TimerFired()
@@ -683,13 +774,22 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
         assert event == event_copy
         with pytest.raises(AttributeError):
             new_state.phase = ag.DONE
-        with pytest.raises(AttributeError):
-            new_state.phase.round = 1
         with pytest.raises(ValueError):
             new_state._replace(no_such_field=1)
+        if new_state.script is not None:
+            with pytest.raises(AttributeError):
+                new_state.script.names = ()
+            # A live agent holds only messages ahead of it, one a wait.
+            held = [new_state.script.index[m.kind, m.topic]
+                    for m in new_state.held]
+            assert new_state.phase in ag.TERMINAL_PHASES or (
+                len(set(held)) == len(held)
+                and all(at > new_state.pos for at in held))
         states[agent_id] = new_state
-        if new_state.phase.kind not in ag.TERMINAL_PHASES:
+        if new_state.phase not in ag.TERMINAL_PHASES:
             guarded.add(agent_id)
+        elif new_state.phase == ag.FAILED:
+            assert actions == []  # a failing transition sends nothing
         for action in actions:
             assert type(action) in (BusMessage, ag.Work)
             if type(action) is BusMessage:
@@ -698,4 +798,3 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
             else:
                 pending.append((agent_id, ag.Work(
                     action.kind, action.bytes or 4096.0, action.round)))
-

@@ -533,8 +533,9 @@ def _items(draw, make):
 @st.composite
 def scenario_documents(draw):
     """A document with every section of the schema, whose four task hosts
-    are distinct and whose source and destination are linked, so that the
-    task can be planned and simulated."""
+    are distinct, each of its slot's role, and whose source and
+    destination are linked, so that the task can be planned and
+    simulated."""
     hosts = draw(st.lists(_names, min_size=4, max_size=5, unique=True))
     agents = draw(st.permutations(hosts))[:4]
     others = [p for p in combinations(hosts, 2) if set(p) != set(agents[:2])]
@@ -554,8 +555,8 @@ def scenario_documents(draw):
     lower, upper = sorted({draw(_pos), draw(_pos)} | {0.0})[-2:]
     return {
         "seed": draw(_whole),
-        "hosts": [{"id": h, "role": draw(st.sampled_from(HOST_ROLES))}
-                  for h in hosts],
+        "hosts": [{"id": h, "role": dict(zip(agents, HOST_ROLES)).get(
+                      h, draw(st.sampled_from(HOST_ROLES)))} for h in hosts],
         "links": [{"from": a, "to": b, "bandwidth_mbps": draw(_pos),
                    "latency_s": draw(st.floats(0.0, 0.05))}
                   for a, b in (p[::draw(st.sampled_from((1, -1)))]
@@ -607,20 +608,47 @@ def test_every_command_runs_or_rejects_any_schema_document(tmp_path_factory,
                                            ("orchestrator", "destination"),
                                            ("orchestrator", "client")])
 def test_task_agents_must_be_distinct(tmp_path, capsys, role, same_as):
+    # In a file, a host shared by two slots has the wrong role for one of
+    # them, and the parse says so; built in code, the run rejects it.
     doc = json.loads(Path(DEMO).read_text())
     doc["task"][role] = doc["task"][same_as]
     path = tmp_path / "shared.json"
     path.write_text(json.dumps(doc))
-    scenario = load_scenario(path)
-    agents = tuple(doc["task"][key] for key in
-                   ("source", "destination", "client", "orchestrator"))
+    host = doc["task"][same_as]
+    parsed = (f"task {role} {host!r} is a host of role {same_as!r}")
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == parsed
+    assert run(["simulate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {parsed}\n"
+    scenario = load_scenario(DEMO)
+    section = scenario.task
+    host_of = {"source": section.task.source_agent,
+               "destination": section.task.destination_agent,
+               "client": section.client}
+    section = section._replace(**{role: host_of[same_as]})
+    scenario = scenario._replace(task=section)
+    agents = (section.task.source_agent, section.task.destination_agent,
+              section.client, section.orchestrator)
     message = ("task source, destination, client and orchestrator must "
                f"differ, got {agents}")
     with pytest.raises(ScenarioError) as exc:
         run_scenario(scenario, plan_from_scenario(scenario))
     assert str(exc.value) == message
-    assert run(["simulate", "--scenario", str(path)]) == 2
-    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["plan"], ["simulate"], ["sweep"], ["dist", "--samples", "200"],
+    ["profile"], ["fit"]], ids=lambda command: command[0])
+def test_task_host_of_another_role_is_rejected_by_every_command(
+        tmp_path, capsys, command):
+    doc = json.loads(Path(DEMO).read_text())
+    doc["hosts"][0]["role"] = "client"  # edge-a, the task's source
+    path = tmp_path / "roles.json"
+    path.write_text(json.dumps(doc))
+    assert run([*command, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: task source 'edge-a' is a host of role 'client'\n")
 
 
 def test_sweep_from_zero_is_rejected_naming_from_s(tmp_path, capsys):
