@@ -265,7 +265,7 @@ class Script(NamedTuple):
     fills: tuple[tuple[int, ...], ...]
 
 
-@functools.lru_cache(maxsize=1024)  # four per task; a sweep has one a row
+@functools.lru_cache(maxsize=16)  # four a task; sweep rows reuse them in turn
 def _script(info: TaskInfo, role: Role, agent_id: str) -> Script:
     t = info.topics
     # A wait prints its topic without the task's "mig/{task_id}/".
