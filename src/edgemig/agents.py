@@ -17,20 +17,20 @@ the downtime window would cost downtime for nothing); the destination
 recreates the namespace and publishes ns-ready; the client updates the
 flow and publishes flow-updated; the destination restores and publishes
 the completion notice. A cold run walks the same table without the
-running-state copies: its round-0 reply is empty. The table, the topic
-record :class:`Topics` of every :class:`TaskInfo` and the simulator's
-``_routes``, which resolves the table to agent ids, are the protocol's
-only routing facts. Headers carry typed objects (the task publication
-hands every agent the :class:`TaskInfo`); image sizes ride on
-``payload_bytes``.
+running-state copies: its round-0 reply is empty. The table, which writes
+each topic once, is the protocol's only routing fact:
+:func:`compile_protocol` builds it once per task into the receiving agent
+ids of each message, which the simulator routes by, and the four role
+scripts. Headers carry typed objects (the task publication hands every
+agent the :class:`TaskInfo`); image sizes ride on ``payload_bytes``.
 
 Every agent runs one interpreter, :func:`advance`, over its role's
 projection of the table, its :class:`Script`: await each row it receives,
 run each work item and await its end, send each row it sends. Two work
 items precede no send of their role: the source's round-0 checkpoint after
 its task (none when cold) and its namespace clear after the stop-and-copy
-push. A script is compiled once per task, role and agent, when the agent
-takes its task, and the agent's state keeps it. A message's position in
+push. An agent takes its task's script when it takes the task, the
+script's first wait, and its state keeps it. A message's position in
 the script decides its fate:
 
 * at the current wait: taken, and the agent emits up to its next wait;
@@ -66,7 +66,8 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .bus import BusMessage, MessageKind
 from .model import StrategyKind
@@ -157,34 +158,6 @@ Event = Union[BusMessage, Work, TimerFired, Kickoff]
 # The protocol table
 
 
-class Topics(NamedTuple):
-    """Every topic of one task, each the topic of a :func:`clean_run`
-    row, built once per task by ``TaskInfo.topics``. A round's two topics sit at its number. Round 0's image topic is
-    named ``nsconfig``, as the destination holds no namespace configuration
-    before that reply; its ready slot is empty (a message cannot carry it),
-    since the destination asks for round 0 unannounced."""
-
-    task: str
-    round_ready: tuple[str, ...]
-    round_image: tuple[str, ...]
-    stopcopy: str
-    ns_ready: str
-    flow_updated: str
-    done: str
-
-
-@functools.lru_cache(maxsize=256)  # a sweep builds one task per row
-def _topics(task_id: str, iterations: int) -> Topics:
-    """The scheme of ``bus``: ``mig/{task_id}/{owning role}/{name}``."""
-    src, dst, cli, orc = (f"mig/{task_id}/{role.value}/" for role in Role)
-    rounds = range(1, iterations + 1)
-    return Topics(
-        orc + "task", ("", *(f"{src}round/{r}/ready" for r in rounds)),
-        (src + "nsconfig", *(f"{src}round/{r}/image" for r in rounds)),
-        src + "stopcopy/image", dst + "ns-ready", cli + "flow-updated",
-        dst + "done")
-
-
 class TaskInfo(NamedTuple):
     """Everything an agent learns from the task publication."""
 
@@ -196,10 +169,6 @@ class TaskInfo(NamedTuple):
     strategy: StrategyKind
     iterations: int
     ns_config: str
-
-    @property
-    def topics(self) -> Topics:
-        return _topics(self.task_id, self.iterations)
 
 
 class Step(NamedTuple):
@@ -223,24 +192,29 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
     Across senders the order is the protocol's; a run may interleave
     them differently, by timing, but each sender sends its own in order.
     """
-    t = info.topics
     src, dst, cli, orc = Role
-    steps = [Step(orc, _PUBLISH, t.task, (src, dst, cli))]
+    # Topics follow bus's scheme: mig/{task_id}/{owning role}/{name}.
+    mig = f"mig/{info.task_id}/"
+    steps = [Step(orc, _PUBLISH, mig + "orchestrator/task", (src, dst, cli))]
     for r in range(info.iterations + 1):
-        if r:  # round 0 is asked for unannounced
-            steps.append(Step(src, _PUBLISH, t.round_ready[r], (dst,),
-                              (Work(_ROUND_CHECKPOINT, 0.0, r),)))
+        # Round 0, asked for unannounced, brings the namespace configuration.
+        image = f"{mig}source/round/{r}/image" if r else mig + "source/nsconfig"
+        if r:
+            steps.append(Step(src, _PUBLISH, f"{mig}source/round/{r}/ready",
+                              (dst,), (Work(_ROUND_CHECKPOINT, 0.0, r),)))
         # A cold source has no running-state copy: its reply is empty.
         transfer = () if info.strategy is _COLD else (
             Work(_TRANSFER_ROUND, 0.0, r),)
-        steps += (Step(dst, _QUERY, t.round_image[r], (src,)),
-                  Step(src, _REPLY, t.round_image[r], (dst,), transfer, True))
-    steps += (Step(src, _PUBLISH, t.stopcopy, (dst,),
+        steps += (Step(dst, _QUERY, image, (src,)),
+                  Step(src, _REPLY, image, (dst,), transfer, True))
+    steps += (Step(src, _PUBLISH, mig + "source/stopcopy/image", (dst,),
                    (Work(_STOP_CHECKPOINT), Work(_TRANSFER_STOPCOPY)), True),
-              Step(dst, _PUBLISH, t.ns_ready, (cli,), (Work(_NS_RECREATE),)),
-              Step(cli, _PUBLISH, t.flow_updated, (dst,),
+              Step(dst, _PUBLISH, mig + "destination/ns-ready", (cli,),
+                   (Work(_NS_RECREATE),)),
+              Step(cli, _PUBLISH, mig + "client/flow-updated", (dst,),
                    (Work(_FLOW_UPDATE),)),
-              Step(dst, _PUBLISH, t.done, (orc,), (Work(_RESTORE),)))
+              Step(dst, _PUBLISH, mig + "destination/done", (orc,),
+                   (Work(_RESTORE),)))
     return tuple(steps)
 
 
@@ -265,15 +239,15 @@ class Script(NamedTuple):
     fills: tuple[tuple[int, ...], ...]
 
 
-@functools.lru_cache(maxsize=16)  # four a task; sweep rows reuse them in turn
-def _script(info: TaskInfo, role: Role, agent_id: str) -> Script:
-    t = info.topics
+def _script(info: TaskInfo, steps: tuple[Step, ...], role: Role,
+            agent_id: str) -> Script:
+    """``role``'s projection of ``steps``, the rows of ``info``'s run."""
     # A wait prints its topic without the task's "mig/{task_id}/".
-    prefix = len(t.task) - len("orchestrator/task")
-    # Work that comes before no send of its role, by the row it follows.
-    after = {t.task: () if info.strategy is _COLD else (
-                 Work(_ROUND_CHECKPOINT),),
-             t.stopcopy: (Work(_NS_CLEAR),)} if role is _SOURCE else {}
+    prefix = len(f"mig/{info.task_id}/")
+    # Work that comes before no send of its role, by the row it follows:
+    # the task's and the stop-and-copy push's.
+    after = {0: () if info.strategy is _COLD else (Work(_ROUND_CHECKPOINT),),
+             len(steps) - 4: (Work(_NS_CLEAR),)} if role is _SOURCE else {}
     index, waits, sized, names = {}, [], [], []
     emits, fills = [[]], [[]]
 
@@ -296,10 +270,10 @@ def _script(info: TaskInfo, role: Role, agent_id: str) -> Script:
             wait(work, f"{kind.value}[{work.round}]" if kind in _ROUNDED
                  else kind.value, kind in _CHECKPOINTS)
 
-    for step in clean_run(info):
+    for i, step in enumerate(steps):
         if step.sender is role:
             run(step.work)
-            headers = ({"task": info} if step.topic == t.task else
+            headers = ({"task": info} if i == 0 else
                        {"ns_config": info.ns_config} if step.kind is _REPLY
                        else None)
             emit(BusMessage(step.kind, step.topic, agent_id, 0.0, headers),
@@ -308,9 +282,32 @@ def _script(info: TaskInfo, role: Role, agent_id: str) -> Script:
             index[step.kind, step.topic] = len(waits)
             wait(None, f"await {step.kind.value} {step.topic[prefix:]}",
                  step.image)
-        run(after.get(step.topic, ()))
+        run(after.get(i, ()))
     return Script(index, tuple(waits), tuple(sized), (*names, DONE),
                   tuple(map(tuple, emits)), tuple(map(tuple, fills)))
+
+
+class Protocol(NamedTuple):
+    """One task's :func:`clean_run`, compiled: the agent ids receiving
+    each ``(kind, topic)``, in delivery order, read-only, and each role's
+    :class:`Script`, its sends signed with the role's agent id."""
+
+    routes: Mapping[tuple[MessageKind, str], tuple[str, ...]]
+    scripts: Mapping[Role, Script]
+
+
+@functools.lru_cache(maxsize=4)  # sweep rows reuse a task in turn
+def compile_protocol(info: TaskInfo) -> Protocol:
+    """The protocol of ``info``, built once and shared, read-only, by the
+    simulator's routing and every agent of every run of an equal task."""
+    steps = clean_run(info)
+    agent_of = dict(zip(Role, (info.source, info.destination, info.client,
+                               info.orchestrator)))
+    return Protocol(
+        MappingProxyType({(step.kind, step.topic): tuple(
+            agent_of[r] for r in step.receivers) for step in steps}),
+        MappingProxyType({role: _script(info, steps, role, agent_of[role])
+                          for role in Role}))
 
 
 def _emit(script: Script, pos: int, image: float) -> list[Action]:
@@ -366,16 +363,15 @@ def _begin(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     role, agent_id, _, info, _, _, held, _, _ = state
     if type(event) is BusMessage:
         task = event.headers.get("task")
-        if role is _ORCHESTRATOR or event.kind is not _PUBLISH \
-                or not isinstance(task, TaskInfo) \
-                or event.topic != task.topics.task:
+        script = compile_protocol(task).scripts[role] if isinstance(
+            task, TaskInfo) and role is not _ORCHESTRATOR else None
+        if script is None or script.index.get((event.kind, event.topic)) != 0:
             return state._replace(held=(*held, event)), []
         info, early = task, (event, *held)  # the task is its first wait
     elif type(event) is Kickoff and role is _ORCHESTRATOR and info is not None:
-        early = held
+        script, early = compile_protocol(info).scripts[role], held
     else:
         return _unexpected(state, event)
-    script = _script(info, role, agent_id)
     return _feed(AgentState(role, agent_id, script.names[0], info, script),
                  _emit(script, 0, 0.0), early)
 

@@ -5,12 +5,11 @@ publications (fan out to subscribers), queries (routed to the agent that
 owns the topic), and replies (routed back to the querier of their topic,
 since a reply travels on the topic of the query it answers). Topics follow
 the scheme ``mig/{task_id}/{role}/{name}``; the role segment names the
-agent that owns or emits on the subtree. Each task's topics are built
-once, into its :class:`edgemig.agents.Topics` record.
+agent that owns or emits on the subtree.
 
-Which roles receive each message, replies included, is written down
-once, in the protocol table :func:`edgemig.agents.clean_run`; no topic
-string is taken apart. Messages never leave the process (the simulator
+Each topic, and which roles receive each message, replies included, is
+written down once, in the protocol table :func:`edgemig.agents.clean_run`;
+no topic string is taken apart. Messages never leave the process (the simulator
 delivers them in memory), so headers may carry typed objects, such as the
 task description. Bulk image payloads are carried by size only: the
 simulator charges transfer time explicitly.

@@ -114,9 +114,10 @@ class SweepSpec(NamedTuple):
         check_number("from_s", self.from_s, above=True, error=ScenarioError)
         check_number("to_s", self.to_s, self.from_s, error=ScenarioError)
         check_number("step_s", self.step_s, above=True, error=ScenarioError)
-        # Overflow to inf counts as too many.
-        steps = (self.to_s - self.from_s) / self.step_s
-        if not steps < MAX_SWEEP_TARGETS:
+        # Too many when targets() would walk past the largest grid allowed.
+        if self.from_s + MAX_SWEEP_TARGETS * self.step_s <= self._limit():
+            steps = max((self._limit() - self.from_s) / self.step_s,
+                        MAX_SWEEP_TARGETS)
             raise ScenarioError(f"sweep grid has {steps + 1:.7g} targets, "
                                 f"more than the {MAX_SWEEP_TARGETS:,} allowed")
         if not self.profiles:
@@ -125,9 +126,12 @@ class SweepSpec(NamedTuple):
             if profile in self.profiles[:i]:
                 raise ScenarioError(f"sweep lists profile {profile!r} twice")
 
+    def _limit(self) -> float:  # to_s, guarding float accumulation
+        return self.to_s + 1e-9 * max(1.0, abs(self.to_s))
+
     def targets(self) -> tuple[float, ...]:
-        """Grid endpoints inclusive, guarding float accumulation."""
-        limit = self.to_s + 1e-9 * max(1.0, abs(self.to_s))
+        """Grid endpoints inclusive."""
+        limit = self._limit()
         return tuple(itertools.takewhile(lambda t: t <= limit, (
             self.from_s + k * self.step_s for k in itertools.count())))
 
@@ -146,10 +150,7 @@ class Scenario(NamedTuple):
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
         """Undirected link lookup; None when the pair is not connected."""
-        for link in self.links:
-            if {link.from_host, link.to_host} == {a, b}:
-                return link
-        return None
+        return link_pairs(self.links).get(frozenset((a, b)))
 
     def profile_by_id(self, profile_id: str) -> SimProfile:
         for p in self.ms_profiles:

@@ -16,15 +16,16 @@ once per window, never the writes themselves.
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
 are accounted exactly once. Every message, replies included, is routed
-by its kind and topic through one table, :func:`agents.clean_run`
-resolved to agent ids; no message off that table is sent. A failed agent
-reports to no one: the outcome's ``diagnostics`` hold each agent's own
-reason. Like that table, the run setting (the link, the designer's view,
-each hop's latency) is built once per task and shared, read-only, by a
-plan and every run of an equal task (a sweep's rows). The seeded
-generator is made at the first dirty draw, from the seed or, on a
-sub-stream (a sweep row's), from the first 64-bit word of
-``SeedSequence([seed, *stream])``: a cold run never draws, so derives none.
+by its kind and topic through one table, :func:`agents.clean_run`, as
+:func:`agents.compile_protocol` resolves it to agent ids; no message off
+that table is sent. A failed agent reports to no one: the outcome's
+``diagnostics`` hold each agent's own reason. Like that table, the run
+setting (the link, the designer's view, each hop's latency) is built once
+per task and shared, read-only, by a plan and every run of an equal task
+(a sweep's rows). The seeded generator is made at the first dirty draw,
+from the seed or, on a sub-stream (a sweep row's), from the first 64-bit
+word of ``SeedSequence([seed, *stream])``: a cold run never draws, so
+derives none.
 
 The simulator keeps all the time: it prices every work item and holds one
 watchdog deadline per live agent, ten times the predicted total plus ten
@@ -53,7 +54,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import agents as ag
-from .bus import BusMessage, MessageKind
+from .bus import BusMessage
 from .errors import DomainError, ScenarioError, check_number, checked
 from .model import (
     BYTES_PER_S_PER_MBPS,
@@ -169,7 +170,7 @@ class _FaultBox:
 
 
 # --------------------------------------------------------------------------
-# Run setting and routing
+# Run setting
 
 
 class _Setting(NamedTuple):
@@ -208,19 +209,6 @@ def _run_setting(links: tuple[Link, ...], params: ModelParams,
     return _Setting(
         MetricsView(sim_profile.profile, params, link.bandwidth_bytes_per_s),
         sim_profile.dirty_rate_pages_per_s, MappingProxyType(latency))
-
-
-@functools.lru_cache(maxsize=256)
-def _routes(info: ag.TaskInfo
-            ) -> Mapping[tuple[MessageKind, str], tuple[str, ...]]:
-    """Agent ids receiving each (kind, topic) of a task, in delivery
-    order: :func:`agents.clean_run` with each role resolved. Every run of
-    an equal task shares this one read-only table."""
-    agent_of = dict(zip(ag.Role, (info.source, info.destination,
-                                  info.client, info.orchestrator)))
-    return MappingProxyType({
-        (step.kind, step.topic): tuple(agent_of[r] for r in step.receivers)
-        for step in ag.clean_run(info)})
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +306,7 @@ class _Sim:
             section.orchestrator: ag.AgentState(
                 ag.Role.ORCHESTRATOR, section.orchestrator, info=self.info),
         }
-        self.subscribers = _routes(self.info)
+        self.subscribers = ag.compile_protocol(self.info).routes
         for rule in fault_rules:  # one that could never fire
             if rule.receiver not in (None, *self.agents):
                 raise DomainError(f"{rule!r}: no agent of the run is "

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgemig import agents as ag
-from edgemig import load_scenario, plan_from_scenario, run_scenario, simnet
+from edgemig import load_scenario, plan_from_scenario, run_scenario
 from edgemig.bus import BusMessage, MessageKind
 from edgemig.errors import DomainError
 from edgemig.model import StrategyKind
@@ -31,18 +31,26 @@ def task_info(strategy=StrategyKind.ITERATIVE_PRE_COPY, iterations=2):
         iterations=iterations, ns_config="netns:t1")
 
 
-TOPICS = task_info().topics
+# The topics of task t1, spelled out; a round's image topic at its number.
+TASK_TOPIC = "mig/t1/orchestrator/task"
+READY_TOPIC = {r: f"mig/t1/source/round/{r}/ready" for r in (1, 2)}
+IMAGE_TOPIC = ("mig/t1/source/nsconfig", "mig/t1/source/round/1/image",
+               "mig/t1/source/round/2/image")
+STOPCOPY_TOPIC = "mig/t1/source/stopcopy/image"
+NS_READY_TOPIC = "mig/t1/destination/ns-ready"
+FLOW_UPDATED_TOPIC = "mig/t1/client/flow-updated"
+DONE_TOPIC = "mig/t1/destination/done"
 
 
 def task_message(info):
     return BusMessage(
-        kind=MessageKind.PUBLISH, topic=info.topics.task,
+        kind=MessageKind.PUBLISH, topic=TASK_TOPIC,
         sender="orc", headers={"task": info})
 
 
 def pull_query(info, round_index=0):
     return BusMessage(
-        kind=MessageKind.QUERY, topic=info.topics.round_image[round_index],
+        kind=MessageKind.QUERY, topic=IMAGE_TOPIC[round_index],
         sender="dst")
 
 
@@ -75,7 +83,7 @@ def test_source_cold_freezes_once_asked():
     assert actions == []
     state, actions = ag.advance(state, pull_query(info))
     assert state.phase == "stop_checkpoint"
-    assert actions == [BusMessage(MessageKind.REPLY, TOPICS.round_image[0],
+    assert actions == [BusMessage(MessageKind.REPLY, IMAGE_TOPIC[0],
                                   "src", 0.0, {"ns_config": "netns:t1"}),
                        ag.Work(ag.WorkKind.STOP_CHECKPOINT)]
 
@@ -118,7 +126,7 @@ def test_source_full_iterative_walk():
         state, ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0))
     # The round-0 reply carries the initial image; round 1 begins.
     [reply] = sends(actions)
-    assert reply.topic == TOPICS.round_image[0]
+    assert reply.topic == IMAGE_TOPIC[0]
     assert reply.kind is MessageKind.REPLY
     assert reply.payload_bytes == M
     assert reply.headers["ns_config"] == "netns:t1"
@@ -130,10 +138,10 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=8192.0, round=1))
     [ready] = sends(actions)
-    assert ready.topic == TOPICS.round_ready[1]
+    assert ready.topic == READY_TOPIC[1]
     assert state.phase == "await query source/round/1/image"
     pull = BusMessage(
-        kind=MessageKind.QUERY, topic=TOPICS.round_image[1],
+        kind=MessageKind.QUERY, topic=IMAGE_TOPIC[1],
         sender="dst")
     state, actions = ag.advance(state, pull)
     [work] = works(actions)
@@ -141,7 +149,7 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.TRANSFER_ROUND, bytes=8192.0, round=1))
     [reply] = sends(actions)
-    assert reply.topic == TOPICS.round_image[1]
+    assert reply.topic == IMAGE_TOPIC[1]
     assert reply.headers["ns_config"] == "netns:t1"
     assert state.phase == "round_checkpoint[2]"
 
@@ -149,7 +157,7 @@ def test_source_full_iterative_walk():
     state, _ = ag.advance(
         state, ag.Work(ag.WorkKind.ROUND_CHECKPOINT, bytes=4096.0, round=2))
     pull2 = BusMessage(
-        kind=MessageKind.QUERY, topic=TOPICS.round_image[2],
+        kind=MessageKind.QUERY, topic=IMAGE_TOPIC[2],
         sender="dst")
     state, _ = ag.advance(state, pull2)
     state, actions = ag.advance(
@@ -166,7 +174,7 @@ def test_source_full_iterative_walk():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.TRANSFER_STOPCOPY, bytes=20480.0))
     [push] = sends(actions)
-    assert push.topic == TOPICS.stopcopy
+    assert push.topic == STOPCOPY_TOPIC
     assert push.payload_bytes == 20480.0
     assert state.phase == "ns_clear"
     state, actions = ag.advance(state,
@@ -206,7 +214,7 @@ def test_source_rejects_a_duplicate_query(round_index, phase):
     state, actions = ag.advance(state, pull_query(info, round_index))
     assert state.phase == "failed"
     assert state.diagnostic == (
-        f"unexpected query on {TOPICS.round_image[round_index]} in phase "
+        f"unexpected query on {IMAGE_TOPIC[round_index]} in phase "
         f"{phase}")
     assert actions == []  # a failing agent sends nothing
 
@@ -225,8 +233,8 @@ def test_source_unexpected_event_fails_with_diagnostic():
 
 @pytest.mark.parametrize("round_index", [0, 2])
 def test_source_fails_on_another_rounds_checkpoint_end(round_index):
-    # Only the current round's checkpoint may end: another round's fails
-    # the source with a diagnostic, whatever slot that round's topics hold.
+    # Only the current round's checkpoint may end: another round's, before
+    # or after it, fails the source with a diagnostic.
     info = task_info(iterations=2)
     state = _source_in_round(info, 1)
     phase = state.phase
@@ -287,21 +295,21 @@ def test_watchdog_and_stale_timers(role):
 # comes: ns-ready is the client's next wait, and in no other script; a
 # second task publication is behind every script.
 AFTER_TASK = {
-    (ag.Role.SOURCE, TOPICS.ns_ready): "round_checkpoint[0]",
-    (ag.Role.DESTINATION, TOPICS.ns_ready): "await reply source/nsconfig",
-    (ag.Role.CLIENT, TOPICS.ns_ready): None,
-    (ag.Role.SOURCE, TOPICS.task): "round_checkpoint[0]",
-    (ag.Role.DESTINATION, TOPICS.task): "await reply source/nsconfig",
-    (ag.Role.CLIENT, TOPICS.task): "await publish destination/ns-ready",
+    (ag.Role.SOURCE, NS_READY_TOPIC): "round_checkpoint[0]",
+    (ag.Role.DESTINATION, NS_READY_TOPIC): "await reply source/nsconfig",
+    (ag.Role.CLIENT, NS_READY_TOPIC): None,
+    (ag.Role.SOURCE, TASK_TOPIC): "round_checkpoint[0]",
+    (ag.Role.DESTINATION, TASK_TOPIC): "await reply source/nsconfig",
+    (ag.Role.CLIENT, TASK_TOPIC): "await publish destination/ns-ready",
 }
 
 
 @pytest.mark.parametrize("role", [ag.Role.SOURCE, ag.Role.DESTINATION,
                                   ag.Role.CLIENT], ids=lambda r: r.value)
 @pytest.mark.parametrize("topic,headers", [
-    (TOPICS.ns_ready, {}),
-    (TOPICS.task, {}),
-    (TOPICS.ns_ready, {"task": task_info()}),
+    (NS_READY_TOPIC, {}),
+    (TASK_TOPIC, {}),
+    (NS_READY_TOPIC, {"task": task_info()}),
 ], ids=["other-topic", "no-task", "task-off-its-topic"])
 def test_idle_agent_takes_only_its_task_publication(role, topic, headers):
     # Anything else is held, and judged by the script once the task comes.
@@ -338,14 +346,14 @@ def test_terminal_phases_absorb_everything():
 
 def image_reply(info, payload=0.0, round_index=0):
     return BusMessage(
-        kind=MessageKind.REPLY, topic=info.topics.round_image[round_index],
+        kind=MessageKind.REPLY, topic=IMAGE_TOPIC[round_index],
         sender="src", payload_bytes=payload,
         headers={"ns_config": "netns:t1"})
 
 
 def sc_push(info, payload=20480.0):
     return BusMessage(
-        kind=MessageKind.PUBLISH, topic=info.topics.stopcopy,
+        kind=MessageKind.PUBLISH, topic=STOPCOPY_TOPIC,
         sender="src", payload_bytes=payload)
 
 
@@ -355,14 +363,14 @@ def test_destination_pulls_round_zero_on_task():
                                 task_message(info))
     [query] = sends(actions)
     assert query.kind is MessageKind.QUERY
-    assert query.topic == TOPICS.round_image[0] == "mig/t1/source/nsconfig"
+    assert query.topic == IMAGE_TOPIC[0] == "mig/t1/source/nsconfig"
     assert state.phase == "await reply source/nsconfig"
     assert actions == [query]
 
 
 def flow_updated(info):
     return BusMessage(
-        kind=MessageKind.PUBLISH, topic=info.topics.flow_updated,
+        kind=MessageKind.PUBLISH, topic=FLOW_UPDATED_TOPIC,
         sender="cli")
 
 
@@ -373,12 +381,12 @@ def test_destination_full_walk_restores_on_flow_updated():
     state, _ = ag.advance(state, image_reply(info, payload=float(M)))
     assert state.phase == "await publish source/round/1/ready"
     ready = BusMessage(
-        kind=MessageKind.PUBLISH, topic=TOPICS.round_ready[1],
+        kind=MessageKind.PUBLISH, topic=READY_TOPIC[1],
         sender="src")
     state, actions = ag.advance(state, ready)
     [pull] = sends(actions)
     assert pull.kind is MessageKind.QUERY
-    assert pull.topic == TOPICS.round_image[1]
+    assert pull.topic == IMAGE_TOPIC[1]
     assert state.phase == "await reply source/round/1/image"
     state, actions = ag.advance(state, image_reply(info, 8192.0, 1))
     assert state.phase == "await publish source/stopcopy/image"
@@ -392,7 +400,7 @@ def test_destination_full_walk_restores_on_flow_updated():
     state, actions = ag.advance(state,
                                 ag.Work(ag.WorkKind.NS_RECREATE))
     # Restore waits for the client's word that the flow is updated.
-    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst")]
+    assert actions == [BusMessage(MessageKind.PUBLISH, NS_READY_TOPIC, "dst")]
     assert state.phase == "await publish client/flow-updated"
 
     state, actions = ag.advance(state, flow_updated(info))
@@ -401,7 +409,7 @@ def test_destination_full_walk_restores_on_flow_updated():
     state, actions = ag.advance(
         state, ag.Work(ag.WorkKind.RESTORE, bytes=20480.0))
     [done] = sends(actions)
-    assert done.topic == TOPICS.done
+    assert done.topic == DONE_TOPIC
     assert state.phase == "done"
 
 
@@ -421,7 +429,7 @@ def test_destination_fails_on_a_second_flow_updated_while_restoring():
     state, actions = ag.advance(state, flow_updated(info))
     assert actions == []
     assert state.phase == "failed"
-    assert state.diagnostic == (f"unexpected publish on {TOPICS.flow_updated}"
+    assert state.diagnostic == (f"unexpected publish on {FLOW_UPDATED_TOPIC}"
                                 " in phase restore")
 
 
@@ -436,7 +444,7 @@ def test_destination_holds_flow_updated_before_ns_ready():
     state, _ = ag.advance(state, sc_push(info))
     # Its turn comes once ns-ready is out: the restore starts at once.
     state, actions = ag.advance(state, ag.Work(ag.WorkKind.NS_RECREATE))
-    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.ns_ready, "dst"),
+    assert actions == [BusMessage(MessageKind.PUBLISH, NS_READY_TOPIC, "dst"),
                        ag.Work(ag.WorkKind.RESTORE, 20480.0)]
     assert state.phase == "restore" and state.held == ()
 
@@ -475,7 +483,7 @@ def test_destination_duplicate_stop_copy_image_fails():
     state, _ = ag.advance(state, sc_push(info))
     state, actions = ag.advance(state, sc_push(info))
     assert state.phase == "failed"
-    assert state.diagnostic == (f"unexpected publish on {TOPICS.stopcopy}"
+    assert state.diagnostic == (f"unexpected publish on {STOPCOPY_TOPIC}"
                                 " in phase ns_recreate")
     assert actions == []
 
@@ -491,7 +499,7 @@ def test_client_updates_flow_and_publishes_once():
     assert actions == []
     assert state.phase == "await publish destination/ns-ready"
     ns_ready = BusMessage(
-        kind=MessageKind.PUBLISH, topic=TOPICS.ns_ready, sender="dst")
+        kind=MessageKind.PUBLISH, topic=NS_READY_TOPIC, sender="dst")
     state, actions = ag.advance(state, ns_ready)
     assert actions == [ag.Work(ag.WorkKind.FLOW_UPDATE)]
     assert state.phase == "flow_update"
@@ -510,12 +518,12 @@ def test_orchestrator_lifecycle():
     state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
     state, actions = ag.advance(state, ag.Kickoff())
     # It publishes the task, then waits for the completion notice.
-    assert actions == [BusMessage(MessageKind.PUBLISH, TOPICS.task, "orc",
+    assert actions == [BusMessage(MessageKind.PUBLISH, TASK_TOPIC, "orc",
                                   0.0, {"task": info})]
     assert state.phase == "await publish destination/done"
 
     done = BusMessage(
-        kind=MessageKind.PUBLISH, topic=TOPICS.done, sender="dst")
+        kind=MessageKind.PUBLISH, topic=DONE_TOPIC, sender="dst")
     state, actions = ag.advance(state, done)
     assert state.phase == "done"
     assert actions == []
@@ -555,7 +563,7 @@ def test_clean_run_is_the_spelled_out_protocol():
                 "orchestrator": "orc"}
     expected = {(MessageKind(kind), topic): tuple(agent_of[r] for r in to)
                 for _, kind, topic, to in CLEAN_RUN_I2}
-    assert dict(simnet._routes(info)) == expected
+    assert dict(ag.compile_protocol(info).routes) == expected
 
 
 # The waits each role's script passes, in order, for I=2, spelled out.
@@ -585,14 +593,15 @@ SCRIPTS_I2 = {
 def test_each_role_walks_its_projection_of_the_table(role):
     info = task_info(iterations=2)
     agent_id = dict(zip(ag.Role, ("src", "dst", "cli", "orc")))[role]
-    script = ag._script(info, role, agent_id)
+    script = ag.compile_protocol(info).scripts[role]
     assert list(script.names) == [*SCRIPTS_I2[role], "done"]
-    # It sends its rows of the table in order, each after the work the
-    # row names, and waits for each row it receives.
+    # It sends its rows of the table in order, signed with its agent id,
+    # each after the work the row names, and waits for each row it
+    # receives.
     rows = [step for step in ag.clean_run(info) if step.sender is role]
     emitted = [action for segment in script.emits for action in segment]
-    assert [(m.kind, m.topic) for m in sends(emitted)] == [
-        (step.kind, step.topic) for step in rows]
+    assert [(m.kind, m.topic, m.sender) for m in sends(emitted)] == [
+        (step.kind, step.topic, agent_id) for step in rows]
     for step in rows:
         at = next(i for i, m in enumerate(emitted)
                   if type(m) is BusMessage and m.topic == step.topic)
@@ -626,8 +635,8 @@ def test_image_reply_without_its_configuration_fails(strategy, round_index):
     if round_index:
         state, _ = ag.advance(state, image_reply(info))
         state, _ = ag.advance(state, BusMessage(
-            MessageKind.PUBLISH, info.topics.round_ready[1], "src"))
-    topic = info.topics.round_image[round_index]
+            MessageKind.PUBLISH, READY_TOPIC[1], "src"))
+    topic = IMAGE_TOPIC[round_index]
     state, actions = ag.advance(state,
                                 BusMessage(MessageKind.REPLY, topic, "src"))
     assert state.phase == "failed"
@@ -679,8 +688,6 @@ def test_records_are_immutable_and_copy_and_pickle_whole(record):
                    pickle.loads(pickle.dumps(record))):
         assert type(copied) is type(record)
         assert copied == record
-        if type(record) is ag.TaskInfo:
-            assert copied.topics == record.topics == TOPICS
         if type(record) is ag.AgentState:
             assert copied.held == record.held != ()
 
@@ -724,7 +731,7 @@ def _early(info):
     """Every row of the table as its sender sends it, for one of its
     receivers: delivered at any time, most come ahead of their turn."""
     agent_of = dict(zip(ag.Role, ("src", "dst", "cli", "orc")))
-    headers = {info.topics.task: {"task": info}}
+    headers = {ag.clean_run(info)[0].topic: {"task": info}}
     return [(agent_of[role], BusMessage(
         step.kind, step.topic, agent_of[step.sender], 4096.0 * step.image,
         headers.get(step.topic, {"ns_config": info.ns_config}
@@ -750,7 +757,7 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
         ("cli", ag.Role.CLIENT))}
     states["orc"] = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc",
                                   info=info)
-    routes = simnet._routes(info)
+    routes = ag.compile_protocol(info).routes
     noise, early = _noise(info), _early(info)
     pending, guarded = [("orc", ag.Kickoff())], set()
     for _ in range(data.draw(st.integers(1, 80))):

@@ -7,7 +7,7 @@ import edgemig
 
 # The ROADMAP's cap on src/edgemig for this round, in lines as `wc -l`
 # counts them.
-LINE_CAP = 2785
+LINE_CAP = 2769
 
 
 def test_every_exported_name_resolves_once():

@@ -242,10 +242,14 @@ def test_sweep_profile_listed_twice_rejected(raw):
         parse_scenario(raw)
 
 
-@pytest.mark.parametrize("step_s", [1e-300, 8e-6])
-def test_sweep_grid_too_large_to_enumerate_rejected(raw, step_s):
+@pytest.mark.parametrize("from_s,to_s,step_s", [
+    (1.0, 10.0, 1e-300), (1.0, 10.0, 8e-6),
+    # No step to to_s, yet 1,000,001 targets within its float guard.
+    (1e6, 1e6, 1e-9)])
+def test_sweep_grid_too_large_to_enumerate_rejected(raw, from_s, to_s,
+                                                    step_s):
     # 1e-300 does not even move from_s: from_s + step_s == from_s.
-    raw["sweep"]["step_s"] = step_s
+    raw["sweep"].update(from_s=from_s, to_s=to_s, step_s=step_s)
     with pytest.raises(ScenarioError, match=r"^sweep grid has \S+ targets, "
                                             "more than the 1,000,000"):
         parse_scenario(raw)

@@ -261,24 +261,26 @@ def test_routing_table_is_shared_read_only_and_bounded():
 
     fresh = []
     for scenario, iters in runs:
-        simnet._routes.cache_clear()
+        agents.compile_protocol.cache_clear()
         fresh.append(run(scenario, iters))
-    # Back to back, later runs reuse the tables of earlier ones.
-    simnet._routes.cache_clear()
+    # Back to back, later runs reuse the protocols of earlier ones: one
+    # compile per distinct task, shared by the router and every agent.
+    agents.compile_protocol.cache_clear()
     for (scenario, iters), alone in zip(runs, fresh):
         outcome = run(scenario, iters)
         assert outcome.completed
         assert outcome.message_count == 7 + 3 * iters
         assert outcome == alone
     assert {ev.agent for ev in outcome.events} == {"x", "y", "z", "w"}
-    assert simnet._routes.cache_info().hits == 2
+    assert agents.compile_protocol.cache_info().misses == 4
 
     routes = simnet._Sim(base, make_config(base, StrategyKind.PRE_COPY),
                          (), False).subscribers
     with pytest.raises(TypeError):
         routes[next(iter(routes))] = ("a",)
     assert all(type(ids) is tuple for ids in routes.values())
-    info = simnet._routes.cache_info()
+    info = agents.compile_protocol.cache_info()
+    assert info.misses == 5  # a fifth task
     assert info.maxsize is not None and 0 < info.maxsize <= 1024
     assert info.currsize <= info.maxsize
 
