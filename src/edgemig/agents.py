@@ -198,7 +198,7 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
     steps = [Step(orc, _PUBLISH, mig + "orchestrator/task", (src, dst, cli))]
     for r in range(info.iterations + 1):
         # Round 0, asked for unannounced, brings the namespace configuration.
-        image = f"{mig}source/round/{r}/image" if r else mig + "source/nsconfig"
+        image = mig + (f"source/round/{r}/image" if r else "source/nsconfig")
         if r:
             steps.append(Step(src, _PUBLISH, f"{mig}source/round/{r}/ready",
                               (dst,), (Work(_ROUND_CHECKPOINT, 0.0, r),)))

@@ -9,10 +9,10 @@ agent that owns or emits on the subtree.
 
 Each topic, and which roles receive each message, replies included, is
 written down once, in the protocol table :func:`edgemig.agents.clean_run`;
-no topic string is taken apart. Messages never leave the process (the simulator
-delivers them in memory), so headers may carry typed objects, such as the
-task description. Bulk image payloads are carried by size only: the
-simulator charges transfer time explicitly.
+no topic string is taken apart. Messages never leave the process (the
+simulator delivers them in memory), so headers may carry typed objects,
+such as the task description. Bulk image payloads are carried by size
+only: the simulator charges transfer time explicitly.
 """
 
 from __future__ import annotations

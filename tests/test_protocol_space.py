@@ -37,8 +37,8 @@ def _search(info):
     """Every end state reachable from the kickoff, and the number of
     distinct states."""
     routes = ag.compile_protocol(info).routes
-    rows = {(IDS[step.sender], step.kind, step.topic)
-            for step in ag.clean_run(info)}
+    rows = {(IDS[row.sender], row.kind, row.topic)
+            for row in ag.clean_run(info)}
     states = {aid: ag.idle_agent(role, aid) for role, aid in IDS.items()}
     states["orc"] = ag.AgentState(ag.Role.ORCHESTRATOR, "orc", info=info)
 
