@@ -21,31 +21,31 @@ running-state copies: its round-0 reply is empty. The table, which writes
 each topic once, is the protocol's only routing fact:
 :func:`compile_protocol` builds it once per task into the receiving agent
 ids of each message, which the simulator routes by, and the four role
-scripts. Headers carry typed objects (the task publication hands every
-agent the :class:`TaskInfo`); image sizes ride on ``payload_bytes``.
+scripts. A reply's headers carry the namespace configuration; image
+sizes ride on ``payload_bytes``.
 
 Every agent runs one interpreter, :func:`advance`, over its role's
 projection of the table, its :class:`Script`: await each row it receives,
 run each work item and await its end, send each row it sends. Two work
 items precede no send of their role: the source's round-0 checkpoint after
 its task (none when cold) and its namespace clear after the stop-and-copy
-push. An agent takes its task's script when it takes the task, the
-script's first wait, and its state keeps it. A message's position in
-the script decides its fate:
+push. Every agent is built holding its role's script, ``idle`` at
+position 0: the task is the first wait of every script but the
+orchestrator's, which sends the task on :class:`Kickoff`. A message's
+position in the script decides its fate, the task's as any other's:
 
 * at the current wait: taken, and the agent emits up to its next wait;
-* ahead of it, or any message before the task: held, and taken when its
-  turn comes;
+* ahead of it: held, and taken when its turn comes;
 * behind it (a duplicate), or nowhere in the script: the agent fails.
 
 A work item's end is taken only at its own position, and a reply only
-with the namespace configuration. The orchestrator, built holding its
-task, starts on :class:`Kickoff`. A failing agent records its reason in
+with the namespace configuration. A failing agent records its reason in
 ``diagnostic`` and sends nothing. ``phase`` prints the current wait
 (``await reply source/round/2/image``, ``transfer_round[2]``), or
-``idle``, ``done`` or ``failed``. The driver alone keeps watchdogs: a live
-agent that hears nothing for one period gets a :class:`TimerFired`, which
-fails it, so a lost message ends in a diagnosis rather than a hang.
+``idle`` until the task or kickoff is taken, ``done`` or ``failed``. The
+driver alone keeps watchdogs: a live agent that hears nothing for one
+period gets a :class:`TimerFired`, which fails it, so a lost message ends
+in a diagnosis rather than a hang.
 
 :func:`advance` is pure: it maps (state, event) to a new state and a list
 of actions, each a :class:`BusMessage` to send or a :class:`Work` item to
@@ -107,7 +107,7 @@ class WorkKind(str, Enum):
  _NS_CLEAR, _NS_RECREATE, _FLOW_UPDATE, _RESTORE) = WorkKind
 # Work that comes back sized by the image it took; work handed that image;
 # work printed with its round.
-_CHECKPOINTS = frozenset({_ROUND_CHECKPOINT, _STOP_CHECKPOINT})
+CHECKPOINTS = frozenset({_ROUND_CHECKPOINT, _STOP_CHECKPOINT})
 _TAKES_IMAGE = frozenset({_TRANSFER_ROUND, _TRANSFER_STOPCOPY, _RESTORE})
 _ROUNDED = frozenset({_ROUND_CHECKPOINT, _TRANSFER_ROUND})
 
@@ -159,7 +159,8 @@ Event = Union[BusMessage, Work, TimerFired, Kickoff]
 
 
 class TaskInfo(NamedTuple):
-    """Everything an agent learns from the task publication."""
+    """One migration task: its agents by role, the designed strategy and
+    the namespace configuration, all :func:`clean_run` is written from."""
 
     task_id: str
     source: str
@@ -268,13 +269,12 @@ def _script(info: TaskInfo, steps: tuple[Step, ...], role: Role,
             kind = work.kind
             emit(work, kind in _TAKES_IMAGE)
             wait(work, f"{kind.value}[{work.round}]" if kind in _ROUNDED
-                 else kind.value, kind in _CHECKPOINTS)
+                 else kind.value, kind in CHECKPOINTS)
 
     for i, step in enumerate(steps):
         if step.sender is role:
             run(step.work)
-            headers = ({"task": info} if i == 0 else
-                       {"ns_config": info.ns_config} if step.kind is _REPLY
+            headers = ({"ns_config": info.ns_config} if step.kind is _REPLY
                        else None)
             emit(BusMessage(step.kind, step.topic, agent_id, 0.0, headers),
                  step.image)
@@ -327,20 +327,14 @@ def _emit(script: Script, pos: int, image: float) -> list[Action]:
 
 class AgentState(NamedTuple):
     role: Role
-    agent_id: str
+    script: Script
     phase: str = IDLE
-    info: Optional[TaskInfo] = None
-    script: Optional[Script] = None
     pos: int = 0
     # Messages that came before their turn, in arrival order.
     held: tuple[BusMessage, ...] = ()
     # The size of the image last taken: checkpointed or received.
     image_bytes: float = 0.0
     diagnostic: Optional[str] = None
-
-
-def idle_agent(role: Role, agent_id: str) -> AgentState:
-    return AgentState(role=role, agent_id=agent_id)
 
 
 def _fail(state: AgentState, reason: str) -> tuple[AgentState, list[Action]]:
@@ -357,53 +351,21 @@ def _unexpected(state: AgentState, event: Event) -> tuple[AgentState, list[Actio
     return _fail(state, f"unexpected {what} in phase {state.phase}")
 
 
-def _begin(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
-    """An agent without a script takes its task (the orchestrator its
-    kickoff), and holds any other message until then."""
-    role, agent_id, _, info, _, _, held, _, _ = state
-    if type(event) is BusMessage:
-        task = event.headers.get("task")
-        script = compile_protocol(task).scripts[role] if isinstance(
-            task, TaskInfo) and role is not _ORCHESTRATOR else None
-        if script is None or script.index.get((event.kind, event.topic)) != 0:
-            return state._replace(held=(*held, event)), []
-        info, early = task, (event, *held)  # the task is its first wait
-    elif type(event) is Kickoff and role is _ORCHESTRATOR and info is not None:
-        script, early = compile_protocol(info).scripts[role], held
-    else:
-        return _unexpected(state, event)
-    return _feed(AgentState(role, agent_id, script.names[0], info, script),
-                 _emit(script, 0, 0.0), early)
-
-
-def _feed(state: AgentState, actions: list[Action],
-          messages: tuple[BusMessage, ...]) -> tuple[AgentState, list[Action]]:
-    """``state`` after ``actions`` and then each of ``messages`` in turn,
-    through :func:`advance`'s rule, so that each is taken, held again, or
-    fails the agent, whereupon the transition sends nothing."""
-    for message in messages:
-        state, more = _advance(state, message)
-        actions += more
-    return state, [] if state.phase == FAILED else actions
-
-
 def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     """One transition of an agent's interpreter.
 
     Terminal phases absorb every event; in any other phase a fired
-    watchdog fails the agent, whatever its role. An agent without a
-    script takes only its task, and holds every other message. Otherwise
-    the event's position in the script decides: at the current wait it is
-    taken, ahead of it a message is held, and behind it or nowhere the
-    agent fails, its reason in ``diagnostic``.
+    watchdog fails the agent, whatever its role, and a :class:`Kickoff`
+    has the idle orchestrator send the task. Otherwise the event's
+    position in the script decides, the task's (position 0) as any other:
+    at the current wait it is taken, ahead of it a message is held, and
+    behind it or nowhere the agent fails, its reason in ``diagnostic``.
     """
-    role, agent_id, phase, info, script, pos, held, image, _ = state
+    role, script, phase, pos, held, image, _ = state
     if phase in TERMINAL_PHASES:
         return state, []
     if type(event) is TimerFired:
         return _fail(state, f"timed out waiting in phase {phase}")
-    if script is None:
-        return _begin(state, event)
     if type(event) is BusMessage:
         at = script.index.get((event.kind, event.topic))
         if at is None or at < pos or event.kind is _REPLY \
@@ -413,7 +375,7 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
             index = script.index
             if any(index[m.kind, m.topic] == at for m in held):
                 return _unexpected(state, event)
-            return _new(AgentState, (role, agent_id, phase, info, script, pos,
+            return _new(AgentState, (role, script, phase, pos,
                                      (*held, event), image, None)), []
         if script.sized[pos]:
             image = event.payload_bytes
@@ -421,16 +383,26 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
             and event.kind is wait.kind and event.round == wait.round:
         if script.sized[pos]:
             image = event.bytes
+    elif type(event) is Kickoff and role is _ORCHESTRATOR and phase == IDLE:
+        return _new(AgentState, (role, script, script.names[0], 0, held,
+                                 image, None)), _emit(script, 0, image)
     else:
         return _unexpected(state, event)
     pos += 1
-    state = _new(AgentState, (role, agent_id, script.names[pos], info, script,
-                              pos, (), image, None))
-    if held:  # each held message is taken if its turn has come
-        return _feed(state, _emit(script, pos, image), held)
-    return state, _emit(script, pos, image)
+    state = _new(AgentState, (role, script, script.names[pos], pos, (),
+                              image, None))
+    actions = _emit(script, pos, image)
+    if held:
+        # Each held message is taken if its turn has come, held again, or
+        # fails the agent, whereupon the transition sends nothing.
+        for message in held:
+            state, more = _advance(state, message)
+            actions += more
+        if state.phase == FAILED:
+            return state, []
+    return state, actions
 
 
-# What _feed delivers through: a wrapper on ``advance`` (a tracer, a test
-# spy) then sees one call per event.
+# What a held message is delivered through: a wrapper on ``advance`` (a
+# tracer, a test spy) then sees one call per event.
 _advance = advance

@@ -74,7 +74,7 @@ class MsProfile(NamedTuple):
 
     @property
     def total_pages(self) -> int:
-        return math.ceil(self.state_size_bytes / self.page_size_bytes)
+        return -(-self.state_size_bytes // self.page_size_bytes)
 
 
 @checked

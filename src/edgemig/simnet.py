@@ -76,7 +76,7 @@ _W = ag.WorkKind
 _Work = ag.Work
 # Work that takes an image, so comes back sized; work that moves one over
 # the source-destination link.
-_CHECKPOINTS = frozenset({_W.ROUND_CHECKPOINT, _W.STOP_CHECKPOINT})
+_CHECKPOINTS = ag.CHECKPOINTS
 _TRANSFERS = frozenset({_W.TRANSFER_ROUND, _W.TRANSFER_STOPCOPY})
 _ROUND_CHECKPOINT = _W.ROUND_CHECKPOINT
 _FLOW_UPDATE, _RESTORE = _W.FLOW_UPDATE, _W.RESTORE
@@ -98,7 +98,8 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
     """
     check_number("rate_pages_per_s", rate_pages_per_s)
     check_number("window_s", window_s)
-    check_number("total_pages", total_pages, 1, whole=True)
+    # numpy's binomial takes no n past a C long.
+    check_number("total_pages", total_pages, 1, 2**63 - 1, whole=True)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     p_dirty = -math.expm1(-rate_pages_per_s * window_s / total_pages)
@@ -299,14 +300,12 @@ class _Sim:
             task.container_id, source, dest, section.client,
             section.orchestrator, config.strategy.kind,
             config.strategy.iterations, f"netns:{task.container_id}")
+        protocol = ag.compile_protocol(self.info)
         self.agents: dict[str, ag.AgentState] = {
-            source: ag.idle_agent(ag.Role.SOURCE, source),
-            dest: ag.idle_agent(ag.Role.DESTINATION, dest),
-            section.client: ag.idle_agent(ag.Role.CLIENT, section.client),
-            section.orchestrator: ag.AgentState(
-                ag.Role.ORCHESTRATOR, section.orchestrator, info=self.info),
-        }
-        self.subscribers = ag.compile_protocol(self.info).routes
+            agent_id: ag.AgentState(role, protocol.scripts[role])
+            for role, agent_id in zip(ag.Role, (source, dest, section.client,
+                                                section.orchestrator))}
+        self.subscribers = protocol.routes
         for rule in fault_rules:  # one that could never fire
             if rule.receiver not in (None, *self.agents):
                 raise DomainError(f"{rule!r}: no agent of the run is "

@@ -42,10 +42,13 @@ FLOW_UPDATED_TOPIC = "mig/t1/client/flow-updated"
 DONE_TOPIC = "mig/t1/destination/done"
 
 
+def idle(role, info):
+    """The agent of ``role`` in task ``info``, before its first take."""
+    return ag.AgentState(role, ag.compile_protocol(info).scripts[role])
+
+
 def task_message(info):
-    return BusMessage(
-        kind=MessageKind.PUBLISH, topic=TASK_TOPIC,
-        sender="orc", headers={"task": info})
+    return BusMessage(kind=MessageKind.PUBLISH, topic=TASK_TOPIC, sender="orc")
 
 
 def pull_query(info, round_index=0):
@@ -68,7 +71,7 @@ def works(actions):
 
 def test_source_task_receipt_checkpoints_without_a_message():
     info = task_info()
-    state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, actions = ag.advance(idle(ag.Role.SOURCE, info),
                                 task_message(info))
     assert state.phase == "round_checkpoint[0]"
     assert actions == [ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 0.0, 0)]
@@ -76,7 +79,7 @@ def test_source_task_receipt_checkpoints_without_a_message():
 
 def test_source_cold_freezes_once_asked():
     info = task_info(StrategyKind.COLD, 0)
-    state, actions = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, actions = ag.advance(idle(ag.Role.SOURCE, info),
                                 task_message(info))
     # No running-state copy to make: it only waits for the query.
     assert state.phase == "await query source/nsconfig"
@@ -94,10 +97,10 @@ CHECKPOINT_ZERO = ag.Work(ag.WorkKind.ROUND_CHECKPOINT, float(M), 0)
 def test_source_initial_image_waits_for_query_and_checkpoint():
     """Whichever of {query, checkpoint end} lands second starts the copy."""
     info = task_info()
-    idle = ag.idle_agent(ag.Role.SOURCE, "src")
+    fresh = idle(ag.Role.SOURCE, info)
 
     # Order A: query first, held until the checkpoint completes.
-    state, _ = ag.advance(idle, task_message(info))
+    state, _ = ag.advance(fresh, task_message(info))
     state, actions = ag.advance(state, pull_query(info))
     assert actions == []
     assert state.held == (pull_query(info),)
@@ -107,7 +110,7 @@ def test_source_initial_image_waits_for_query_and_checkpoint():
     assert actions == [ag.Work(ag.WorkKind.TRANSFER_ROUND, float(M), 0)]
 
     # Order B: checkpoint completes first, query afterwards.
-    state, _ = ag.advance(idle, task_message(info))
+    state, _ = ag.advance(fresh, task_message(info))
     state, actions = ag.advance(state, CHECKPOINT_ZERO)
     assert state.phase == "await query source/nsconfig"
     # No announcement for round 0: a passive wait for the query.
@@ -118,7 +121,7 @@ def test_source_initial_image_waits_for_query_and_checkpoint():
 
 def test_source_full_iterative_walk():
     info = task_info(iterations=2)
-    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, _ = ag.advance(idle(ag.Role.SOURCE, info),
                           task_message(info))
     state, _ = ag.advance(state, pull_query(info))
     state, actions = ag.advance(state, CHECKPOINT_ZERO)
@@ -185,7 +188,7 @@ def test_source_full_iterative_walk():
 
 def _source_in_round(info, round_index):
     """A source checkpointing pre-copy round ``round_index``."""
-    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, _ = ag.advance(idle(ag.Role.SOURCE, info),
                           task_message(info))
     for r in range(round_index):
         for event in (ag.Work(ag.WorkKind.ROUND_CHECKPOINT, 4096.0, r),
@@ -221,7 +224,7 @@ def test_source_rejects_a_duplicate_query(round_index, phase):
 
 def test_source_unexpected_event_fails_with_diagnostic():
     info = task_info()
-    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, _ = ag.advance(idle(ag.Role.SOURCE, info),
                           task_message(info))
     bogus = ag.Work(ag.WorkKind.RESTORE, bytes=1.0)
     state, actions = ag.advance(state, bogus)
@@ -248,24 +251,24 @@ def test_source_fails_on_another_rounds_checkpoint_end(round_index):
 
 
 def _armed_source(info):
-    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, _ = ag.advance(idle(ag.Role.SOURCE, info),
                           task_message(info))
     # The checkpoint ends before the destination's query: a passive wait.
     return ag.advance(state, CHECKPOINT_ZERO)
 
 
 def _armed_destination(info):
-    return ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    return ag.advance(idle(ag.Role.DESTINATION, info),
                       task_message(info))
 
 
 def _armed_client(info):
-    return ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
+    return ag.advance(idle(ag.Role.CLIENT, info),
                       task_message(info))
 
 
 def _armed_orchestrator(info):
-    state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
+    state = idle(ag.Role.ORCHESTRATOR, info)
     return ag.advance(state, ag.Kickoff())
 
 
@@ -291,12 +294,14 @@ def test_watchdog_and_stale_timers(role):
     assert ag.advance(failed, ag.TimerFired()) == (failed, [])
 
 
-# What each role makes of a message held before its task, once the task
-# comes: ns-ready is the client's next wait, and in no other script; a
-# second task publication is behind every script.
-AFTER_TASK = {
-    (ag.Role.SOURCE, NS_READY_TOPIC): "round_checkpoint[0]",
-    (ag.Role.DESTINATION, NS_READY_TOPIC): "await reply source/nsconfig",
+# The task is wait 0 of every script but the orchestrator's, and a message
+# meets the same rule there as at every other wait. What each role makes of
+# ns-ready before its task (ahead in the client's script, so held; in no
+# step of the others', so failing on arrival), and of a second task after
+# the first (behind every script).
+BEFORE_TASK = {
+    (ag.Role.SOURCE, NS_READY_TOPIC): "idle",
+    (ag.Role.DESTINATION, NS_READY_TOPIC): "idle",
     (ag.Role.CLIENT, NS_READY_TOPIC): None,
     (ag.Role.SOURCE, TASK_TOPIC): "round_checkpoint[0]",
     (ag.Role.DESTINATION, TASK_TOPIC): "await reply source/nsconfig",
@@ -304,35 +309,47 @@ AFTER_TASK = {
 }
 
 
-@pytest.mark.parametrize("role", [ag.Role.SOURCE, ag.Role.DESTINATION,
-                                  ag.Role.CLIENT], ids=lambda r: r.value)
-@pytest.mark.parametrize("topic,headers", [
-    (NS_READY_TOPIC, {}),
-    (TASK_TOPIC, {}),
-    (NS_READY_TOPIC, {"task": task_info()}),
-], ids=["other-topic", "no-task", "task-off-its-topic"])
-def test_idle_agent_takes_only_its_task_publication(role, topic, headers):
-    # Anything else is held, and judged by the script once the task comes.
-    stray = BusMessage(kind=MessageKind.PUBLISH, topic=topic,
-                       sender="dst", headers=headers)
-    state, actions = ag.advance(ag.idle_agent(role, "agent"), stray)
-    assert state == ag.AgentState(role, "agent", held=(stray,))
-    assert actions == []
-    state, actions = ag.advance(state, task_message(task_info()))
-    phase = AFTER_TASK[role, topic]
+@pytest.mark.parametrize("role,topic", list(BEFORE_TASK), ids=lambda x: (
+    x.value if isinstance(x, ag.Role) else x.rsplit("/", 1)[-1]))
+def test_the_task_is_the_first_wait_of_every_script(role, topic):
+    info = task_info()
+    state = idle(role, info)
+    if topic == TASK_TOPIC:
+        state, _ = ag.advance(state, task_message(info))
+        message = task_message(info)
+    else:
+        message = BusMessage(MessageKind.PUBLISH, NS_READY_TOPIC, "dst")
+    state, actions = ag.advance(state, message)
+    phase = BEFORE_TASK[role, topic]
     if phase is None:  # the client's ns-ready, taken in its turn
-        assert state.phase == "flow_update"
+        assert state == ag.AgentState(role, state.script, held=(message,))
+        assert actions == []
+        state, actions = ag.advance(state, task_message(info))
+        assert state.phase == "flow_update" and state.held == ()
         assert actions == [ag.Work(ag.WorkKind.FLOW_UPDATE)]
     else:
         assert state.phase == "failed"
         assert state.diagnostic == (
             f"unexpected publish on {topic} in phase {phase}")
-        assert actions == []  # not even what the task itself started
+        assert actions == []
+
+
+def test_kickoff_starts_only_the_idle_orchestrator():
+    info = task_info()
+    for role in (ag.Role.SOURCE, ag.Role.DESTINATION, ag.Role.CLIENT):
+        state, actions = ag.advance(idle(role, info), ag.Kickoff())
+        assert (state.phase, state.diagnostic, actions) == (
+            "failed", "unexpected Kickoff in phase idle", [])
+    state, _ = _armed_orchestrator(info)
+    state, actions = ag.advance(state, ag.Kickoff())
+    assert (state.phase, state.diagnostic, actions) == (
+        "failed",
+        "unexpected Kickoff in phase await publish destination/done", [])
 
 
 def test_terminal_phases_absorb_everything():
     info = task_info()
-    state, _ = ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    state, _ = ag.advance(idle(ag.Role.SOURCE, info),
                           task_message(info))
     failed, _ = ag.advance(state, ag.Work(ag.WorkKind.RESTORE))
     assert failed.phase == "failed"
@@ -359,7 +376,7 @@ def sc_push(info, payload=20480.0):
 
 def test_destination_pulls_round_zero_on_task():
     info = task_info()
-    state, actions = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    state, actions = ag.advance(idle(ag.Role.DESTINATION, info),
                                 task_message(info))
     [query] = sends(actions)
     assert query.kind is MessageKind.QUERY
@@ -376,7 +393,7 @@ def flow_updated(info):
 
 def test_destination_full_walk_restores_on_flow_updated():
     info = task_info(iterations=1)
-    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    state, _ = ag.advance(idle(ag.Role.DESTINATION, info),
                           task_message(info))
     state, _ = ag.advance(state, image_reply(info, payload=float(M)))
     assert state.phase == "await publish source/round/1/ready"
@@ -415,7 +432,7 @@ def test_destination_full_walk_restores_on_flow_updated():
 
 def test_destination_fails_on_a_second_flow_updated_while_restoring():
     info = task_info(StrategyKind.COLD, 0)
-    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    state, _ = ag.advance(idle(ag.Role.DESTINATION, info),
                           task_message(info))
     state, _ = ag.advance(state, image_reply(info, payload=0.0))
     state, _ = ag.advance(state, sc_push(info))
@@ -435,7 +452,7 @@ def test_destination_fails_on_a_second_flow_updated_while_restoring():
 
 def test_destination_holds_flow_updated_before_ns_ready():
     info = task_info(StrategyKind.COLD, 0)
-    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    state, _ = ag.advance(idle(ag.Role.DESTINATION, info),
                           task_message(info))
     state, actions = ag.advance(state, flow_updated(info))
     assert state.phase == "await reply source/nsconfig"
@@ -451,10 +468,10 @@ def test_destination_holds_flow_updated_before_ns_ready():
 
 def test_destination_cold_takes_the_reply_before_the_image():
     info = task_info(StrategyKind.COLD, 0)
-    idle = ag.idle_agent(ag.Role.DESTINATION, "dst")
+    fresh = idle(ag.Role.DESTINATION, info)
 
     # The 0-byte reply is round 0; the image follows it.
-    state, _ = ag.advance(idle, task_message(info))
+    state, _ = ag.advance(fresh, task_message(info))
     assert state.phase == "await reply source/nsconfig"
     state, actions = ag.advance(state, image_reply(info))
     assert state.phase == "await publish source/stopcopy/image"
@@ -465,7 +482,7 @@ def test_destination_cold_takes_the_reply_before_the_image():
 
     # An image ahead of the reply (which a slower link may delay) is held
     # until the reply comes, and sized by the image, not the reply.
-    state, _ = ag.advance(idle, task_message(info))
+    state, _ = ag.advance(fresh, task_message(info))
     state, actions = ag.advance(state, sc_push(info, payload=float(M)))
     assert state.phase == "await reply source/nsconfig"
     assert actions == []
@@ -477,7 +494,7 @@ def test_destination_cold_takes_the_reply_before_the_image():
 
 def test_destination_duplicate_stop_copy_image_fails():
     info = task_info(StrategyKind.COLD, 0)
-    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    state, _ = ag.advance(idle(ag.Role.DESTINATION, info),
                           task_message(info))
     state, _ = ag.advance(state, image_reply(info))
     state, _ = ag.advance(state, sc_push(info))
@@ -494,7 +511,7 @@ def test_destination_duplicate_stop_copy_image_fails():
 
 def test_client_updates_flow_and_publishes_once():
     info = task_info()
-    state, actions = ag.advance(ag.idle_agent(ag.Role.CLIENT, "cli"),
+    state, actions = ag.advance(idle(ag.Role.CLIENT, info),
                                 task_message(info))
     assert actions == []
     assert state.phase == "await publish destination/ns-ready"
@@ -515,11 +532,10 @@ def test_client_updates_flow_and_publishes_once():
 
 def test_orchestrator_lifecycle():
     info = task_info()
-    state = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc", info=info)
+    state = idle(ag.Role.ORCHESTRATOR, info)
     state, actions = ag.advance(state, ag.Kickoff())
     # It publishes the task, then waits for the completion notice.
-    assert actions == [BusMessage(MessageKind.PUBLISH, TASK_TOPIC, "orc",
-                                  0.0, {"task": info})]
+    assert actions == [BusMessage(MessageKind.PUBLISH, TASK_TOPIC, "orc")]
     assert state.phase == "await publish destination/done"
 
     done = BusMessage(
@@ -630,7 +646,7 @@ def test_clean_run_sends_seven_plus_three_per_round(strategy, iters):
 ])
 def test_image_reply_without_its_configuration_fails(strategy, round_index):
     info = task_info(strategy, round_index)
-    state, _ = ag.advance(ag.idle_agent(ag.Role.DESTINATION, "dst"),
+    state, _ = ag.advance(idle(ag.Role.DESTINATION, info),
                           task_message(info))
     if round_index:
         state, _ = ag.advance(state, image_reply(info))
@@ -669,7 +685,7 @@ RECORDS = [
     BusMessage(MessageKind.PUBLISH, "mig/t1/y", "dst"),
     ag.Work(ag.WorkKind.TRANSFER_ROUND, 4096.0, 2),
     # A source holding its round-0 query: a script, a held message.
-    ag.advance(ag.advance(ag.idle_agent(ag.Role.SOURCE, "src"),
+    ag.advance(ag.advance(idle(ag.Role.SOURCE, task_info()),
                           task_message(task_info()))[0],
                pull_query(task_info()))[0],
     task_info(),
@@ -731,11 +747,10 @@ def _early(info):
     """Every row of the table as its sender sends it, for one of its
     receivers: delivered at any time, most come ahead of their turn."""
     agent_of = dict(zip(ag.Role, ("src", "dst", "cli", "orc")))
-    headers = {ag.clean_run(info)[0].topic: {"task": info}}
     return [(agent_of[role], BusMessage(
         step.kind, step.topic, agent_of[step.sender], 4096.0 * step.image,
-        headers.get(step.topic, {"ns_config": info.ns_config}
-                    if step.kind is MessageKind.REPLY else None)))
+        {"ns_config": info.ns_config} if step.kind is MessageKind.REPLY
+        else None))
             for step in ag.clean_run(info) for role in step.receivers]
 
 
@@ -752,11 +767,8 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
     # action is a message or a work item, told apart by exact type as the
     # simulator does.
     info = task_info(strategy, iterations)
-    states = {aid: ag.idle_agent(role, aid) for aid, role in (
-        ("src", ag.Role.SOURCE), ("dst", ag.Role.DESTINATION),
-        ("cli", ag.Role.CLIENT))}
-    states["orc"] = ag.AgentState(role=ag.Role.ORCHESTRATOR, agent_id="orc",
-                                  info=info)
+    states = {aid: idle(role, info) for role, aid in zip(
+        ag.Role, ("src", "dst", "cli", "orc"))}
     routes = ag.compile_protocol(info).routes
     noise, early = _noise(info), _early(info)
     pending, guarded = [("orc", ag.Kickoff())], set()
@@ -783,15 +795,14 @@ def test_transitions_never_change_their_input(strategy, iterations, data):
             new_state.phase = ag.DONE
         with pytest.raises(ValueError):
             new_state._replace(no_such_field=1)
-        if new_state.script is not None:
-            with pytest.raises(AttributeError):
-                new_state.script.names = ()
-            # A live agent holds only messages ahead of it, one a wait.
-            held = [new_state.script.index[m.kind, m.topic]
-                    for m in new_state.held]
-            assert new_state.phase in ag.TERMINAL_PHASES or (
-                len(set(held)) == len(held)
-                and all(at > new_state.pos for at in held))
+        with pytest.raises(AttributeError):
+            new_state.script.names = ()
+        # A live agent holds only messages ahead of it, one a wait.
+        held = [new_state.script.index[m.kind, m.topic]
+                for m in new_state.held]
+        assert new_state.phase in ag.TERMINAL_PHASES or (
+            len(set(held)) == len(held)
+            and all(at > new_state.pos for at in held))
         states[agent_id] = new_state
         if new_state.phase not in ag.TERMINAL_PHASES:
             guarded.add(agent_id)

@@ -824,6 +824,27 @@ def test_whole_number_beyond_float_range_is_a_usage_error(
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep"],
+                                     ["sweep", "--parallel", "2"]],
+                         ids=" ".join)
+def test_more_pages_than_a_binomial_draw_takes_is_a_usage_error(
+        tmp_path, capsys, command):
+    # 10^30 bytes are 2.4e26 pages, past the C long numpy's binomial takes.
+    doc = json.loads(Path(DEMO).read_text())
+    doc["ms_profiles"][0]["state_size_bytes"] = 10 ** 30
+    doc["task"]["target_duration_s"] = 1e30
+    doc["sweep"].update(from_s=1e30, to_s=2e30, step_s=5e29)
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    assert run(["plan", "--scenario", str(scenario)]) == 0
+    capsys.readouterr()
+    assert run([*command, "--scenario", str(scenario),
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: total_pages must be a whole number in [1, ")
+    assert "Traceback" not in err
+
+
 def test_sweep_grid_too_large_is_a_usage_error(tmp_path, capsys):
     doc = json.loads(Path(DEMO).read_text())
     doc["sweep"]["step_s"] = 1e-300

@@ -49,6 +49,8 @@ PARAMS = ModelParams(
 def test_pages_round_up():
     assert PROFILE.total_pages == 2560
     assert MsProfile(state_size_bytes=4097, dirty_rate_norm=0.0).total_pages == 2
+    # Exact past 2**53 bytes, where a float quotient rounds.
+    assert MsProfile(2 ** 53 + 1, 0.0, 1).total_pages == 2 ** 53 + 1
 
 
 def test_worst_case_dirty_bytes():

@@ -129,6 +129,7 @@ def test_dirty_set_validation():
     (True, 1.0, 10, "rate_pages_per_s"),
     (1.0, 1.0, 10.5, "total_pages"),
     (1.0, 1.0, True, "total_pages"),
+    (1.0, 1.0, 2 ** 63, "total_pages"),  # past numpy's binomial
 ])
 def test_dirty_set_rejects_non_finite_or_fractional_input(rate, window,
                                                           pages, name):
