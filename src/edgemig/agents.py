@@ -30,9 +30,9 @@ run each work item and await its end, send each row it sends. Two work
 items precede no send of their role: the source's round-0 checkpoint after
 its task (none when cold) and its namespace clear after the stop-and-copy
 push. Every agent is built holding its role's script, ``idle`` at
-position 0: the task is the first wait of every script but the
-orchestrator's, which sends the task on :class:`Kickoff`. A message's
-position in the script decides its fate, the task's as any other's:
+position 0, its start: the task, or the orchestrator's :class:`Kickoff`,
+on which it sends the task. A message's position in the script decides
+its fate, the task's as any other's:
 
 * at the current wait: taken, and the agent emits up to its next wait;
 * ahead of it: held, and taken when its turn comes;
@@ -225,9 +225,10 @@ def clean_run(info: TaskInfo) -> tuple[Step, ...]:
 
 class Script(NamedTuple):
     """One role's projection of :func:`clean_run`, compiled. Position p
-    waits for a message, whose ``(kind, topic)`` ``index`` maps to p, or
-    for the end of the work item ``waits[p]``; ``names[p]`` prints it, and
-    taking it sets the image size when ``sized[p]``. ``emits[p + 1]`` is
+    waits for a message, whose ``(kind, topic)`` ``index`` maps to p, for
+    the end of the work item ``waits[p]``, or (the orchestrator's 0) for
+    its :class:`Kickoff`; ``names[p]`` prints it, and taking it sets the
+    image size when ``sized[p]``. ``emits[p + 1]`` is
     what follows it up to the next wait (``emits[0]`` what precedes the
     first), with the image size put into the actions at ``fills[p + 1]``.
     Past the last wait the agent is done: ``names[-1]`` is ``done``."""
@@ -271,6 +272,8 @@ def _script(info: TaskInfo, steps: tuple[Step, ...], role: Role,
             wait(work, f"{kind.value}[{work.round}]" if kind in _ROUNDED
                  else kind.value, kind in CHECKPOINTS)
 
+    if role is _ORCHESTRATOR:
+        wait(None, "kickoff", False)
     for i, step in enumerate(steps):
         if step.sender is role:
             run(step.work)
@@ -355,11 +358,11 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
     """One transition of an agent's interpreter.
 
     Terminal phases absorb every event; in any other phase a fired
-    watchdog fails the agent, whatever its role, and a :class:`Kickoff`
-    has the idle orchestrator send the task. Otherwise the event's
-    position in the script decides, the task's (position 0) as any other:
-    at the current wait it is taken, ahead of it a message is held, and
-    behind it or nowhere the agent fails, its reason in ``diagnostic``.
+    watchdog fails the agent, whatever its role. Otherwise the event's
+    position in the script decides, the start's (position 0: the task, or
+    the orchestrator's :class:`Kickoff`) as any other's: at the current
+    wait it is taken, ahead of it a message is held, and behind it or
+    nowhere the agent fails, its reason in ``diagnostic``.
     """
     role, script, phase, pos, held, image, _ = state
     if phase in TERMINAL_PHASES:
@@ -383,10 +386,7 @@ def advance(state: AgentState, event: Event) -> tuple[AgentState, list[Action]]:
             and event.kind is wait.kind and event.round == wait.round:
         if script.sized[pos]:
             image = event.bytes
-    elif type(event) is Kickoff and role is _ORCHESTRATOR and phase == IDLE:
-        return _new(AgentState, (role, script, script.names[0], 0, held,
-                                 image, None)), _emit(script, 0, image)
-    else:
+    elif not (type(event) is Kickoff and role is _ORCHESTRATOR and pos == 0):
         return _unexpected(state, event)
     pos += 1
     state = _new(AgentState, (role, script, script.names[pos], pos, (),

@@ -294,11 +294,11 @@ def test_watchdog_and_stale_timers(role):
     assert ag.advance(failed, ag.TimerFired()) == (failed, [])
 
 
-# The task is wait 0 of every script but the orchestrator's, and a message
-# meets the same rule there as at every other wait. What each role makes of
-# ns-ready before its task (ahead in the client's script, so held; in no
-# step of the others', so failing on arrival), and of a second task after
-# the first (behind every script).
+# The task is wait 0 of every script but the orchestrator's (its kickoff),
+# and a message meets the same rule there as at every other wait. What
+# each role makes of ns-ready before its task (ahead in the client's
+# script, so held; in no step of the others', so failing on arrival), and
+# of a second task after the first (behind every script).
 BEFORE_TASK = {
     (ag.Role.SOURCE, NS_READY_TOPIC): "idle",
     (ag.Role.DESTINATION, NS_READY_TOPIC): "idle",
@@ -544,6 +544,14 @@ def test_orchestrator_lifecycle():
     assert state.phase == "done"
     assert actions == []
 
+    # The kickoff is its first wait: a notice ahead of it is held, and
+    # taken once the task is out.
+    state, actions = ag.advance(idle(ag.Role.ORCHESTRATOR, info), done)
+    assert (state.phase, state.held, actions) == ("idle", (done,), [])
+    state, actions = ag.advance(state, ag.Kickoff())
+    assert (state.phase, state.held) == ("done", ())
+    assert actions == [BusMessage(MessageKind.PUBLISH, TASK_TOPIC, "orc")]
+
 
 # ---------------------------------------------------------------------------
 # Routing
@@ -601,7 +609,7 @@ SCRIPTS_I2 = {
         "await publish client/flow-updated", "restore"],
     ag.Role.CLIENT: ["await publish orchestrator/task",
                      "await publish destination/ns-ready", "flow_update"],
-    ag.Role.ORCHESTRATOR: ["await publish destination/done"],
+    ag.Role.ORCHESTRATOR: ["kickoff", "await publish destination/done"],
 }
 
 

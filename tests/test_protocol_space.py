@@ -21,7 +21,6 @@ from edgemig import agents as ag
 from edgemig.bus import BusMessage
 from edgemig.model import StrategyKind
 
-CHECKPOINTS = (ag.WorkKind.ROUND_CHECKPOINT, ag.WorkKind.STOP_CHECKPOINT)
 IDS = dict(zip(ag.Role, ("src", "dst", "cli", "orc")))
 
 
@@ -72,7 +71,7 @@ def _search(info, drop=False):
             yield step(states, channels,
                        {other: w for other, w in work.items() if other != aid},
                        lost, aid, ag.Work(item.kind, 4096.0, item.round)
-                       if item.kind in CHECKPOINTS else item)
+                       if item.kind in ag.CHECKPOINTS else item)
         if drop and not work and not any(channels.values()):
             for aid, state in states.items():
                 if state.phase not in ag.TERMINAL_PHASES:
