@@ -5,9 +5,8 @@ dirty-page trace for the rate estimate and three timed checkpoint /
 transfer / restore runs for the parameter fit.
 """
 
+import random
 from pathlib import Path
-
-import numpy as np
 
 from edgemig import (
     DirtySample,
@@ -30,7 +29,7 @@ print(f"  normalized    {estimate.normalized:.5f} of the state per round")
 # The estimator also digests simulated windows: draw the distinct pages a
 # 12 pages/s service dirties in each of eight one-second windows, with the
 # simulator's own dirty-page model, and estimate again.
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 samples = [DirtySample(window_s=1.0, pages_modified=dirty_set_size(
                12.0, 1.0, profile.total_pages, rng)) for _ in range(8)]
 again = estimate_dirty_rate(samples, profile.state_size_bytes)

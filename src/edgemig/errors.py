@@ -38,7 +38,7 @@ def check_number(name, value, low=0, high=FLOAT_MAX, *, above=False,
             and number <= high:
         return
     bounds = (f"{'>' if above else '>='} {low}" if high == FLOAT_MAX else
-              f"in {'(' if above else '['}{low}, {high:g}]")
+              f"in {'(' if above else '['}{low}, {high}]")
     raise error(f"{name} must be {'a whole number' if whole else 'finite and'}"
                 f" {bounds}, got {value!r}")
 

@@ -11,7 +11,9 @@ each to a uniformly random page. Split by page, that stream gives every
 one of the P pages an independent Poisson count, so the pages dirtied in
 a window of W seconds at rate r number exactly
 Binomial(P, 1 - exp(-r * W / P)); ``dirty_set_size`` draws that count
-once per window, never the writes themselves.
+once per window, never the writes themselves, from the uniforms of the
+standard library's ``random.Random``, whose ``random()`` sequence for a
+seed Python keeps across releases.
 
 The bus adds propagation latency per link but never charges for payload
 size — image payloads ride on work items (the transfer costs), so bytes
@@ -23,9 +25,9 @@ that table is sent. A failed agent reports to no one: the outcome's
 setting (the link, the designer's view, each hop's latency) is built once
 per task and shared, read-only, by a plan and every run of an equal task
 (a sweep's rows). The seeded generator is made at the first dirty draw,
-from the seed or, on a sub-stream (a sweep row's), from the first 64-bit
-word of ``SeedSequence([seed, *stream])``: a cold run never draws, so
-derives none.
+from the seed or, on a sub-stream (a sweep row's), from
+``int(Random("seed/i/j").random() * 2**53)`` for the stream ``(i, j)``: a
+cold run never draws, so derives none.
 
 The simulator keeps all the time: it prices every work item and holds one
 watchdog deadline per live agent, ten times the predicted total plus ten
@@ -47,11 +49,10 @@ import itertools
 import json
 import logging
 import math
+import random
 from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
-
-import numpy as np
 
 from . import agents as ag
 from .bus import BusMessage
@@ -85,7 +86,7 @@ _TIMER_FIRED = ag.TimerFired()
 
 
 def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
-                   rng: Union[int, np.random.Generator]) -> int:
+                   rng: Union[int, random.Random]) -> int:
     """Distinct pages dirtied in a window by a memoryless write process.
 
     Writes arrive as a Poisson stream of mean ``rate * window`` and each hits
@@ -94,16 +95,81 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
     mean ``rate * window / P``, so the distinct count is exactly
     ``Binomial(P, 1 - exp(-rate * window / P))``: one draw, whatever the
     number of writes. Its mean ``P * (1 - exp(-rate * window / P))``
-    saturates at ``P``.
+    saturates at ``P``. ``rng`` is a generator or the seed of a new one.
     """
     check_number("rate_pages_per_s", rate_pages_per_s)
     check_number("window_s", window_s)
-    # numpy's binomial takes no n past a C long.
+    # Past 2**53, BTRS's float arithmetic can no longer produce every
+    # integer count; the draw coarsens, and 2**63 - 1 bounds how far.
     check_number("total_pages", total_pages, 1, 2**63 - 1, whole=True)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    if not isinstance(rng, random.Random):
+        check_number("rng", rng, whole=True)
+        rng = random.Random(int(rng))
     p_dirty = -math.expm1(-rate_pages_per_s * window_s / total_pages)
-    return int(rng.binomial(total_pages, p_dirty))
+    return _binomial(rng.random, int(total_pages), p_dirty)
+
+
+def _binomial(random, n: int, p: float) -> int:
+    """An exact Binomial(n, p) draw from the uniforms of ``random()``.
+
+    Below a mean of 10, Devroye's geometric method skips the failures
+    between successes; above it, Hörmann's BTRS ("The generation of binomial
+    random variates", 1993) draws by transformed rejection with a squeeze.
+    Its acceptance test, ``log f(k) / f(m)`` at the mode ``m``, sums
+    Stirling's series with each log of a ratio near 1 taken by ``log1p``,
+    so that no term loses the O(1) result to cancellation, even at 2**62.
+    """
+    if p > 0.5:  # draw the failures
+        return n - _binomial(random, n, 1.0 - p)
+    if n * p < 10.0:
+        successes = trials = 0
+        log_q = math.log1p(-p)  # -0.0 at p = 0: no success ever
+        while log_q:
+            skip = math.log(1.0 - random()) / log_q  # inf past any n
+            if skip >= n - trials:
+                break
+            trials += math.floor(skip) + 1
+            successes += 1
+        return successes
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * p)
+    log_odds = math.log(p / (1.0 - p) * (n - m + 1) / (m + 1))  # near 0
+    tail_m = _stirling_tail(m) + _stirling_tail(n - m)
+    while True:
+        u = random() - 0.5
+        us = 0.5 - abs(u)
+        if not us:  # u = -0.5, the hat's pole
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        v = 1.0 - random()  # in (0, 1], so its log is finite
+        if us >= 0.07 and v <= vr:
+            return k
+        if math.log(v * alpha / (a / (us * us) + b)) <= (
+                (k - m) * log_odds - (k + 0.5) * _log_ratio(k + 1, m + 1)
+                - (n - k + 0.5) * _log_ratio(n - k + 1, n - m + 1)
+                + tail_m - _stirling_tail(k) - _stirling_tail(n - k)):
+            return k
+
+
+def _log_ratio(a: int, b: int) -> float:
+    """``log(a / b)`` for positive integers, by ``log1p`` near 1."""
+    return math.log1p((a - b) / b) if abs(a - b) < b // 2 else math.log(a / b)
+
+
+def _stirling_tail(k: int) -> float:
+    """``log k!`` less ``(k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2``."""
+    if k < 10:  # where the series is off by up to 2.5e-4
+        return (math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1
+                - 0.5 * math.log(2 * math.pi))
+    x2 = (k + 1.0) ** 2
+    return (1 / 12 - (1 / 360 - 1 / 1260 / x2) / x2) / (k + 1)
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +384,7 @@ class _Sim:
         for index in stream:
             check_number("stream", index, whole=True)
         self.stream = stream
-        self.rng: Optional[np.random.Generator] = None
+        self.rng: Optional[random.Random] = None
         self.faults = _FaultBox(fault_rules) if fault_rules else None
         self.record_events = record_events
 
@@ -350,9 +416,9 @@ class _Sim:
         if self.rng is None:  # a cold run never draws
             seed = self.seed
             if self.stream:
-                seed = int(np.random.SeedSequence([seed, *self.stream])
-                           .generate_state(1, dtype=np.uint64)[0])
-            self.rng = np.random.default_rng(seed)
+                key = "/".join(map(str, (seed, *self.stream)))
+                seed = int(random.Random(key).random() * 2**53)
+            self.rng = random.Random(seed)
         return dirty_set_size(self.dirty_rate, window, self.total_pages,
                               self.rng)
 

@@ -6,13 +6,13 @@ import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import types
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,10 +188,9 @@ def test_each_sweep_row_is_one_plan_and_one_run(variable):
                 objective=Objective.MINIMIZE_RESOURCES,
                 target_downtime_s=target, target_duration_s=None)
         # The README's seed contract, derived here rather than by cli.
-        words = np.random.SeedSequence(
-            [scenario.seed, *cells[target, profile]]).generate_state(
-                1, dtype=np.uint64)
-        seed = int(words[0])
+        t_idx, p_idx = cells[target, profile]
+        key = f"{scenario.seed}/{t_idx}/{p_idx}"
+        seed = int(random.Random(key).random() * 2**53)
         alone = scenario._replace(seed=seed, task=section._replace(
             task=task, ms_profile_id=profile))
         config = plan_from_scenario(alone)
@@ -365,12 +364,12 @@ def watched_modules_after_each(commands, watched):
     return json.loads(proc.stdout)
 
 
-def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
-        tmp_path):
+def test_serial_commands_load_neither_the_pool_nor_numpy_random(tmp_path):
     """In one fresh interpreter, with every warning an error: no command
-    but a parallel sweep starts a pool, and a run that never draws (every
-    row of a target_downtime_s sweep of the demo is cold) derives no seed,
-    while the demo's pre-copy run loads the generator."""
+    but a parallel sweep starts a pool, and neither a run that never draws
+    (every row of a target_downtime_s sweep of the demo is cold) nor the
+    demo's pre-copy run, which draws from the standard library, loads
+    numpy's generators."""
     doc = json.loads(Path(DEMO).read_text())
     doc["sweep"]["variable"] = "target_downtime_s"
     cold = tmp_path / "cold.json"
@@ -382,26 +381,26 @@ def test_commands_load_the_pool_and_the_generator_only_when_they_use_them(
         ["sweep", "--scenario", DEMO, "--out", str(tmp_path / "sweep")],
     ]
     watched = ["multiprocessing", "concurrent.futures.process", "numpy.random"]
-    assert watched_modules_after_each(commands, watched) == [
-        [], [], ["numpy.random"], ["numpy.random"]]
+    assert watched_modules_after_each(commands, watched) == [[], [], [], []]
     strategies = {line.split(",")[2] for line in
                   (tmp_path / "cold").read_text().splitlines()[1:]}
     assert strategies == {"cold"}
     assert json.loads((tmp_path / "run").read_text())["strategy"] != "cold"
 
 
-def test_no_command_loads_numpy_ma_and_profile_and_fit_draw_nothing(
+def test_no_command_loads_numpy_ma_and_only_dist_loads_numpy_random(
         tmp_path):
     """numpy.ma is what np.unique imports; the fit needs no masked arrays.
-    profile and fit draw nothing, so they load no generator either. No
-    command loads dataclasses: every record is a NamedTuple."""
-    commands = [[name, "--scenario", DEMO, "--out", str(tmp_path / name)]
-                for name in ("profile", "fit", "plan", "simulate", "dist",
-                             "sweep")]
+    Of all commands, only dist draws with numpy; the simulator draws from
+    the standard library, in a parallel sweep's parent as in its workers.
+    No command loads dataclasses: every record is a NamedTuple."""
+    commands = [[*name.split(), "--scenario", DEMO,
+                 "--out", str(tmp_path / name.replace(" ", "_"))]
+                for name in ("profile", "fit", "plan", "simulate", "sweep",
+                             "sweep --parallel 2", "dist")]
     loaded = watched_modules_after_each(
         commands, ["numpy.ma", "numpy.random", "dataclasses"])
-    assert loaded == [[], [], [], ["numpy.random"], ["numpy.random"],
-                      ["numpy.random"]]
+    assert loaded == [[]] * 6 + [["numpy.random"]]
 
 
 def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
@@ -829,7 +828,7 @@ def test_whole_number_beyond_float_range_is_a_usage_error(
                          ids=" ".join)
 def test_more_pages_than_a_binomial_draw_takes_is_a_usage_error(
         tmp_path, capsys, command):
-    # 10^30 bytes are 2.4e26 pages, past the C long numpy's binomial takes.
+    # 10^30 bytes are 2.4e26 pages, past the sampler's 2^63 - 1.
     doc = json.loads(Path(DEMO).read_text())
     doc["ms_profiles"][0]["state_size_bytes"] = 10 ** 30
     doc["task"]["target_duration_s"] = 1e30
@@ -841,7 +840,8 @@ def test_more_pages_than_a_binomial_draw_takes_is_a_usage_error(
     assert run([*command, "--scenario", str(scenario),
                 "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: total_pages must be a whole number in [1, ")
+    assert err.startswith("error: total_pages must be a whole number in "
+                          "[1, 9223372036854775807], got ")
     assert "Traceback" not in err
 
 

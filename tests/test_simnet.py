@@ -90,14 +90,15 @@ def make_config(scenario, strategy, iterations=0, bandwidth=GBPS):
 
 def test_dirty_set_size_zero_rate_or_window():
     assert dirty_set_size(0.0, 5.0, 1000, 1) == 0
-    assert dirty_set_size(8.0, 0.0, 1000, 1) == 0
-    # numpy scalars are numbers like any other.
-    assert dirty_set_size(np.int64(0), np.float32(5.0), np.int64(1000), 1) == 0
+    assert dirty_set_size(8.0, 0.0, 1000, random.Random(1)) == 0
+    # numpy scalars are numbers like any other, a seed included.
+    assert dirty_set_size(np.int64(0), np.float32(5.0), np.int64(1000),
+                          np.int64(1)) == 0
 
 
 def test_dirty_set_mean_matches_saturating_expectation():
     rate, window, pages = 40.0, 2.0, 256
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     draws = [dirty_set_size(rate, window, pages, rng) for _ in range(4000)]
     expected = pages * (1.0 - math.exp(-rate * window / pages))
     assert np.mean(draws) == pytest.approx(expected, rel=0.02)
@@ -108,8 +109,8 @@ def test_dirty_set_saturates_under_heavy_writing():
     # Past ~37 expected writes per page, 1 - exp(-writes / pages) rounds
     # to 1.0, so the binomial draw returns every page.
     assert dirty_set_size(1e9, 10.0, 128, 3) == 128
-    # So does a mean far beyond what rng.poisson would accept.
-    assert dirty_set_size(1e30, 1.0, 128, 0) == 128
+    # So does a mean of writes far beyond any page count.
+    assert dirty_set_size(1e30, 1.0, 128, random.Random(0)) == 128
 
 
 def test_dirty_set_validation():
@@ -119,6 +120,10 @@ def test_dirty_set_validation():
         dirty_set_size(1.0, -1.0, 10, 0)
     with pytest.raises(DomainError, match="total_pages"):
         dirty_set_size(1.0, 1.0, 0, 0)
+    # A generator or a seed: not numpy's generator, nor a negative seed.
+    for rng in (np.random.default_rng(0), -1, 1.5):
+        with pytest.raises(DomainError, match="rng"):
+            dirty_set_size(1.0, 1.0, 10, rng)
 
 
 @pytest.mark.parametrize("rate, window, pages, name", [
@@ -129,12 +134,12 @@ def test_dirty_set_validation():
     (True, 1.0, 10, "rate_pages_per_s"),
     (1.0, 1.0, 10.5, "total_pages"),
     (1.0, 1.0, True, "total_pages"),
-    (1.0, 1.0, 2 ** 63, "total_pages"),  # past numpy's binomial
+    (1.0, 1.0, 2 ** 63, "total_pages"),  # past the page bound
 ])
 def test_dirty_set_rejects_non_finite_or_fractional_input(rate, window,
                                                           pages, name):
     # A binomial draw would truncate a fractional or boolean page count,
-    # and numpy's own message for a NaN mean names no argument.
+    # and a NaN success probability would draw nonsense unnamed.
     with pytest.raises(DomainError, match=name):
         dirty_set_size(rate, window, pages, 0)
 
@@ -166,7 +171,8 @@ def test_dirty_set_law_matches_the_write_level_process(rate, pages):
     rng = np.random.default_rng(2026)
     oracle = np.array([_write_level_dirty_set(rate, window, pages, rng)
                        for _ in range(n)])
-    sampled = np.array([dirty_set_size(rate, window, pages, rng)
+    generator = random.Random(2026)
+    sampled = np.array([dirty_set_size(rate, window, pages, generator)
                         for _ in range(n)])
     for draws in (oracle, sampled):
         assert abs(draws.mean() - mean) < 4 * se_mean
@@ -174,6 +180,56 @@ def test_dirty_set_law_matches_the_write_level_process(rate, pages):
     assert abs(oracle.mean() - sampled.mean()) < 4 * math.sqrt(2) * se_mean
     assert abs(oracle.var(ddof=1) - sampled.var(ddof=1)) \
         < 4 * math.sqrt(2) * se_var
+
+
+@pytest.mark.parametrize("n, p", [
+    (1000, 0.005),        # a mean of 5: the geometric method
+    (25, 0.45),           # a mean of 11.25: BTRS, just past its threshold
+    (262_144, 0.7),       # p > 0.5: the clean pages are drawn
+    (2**53, 0.25),        # BTRS at the largest n whose counts floats hold
+    (2**62, 1e-18),       # the geometric method near the page bound
+    (2**62, 1e-17),       # BTRS there
+    (2**62, 1 - 2**-53),  # BTRS there, on the clean pages
+    (2**62, 0.0), (2**62, 1.0), (2**62, 5e-324),  # p = 0, 1, subnormal
+])
+def test_binomial_draws_fit_the_binomial_law(n, p):
+    # scipy's law is the oracle, by a chi-squared test over about ten bins
+    # of the count of the less likely outcome. Its cdf fails past 2**53
+    # at a large mean, so at 2**62 that count stays small.
+    from scipy import stats
+
+    draws, clean = 50_000, p > 0.5
+    law = stats.binom(n, 1.0 - p if clean else p)
+    uniform = random.Random(f"{n}/{p}").random
+    counts = [simnet._binomial(uniform, n, p) for _ in range(draws)]
+    counts = np.array([n - k for k in counts] if clean else counts, float)
+    if law.std() < 1e-9:  # all but surely 0
+        assert not counts.any()
+        return
+    edges = np.floor(law.mean() + law.std() * np.linspace(-2.5, 2.5, 11))
+    edges = np.unique(np.concatenate(([-1.0], edges.clip(-1, n), [n])))
+    expected = np.diff(law.cdf(edges)) * draws
+    observed = np.histogram(counts, edges + 0.5)[0]
+    assert observed.sum() == draws and expected.min() > 100
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(chi2, len(expected) - 1) > 0.001
+
+
+def test_a_seed_fixes_the_draws_of_each_method():
+    # The stream of random.Random, which Python keeps for a seed, through
+    # the geometric method (a mean of 4), BTRS (8.3e4) and BTRS on the
+    # clean pages (p = 0.978).
+    rng = random.Random(2026)
+    assert [dirty_set_size(4.0, 1.0, 2**18, rng) for _ in range(6)] == [
+        6, 3, 3, 4, 4, 1]
+    assert [dirty_set_size(1e5, 1.0, 2**18, rng) for _ in range(6)] == [
+        82716, 83176, 83109, 83281, 83044, 83068]
+    assert [dirty_set_size(1e6, 1.0, 2**18, rng) for _ in range(6)] == [
+        256366, 256364, 256344, 256239, 256382, 256370]
+    # A seed draws as a new generator of that seed.
+    assert [dirty_set_size(1e5, 1.0, 2**18, 2026 + i) for i in range(3)] \
+        == [dirty_set_size(1e5, 1.0, 2**18, random.Random(2026 + i))
+            for i in range(3)] == [82812, 82793, 83037]
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +390,22 @@ def test_run_setting_is_shared_read_only_and_bounded():
 
 def test_cold_run_makes_no_generator(monkeypatch):
     def no_generator(*args, **kwargs):
-        raise RuntimeError("default_rng called")
+        raise RuntimeError("Random called")
 
     scenario = make_scenario(dirty_rate=2.0)
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(simnet.random, "Random", no_generator)
     cold = run_scenario(scenario, make_config(scenario, StrategyKind.COLD))
     assert cold.completed and cold.message_count == 7
     # The first dirty draw makes it.
-    with pytest.raises(RuntimeError, match="default_rng"):
+    with pytest.raises(RuntimeError, match="Random called"):
         run_scenario(scenario, make_config(scenario, StrategyKind.PRE_COPY))
 
 
 def test_a_stream_draws_from_its_own_seed():
     scenario = make_scenario(dirty_rate=2.0)
     config = make_config(scenario, StrategyKind.ITERATIVE_PRE_COPY, 3)
-    words = np.random.SeedSequence([scenario.seed, 4, 1]).generate_state(
-        1, dtype=np.uint64)
-    alone = scenario._replace(seed=int(words[0]))
+    seed = int(random.Random(f"{scenario.seed}/4/1").random() * 2**53)
+    alone = scenario._replace(seed=seed)
     assert run_scenario(scenario, config, stream=(4, 1)) \
         == run_scenario(alone, config) != run_scenario(scenario, config)
 
@@ -910,7 +965,7 @@ def test_task_overtaken_by_ns_ready_completes():
     task = slow.task.task._replace(objective=Objective.MINIMIZE_RESOURCES,
                                    target_downtime_s=5.0)
     cold = slow._replace(task=slow.task._replace(task=task))
-    for scenario, iterations, total_s in ((slow, 6, 6.354015564799999),
+    for scenario, iterations, total_s in ((slow, 6, 6.353999999999999),
                                           (cold, 0, 6.373922943999999)):
         config = plan_from_scenario(scenario)
         assert config.strategy.iterations == iterations
@@ -1010,7 +1065,7 @@ def test_each_agent_diagnoses_its_own_failure_and_reports_nothing():
                         "destination/done"}
     # Task, query, reply and the round-1 announcement: no failure report.
     assert outcome.message_count == 4
-    assert outcome.end_time_s == 56.786569230580696
+    assert outcome.end_time_s == 56.7865847953807
 
 
 def test_announcement_overtaking_its_rounds_reply_is_held():
