@@ -139,7 +139,7 @@ def test_dirty_set_validation():
 def test_dirty_set_rejects_non_finite_or_fractional_input(rate, window,
                                                           pages, name):
     # A binomial draw would truncate a fractional or boolean page count,
-    # and a NaN success probability would draw nonsense unnamed.
+    # and a NaN would fail deep inside the sampler, naming no argument.
     with pytest.raises(DomainError, match=name):
         dirty_set_size(rate, window, pages, 0)
 
