@@ -149,16 +149,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_out("".join(f"{event.to_json_line()}\n"
                            for event in outcome.events), args.events)
     doc = _config_doc(config)
-    doc["simulated"] = {
-        "completed": outcome.completed,
-        "downtime_s": outcome.downtime_s,
-        "total_s": outcome.total_s,
-        "bytes_transferred": outcome.bytes_transferred,
-        "dirty_pages_at_stopcopy": outcome.dirty_pages_at_stopcopy,
-        "message_count": outcome.message_count,
-        "final_phases": outcome.final_phases,
-        "diagnostics": outcome.diagnostics,
-    }
+    doc["simulated"] = {key: value for key, value in outcome._asdict().items()
+                        if key not in ("end_time_s", "events")}
     _emit_json(doc, args.out)
     return 0
 
@@ -241,21 +233,13 @@ def sweep_rows(scenario: Scenario, parallel: int = 0) -> list[dict]:
 def emit_report(rows: Sequence[dict]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        sim_down = "" if r["sim_downtime_s"] is None else _g(r["sim_downtime_s"])
-        sim_total = "" if r["sim_total_s"] is None else _g(r["sim_total_s"])
+        sim = ["" if r[key] is None else _g(r[key])
+               for key in ("sim_downtime_s", "sim_total_s")]
         lines.append(",".join([
-            _g(r["target_s"]),
-            r["profile"],
-            r["strategy"],
-            str(r["iterations"]),
-            _g(r["bandwidth_mbps"]),
-            _g(r["pred_downtime_s"]),
-            _g(r["pred_total_s"]),
-            sim_down,
-            sim_total,
-            str(int(round(r["bytes_transferred"]))),
-            r["region"],
-        ]))
+            _g(r["target_s"]), r["profile"], r["strategy"],
+            str(r["iterations"]), _g(r["bandwidth_mbps"]),
+            _g(r["pred_downtime_s"]), _g(r["pred_total_s"]), *sim,
+            str(int(round(r["bytes_transferred"]))), r["region"]]))
     return "\n".join(lines) + "\n"
 
 
@@ -300,45 +284,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--scenario", required=True,
                        help="path to the scenario JSON file")
         p.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
+        return p
 
-    p = sub.add_parser("profile", help="estimate the dirty-page rate")
-    common(p)
-    p.add_argument("--ms-profile", default=None,
-                   help="ms profile id (default: the task's)")
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("fit", help="fit cost-model parameters")
-    common(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("plan", help="choose a migration configuration")
-    common(p)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("simulate", help="plan and simulate one migration")
-    common(p)
-    p.add_argument("--events", default=None,
-                   help="write the protocol event log (JSON lines) here")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="plan+simulate across a target grid")
-    common(p)
-    p.add_argument("--parallel", type=int, default=0,
-                   help="sweep workers, one per CPU at most (default: serial)")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("dist", help="strategy distribution under uncertainty")
-    common(p)
-    p.add_argument("--samples", type=int, default=1000,
-                   help="bandwidth draws (default 1000)")
-    p.set_defaults(func=_cmd_dist)
+    command("profile", _cmd_profile, "estimate the dirty-page rate") \
+        .add_argument("--ms-profile", default=None,
+                      help="ms profile id (default: the task's)")
+    command("fit", _cmd_fit, "fit cost-model parameters")
+    command("plan", _cmd_plan, "choose a migration configuration")
+    command("simulate", _cmd_simulate, "plan and simulate one migration") \
+        .add_argument("--events", default=None,
+                      help="write the protocol event log (JSON lines) here")
+    command("sweep", _cmd_sweep, "plan+simulate across a target grid") \
+        .add_argument("--parallel", type=int, default=0, help="sweep "
+                      "workers, one per CPU at most (default: serial)")
+    command("dist", _cmd_dist, "strategy distribution under uncertainty") \
+        .add_argument("--samples", type=int, default=1000,
+                      help="bandwidth draws (default 1000)")
     return parser
 
 

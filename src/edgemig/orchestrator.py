@@ -18,11 +18,11 @@ minimize-downtime it is a cold migration.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional
-
-import numpy as np
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, check_number, checked
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     MsProfile,
     StrategyChoice,
     StrategyKind,
+    _binomial,
     cold_kpis,
     iteration_choice,
     iteration_thresholds,
@@ -122,60 +123,65 @@ def design(task: MigrationTask, metrics: MetricsView) -> MigrationConfig:
         profile, params, available, choice.iterations), True)
 
 
-def _standard_truncnorm(a: float, b: float, count: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """``count`` standard normal draws conditioned on [a, b], a <= b.
+_SQRT_HALF = math.sqrt(0.5)
 
-    Accept-reject in vectorized batches with the proposal of Robert (1995)
-    that accepts most often for the interval; each accepts about half its
-    draws or more, so the loop cannot spin. An interval below 0 is
-    mirrored onto the right tail first.
-    """
-    sign = 1.0
-    if b < 0:
-        a, b, sign = -b, -a, -1.0
-    z0 = max(a, 0.0)  # the point of [a, b] closest to 0
-    gap = 2.0 / (z0 + math.hypot(z0, 2.0))  # alpha* - z0, without overflow
-    alpha = z0 + gap
-    if a <= 0 and b - a >= math.sqrt(2 * math.pi):
-        def accepted(n: int) -> np.ndarray:
-            z = rng.standard_normal(n)
-            return z[(a <= z) & (z <= b)]
-    elif a <= 0 or b - a < math.exp(gap * gap / 2) / alpha:
-        # Robert's bound: narrower than this, the uniform beats the
-        # exponential (and, holding 0, the normal) on acceptance.
-        def accepted(n: int) -> np.ndarray:
-            z = rng.uniform(a, b, n)
-            return z[rng.random(n) <= np.exp((z0 - z) * (z0 + z) / 2)]
+
+def _tail_mass(p: float, q: float, gap: float) -> float:
+    """1 - Q(q) / Q(p), Q the standard normal upper tail and gap = q - p
+    measured apart, so it survives where q rounds to p: by ``math.erfc``
+    and, where that underflows, Laplace's continued fraction."""
+    if q < 37.0:
+        return 1.0 - math.erfc(q * _SQRT_HALF) / math.erfc(p * _SQRT_HALF)
+    if p < 30.0:  # Q(q) / Q(p) < 1e-100: no double short of 1
+        return 1.0
+
+    def mills(x: float) -> float:  # Q(x) / phi(x), to the bit past 30
+        t = x
+        for k in range(12, 0, -1):
+            t = x + k / t
+        return 1.0 / t
+    return 1.0 - math.exp(-gap * (p + q) / 2) * mills(q) / mills(p)
+
+
+def _truncnorm_cdf(t: float, mean: float, std: float, lower: float,
+                   upper: float) -> float:
+    """P(X < t) for X normal (mean, std) conditioned on [lower, upper].
+    Distances are taken in stds from the bounds, so none rounds away, and
+    a tail is measured from its near end, so nothing underflows."""
+    u, w = (t - lower) / std, (upper - lower) / std
+    if not 0 < u < w:
+        return float(u > 0)
+    if upper < mean:  # the mirror image of a right tail
+        return 1.0 - _truncnorm_cdf(-t, -mean, std, -upper, -lower)
+    a = (lower - mean) / std
+    if w < 1e-6:  # all but flat: an exponential tilt, to within w * w
+        num, den = math.expm1(-a * u), math.expm1(-a * w)
     else:
-        def accepted(n: int) -> np.ndarray:
-            z = a + rng.standard_exponential(n) / alpha
-            return z[(z <= b)
-                     & (rng.random(n) <= np.exp(-(z - alpha) ** 2 / 2))]
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        z = accepted(2 * (count - filled) + 16)[:count - filled]
-        out[filled:filled + z.size] = z
-        filled += z.size
-    return sign * out
+        num = _tail_mass(a, (t - mean) / std, u)
+        den = _tail_mass(a, (upper - mean) / std, w)
+    return num / den if den else u / w
+
+
+def _count_below(cut: float, m: int, seed: int, node: int = 1) -> int:
+    """How many of m iid uniforms on node's interval fall below ``cut``,
+    scaled to it (node 1 is [0, 1); node k's halves are 2k and 2k + 1).
+    Node k draws from ``random.Random(f"{seed}/{k}")``: holding m >= 2, it
+    sends Binomial(m, 1/2) to its left half; holding one, it places it
+    with one uniform. One seed is one sample whatever the cuts."""
+    if m == 0 or not 0.0 < cut < 1.0:
+        return m if cut >= 1.0 else 0
+    draw = random.Random(f"{seed}/{node}").random
+    if m == 1:
+        return int(draw() < cut)
+    left = _binomial(draw, m, 0.5)
+    if cut <= 0.5:
+        return _count_below(2.0 * cut, left, seed, 2 * node)
+    return left + _count_below(2.0 * cut - 1.0, m - left, seed, 2 * node + 1)
 
 
 @checked
 class BandwidthDistribution(NamedTuple):
-    """Truncated normal model of the bandwidth available at design time.
-
-    :meth:`sample` draws with numpy alone, by accept-reject on the
-    standardized interval [a, b] after C. P. Robert, "Simulation of
-    truncated normal variables", Statistics and Computing 5 (1995),
-    in one of three regimes:
-
-    * a wide interval holding 0: normal draws, rejecting those outside;
-    * a narrow interval: uniform draws on [a, b], accepted with
-      probability exp((z0**2 - z**2) / 2), z0 the point closest to 0;
-    * a one-sided tail: a translated exponential of rate
-      alpha* = (a + sqrt(a**2 + 4)) / 2 (mirrored for b < 0).
-    """
+    """Truncated normal model of the bandwidth available at design time."""
 
     mean_bytes_per_s: float
     std_bytes_per_s: float
@@ -190,19 +196,19 @@ class BandwidthDistribution(NamedTuple):
             check_number("upper_bytes_per_s", self.upper_bytes_per_s,
                          self.lower_bytes_per_s, above=True)
 
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """Draw bandwidth values, deterministic for a given seed."""
-        check_number("count", count, 1, whole=True)
-        mean, std = self.mean_bytes_per_s, self.std_bytes_per_s
-        lower, upper = self.lower_bytes_per_s, self.upper_bytes_per_s
-        a = (lower - mean) / std if std else math.inf
-        b = (upper - mean) / std if std else -math.inf
-        if a == math.inf or b == -math.inf:
-            # No spread, or an interval too many stds away for a float:
-            # all the mass sits at the point of the interval nearest the mean.
-            return np.full(count, min(max(mean, lower), upper))
-        z = _standard_truncnorm(a, b, count, np.random.default_rng(seed))
-        return np.clip(mean + std * z, lower, upper)
+    def sample(self, count: int, seed: int,
+               thresholds: Sequence[float]) -> list[int]:
+        """Counts of ``count`` iid draws below each threshold (ascending);
+        one seed is one sample whatever they are. A draw with no spread, or
+        out of float reach, is the interval's point nearest the mean."""
+        check_number("count", count, 1, 2**63 - 1, whole=True)
+        mean, std, lower, upper = self
+        if not std or max(lower - mean, mean - upper) / std == math.inf:
+            point = min(max(mean, lower), upper)
+            return [int(count) if point < t else 0 for t in thresholds]
+        cuts = itertools.accumulate(
+            (_truncnorm_cdf(t, *self) for t in thresholds), max)
+        return [_count_below(cut, int(count), seed) for cut in cuts]
 
 
 class StrategyDistribution(NamedTuple):
@@ -229,26 +235,27 @@ def strategy_distribution(task: MigrationTask, profile: MsProfile,
     Tabulates what :func:`design` answers when each sampled bandwidth is
     the available bandwidth: strategy frequencies and, for the iterative
     outcomes, a probability mass function over the iteration count. Each
-    frequency is exact: the draws between two of the designer's
-    :func:`iteration_thresholds` over the sample. Deterministic for a seed.
+    frequency is exact: the sample's draws between two of the designer's
+    :func:`iteration_thresholds` across the distribution's interval.
+    Deterministic for a seed.
     """
-    check_number("sample_count", sample_count, 1, whole=True)
+    check_number("sample_count", sample_count, 1, 2**63 - 1, whole=True)
     kind_counts: dict[str, int] = {k.value: 0 for k in StrategyKind}
     iter_counts: dict[int, int] = {}
     if task.objective is Objective.MINIMIZE_RESOURCES:
         # design() picks cold at every bandwidth under this objective.
         kind_counts[StrategyKind.COLD.value] = sample_count
     else:
-        draws = distribution.sample(sample_count, seed)
-        # The lower truncation keeps draws nonnegative; an exact zero
-        # would starve the designer, nudge it to the smallest positive.
-        draws[draws <= 0] = np.nextafter(0.0, 1.0)
+        # A draw of zero would starve the designer; it counts as the
+        # smallest positive bandwidth, where the thresholds start.
         base, thresholds = iteration_thresholds(
-            profile, params, task.target_duration_s, draws.min(), draws.max())
-        # The draws whose count is base + i or more, for i = 0, 1, ...
-        at_least = [sample_count, *(int(np.count_nonzero(draws >= t))
-                                    for t in thresholds), 0]
-        for n, freq in enumerate(map(int.__sub__, at_least, at_least[1:]),
+            profile, params, task.target_duration_s,
+            max(distribution.lower_bytes_per_s, math.nextafter(0.0, 1.0)),
+            distribution.upper_bytes_per_s)
+        # The draws whose count is base + i: those between thresholds.
+        below = [0, *distribution.sample(sample_count, seed, thresholds),
+                 sample_count]
+        for n, freq in enumerate((b - a for a, b in zip(below, below[1:])),
                                  base):
             # None is design()'s cold fallback.
             choice = iteration_choice(n)

@@ -9,9 +9,10 @@ from timed calibration runs. The simulator's model of page dirtying is
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import CalibrationError, DomainError, check_number, checked
 from .model import DEFAULT_PAGE_SIZE, ModelParams, MsProfile
@@ -49,7 +50,30 @@ class DirtyRateEstimate(NamedTuple):
     window_s: float
 
 
-@np.errstate(over="ignore")  # an overflowing mean rate is inf
+def _pairwise_sum(v: Sequence[float]) -> float:
+    """numpy's float sum, to the bit: in order below 8 terms, in eight
+    interleaved running sums up to 128, halved at a multiple of 8 above."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    if n < 8:
+        return functools.reduce(operator.add, v, 0.0)
+    end = n - n % 8
+    r = [functools.reduce(operator.add, v[j:end:8]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, v[end:], total)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``numpy.mean`` of floats, to the bit; an overflow is inf."""
+    return _pairwise_sum(values) / len(values)
+
+
+def _mean_square(values: Sequence[float]) -> float:
+    return _mean([x * x for x in values])  # x ** 2 raises, not inf
+
+
 def estimate_dirty_rate(samples: Sequence[DirtySample],
                         state_size_bytes: int,
                         page_size_bytes: int = DEFAULT_PAGE_SIZE
@@ -68,17 +92,14 @@ def estimate_dirty_rate(samples: Sequence[DirtySample],
     if state_size_bytes < page_size_bytes:
         raise DomainError("state must span at least one page")
     worst = max(samples, key=lambda s: s.rate_pages_per_s)
-    rate = worst.rate_pages_per_s
-    window = worst.window_s
-    r_min = 1.0 / window
-    r_max = total_pages / window
+    rate, window = worst.rate_pages_per_s, worst.window_s
+    r_min, r_max = 1.0 / window, total_pages / window
     if r_max <= r_min:
         # Single-page state: any activity is full-rate activity.
         normalized = 1.0 if rate >= r_max else 0.0
     else:
-        normalized = (rate - r_min) / (r_max - r_min)
-        normalized = min(1.0, max(0.0, normalized))
-    mean = float(np.mean([s.rate_pages_per_s for s in samples]))
+        normalized = min(1.0, max(0.0, (rate - r_min) / (r_max - r_min)))
+    mean = _mean([s.rate_pages_per_s for s in samples])
     return DirtyRateEstimate(rate_pages_per_s=rate, normalized=normalized,
                              mean_rate_pages_per_s=mean, window_s=window)
 
@@ -109,7 +130,7 @@ class CalibrationFit(NamedTuple):
     transfer_rms_s: float
 
 
-def _affine_nnls(sizes: np.ndarray, durations: np.ndarray
+def _affine_nnls(sizes: Sequence[float], durations: Sequence[float]
                  ) -> tuple[float, float, float]:
     """Nonnegative least-squares fit of duration = fixed + per_byte * size.
 
@@ -119,25 +140,25 @@ def _affine_nnls(sizes: np.ndarray, durations: np.ndarray
     size column is rescaled to unit range first, so that raw byte counts
     (~1e7) do not swamp the constant column.
     """
-    scale = float(sizes.max())
-    x = sizes / scale
-    y = durations
-    dx = x - x.mean()
-    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
-    fixed = float(y.mean()) - slope * float(x.mean())
+    scale = max(sizes)
+    xs = [size / scale for size in sizes]
+    x_mean, y_mean = _mean(xs), _mean(durations)
+    dx = [x - x_mean for x in xs]
+    slope = (_mean([d * (y - y_mean) for d, y in zip(dx, durations)])
+             / _mean_square(dx))
+    fixed = y_mean - slope * x_mean
     if fixed < 0 or slope < 0:
-        candidates = ((0.0, max(0.0, float(x @ y) / float(x @ x))),
-                      (max(0.0, float(y.mean())), 0.0))
+        origin = (_mean([x * y for x, y in zip(xs, durations)])
+                  / _mean_square(xs))
         fixed, slope = min(
-            candidates,
-            key=lambda c: float(np.sum((y - c[0] - c[1] * x) ** 2)))
+            ((0.0, max(0.0, origin)), (max(0.0, y_mean), 0.0)),
+            key=lambda c: _mean_square([y - c[0] - c[1] * x
+                                        for x, y in zip(xs, durations)]))
     per_byte = slope / scale
-    residual = durations - (fixed + per_byte * sizes)
-    rms = float(np.sqrt(np.mean(residual ** 2)))
-    return fixed, per_byte, rms
+    return fixed, per_byte, math.sqrt(_mean_square(
+        [y - (fixed + per_byte * size) for size, y in zip(sizes, durations)]))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # ModelParams rejects NaN, inf
 def calibration_fit(runs: Iterable[CalibrationRun]) -> CalibrationFit:
     """Fit affine phase costs from calibration runs.
 
@@ -146,26 +167,27 @@ def calibration_fit(runs: Iterable[CalibrationRun]) -> CalibrationFit:
     the mean of what remains of each transfer after the serialization delay
     image_bytes / bandwidth is removed, clamped at zero. At least two runs
     with distinct image sizes are required, otherwise the affine fits are
-    under-determined.
+    under-determined. An overflow is inf, which ModelParams rejects.
 
     Namespace and flow-update overheads are step constants, not regression
     targets; they stay zero and are set by the caller from direct
     measurements.
     """
     runs = list(runs)
-    sizes = np.array([r.image_bytes for r in runs], dtype=float)
-    if len(runs) < 2 or sizes.min() == sizes.max():
+    sizes = [float(r.image_bytes) for r in runs]
+    if len(runs) < 2 or min(sizes) == max(sizes):
         raise CalibrationError(
             "parameter fit is under-determined: need runs at two or more "
             "distinct image sizes")
-    ckpt = np.array([r.checkpoint_s for r in runs], dtype=float)
-    rest = np.array([r.restore_s for r in runs], dtype=float)
-    ckpt_fixed, ckpt_per_byte, ckpt_rms = _affine_nnls(sizes, ckpt)
-    rest_fixed, rest_per_byte, rest_rms = _affine_nnls(sizes, rest)
-    residuals = np.array([r.transfer_s - r.image_bytes / r.bandwidth_bytes_per_s
-                          for r in runs])
-    signaling = max(0.0, float(np.mean(residuals)))
-    transfer_rms = float(np.sqrt(np.mean((residuals - signaling) ** 2)))
+    ckpt_fixed, ckpt_per_byte, ckpt_rms = _affine_nnls(
+        sizes, [float(r.checkpoint_s) for r in runs])
+    rest_fixed, rest_per_byte, rest_rms = _affine_nnls(
+        sizes, [float(r.restore_s) for r in runs])
+    residuals = [r.transfer_s - r.image_bytes / r.bandwidth_bytes_per_s
+                 for r in runs]
+    signaling = max(0.0, _mean(residuals))
+    transfer_rms = math.sqrt(_mean_square([r - signaling
+                                           for r in residuals]))
     params = ModelParams(
         ckpt_fixed_s=ckpt_fixed,
         ckpt_per_byte_s=ckpt_per_byte,

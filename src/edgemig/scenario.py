@@ -184,7 +184,7 @@ class _Field(NamedTuple):
 
 
 def check_seed(seed: Any, where: str) -> None:
-    """A seed is a whole number >= 0, as numpy's generators require."""
+    """A seed is a whole number >= 0: ``random.Random(-s)`` draws as s."""
     whole = (isinstance(seed, int) and not isinstance(seed, bool)) or (
         isinstance(seed, float) and seed.is_integer())
     if not whole or seed < 0:

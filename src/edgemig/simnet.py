@@ -64,6 +64,7 @@ from .model import (
     checkpoint_duration,
     pre_checkpoint_duration,
     restore_duration,
+    _binomial,
     transfer_duration,
 )
 from .orchestrator import MetricsView, MigrationConfig, design
@@ -107,69 +108,6 @@ def dirty_set_size(rate_pages_per_s: float, window_s: float, total_pages: int,
         rng = random.Random(int(rng))
     p_dirty = -math.expm1(-rate_pages_per_s * window_s / total_pages)
     return _binomial(rng.random, int(total_pages), p_dirty)
-
-
-def _binomial(random, n: int, p: float) -> int:
-    """An exact Binomial(n, p) draw from the uniforms of ``random()``.
-
-    Below a mean of 10, Devroye's geometric method skips the failures
-    between successes; above it, Hörmann's BTRS ("The generation of binomial
-    random variates", 1993) draws by transformed rejection with a squeeze.
-    Its acceptance test, ``log f(k) / f(m)`` at the mode ``m``, sums
-    Stirling's series with each log of a ratio near 1 taken by ``log1p``,
-    so that no term loses the O(1) result to cancellation, even at 2**62.
-    """
-    if p > 0.5:  # draw the failures
-        return n - _binomial(random, n, 1.0 - p)
-    if n * p < 10.0:
-        successes = trials = 0
-        log_q = math.log1p(-p)  # -0.0 at p = 0: no success ever
-        while log_q:
-            skip = math.log(1.0 - random()) / log_q  # inf past any n
-            if skip >= n - trials:
-                break
-            trials += math.floor(skip) + 1
-            successes += 1
-        return successes
-    spq = math.sqrt(n * p * (1.0 - p))
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = n * p + 0.5
-    vr = 0.92 - 4.2 / b
-    alpha = (2.83 + 5.1 / b) * spq
-    m = math.floor((n + 1) * p)
-    log_odds = math.log(p / (1.0 - p) * (n - m + 1) / (m + 1))  # near 0
-    tail_m = _stirling_tail(m) + _stirling_tail(n - m)
-    while True:
-        u = random() - 0.5
-        us = 0.5 - abs(u)
-        if not us:  # u = -0.5, the hat's pole
-            continue
-        k = math.floor((2.0 * a / us + b) * u + c)
-        if not 0 <= k <= n:
-            continue
-        v = 1.0 - random()  # in (0, 1], so its log is finite
-        if us >= 0.07 and v <= vr:
-            return k
-        if math.log(v * alpha / (a / (us * us) + b)) <= (
-                (k - m) * log_odds - (k + 0.5) * _log_ratio(k + 1, m + 1)
-                - (n - k + 0.5) * _log_ratio(n - k + 1, n - m + 1)
-                + tail_m - _stirling_tail(k) - _stirling_tail(n - k)):
-            return k
-
-
-def _log_ratio(a: int, b: int) -> float:
-    """``log(a / b)`` for positive integers, by ``log1p`` near 1."""
-    return math.log1p((a - b) / b) if abs(a - b) < b // 2 else math.log(a / b)
-
-
-def _stirling_tail(k: int) -> float:
-    """``log k!`` less ``(k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2``."""
-    if k < 10:  # where the series is off by up to 2.5e-4
-        return (math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1
-                - 0.5 * math.log(2 * math.pi))
-    x2 = (k + 1.0) ** 2
-    return (1 / 12 - (1 / 360 - 1 / 1260 / x2) / x2) / (k + 1)
 
 
 # --------------------------------------------------------------------------

@@ -388,19 +388,17 @@ def test_serial_commands_load_neither_the_pool_nor_numpy_random(tmp_path):
     assert json.loads((tmp_path / "run").read_text())["strategy"] != "cold"
 
 
-def test_no_command_loads_numpy_ma_and_only_dist_loads_numpy_random(
-        tmp_path):
-    """numpy.ma is what np.unique imports; the fit needs no masked arrays.
-    Of all commands, only dist draws with numpy; the simulator draws from
-    the standard library, in a parallel sweep's parent as in its workers.
+def test_no_command_loads_numpy_or_dataclasses(tmp_path):
+    """numpy is only a test oracle: the simulator draws from the standard
+    library, in a parallel sweep's parent as in its workers, dist counts
+    its draws with it too, and profile and fit compute on Python floats.
     No command loads dataclasses: every record is a NamedTuple."""
     commands = [[*name.split(), "--scenario", DEMO,
                  "--out", str(tmp_path / name.replace(" ", "_"))]
                 for name in ("profile", "fit", "plan", "simulate", "sweep",
                              "sweep --parallel 2", "dist")]
-    loaded = watched_modules_after_each(
-        commands, ["numpy.ma", "numpy.random", "dataclasses"])
-    assert loaded == [[]] * 6 + [["numpy.random"]]
+    loaded = watched_modules_after_each(commands, ["numpy", "dataclasses"])
+    assert loaded == [[]] * 7
 
 
 def test_commands_without_sampling_or_fitting_never_load_scipy(tmp_path):
@@ -413,7 +411,8 @@ def test_fit_never_loads_scipy(tmp_path):
 
 
 def test_dist_never_loads_scipy(tmp_path):
-    """scipy is only a test oracle: the sampler draws with numpy alone."""
+    """scipy is only a test oracle: dist counts its draws with the
+    standard library alone."""
     assert scipy_modules_loaded_by(("dist",), tmp_path) == []
 
 

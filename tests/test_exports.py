@@ -1,7 +1,10 @@
-"""The package's public names are all importable and listed once, and its
-source stays within its line cap."""
+"""The package's public names are all importable and listed once, its
+source stays within its line cap, and installing it pulls in nothing."""
 
+import sys
 from pathlib import Path
+
+import pytest
 
 import edgemig
 
@@ -22,3 +25,17 @@ def test_package_source_stays_within_the_line_cap():
     lines = sum(path.read_bytes().count(b"\n")
                 for path in package.glob("*.py"))
     assert lines <= LINE_CAP
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_the_package_depends_on_nothing():
+    """No command needs numpy or scipy: they are test oracles, in the
+    ``test`` extra."""
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    assert {"numpy", "scipy"} <= {
+        req.split(">")[0].split("=")[0]
+        for req in project["optional-dependencies"]["test"]}

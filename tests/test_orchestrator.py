@@ -30,6 +30,7 @@ from edgemig.orchestrator import (
     MigrationTask,
     Objective,
     StrategyDistribution,
+    _truncnorm_cdf,
     design,
     strategy_distribution,
 )
@@ -147,22 +148,26 @@ def test_design_is_pure():
 
 def test_distribution_zero_std_is_a_point_mass():
     dist = BandwidthDistribution(GBPS, 0.0, 0.0, GBPS + 5 * 0.0)
-    draws = dist.sample(100, seed=1)
-    assert np.all(draws == GBPS)
+    cuts = [GBPS / 2, GBPS, math.nextafter(GBPS, math.inf), 2 * GBPS]
+    assert dist.sample(100, 1, cuts) == [0, 0, 100, 100]
 
 
-def test_distribution_respects_truncation():
+def test_distribution_counts_respect_the_truncation():
+    dist = BandwidthDistribution(GBPS, GBPS / 10, 0.8 * GBPS, 1.5 * GBPS)
+    cuts = [0.0, 0.8 * GBPS, GBPS, 1.5 * GBPS, 2 * GBPS]
+    below = dist.sample(10_000, 2, cuts)
+    assert below[:2] == [0, 0] and below[3:] == [10_000, 10_000]
+    assert 0 < below[2] < 10_000
+
+
+def test_distribution_sampling_is_deterministic_and_one_sample_per_seed():
     dist = BandwidthDistribution(GBPS, GBPS / 10, 0.0, GBPS + 5 * (GBPS / 10))
-    draws = dist.sample(10_000, seed=2)
-    assert draws.min() >= dist.lower_bytes_per_s
-    assert draws.max() <= dist.upper_bytes_per_s
-    assert abs(np.mean(draws) - GBPS) < GBPS / 50  # loose sanity check
-
-
-def test_distribution_sampling_is_deterministic():
-    dist = BandwidthDistribution(GBPS, GBPS / 10, 0.0, GBPS + 5 * (GBPS / 10))
-    assert np.array_equal(dist.sample(50, seed=3), dist.sample(50, seed=3))
-    assert not np.array_equal(dist.sample(50, seed=3), dist.sample(50, seed=4))
+    cuts = [0.9 * GBPS, GBPS, 1.1 * GBPS]
+    below = dist.sample(10_000, 3, cuts)
+    assert below == dist.sample(10_000, 3, cuts)
+    # Each cut counts the one sample of the seed, whatever else is asked.
+    assert below == [dist.sample(10_000, 3, [cut])[0] for cut in cuts]
+    assert below != dist.sample(10_000, 4, cuts)
 
 
 def test_distribution_validation():
@@ -174,8 +179,11 @@ def test_distribution_validation():
         BandwidthDistribution(mean_bytes_per_s=GBPS, std_bytes_per_s=1.0,
                               lower_bytes_per_s=10.0, upper_bytes_per_s=5.0)
     dist = BandwidthDistribution(GBPS, 1.0, 0.0, GBPS + 5 * 1.0)
-    with pytest.raises(DomainError):
-        dist.sample(0, seed=1)
+    for bad in (0, 2**63, 1.5):
+        with pytest.raises(DomainError, match="count"):
+            dist.sample(bad, 1, [GBPS])
+        with pytest.raises(DomainError, match="sample_count"):
+            strategy_distribution(md_task(), PROFILE, PARAMS, dist, bad, 1)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             BandwidthDistribution(bad, 1.0, 0.0, GBPS)
@@ -187,7 +195,8 @@ def test_distribution_validation():
         BandwidthDistribution(GBPS, 1.0, 0.0, math.nan)
 
 
-# Standardized intervals [a, b], one per regime of the sampler and side.
+# Standardized intervals [a, b]: each side of the mean, across it, narrow
+# and half-unbounded.
 INTERVALS = {
     "central": (-2.375, 2.5),
     "short-holding-0": (-0.5, 1.9),
@@ -200,6 +209,20 @@ INTERVALS = {
     "half-unbounded": (2.0, math.inf),
     "half-unbounded-holding-0": (-1.0, math.inf),
 }
+# Far tails, where Q underflows past a = 37.5, and slivers.
+FAR = {
+    "far-right": (38.0, 39.0),
+    "far-left": (-39.0, -38.0),
+    "far-unbounded": (1e3, math.inf),
+    "far-sliver": (37.0, 37.0 + 1e-9),
+    "sliver-holding-0": (-1e-9, 1e-9),
+}
+# Measured over each row's grid (below): the largest gap to
+# scipy.stats.truncnorm.cdf is 2.9e-13 (far-right), save on the rows named
+# here, where the gap is scipy's own: against mpmath at 60 digits the CDF
+# is within 5.7e-14 on every row, those included.
+CDF_TOLERANCE = {"near-point": 1e-8, "far-unbounded": 1e-9,
+                 "far-sliver": 1e-5, "sliver-holding-0": 1e-6}
 STD = GBPS / 40  # keeps mean + a * std >= 0 down to a = -40
 
 
@@ -207,9 +230,20 @@ def standardized(a, b):
     return BandwidthDistribution(GBPS, STD, GBPS + a * STD, GBPS + b * STD)
 
 
+def grid(a, b, n=99):
+    """n points evenly inside [a, b] (past a, if b is inf), and the n
+    quantiles of the truncated normal at 0.5/n, 1.5/n, ..., by scipy."""
+    from scipy import stats
+
+    end = b if b < math.inf else a + 10.0 / max(1.0, a)
+    even = [a + (end - a) * i / (n + 1) for i in range(1, n + 1)]
+    quantiles = stats.truncnorm.ppf((np.arange(n) + 0.5) / n, a, b)
+    return sorted({*even, *map(float, quantiles)})
+
+
 @contextlib.contextmanager
 def finishes_within(seconds):
-    """Fail, rather than hang, if a proposal stops accepting draws."""
+    """Fail, rather than hang, if a count stops descending."""
     def spun(signum, frame):
         raise TimeoutError(f"sampling took over {seconds} s")
 
@@ -226,33 +260,56 @@ def finishes_within(seconds):
 def test_distribution_out_of_float_reach_is_a_point_mass(mean, expected):
     """An interval ~1e309 stds away standardizes to +-inf: no draw, no crash."""
     dist = BandwidthDistribution(mean, 1e-300, 1e9, 2e9)
+    cuts = [1e9, expected, math.nextafter(expected, math.inf)]
     with finishes_within(2.0):
-        draws = dist.sample(5, seed=1)
-    assert np.array_equal(draws, np.full(5, expected))
+        assert dist.sample(5, 1, cuts) == [0, 0, 5]
 
 
-@pytest.mark.parametrize("a, b", INTERVALS.values(), ids=INTERVALS.keys())
-def test_distribution_matches_scipy_truncnorm(a, b):
+@pytest.mark.parametrize("name", [*INTERVALS, *FAR])
+def test_cdf_matches_scipy_truncnorm(name):
     from scipy import stats
 
-    dist = standardized(a, b)
-    with finishes_within(2.0):
-        draws = dist.sample(20_000, seed=2026)
-    lo = (dist.lower_bytes_per_s - GBPS) / STD
-    hi = (dist.upper_bytes_per_s - GBPS) / STD
-    oracle = stats.truncnorm(lo, hi, loc=GBPS, scale=STD)
-    assert stats.kstest(draws, oracle.cdf).pvalue > 1e-3
+    a, b = {**INTERVALS, **FAR}[name]
+    xs = grid(a, b)
+    ours = [_truncnorm_cdf(x, 0.0, 1.0, a, b) for x in xs]
+    gap = np.abs(np.array(ours) - stats.truncnorm.cdf(xs, a, b)).max()
+    assert gap <= CDF_TOLERANCE.get(name, 1e-12)
+    assert ours == sorted(ours)
 
 
-@pytest.mark.parametrize("a, b", [(8.0, 30.0), (-30.0, -8.0), (38.0, 39.0),
-                                  (1e3, math.inf), (37.0, 37.0 + 1e-9),
-                                  (-1e-9, 1e-9)])
-def test_distribution_far_tails_and_slivers_finish_quickly(a, b):
+@pytest.mark.parametrize("name, count", [
+    ("central", 1000), ("right-tail", 1000), ("left-tail", 40),
+    ("half-unbounded", 7), ("far-sliver", 1000), ("central", 2**40)])
+def test_counts_at_a_cut_fit_the_binomial_law(name, count):
+    # Over seeds, the count below one cut against scipy's Binomial(n, F)
+    # with F scipy's truncated normal CDF there, by a chi-squared test.
+    from scipy import stats
+
+    a, b = {**INTERVALS, **FAR}[name]
     dist = standardized(a, b)
-    with finishes_within(2.0):  # 10^5 draws take milliseconds
-        draws = dist.sample(100_000, seed=3)
-    assert draws.min() >= dist.lower_bytes_per_s
-    assert draws.max() <= dist.upper_bytes_per_s
+    cut = GBPS + float(stats.truncnorm.ppf(0.3, a, b)) * STD
+    law = stats.binom(count, stats.truncnorm.cdf((cut - GBPS) / STD, a, b))
+    seeds = 2000
+    counts = [dist.sample(count, seed, [cut])[0] for seed in range(seeds)]
+    edges = np.floor(law.mean() + law.std() * np.linspace(-2, 2, 9))
+    edges = np.unique(np.concatenate(([-1.0], edges.clip(-1, count),
+                                      [count])))
+    expected = np.diff(law.cdf(edges)) * seeds
+    observed = np.histogram(counts, edges + 0.5)[0]
+    assert observed.sum() == seeds and expected.min() > 20
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(chi2, len(expected) - 1) > 0.001
+
+
+@pytest.mark.parametrize("name", FAR)
+def test_distribution_far_tails_and_slivers_finish_quickly(name):
+    a, b = FAR[name]
+    dist = standardized(a, b)
+    cuts = [GBPS + x * STD for x in grid(a, b, 50)]
+    with finishes_within(2.0):  # 50 cuts of 10^12 draws take milliseconds
+        below = dist.sample(10**12, 3, cuts)
+    assert below == sorted(below)
+    assert dist.sample(10**12, 3, [dist.lower_bytes_per_s]) == [0]
 
 
 magnitudes = st.floats(0.0, 1e15)
@@ -260,20 +317,26 @@ magnitudes = st.floats(0.0, 1e15)
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(1e-6, 1e15), magnitudes, magnitudes,
-       st.floats(1e-300, 1e15), st.integers(1, 500),
-       st.integers(0, 2**32))
-@example(1.0, 1e-300, 1e9, 1e9, 5, 1)
-def test_distribution_draws_lie_in_bounds(mean, std, lower, width, count,
-                                          seed):
+       st.floats(1e-300, 1e15), st.integers(1, 2**63 - 1),
+       st.integers(0, 2**32), st.lists(st.floats(-0.5, 1.5), max_size=8))
+@example(1.0, 1e-300, 1e9, 1e9, 5, 1, [0.0, 0.5, 1.0])
+@example(1e15, 1e15, 1e9, 1e-300, 5, 1, [0.5])  # narrower than a float step
+def test_distribution_counts_are_ordered_and_in_bounds(
+        mean, std, lower, width, count, seed, fractions):
     upper = lower + width
     assume(lower < upper)
     dist = BandwidthDistribution(mean, std, lower, upper)
+    cuts = sorted(max(0.0, lower + f * width) for f in fractions)
     with finishes_within(2.0):
-        draws = dist.sample(count, seed)
-    assert draws.shape == (count,)
-    assert np.all(np.isfinite(draws))
-    assert np.all((lower <= draws) & (draws <= upper))
-    assert draws.tobytes() == dist.sample(count, seed).tobytes()
+        below = dist.sample(count, seed, cuts)
+    assert all(0 <= k <= count for k in below)
+    assert below == sorted(below)
+    assert below == dist.sample(count, seed, cuts)
+    for k, cut in zip(below, cuts):
+        if cut <= lower:
+            assert k == 0
+        elif cut > upper:
+            assert k == count
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +497,11 @@ def test_iteration_thresholds_are_where_the_count_steps_up(
             profile, params, bw, target)
 
 
-def per_draw_distribution(task, profile, params, distribution, sample_count,
-                          seed):
+def per_draw_distribution(task, profile, params, draws):
     """The designer called once per draw: what the batch must reproduce."""
     kind_counts = {k.value: 0 for k in StrategyKind}
     iter_counts = {}
-    for bandwidth in distribution.sample(sample_count, seed):
+    for bandwidth in draws:
         if bandwidth <= 0:
             bandwidth = np.nextafter(0.0, 1.0)
         metrics = MetricsView(profile=profile, params=params,
@@ -450,20 +512,22 @@ def per_draw_distribution(task, profile, params, distribution, sample_count,
             n = config.strategy.iterations
             iter_counts[n] = iter_counts.get(n, 0) + 1
     return StrategyDistribution(
-        strategy_probs={k: c / sample_count for k, c in kind_counts.items()},
-        iteration_pmf={n: c / sample_count
+        strategy_probs={k: c / len(draws) for k, c in kind_counts.items()},
+        iteration_pmf={n: c / len(draws)
                        for n, c in sorted(iter_counts.items())},
-        sample_count=sample_count)
+        sample_count=len(draws))
 
 
 class FixedDraws:
     """A bandwidth distribution whose draws are given, zeros included."""
 
-    def __init__(self, draws):
-        self.draws = np.array(draws, dtype=float)
+    lower_bytes_per_s, upper_bytes_per_s = 0.0, math.inf
 
-    def sample(self, count, seed):
-        return self.draws[:count].copy()
+    def __init__(self, draws):
+        self.draws = [float(d) for d in draws]
+
+    def sample(self, count, seed, thresholds):
+        return [sum(d < t for d in self.draws[:count]) for t in thresholds]
 
 
 def assert_same_distribution(got, expected):
@@ -501,19 +565,28 @@ def test_strategy_distribution_matches_per_draw_design(task, profile, params,
                                                        draws):
     dist = FixedDraws(draws)
     got = strategy_distribution(task, profile, params, dist, len(draws), 0)
-    expected = per_draw_distribution(task, profile, params, dist, len(draws),
-                                     0)
+    expected = per_draw_distribution(task, profile, params, draws)
     assert_same_distribution(got, expected)
 
 
 @settings(max_examples=40, deadline=None)
 @given(tasks_st, profiles_st, params_st, st.floats(1e5, 1e10),
-       st.floats(0.0, 1.0), st.integers(1, 400), st.integers(0, 2**32))
-def test_truncnorm_strategy_distribution_matches_per_draw_design(
-        task, profile, params, mean, rel_std, samples, seed):
-    dist = BandwidthDistribution(mean, rel_std * mean, 0.0,
-                                 mean + 5 * (rel_std * mean))
+       st.floats(0.0, 1.0), st.integers(1, 400), st.integers(0, 2**32),
+       st.booleans())
+def test_truncnorm_strategy_distribution_matches_design_between_thresholds(
+        task, profile, params, mean, rel_std, samples, seed, unbounded):
+    """The sample's draws between two thresholds, each designed at the
+    lower one, half-unbounded distributions included: what the batch
+    must reproduce."""
+    upper = math.inf if unbounded else mean + 5 * (rel_std * mean)
+    dist = BandwidthDistribution(mean, rel_std * mean, 0.0, upper)
     got = strategy_distribution(task, profile, params, dist, samples, seed)
-    expected = per_draw_distribution(task, profile, params, dist, samples,
-                                     seed)
-    assert_same_distribution(got, expected)
+    draws = [mean] * samples  # minimize-resources designs cold throughout
+    if task.objective is Objective.MINIMIZE_DOWNTIME:
+        _, thresholds = iteration_thresholds(
+            profile, params, task.target_duration_s, TINY, upper)
+        below = [0, *dist.sample(samples, seed, thresholds), samples]
+        draws = [bandwidth for bandwidth, n in zip(
+            [TINY, *thresholds], np.diff(below)) for _ in range(n)]
+    assert_same_distribution(got, per_draw_distribution(task, profile,
+                                                        params, draws))
