@@ -61,10 +61,10 @@ from .model import (
     BYTES_PER_S_PER_MBPS,
     ModelParams,
     MsProfile,
+    _binomial,
     checkpoint_duration,
     pre_checkpoint_duration,
     restore_duration,
-    _binomial,
     transfer_duration,
 )
 from .orchestrator import MetricsView, MigrationConfig, design

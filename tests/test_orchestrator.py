@@ -320,7 +320,10 @@ magnitudes = st.floats(0.0, 1e15)
        st.floats(1e-300, 1e15), st.integers(1, 2**63 - 1),
        st.integers(0, 2**32), st.lists(st.floats(-0.5, 1.5), max_size=8))
 @example(1.0, 1e-300, 1e9, 1e9, 5, 1, [0.0, 0.5, 1.0])
-@example(1e15, 1e15, 1e9, 1e-300, 5, 1, [0.5])  # narrower than a float step
+# Intervals narrower than a float step at their distance from the mean,
+# in stds: (lower - mean) / std and (upper - mean) / std round together.
+@example(2.0**48 + 1, 1.0, 0.0, 0.03125, 1, 0, [0.0])
+@example(2.0**47 + 1, 1.0, 0.0, 0.0078125, 1, 0, [1.5])
 def test_distribution_counts_are_ordered_and_in_bounds(
         mean, std, lower, width, count, seed, fractions):
     upper = lower + width
